@@ -11,11 +11,11 @@
 //	evilbloom squid     two-proxy cache-digest pollution experiment
 //	evilbloom params    average-case vs worst-case parameter designs (§8.1)
 //	evilbloom overflow  §6.2 counter-overflow attack demonstration
+//	evilbloom hll       adversarial probabilistic counting (§10 extension)
 //	evilbloom serve     multi-filter service over HTTP: named bloom/counting/
-//	                    blocked filters (§8 and §4.3 made live)
-//	evilbloom bench-serve   HTTP load benchmark against a live registry
-//	evilbloom bench-import  fold `go test -bench` output into the bench report
-//	evilbloom bench-verify  validate a BENCH_*.json report
+//	                    blocked filters (§8 and §4.3 made live); -resp-addr
+//	                    adds the redis-protocol binary plane
+//	evilbloom resp-cli  one-shot RESP client (redis-cli stand-in for scripts)
 //
 // Every experiment subcommand prints the paper's reference values next to
 // the measured ones. All runs are deterministic for a fixed -seed.
@@ -32,7 +32,6 @@ import (
 	"evilbloom/internal/attack"
 	"evilbloom/internal/cachedigest"
 	"evilbloom/internal/core"
-	"evilbloom/internal/countermeasure"
 	"evilbloom/internal/hashes"
 	"evilbloom/internal/probcount"
 	"evilbloom/internal/urlgen"
@@ -78,12 +77,6 @@ func run(args []string) error {
 		return cmdServe(rest)
 	case "resp-cli":
 		return cmdRespCLI(rest)
-	case "bench-serve":
-		return cmdBenchServe(rest)
-	case "bench-import":
-		return cmdBenchImport(rest)
-	case "bench-verify":
-		return cmdBenchVerify(rest)
 	case "help", "-h", "--help":
 		usage()
 		return nil
@@ -113,11 +106,6 @@ subcommands:
             -resp-addr adds the redis-protocol binary plane
   resp-cli  one-shot RESP client (redis-cli stand-in for scripts):
             evilbloom resp-cli -addr 127.0.0.1:6390 BF.ADD default item
-  bench-serve   HTTP load benchmark against a live registry (in-process by
-                default): pipelined mixed add/test/remove, p50/p99 latency
-                and ops/s, merged into BENCH_<date>.json
-  bench-import  convert `+"`go test -bench`"+` output into the same report
-  bench-verify  validate a BENCH_*.json report against the schema
 `)
 }
 
@@ -382,7 +370,7 @@ func cmdParams(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	d, err := countermeasure.DesignWorstCase(*m, *n)
+	d, err := core.DesignWorstCase(*m, *n)
 	if err != nil {
 		return err
 	}

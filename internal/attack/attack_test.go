@@ -392,3 +392,37 @@ func BenchmarkForgePolluting(b *testing.B) {
 		bl.Add(item)
 	}
 }
+
+// End-to-end ablation: the same pollution campaign against the classic and
+// the worst-case design — the adversary's achieved FPR must match eq (7)
+// and eq (10) respectively, with the hardened filter well below.
+func TestWorstCaseDesignContainsPollution(t *testing.T) {
+	const m, n = 3200, 600
+	classic, err := core.NewBloomOptimal(n, core.OptimalFPR(m, n), hashes.SHA256, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := core.DesignWorstCase(m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam, err := hashes.NewDoubleHashing(design.K, m, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hardened := core.NewBloom(fam)
+	for name, b := range map[string]*core.Bloom{"classic": classic, "hardened": hardened} {
+		adv := NewChosenInsertion(NewBloomView(b), b, b, urlgen.New(3))
+		if _, err := adv.PolluteN(n, 0); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	classicFPR := classic.EstimatedFPR()
+	hardenedFPR := hardened.EstimatedFPR()
+	if hardenedFPR >= classicFPR {
+		t.Errorf("hardened FPR %v not below classic %v under attack", hardenedFPR, classicFPR)
+	}
+	if math.Abs(hardenedFPR-core.WorstCaseAdvFPR(m, n)) > 0.05 {
+		t.Errorf("hardened FPR = %v, eq (10) predicts %v", hardenedFPR, core.WorstCaseAdvFPR(m, n))
+	}
+}

@@ -212,8 +212,7 @@ func (b *Bloom) UnmarshalBinary(data []byte) error {
 	return b.bits.StoreFrom(bits)
 }
 
-// Synced wraps a Filter with a mutex for concurrent use (the crawler's dedup
-// filter is shared between worker goroutines).
+// Synced wraps a Filter with a mutex for concurrent use.
 type Synced struct {
 	mu    sync.Mutex
 	inner Filter

@@ -1,6 +1,6 @@
 // Package core implements the Bloom-filter variants studied in the paper —
-// classic, counting, scalable, partitioned (pyBloom layout) and Dablooms
-// (Bitly's scaling counting filter) — together with the parameter
+// classic, blocked, counting, scalable, partitioned (pyBloom layout) and
+// Dablooms (Bitly's scaling counting filter) — together with the parameter
 // mathematics of §3 (average case), §4 (adversarial case, eq 7) and §8.1
 // (worst-case parameters, eq 9–12).
 //
@@ -14,8 +14,8 @@
 //   - Partitioned: pyBloom's layout, index i scoped to slice i.
 //   - Scalable / Dablooms: capacity-doubling stacks of filters whose
 //     compound false-positive rate Fig 8 studies under pollution.
-//   - Nyberg: the accumulator §9 compares against.
-//   - TwoChoice: the "power of two choices" variant the conclusion plays on.
+//   - Blocked: all k probes inside the 512-bit block the first index
+//     selects — one cache miss per operation.
 //
 // Every variant exposes its internal state (Weight, Occupied, Bits) because
 // the paper's threat model hands that state to the adversary; package attack

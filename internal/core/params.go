@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 )
 
@@ -126,6 +127,48 @@ func WorstCaseHonestFPR(m, n uint64) float64 {
 		return 0
 	}
 	return math.Pow(1-math.Exp(-1/math.E), float64(m)/(float64(n)*math.E))
+}
+
+// WorstCaseDesign captures a filter hardened against chosen insertions: k is
+// chosen to minimize the adversary's achievable false-positive probability
+// instead of the honest one.
+type WorstCaseDesign struct {
+	// M and N are the designer's memory and capacity inputs.
+	M, N uint64
+	// K is k_adv_opt = m/(en) rounded (eq 9).
+	K int
+	// AdversarialFPR is the best the chosen-insertion adversary can force
+	// (eq 10).
+	AdversarialFPR float64
+	// HonestFPR is the price paid on uniform inputs (eq 11–12).
+	HonestFPR float64
+	// OptimalK and OptimalFPR are the classic design for comparison.
+	OptimalK   int
+	OptimalFPR float64
+	// OptimalAdversarialFPR is what the adversary forces against the
+	// classic design (eq 7 at n = N) — the number the hardening removes.
+	OptimalAdversarialFPR float64
+}
+
+// DesignWorstCase computes the §8.1 design for a memory budget of m bits
+// and n anticipated insertions: developers "keep their fast
+// non-cryptographic hash functions but at the cost of a larger Bloom
+// filter". Chosen-insertion adversaries are contained; query-only ones are
+// not.
+func DesignWorstCase(m, n uint64) (*WorstCaseDesign, error) {
+	if m == 0 || n == 0 {
+		return nil, fmt.Errorf("core: m and n must be positive")
+	}
+	return &WorstCaseDesign{
+		M:                     m,
+		N:                     n,
+		K:                     WorstCaseKInt(m, n),
+		AdversarialFPR:        WorstCaseAdvFPR(m, n),
+		HonestFPR:             WorstCaseHonestFPR(m, n),
+		OptimalK:              OptimalKInt(m, n),
+		OptimalFPR:            OptimalFPR(m, n),
+		OptimalAdversarialFPR: AdversarialFPR(m, n, OptimalKInt(m, n)),
+	}, nil
 }
 
 // PaperSizeFactor is the m′/m ≈ 4.8 figure the paper states in §8.1 when

@@ -74,6 +74,32 @@ func TestWorstCaseParameters(t *testing.T) {
 	approx(t, "SizeFactorPaperReading", SizeFactorPaperReading(), 4.8, 0.01)
 }
 
+func TestDesignWorstCase(t *testing.T) {
+	d, err := DesignWorstCase(3200, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.K != 2 || d.OptimalK != 4 {
+		t.Errorf("K = %d (want 2), OptimalK = %d (want 4)", d.K, d.OptimalK)
+	}
+	// k_opt/k_adv = e·ln2 ≈ 1.88 before rounding.
+	if ratio := OptimalK(3200, 600) / WorstCaseK(3200, 600); math.Abs(ratio-1.88) > 0.01 {
+		t.Errorf("k ratio = %v", ratio)
+	}
+	// The hardened design caps the adversary far below what she forces
+	// against the classic design.
+	if d.AdversarialFPR >= d.OptimalAdversarialFPR {
+		t.Errorf("hardening did not help: %v vs %v", d.AdversarialFPR, d.OptimalAdversarialFPR)
+	}
+	// The honest price is modest (eq 12 vs eq 3).
+	if d.HonestFPR < d.OptimalFPR {
+		t.Error("worst-case design cannot beat the optimal honest FPR")
+	}
+	if _, err := DesignWorstCase(0, 5); err == nil {
+		t.Error("m=0 accepted")
+	}
+}
+
 // The defining property of eq (9): k_adv minimizes the adversarial FPR.
 func TestWorstCaseKMinimizesAdvFPR(t *testing.T) {
 	const m, n = 100000, 2000

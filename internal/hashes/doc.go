@@ -20,4 +20,6 @@
 //
 // Any strategy can be keyed (HMAC or SipHash) to obtain the countermeasure
 // of §8.2: an adversary who cannot predict indexes cannot forge items.
+// Universal (Carter–Wegman) and XOFFamily (HMAC in counter mode, the §10
+// SHAKE stand-in) are two further keyed families for the §8 comparison.
 package hashes

@@ -363,7 +363,7 @@ func NewRegistryServer(reg *service.Registry) *Server {
 
 // NewServer wraps a single store in the HTTP API, registered as the
 // registry's default filter — the original single-filter constructor, kept
-// so embedders (tests, examples) need no registry ceremony.
+// so tests need no registry ceremony.
 func NewServer(store *service.Sharded) *Server {
 	reg := service.NewRegistry()
 	if _, err := reg.Adopt(service.DefaultFilterName, store); err != nil {

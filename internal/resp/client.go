@@ -54,8 +54,8 @@ func (r *Reply) BusyRetrySeconds() (int64, bool) {
 
 // Client is a pipelined RESP client: queue commands with Send, push them
 // with Flush, collect replies in order with Receive. Do is the synchronous
-// convenience for control commands. Not safe for concurrent use; attack and
-// bench drivers hold one Client per connection.
+// convenience for control commands. Not safe for concurrent use; attack
+// drivers hold one Client per connection.
 type Client struct {
 	conn    net.Conn
 	br      *bufio.Reader
@@ -113,7 +113,7 @@ func (c *Client) SendArgs(args [][]byte) {
 }
 
 // SendItems queues "cmd filter item..." without assembling an argument
-// slice — the attack and bench hot path.
+// slice — the attack campaigns' hot path.
 func (c *Client) SendItems(cmd, filter string, items [][]byte) {
 	writeArrayHeader(c.bw, 2+len(items))
 	writeBulkString(c.bw, cmd)

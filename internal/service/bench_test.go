@@ -311,28 +311,6 @@ func BenchmarkVariantMixed(b *testing.B) {
 	}
 }
 
-// BenchmarkLockFreeReads prices the striped RLock on the read path: the
-// identical parallel mixed load with Test going through bare atomic loads
-// (the default) versus forced through the shard RLock. The delta is two
-// atomic RMWs on the lock word per membership test — the read path's entire
-// synchronization cost, since the loads themselves are plain word reads on
-// amd64/arm64.
-func BenchmarkLockFreeReads(b *testing.B) {
-	const totalBits, k = 1 << 22, 5
-	items := benchItems(1 << 16)
-	for _, lockFree := range []bool{true, false} {
-		name := "rlock"
-		if lockFree {
-			name = "lockfree"
-		}
-		b.Run(name, func(b *testing.B) {
-			s := newShardedBench(b, 16, totalBits, k, ModeNaive)
-			s.SetLockFreeReads(lockFree)
-			runMixed(b, s.Add, s.Test, nil, 0, items)
-		})
-	}
-}
-
 // BenchmarkRemove measures the test-and-remove path (one shard lock per
 // item, add first so removals mostly succeed) against plain adds on the
 // same counting store.

@@ -33,88 +33,110 @@ func lockfreeCfg(variant Variant) Config {
 	return cfg
 }
 
-// TestLockFreeReadsNoTornState is the -race regression for the lock-free
-// read path: while writer goroutines add (and, on counting, add-then-remove)
-// under the shard write locks, reader goroutines run Test with no lock at
-// all. Two things must hold throughout: the race detector stays silent
-// (every word the readers touch is accessed atomically on both sides), and
-// a set of permanently-inserted items never once tests negative — a torn
-// or stale read of a half-written word would surface as exactly that.
+// TestLockFreeReadsNoTornState is the -race regression for the read path:
+// while writer goroutines add (and, on counting, add-then-remove) under the
+// shard write locks, reader goroutines run Test. Two things must hold
+// throughout: the race detector stays silent (every word the readers touch
+// is accessed atomically on both sides, or under the shard RLock), and a set
+// of permanently-inserted items never once tests negative — a torn or stale
+// read of a half-written word would surface as exactly that.
+//
+// Which read path a store takes is decided by its geometry alone: bit
+// vectors and counters whose width divides 64 read lock-free; a width that
+// straddles word boundaries (the 3-bit row) has only the RLock fallback.
 func TestLockFreeReadsNoTornState(t *testing.T) {
-	for _, variant := range []Variant{VariantBloom, VariantBlocked, VariantCounting} {
-		for _, lockFree := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%v/lockfree=%v", variant, lockFree), func(t *testing.T) {
-				s, err := NewSharded(lockfreeCfg(variant))
-				if err != nil {
-					t.Fatal(err)
+	for _, row := range []struct {
+		variant Variant
+		width   int // counter width; 0 keeps lockfreeCfg's choice
+	}{
+		{variant: VariantBloom},
+		{variant: VariantBlocked},
+		{variant: VariantCounting},
+		{variant: VariantCounting, width: 3},
+	} {
+		cfg := lockfreeCfg(row.variant)
+		if row.width != 0 {
+			// Max 7 per counter: the ≤200 permanents plus 4 in-flight
+			// writer items at ~2.4% fill stay far below it.
+			cfg.CounterWidth = row.width
+		}
+		lockFree := cfg.CounterWidth == 0 || 64%cfg.CounterWidth == 0
+		t.Run(fmt.Sprintf("%v/lockfree=%v", row.variant, lockFree), func(t *testing.T) {
+			s, err := NewSharded(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range s.shards {
+				if got := s.shards[i].atomic != nil; got != lockFree {
+					t.Fatalf("shard %d: lock-free reads = %v, geometry (counter width %d) wants %v",
+						i, got, cfg.CounterWidth, lockFree)
 				}
-				s.SetLockFreeReads(lockFree)
+			}
 
-				gen := urlgen.New(1)
-				permanent := make([][]byte, 200)
-				for i := range permanent {
-					permanent[i] = gen.Next()
-				}
-				s.AddBatch(permanent)
+			gen := urlgen.New(1)
+			permanent := make([][]byte, 200)
+			for i := range permanent {
+				permanent[i] = gen.Next()
+			}
+			s.AddBatch(permanent)
 
-				const (
-					writers = 4
-					readers = 4
-					iters   = 1500
-				)
-				var wg sync.WaitGroup
-				errs := make(chan error, writers+readers)
-				for w := 0; w < writers; w++ {
-					wg.Add(1)
-					go func(id int) {
-						defer wg.Done()
-						// Distinct serial ranges per writer keep the streams
-						// disjoint from each other and from the permanents.
-						g := urlgen.New(int64(100 + id))
-						for i := 0; i < iters; i++ {
-							item := g.Next()
-							s.Add(item)
-							if s.Removable() {
-								// Balanced add-then-remove: exercises the
-								// remove path against concurrent readers
-								// while leaving every shared counter's net
-								// reference count untouched.
-								if ok, err := s.Remove(item); err != nil {
-									errs <- fmt.Errorf("writer %d: remove: %w", id, err)
-									return
-								} else if !ok {
-									errs <- fmt.Errorf("writer %d: removal of just-added item refused", id)
-									return
-								}
-							}
-						}
-					}(w)
-				}
-				for r := 0; r < readers; r++ {
-					wg.Add(1)
-					go func(id int) {
-						defer wg.Done()
-						for i := 0; i < iters; i++ {
-							it := permanent[(i*7919+id)%len(permanent)]
-							if !s.Test(it) {
-								errs <- fmt.Errorf("reader %d: permanent item %q tested negative (torn read?)", id, it)
+			const (
+				writers = 4
+				readers = 4
+				iters   = 1500
+			)
+			var wg sync.WaitGroup
+			errs := make(chan error, writers+readers)
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					// Distinct serial ranges per writer keep the streams
+					// disjoint from each other and from the permanents.
+					g := urlgen.New(int64(100 + id))
+					for i := 0; i < iters; i++ {
+						item := g.Next()
+						s.Add(item)
+						if s.Removable() {
+							// Balanced add-then-remove: exercises the
+							// remove path against concurrent readers
+							// while leaving every shared counter's net
+							// reference count untouched.
+							if ok, err := s.Remove(item); err != nil {
+								errs <- fmt.Errorf("writer %d: remove: %w", id, err)
+								return
+							} else if !ok {
+								errs <- fmt.Errorf("writer %d: removal of just-added item refused", id)
 								return
 							}
 						}
-					}(r)
-				}
-				wg.Wait()
-				close(errs)
-				for err := range errs {
-					t.Error(err)
-				}
-				for _, it := range permanent {
-					if !s.Test(it) {
-						t.Fatalf("permanent item %q lost after concurrent run", it)
 					}
+				}(w)
+			}
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					for i := 0; i < iters; i++ {
+						it := permanent[(i*7919+id)%len(permanent)]
+						if !s.Test(it) {
+							errs <- fmt.Errorf("reader %d: permanent item %q tested negative (torn read?)", id, it)
+							return
+						}
+					}
+				}(r)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+			for _, it := range permanent {
+				if !s.Test(it) {
+					t.Fatalf("permanent item %q lost after concurrent run", it)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -424,23 +424,6 @@ func (s *Sharded) Test(item []byte) bool {
 	return ok
 }
 
-// SetLockFreeReads enables or disables the lock-free read path on every
-// shard whose backend supports it. It exists for benchmarking — measuring
-// the striped-RLock baseline against the atomic path on identical stores —
-// and must only be called before the store serves concurrent traffic.
-func (s *Sharded) SetLockFreeReads(enabled bool) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.atomic = nil
-		if !enabled {
-			continue
-		}
-		if ar, ok := sh.backend.(atomicReader); ok && ar.LockFreeReads() {
-			sh.atomic = ar
-		}
-	}
-}
-
 // Removable reports whether the store's backends support deletion.
 func (s *Sharded) Removable() bool { return s.shards[0].remover != nil }
 
