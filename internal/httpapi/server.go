@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -34,34 +35,9 @@ type batchRequest struct {
 	Items []string `json:"items"`
 }
 
-// addResponse answers add and add-batch.
-type addResponse struct {
-	Added int    `json:"added"`
-	Count uint64 `json:"count"`
-}
-
-// testResponse answers test.
-type testResponse struct {
-	Present bool `json:"present"`
-}
-
-// testBatchResponse answers test-batch, Present in input order.
-type testBatchResponse struct {
-	Present []bool `json:"present"`
-}
-
-// removeResponse answers /v2/.../remove (no v1 equivalent).
-type removeResponse struct {
-	Removed int    `json:"removed"`
-	Count   uint64 `json:"count"`
-}
-
-// removeBatchResponse answers /v2/.../remove-batch, Removed in input order
-// (false marks items the filter believed absent and refused to remove).
-type removeBatchResponse struct {
-	Removed []bool `json:"removed"`
-	Count   uint64 `json:"count"`
-}
+// The item routes' responses have no struct: itembody.go appends their
+// frozen bytes directly ({"added":n,"count":c}, {"present":b},
+// {"present":[b…]}, {"removed":n,"count":c}, {"removed":[b…],"count":c}).
 
 // compactResponse answers /v2/.../compact with the new snapshot generation.
 type compactResponse struct {
@@ -340,10 +316,10 @@ type Server struct {
 // constructor a process sharing one engine across planes uses.
 func NewEngineServer(eng *engine.Engine) *Server {
 	s := &Server{eng: eng, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/v1/add", s.v1(s.handleAdd))
-	s.mux.HandleFunc("/v1/test", s.v1(s.handleTest))
-	s.mux.HandleFunc("/v1/add-batch", s.v1(s.handleAddBatch))
-	s.mux.HandleFunc("/v1/test-batch", s.v1(s.handleTestBatch))
+	s.mux.HandleFunc("/v1/add", s.v1(opAdd))
+	s.mux.HandleFunc("/v1/test", s.v1(opTest))
+	s.mux.HandleFunc("/v1/add-batch", s.v1(opAddBatch))
+	s.mux.HandleFunc("/v1/test-batch", s.v1(opTestBatch))
 	s.mux.HandleFunc("/v1/stats", s.handleStatsV1)
 	s.mux.HandleFunc("/v1/info", s.handleInfoV1)
 	s.mux.HandleFunc("/v2/filters", s.handleFilters)
@@ -404,17 +380,17 @@ func (s *Server) defaultFilter(w http.ResponseWriter) (engine.FilterRef, bool) {
 	return ref, true
 }
 
-// v1 adapts an item handler to the /v1 shim. The resolved ref rides along
-// so the shim's mutations charge the same per-client budgets as the
-// default filter's /v2 endpoints — legacy clients get no side door around
-// rate limiting.
-func (s *Server) v1(h func(http.ResponseWriter, *http.Request, engine.FilterRef)) http.HandlerFunc {
+// v1 serves an item route of the /v1 shim. The resolved ref rides along so
+// the shim's mutations charge the same per-client budgets as the default
+// filter's /v2 endpoints — legacy clients get no side door around rate
+// limiting.
+func (s *Server) v1(op itemOp) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ref, ok := s.defaultFilter(w)
 		if !ok {
 			return
 		}
-		h(w, r, ref)
+		s.handleItemOp(w, r, ref, op)
 	}
 }
 
@@ -532,17 +508,17 @@ func (s *Server) handleFilterOp(w http.ResponseWriter, r *http.Request) {
 	}
 	switch op := r.PathValue("op"); op {
 	case "add":
-		s.handleAdd(w, r, ref)
+		s.handleItemOp(w, r, ref, opAdd)
 	case "test":
-		s.handleTest(w, r, ref)
+		s.handleItemOp(w, r, ref, opTest)
 	case "add-batch":
-		s.handleAddBatch(w, r, ref)
+		s.handleItemOp(w, r, ref, opAddBatch)
 	case "test-batch":
-		s.handleTestBatch(w, r, ref)
+		s.handleItemOp(w, r, ref, opTestBatch)
 	case "remove":
-		s.handleRemove(w, r, ref)
+		s.handleItemOp(w, r, ref, opRemove)
 	case "remove-batch":
-		s.handleRemoveBatch(w, r, ref)
+		s.handleItemOp(w, r, ref, opRemoveBatch)
 	case "stats":
 		if r.Method != http.MethodGet {
 			writeError(w, http.StatusMethodNotAllowed, "GET only")
@@ -582,99 +558,75 @@ func (s *Server) handleFilterOp(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request, ref engine.FilterRef) {
-	var req itemRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	p, ok := s.principal(w, r)
-	if !ok {
-		return
-	}
-	res, err := s.eng.Add(p, ref, []byte(req.Item))
-	if err != nil {
-		writeEngineError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, addResponse{Added: res.Added, Count: res.Count})
-}
+// itemOp names one of the six item routes; the batch forms sort last.
+type itemOp uint8
 
-func (s *Server) handleTest(w http.ResponseWriter, r *http.Request, ref engine.FilterRef) {
-	var req itemRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	present, err := s.eng.Test(ref, []byte(req.Item))
-	if err != nil {
-		writeEngineError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, testResponse{Present: present})
-}
+const (
+	opAdd itemOp = iota
+	opTest
+	opRemove
+	opAddBatch
+	opTestBatch
+	opRemoveBatch
+)
 
-func (s *Server) handleAddBatch(w http.ResponseWriter, r *http.Request, ref engine.FilterRef) {
-	var req batchRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	p, ok := s.principal(w, r)
-	if !ok {
-		return
-	}
-	res, err := s.eng.AddBatch(p, ref, toBytes(req.Items))
-	if err != nil {
-		writeEngineError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, addResponse{Added: res.Added, Count: res.Count})
-}
+func (op itemOp) batch() bool   { return op >= opAddBatch }
+func (op itemOp) mutates() bool { return op != opTest && op != opTestBatch }
 
-func (s *Server) handleTestBatch(w http.ResponseWriter, r *http.Request, ref engine.FilterRef) {
-	var req batchRequest
-	if !decode(w, r, &req) {
+// handleItemOp serves an item route: decode into a pooled scratch (see
+// itembody.go), run the engine command on the item views, append the frozen
+// answer. The scratch goes back to the pool on return, so nothing here may
+// keep an item past the engine call.
+func (s *Server) handleItemOp(w http.ResponseWriter, r *http.Request, ref engine.FilterRef, op itemOp) {
+	sc := scratchPool.Get().(*scratch)
+	defer putScratch(sc)
+	if !sc.decodeItems(w, r, op.batch()) {
 		return
 	}
-	items := toBytes(req.Items)
-	present, err := s.eng.TestBatch(ref, make([]bool, 0, len(items)), items)
+	var p engine.Principal
+	if op.mutates() {
+		var ok bool
+		if p, ok = s.principal(w, r); !ok {
+			return
+		}
+	}
+	out := sc.out[:0]
+	var err error
+	switch op {
+	case opAdd:
+		var res engine.AddResult
+		res, err = s.eng.Add(p, ref, sc.items[0])
+		out = appendCounted(out, "added", res.Added, res.Count)
+	case opAddBatch:
+		var res engine.AddResult
+		res, err = s.eng.AddBatch(p, ref, sc.items)
+		out = appendCounted(out, "added", res.Added, res.Count)
+	case opTest:
+		var present bool
+		present, err = s.eng.Test(ref, sc.items[0])
+		out = append(appendBool(append(out, `{"present":`...), present), "}\n"...)
+	case opTestBatch:
+		var present []bool
+		if present, err = s.eng.TestBatch(ref, sc.dst[:0], sc.items); err == nil {
+			sc.dst = present
+		}
+		out = append(appendBools(append(out, `{"present":`...), present), "}\n"...)
+	case opRemove:
+		var res engine.RemoveResult
+		res, err = s.eng.Remove(p, ref, sc.items[0])
+		out = appendCounted(out, "removed", res.Removed, res.Count)
+	case opRemoveBatch:
+		var res engine.RemoveBatchResult
+		res, err = s.eng.RemoveBatch(p, ref, sc.items)
+		out = appendBools(append(out, `{"removed":`...), res.Removed)
+		out = append(strconv.AppendUint(append(out, `,"count":`...), res.Count, 10), "}\n"...)
+	}
 	if err != nil {
 		writeEngineError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, testBatchResponse{Present: present})
-}
-
-func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request, ref engine.FilterRef) {
-	var req itemRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	p, ok := s.principal(w, r)
-	if !ok {
-		return
-	}
-	res, err := s.eng.Remove(p, ref, []byte(req.Item))
-	if err != nil {
-		writeEngineError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, removeResponse{Removed: res.Removed, Count: res.Count})
-}
-
-func (s *Server) handleRemoveBatch(w http.ResponseWriter, r *http.Request, ref engine.FilterRef) {
-	var req batchRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	p, ok := s.principal(w, r)
-	if !ok {
-		return
-	}
-	res, err := s.eng.RemoveBatch(p, ref, toBytes(req.Items))
-	if err != nil {
-		writeEngineError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, removeBatchResponse{Removed: res.Removed, Count: res.Count})
+	sc.out = out
+	sc.reply(w)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, ref engine.FilterRef) {
@@ -875,29 +827,25 @@ func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, service.MaxBodyBytes))
+	return decodeFrom(w, http.MaxBytesReader(w, r.Body, service.MaxBodyBytes), dst)
+}
+
+// decodeFrom is decode's second half: one JSON value off rd into dst,
+// unknown fields refused. The item routes reach it with an already-buffered
+// body when their scanner declines it.
+func decodeFrom(w http.ResponseWriter, rd io.Reader, dst any) bool {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes; split the batch", service.MaxBodyBytes))
+			writeBodyTooLarge(w)
 			return false
 		}
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return false
 	}
 	return true
-}
-
-// toBytes converts wire strings to the byte slices the engine consumes;
-// validation is the engine's job, not the codec's.
-func toBytes(items []string) [][]byte {
-	out := make([][]byte, len(items))
-	for i, it := range items {
-		out[i] = []byte(it)
-	}
-	return out
 }
 
 // writeEngineError renders an engine failure: kinds map to status codes,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -231,6 +232,51 @@ func TestCrossPlaneParity(t *testing.T) {
 	if r := do(t, cli, "CF.MDEL", "mdel", "m2", "absent"); r.Err() != nil ||
 		len(r.Elems) != 2 || r.Elems[0].Int != 1 || r.Elems[1].Int != 0 {
 		t.Errorf("CF.MDEL: %+v", r)
+	}
+}
+
+// One item, three spellings, two planes: JSON's escaped form (what a Go
+// client's json.Marshal emits for é and &), raw UTF-8 in JSON, and the raw
+// bytes as a RESP bulk string all name the same item. The HTTP codec decodes
+// escapes in place in its request buffer, so this pins that what reaches
+// the filter is the decoded bytes and nothing of the spelling.
+func TestCrossEncodingCrossPlane(t *testing.T) {
+	f := newParityFixture(t, service.RateLimitConfig{})
+	f.createFilter(t, "web", service.VariantBloom)
+	cli := f.respClient(t)
+	post := func(op, body string) string {
+		t.Helper()
+		resp, err := http.Post(f.ts.URL+"/v2/filters/web/"+op, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%d %s", resp.StatusCode, got)
+	}
+
+	if got := post("add", `{"item":"caf\u00e9\u0026x"}`); got != "200 {\"added\":1,\"count\":1}\n" {
+		t.Fatalf("HTTP add, escaped spelling: %q", got)
+	}
+	if got := post("test", `{"item":"café&x"}`); got != "200 {\"present\":true}\n" {
+		t.Errorf("HTTP test, raw UTF-8: %q", got)
+	}
+	if r := do(t, cli, "BF.EXISTS", "web", "café&x"); r.Err() != nil || r.Int != 1 {
+		t.Errorf("BF.EXISTS with the raw bytes: %+v", r)
+	}
+	if r := do(t, cli, "BF.EXISTS", "web", `caf\u00e9\u0026x`); r.Err() != nil || r.Int != 0 {
+		t.Errorf("BF.EXISTS with the JSON spelling as literal bytes: %+v, want absent", r)
+	}
+
+	// And the other way round: added raw over RESP, found escaped over HTTP.
+	if r := do(t, cli, "BF.MADD", "web", "naïve<1>", "plain"); r.Err() != nil || len(r.Elems) != 2 {
+		t.Fatalf("BF.MADD: %+v", r)
+	}
+	if got := post("test-batch", `{"items":["na\u00efve\u003c1\u003e","plain","naive<1>"]}`); got != "200 {\"present\":[true,true,false]}\n" {
+		t.Errorf("HTTP test-batch, escaped spelling of a RESP add: %q", got)
 	}
 }
 
