@@ -309,6 +309,17 @@ func TestRunTable2(t *testing.T) {
 	if byAlg[hashes.SHA512].RecycleCalls != 1 {
 		t.Errorf("SHA-512 recycle calls = %d, want 1", byAlg[hashes.SHA512].RecycleCalls)
 	}
+	// SipHash-2-4, the hardened serving hash: two 24-bit indexes per 64-bit
+	// digest, so 5 calls against 10 — the count is exact; of the time, only
+	// that a keyed row never loses by recycling.
+	if r := byAlg[hashes.SipHash24Alg]; r.NaiveCalls != 10 || r.RecycleCalls != 5 {
+		t.Errorf("SipHash-2-4 calls naive/recycling = %d/%d, want 10/5", r.NaiveCalls, r.RecycleCalls)
+	}
+	for _, r := range rows {
+		if r.Algorithm.Keyed() && !(r.RecycleNs <= r.NaiveNs) {
+			t.Errorf("%v: recycling %.0f ns against naive %.0f ns, want no slower", r.Algorithm, r.RecycleNs, r.NaiveNs)
+		}
+	}
 	out := FormatTable2(rows)
 	if !strings.Contains(out, "SHA-512") || !strings.Contains(out, "MurmurHash-32") {
 		t.Errorf("formatted table:\n%s", out)

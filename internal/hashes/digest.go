@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"hash/fnv"
 )
 
 // Algorithm identifies one of the hash functions studied in the paper.
@@ -129,7 +128,7 @@ type Digester struct {
 	sipKey SipKey
 	h      hash.Hash // reused between Sum calls for stateful algorithms
 	salt   [4]byte   // scratch for the big-endian salt prefix
-	buf    []byte    // reused digest scratch for Sum64
+	buf    []byte    // reused digest scratch, see padded
 }
 
 // NewDigester returns a Digester for alg. Keyed algorithms require a
@@ -201,55 +200,75 @@ func (d *Digester) Clone() *Digester {
 // seeded algorithms the salt is the seed.
 func (d *Digester) Sum(dst, item []byte, salt uint32) []byte {
 	switch d.alg {
-	case MurmurHash32:
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], Murmur32(item, salt))
-		return append(dst, b[:]...)
+	case MurmurHash32, JenkinsOAAT:
+		return binary.BigEndian.AppendUint32(dst, uint32(d.sum64(item, salt)))
+	case FNV1a64, SipHash24Alg:
+		return binary.BigEndian.AppendUint64(dst, d.sum64(item, salt))
 	case MurmurHash128:
-		var b [16]byte
 		h1, h2 := Murmur128(item, uint64(salt))
-		binary.BigEndian.PutUint64(b[0:8], h1)
-		binary.BigEndian.PutUint64(b[8:16], h2)
-		return append(dst, b[:]...)
-	case JenkinsOAAT:
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], Jenkins32(item, salt))
-		return append(dst, b[:]...)
-	case FNV1a64:
-		f := fnv.New64a()
-		var sb [4]byte
-		binary.BigEndian.PutUint32(sb[:], salt)
-		f.Write(sb[:]) //nolint:errcheck // hash.Hash writes never fail
-		f.Write(item)  //nolint:errcheck
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], f.Sum64())
-		return append(dst, b[:]...)
-	case SipHash24Alg:
-		key := d.sipKey
-		key.K1 ^= uint64(salt) // salted variants share the secret, differ in K1
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], SipHash24(key, item))
-		return append(dst, b[:]...)
+		return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(dst, h1), h2)
 	default:
 		d.h.Reset()
 		binary.BigEndian.PutUint32(d.salt[:], salt)
-		d.h.Write(d.salt[:]) //nolint:errcheck
+		d.h.Write(d.salt[:]) //nolint:errcheck // hash.Hash writes never fail
 		d.h.Write(item)      //nolint:errcheck
 		return d.h.Sum(dst)
 	}
+}
+
+// sum64 is the salted digest of a register-sized algorithm (Bits() ≤ 64) as
+// an integer: the value its big-endian spelling in Sum denotes, computed
+// without ever becoming bytes. It is the whole hashing cost of the hardened
+// serving path (SipHash-2-4), so nothing here may allocate.
+func (d *Digester) sum64(item []byte, salt uint32) uint64 {
+	switch d.alg {
+	case MurmurHash32:
+		return uint64(Murmur32(item, salt))
+	case JenkinsOAAT:
+		return uint64(Jenkins32(item, salt))
+	case FNV1a64:
+		// FNV-1a over the 4-byte big-endian salt, then the item.
+		h := uint64(fnvOffset64)
+		for shift := 24; shift >= 0; shift -= 8 {
+			h = (h ^ uint64(byte(salt>>uint(shift)))) * fnvPrime64
+		}
+		for _, b := range item {
+			h = (h ^ uint64(b)) * fnvPrime64
+		}
+		return h
+	case SipHash24Alg:
+		key := d.sipKey
+		key.K1 ^= uint64(salt) // salted variants share the secret, differ in K1
+		return SipHash24(key, item)
+	default:
+		panic("hashes: sum64 of " + d.alg.String() + ", whose digest is wider than a register")
+	}
+}
+
+// FNV-1a 64-bit parameters (hash/fnv keeps its own unexported).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// windowPad is how many zero bytes padded appends after a digest.
+const windowPad = 8
+
+// padded returns the salted digest followed by windowPad zero bytes, in the
+// Digester's scratch (valid until the next call): a 64-bit big-endian
+// window starting at any bit inside the digest can then be loaded without a
+// bounds case, whatever the digest's length.
+func (d *Digester) padded(item []byte, salt uint32) []byte {
+	d.buf = append(d.Sum(d.buf[:0], item, salt), make([]byte, windowPad)...)
+	return d.buf
 }
 
 // Sum64 returns the first 64 bits (big-endian) of the salted digest, the
 // quantity reduced modulo m for one filter index. Shorter digests are used
 // in full.
 func (d *Digester) Sum64(item []byte, salt uint32) uint64 {
-	d.buf = d.Sum(d.buf[:0], item, salt)
-	if len(d.buf) >= 8 {
-		return binary.BigEndian.Uint64(d.buf[:8])
+	if d.Bits() <= 64 {
+		return d.sum64(item, salt)
 	}
-	var v uint64
-	for _, b := range d.buf {
-		v = v<<8 | uint64(b)
-	}
-	return v
+	return binary.BigEndian.Uint64(d.padded(item, salt))
 }

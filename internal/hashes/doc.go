@@ -18,6 +18,13 @@
 //   - Recycling: one long digest sliced into k·⌈log₂m⌉ bits (§8.2, Table 2).
 //   - MD5Split: one 128-bit MD5 split into four 32-bit indexes (Squid, §7).
 //
+// Recycling's price is the digest calls and nothing else: a 64-bit digest is
+// cut into indexes in a register and reduced with one compare-and-subtract,
+// longer ones through 64-bit windows of their bytes, so `evilbloom table2`
+// reads SipHash-2-4 at ≈ 2× (5 calls against 10 for k = 10), the ratio the
+// paper's Table 2 is about. The bit layout it cuts by is a storage format;
+// see Recycling.
+//
 // Any strategy can be keyed (HMAC or SipHash) to obtain the countermeasure
 // of §8.2: an adversary who cannot predict indexes cannot forge items.
 // Universal (Carter–Wegman) and XOFFamily (HMAC in counter mode, the §10

@@ -136,12 +136,20 @@ func (d *DoubleHashing) Clone() IndexFamily {
 // With SHA-512 one call covers any optimal filter with f ≥ 2⁻¹⁵ and m below
 // a GByte (Fig 9), which is what makes cryptographic hashing affordable
 // (Table 2).
+//
+// The bit layout is a storage format — hardened snapshots, WAL replay and
+// data directories are readable only while a key keeps landing on the same
+// bits — so it is fixed: index i of a digest is bits [i·b, (i+1)·b) counted
+// from the most significant end of the digest's big-endian spelling,
+// b = ⌈log₂m⌉; a digest yields ⌊ℓ/b⌋ whole indexes and its remaining bits are
+// dropped; digest j is salted with j. index_oracle_test.go holds the first
+// implementation and the fuzz target that compares against it.
 type Recycling struct {
-	d       *Digester
-	k       int
-	m       uint64
-	bitsPer int
-	buf     []byte // digest scratch, reused across calls
+	d         *Digester
+	k         int
+	m         uint64
+	bitsPer   int
+	perDigest int // whole indexes one digest yields
 }
 
 // NewRecycling builds a recycling family over a filter of m bits.
@@ -153,7 +161,7 @@ func NewRecycling(d *Digester, k int, m uint64) (*Recycling, error) {
 	if bp > d.Bits() {
 		return nil, fmt.Errorf("hashes: one index needs %d bits but %v yields only %d", bp, d.Algorithm(), d.Bits())
 	}
-	return &Recycling{d: d, k: k, m: m, bitsPer: bp}, nil
+	return &Recycling{d: d, k: k, m: m, bitsPer: bp, perDigest: d.Bits() / bp}, nil
 }
 
 // BitsPerIndex returns ⌈log₂ m⌉, the digest bits one index consumes (§8.2).
@@ -180,20 +188,47 @@ func DigestCallsFor(alg Algorithm, k int, m uint64) int {
 	return (k + per - 1) / per
 }
 
-// Indexes implements IndexFamily.
+// Indexes implements IndexFamily. A register-sized digest (SipHash-2-4,
+// the hardened serving path) is sliced as the one uint64 it is; a longer one
+// is sliced through 64-bit windows of its zero-padded bytes, one window per
+// ⌊64/b⌋ indexes, by the same routine.
 func (r *Recycling) Indexes(dst []uint64, item []byte) []uint64 {
-	perDigest := r.d.Bits() / r.bitsPer
+	ell := r.d.Bits()
 	var salt uint32
-	produced := 0
-	for produced < r.k {
-		r.buf = r.d.Sum(r.buf[:0], item, salt)
-		salt++
-		br := bitReader{data: r.buf}
-		for i := 0; i < perDigest && produced < r.k; i++ {
-			v := br.take(r.bitsPer)
-			dst = append(dst, v%r.m)
-			produced++
+	for left := r.k; left > 0; salt++ {
+		n := min(left, r.perDigest)
+		left -= n
+		if ell <= 64 {
+			dst = r.slice(dst, r.d.sum64(item, salt)<<uint(64-ell), n)
+			continue
 		}
+		digest := r.d.padded(item, salt)
+		perWindow := 64 / r.bitsPer
+		for pos := 0; n > 0; pos += perWindow * r.bitsPer {
+			at, off := pos>>3, uint(pos&7)
+			// Nine bytes cover any 64-bit window; padded keeps them in range.
+			w := binary.BigEndian.Uint64(digest[at:])<<off | uint64(digest[at+8])>>(8-off)
+			g := min(n, perWindow)
+			dst = r.slice(dst, w, g)
+			n -= g
+		}
+	}
+	return dst
+}
+
+// slice appends the n leading bitsPer-bit groups of w, most significant
+// first, each reduced into [0, m). One compare-and-subtract is the whole
+// reduction: bitsPer = bits.Len64(m-1) means 2^(bitsPer-1) ≤ m, so a group
+// v < 2^bitsPer ≤ 2m.
+func (r *Recycling) slice(dst []uint64, w uint64, n int) []uint64 {
+	b, m := uint(r.bitsPer), r.m
+	for ; n > 0; n-- {
+		v := w >> (64 - b)
+		w <<= b
+		if v >= m {
+			v -= m
+		}
+		dst = append(dst, v)
 	}
 	return dst
 }
@@ -209,30 +244,9 @@ func (r *Recycling) DigestCalls() int { return DigestCallsFor(r.d.Algorithm(), r
 
 // Clone implements IndexFamily.
 func (r *Recycling) Clone() IndexFamily {
-	return &Recycling{d: r.d.Clone(), k: r.k, m: r.m, bitsPer: r.bitsPer}
-}
-
-// bitReader consumes big-endian bit chunks from a digest.
-type bitReader struct {
-	data []byte
-	pos  int // bit offset
-}
-
-func (b *bitReader) take(n int) uint64 {
-	var v uint64
-	for n > 0 {
-		byteIdx := b.pos / 8
-		avail := 8 - b.pos%8
-		use := avail
-		if use > n {
-			use = n
-		}
-		chunk := uint64(b.data[byteIdx]>>(avail-use)) & (1<<uint(use) - 1)
-		v = v<<uint(use) | chunk
-		b.pos += use
-		n -= use
-	}
-	return v
+	cp := *r
+	cp.d = r.d.Clone()
+	return &cp
 }
 
 // ---------------------------------------------------------------------------

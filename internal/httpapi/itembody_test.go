@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -419,10 +420,20 @@ func (*rewindBody) Close() error { return nil }
 
 // The scanner's reason to exist, as a regression gate: in steady state a
 // 64-key batch through the whole handler — mux, scratch, scanner, engine,
-// store, rendering — stays under one allocation per item (the reflection
-// path spent about three; most of what is left is the store's per-shard
-// grouping). encoding/json creeping back onto these routes fails this.
+// store, rendering — makes a handful of allocations per request, none per
+// item (the reflection path spent about three per item, and until PR 19 the
+// store's grouping half of one; measured now: 5 per test-batch, 4 per
+// add-batch, all in net/http's and the mux's per-request bookkeeping).
+// encoding/json creeping back onto these routes, or the store's batch path
+// allocating again, fails this.
 func TestItemRoutesSteadyStateAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("sync.Pool drops entries under the race detector")
+			}
+		}
+	}
 	const keys = 64
 	reg := service.NewRegistry()
 	t.Cleanup(func() { reg.Close() }) //nolint:errcheck // memory-only
@@ -451,8 +462,8 @@ func TestItemRoutesSteadyStateAllocs(t *testing.T) {
 		serve() // warm the pool
 		perItem := testing.AllocsPerRun(50, serve) / keys
 		t.Logf("%s: %.2f allocations per item", op, perItem)
-		if perItem >= 1 {
-			t.Errorf("%s allocates %.2f times per item in steady state, want < 1", op, perItem)
+		if perItem > 0.15 {
+			t.Errorf("%s allocates %.2f times per item in steady state, want ≤ 0.15", op, perItem)
 		}
 	}
 }

@@ -275,6 +275,9 @@ type Sharded struct {
 	// sees this lock.
 	deltaMu   sync.Mutex
 	deltaBase *digestBaseline
+	// groupings pools the batch methods' grouping scratch, so a steady
+	// stream of batches allocates nothing.
+	groupings sync.Pool // of *grouping
 }
 
 // Journal receives the store's effective mutations — the append-only
@@ -493,20 +496,15 @@ func (s *Sharded) RemoveBatch(items [][]byte) ([]bool, error) {
 		return nil, ErrNotRemovable
 	}
 	removed := make([]bool, len(items))
-	groups := s.group(items)
-	for si := range s.shards {
-		g := groups[si]
-		if len(g) == 0 {
-			continue
-		}
+	g := s.group(items)
+	defer s.ungroup(g)
+	for lo := 0; lo < len(g.order); {
+		si, run := g.run(lo)
+		lo += len(run)
 		sh := &s.shards[si]
-		sc := sh.pool.Get().(*scratch)
-		sc.idx = sc.idx[:0]
-		for _, ii := range g {
-			sc.idx = sc.fam.Indexes(sc.idx, items[ii])
-		}
+		sc := sh.derive(items, run)
 		sh.mu.Lock()
-		for j, ii := range g {
+		for j, ii := range run {
 			ok, err := sh.removeLocked(sc.idx[j*s.k : (j+1)*s.k])
 			if err != nil {
 				sh.mu.Unlock()
@@ -530,29 +528,24 @@ func (s *Sharded) RemoveBatch(items [][]byte) ([]bool, error) {
 // AddBatch inserts every item, grouping by shard so each shard's lock is
 // taken once per batch instead of once per item.
 func (s *Sharded) AddBatch(items [][]byte) {
-	groups := s.group(items)
-	for si := range s.shards {
-		g := groups[si]
-		if len(g) == 0 {
-			continue
-		}
+	g := s.group(items)
+	for lo := 0; lo < len(g.order); {
+		si, run := g.run(lo)
+		lo += len(run)
 		sh := &s.shards[si]
-		sc := sh.pool.Get().(*scratch)
-		sc.idx = sc.idx[:0]
-		for _, ii := range g {
-			sc.idx = sc.fam.Indexes(sc.idx, items[ii])
-		}
+		sc := sh.derive(items, run)
 		sh.mu.Lock()
-		for j := 0; j < len(g); j++ {
+		for j, ii := range run {
 			sh.weight = applyDelta(sh.weight, sh.backend.AddIndexes(sc.idx[j*s.k:(j+1)*s.k]))
 			sh.muts++
 			if s.journal != nil {
-				s.journal.JournalAdd(items[g[j]])
+				s.journal.JournalAdd(items[ii])
 			}
 		}
 		sh.mu.Unlock()
 		sh.pool.Put(sc)
 	}
+	s.ungroup(g)
 }
 
 // TestBatch reports membership for every item, in input order, grouping by
@@ -560,42 +553,132 @@ func (s *Sharded) AddBatch(items [][]byte) {
 func (s *Sharded) TestBatch(dst []bool, items [][]byte) []bool {
 	base := len(dst)
 	dst = append(dst, make([]bool, len(items))...)
-	groups := s.group(items)
-	for si := range s.shards {
-		g := groups[si]
-		if len(g) == 0 {
-			continue
-		}
+	g := s.group(items)
+	for lo := 0; lo < len(g.order); {
+		si, run := g.run(lo)
+		lo += len(run)
 		sh := &s.shards[si]
-		sc := sh.pool.Get().(*scratch)
-		sc.idx = sc.idx[:0]
-		for _, ii := range g {
-			sc.idx = sc.fam.Indexes(sc.idx, items[ii])
-		}
+		sc := sh.derive(items, run)
 		if sh.atomic != nil {
-			for j, ii := range g {
+			for j, ii := range run {
 				dst[base+ii] = sh.atomic.TestIndexesAtomic(sc.idx[j*s.k : (j+1)*s.k])
 			}
 		} else {
 			sh.mu.RLock()
-			for j, ii := range g {
+			for j, ii := range run {
 				dst[base+ii] = sh.backend.TestIndexes(sc.idx[j*s.k : (j+1)*s.k])
 			}
 			sh.mu.RUnlock()
 		}
 		sh.pool.Put(sc)
 	}
+	s.ungroup(g)
 	return dst
 }
 
-// group partitions item positions by destination shard.
-func (s *Sharded) group(items [][]byte) [][]int {
-	groups := make([][]int, len(s.shards))
-	for i, it := range items {
-		si := s.shardFor(it)
-		groups[si] = append(groups[si], i)
+// derive checks a scratch out of the shard's pool holding the indexes of
+// items[run[0]], items[run[1]], …, k apiece — outside the shard lock. The
+// caller returns it with sh.pool.Put.
+func (sh *shard) derive(items [][]byte, run []int) *scratch {
+	sc := sh.pool.Get().(*scratch)
+	sc.idx = sc.idx[:0]
+	for _, ii := range run {
+		sc.idx = sc.fam.Indexes(sc.idx, items[ii])
 	}
-	return groups
+	return sc
+}
+
+// grouping is one batch's visiting plan: the item positions sorted by
+// destination shard, ascending, input order kept within a shard — the order
+// the journal sees a batch in, which replay therefore depends on. Everything
+// in it is sized by the batch; nothing is sized by the shard count, so a
+// one-item batch costs the same on 65 536 shards as on 8.
+type grouping struct {
+	shard []uint16 // destination shard of items[i]
+	order []int    // item positions in visiting order
+	tmp   []int    // the radix sort's second buffer, stores above 256 shards only
+}
+
+// MaxShards-1 must fit grouping.shard's element type.
+const _ = uint16(MaxShards - 1)
+
+// maxPooledGrouping is the largest batch whose grouping goes back to the
+// pool: a direct caller's million-item AddBatch must not pin its scratch for
+// the life of the store. It equals httpapi's cap on pooled item slices.
+const maxPooledGrouping = 4096
+
+// group routes every item and sorts the positions by shard: a stable LSD
+// radix sort on the shard number, eight bits a pass — one pass up to 256
+// shards, two up to MaxShards — with its counters on the stack. The caller
+// walks the result with run and hands it back with ungroup.
+func (s *Sharded) group(items [][]byte) *grouping {
+	g, _ := s.groupings.Get().(*grouping)
+	if g == nil {
+		g = new(grouping)
+	}
+	n := len(items)
+	g.shard, g.order = resized(g.shard, n), resized(g.order, n)
+	for i, it := range items {
+		g.shard[i] = uint16(s.shardFor(it))
+	}
+	buckets := min(len(s.shards), 256)
+	radixPass(g.order, nil, g.shard, 0, buckets)
+	if len(s.shards) > 256 {
+		g.tmp = resized(g.tmp, n)
+		radixPass(g.tmp, g.order, g.shard, 8, len(s.shards)>>8)
+		g.order, g.tmp = g.tmp, g.order
+	}
+	return g
+}
+
+// resized returns s with length n and unspecified contents, reallocated
+// only when its capacity is short.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// radixPass is one stable counting-sort pass: it writes to dst the positions
+// listed in src (0, 1, 2, … when src is nil) ordered by bits [shift,
+// shift+8) of their shard number, which takes values below buckets.
+func radixPass(dst, src []int, shard []uint16, shift uint, buckets int) {
+	var next [256]int
+	for _, sh := range shard {
+		next[byte(sh>>shift)]++
+	}
+	sum := 0
+	for b, c := range next[:buckets] {
+		next[b], sum = sum, sum+c
+	}
+	for i := range dst {
+		pos := i
+		if src != nil {
+			pos = src[i]
+		}
+		b := byte(shard[pos] >> shift)
+		dst[next[b]] = pos
+		next[b]++
+	}
+}
+
+// run returns the shard of the item visited lo-th and the positions of all
+// items of that shard, which follow it in g.order.
+func (g *grouping) run(lo int) (shard int, positions []int) {
+	sh := g.shard[g.order[lo]]
+	hi := lo + 1
+	for hi < len(g.order) && g.shard[g.order[hi]] == sh {
+		hi++
+	}
+	return int(sh), g.order[lo:hi]
+}
+
+// ungroup returns g to the pool unless one oversized batch grew it.
+func (s *Sharded) ungroup(g *grouping) {
+	if cap(g.shard) <= maxPooledGrouping {
+		s.groupings.Put(g)
+	}
 }
 
 // Generation returns the store's mutation counter: the sum of effective
