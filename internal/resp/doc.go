@@ -9,19 +9,33 @@
 // only realistic against a query interface running at production rates. This
 // plane removes the ceiling two ways:
 //
-//   - Zero-allocation command decode. Reader.ReadCommand parses into a
-//     caller-owned Command whose argument slices alias an arena that is
-//     reused across batches — the steady-state hot path allocates nothing.
-//     Arguments are valid until the same Command is read into again; the
+//   - Commands decoded in place, without allocating. A Reader owns one
+//     buffer per connection, reads the socket into it, and hands out a
+//     command's arguments as views of it — no argument is copied, and the
+//     steady-state hot path allocates nothing. Arguments are valid until
+//     the next blocking ReadCommand on that Reader (which may slide, grow
+//     or replace the buffer); ReadBuffered in between never moves it. The
 //     store copies item bytes synchronously (journal append, bit updates),
-//     so handing arena-backed slices to AddBatch is safe.
+//     so handing views to AddBatch is safe. The parse is resumable: how
+//     far a half-arrived command has been scanned is kept as offsets, so
+//     no byte is scanned twice however the transport cuts the stream, and
+//     a buffer move in between is harmless. The buffer is 64 KiB, doubles
+//     to at most one command at every wire limit with its framing
+//     (maxReaderBufSize, a little over 8 MiB), and is dropped for a fresh
+//     64 KiB one at the first read after the oversized command has been
+//     consumed, so an idle connection holds 64 KiB however large its last
+//     command was.
 //
-//   - Pipelined batch execution. The server reads one command blocking, then
-//     drains every fully-buffered command into the same batch. Consecutive
+//   - Pipelined batch execution. The server blocks for one command, then
+//     takes every fully-buffered command behind it into the same batch
+//     without reading again; a command still arriving, or a malformed one,
+//     waits for the next blocking read, after the replies to the whole
+//     commands in front of it have gone out. Consecutive
 //     commands with the same kind (add / test / remove) and filter collapse
 //     into a single AddBatch/TestBatch/RemoveBatch call — one shard-lock
-//     acquisition per run instead of per command — and replies are written
-//     in command order with a single flush per batch. Interleaved kinds
+//     acquisition per run instead of per command — and replies are rendered
+//     one command at a time straight into the write buffer, in command
+//     order, with a single flush per batch. Interleaved kinds
 //     (ADD a; EXISTS a; ADD b) degrade gracefully to runs of length one,
 //     preserving strict sequential semantics.
 //

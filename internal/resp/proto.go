@@ -2,6 +2,7 @@ package resp
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -22,11 +23,21 @@ const (
 	MaxArgLen = service.MaxItemLen
 	// MaxCommandBytes bounds the total payload of one command's arguments.
 	MaxCommandBytes = service.MaxBodyBytes
-	// maxInlineLen bounds an inline (plain text line) command.
+	// maxInlineLen bounds any line with its terminator: an inline (plain
+	// text) command, or a '*' or '$' length header.
 	maxInlineLen = 64 << 10
-	// readerBufSize sizes the connection read buffer. Large enough that a
-	// typical pipelined burst of small commands is drained in one syscall.
+	// readerBufSize is the connection read buffer every connection starts
+	// with and returns to. Large enough that a typical pipelined burst of
+	// small commands is drained in one syscall.
 	readerBufSize = 64 << 10
+	// maxHeaderLen is the longest line that can parse as a length header:
+	// the type byte, the 20 characters parseInt accepts, and CRLF.
+	maxHeaderLen = 1 + 20 + 2
+	// maxReaderBufSize is what the read buffer may grow to: one command at
+	// every limit with all its framing, plus one unterminated line on its
+	// way to being refused. A command that respects the limits always fits,
+	// and one that does not is refused before it has outgrown this.
+	maxReaderBufSize = maxHeaderLen + MaxCommandArgs*(maxHeaderLen+2) + MaxCommandBytes + maxInlineLen
 )
 
 // ProtocolError is a malformed-frame error: the server reports it to the
@@ -40,128 +51,283 @@ func protoErrf(format string, args ...any) error {
 	return &ProtocolError{msg: fmt.Sprintf(format, args...)}
 }
 
-// Command is one decoded client command. Args alias an internal arena that
-// is overwritten by the next ReadCommand into the same Command, so a batch
-// of concurrently-live commands needs one Command value each.
+// Command is one decoded client command. Args, and the bytes they point at,
+// belong to the Reader that decoded it: they stay valid until the next
+// ReadCommand on that Reader, and across any number of ReadBuffered calls in
+// between. Every slice handed out has its capacity cut to its length, so
+// appending to one copies it instead of writing over what follows it.
 type Command struct {
 	Args [][]byte
-
-	arena []byte
-	lens  []int
 }
 
-// reset prepares the command for reuse, keeping capacity.
-func (c *Command) reset() {
-	c.Args = c.Args[:0]
-	c.arena = c.arena[:0]
-	c.lens = c.lens[:0]
-}
-
-// grow appends payload space for one argument to the arena and records its
-// length. Args are materialized only after all reads: arena growth may
-// reallocate, which would invalidate earlier slices.
-func (c *Command) grow(n int) []byte {
-	off := len(c.arena)
-	if cap(c.arena)-off < n {
-		next := make([]byte, off, max(off+n, 2*cap(c.arena)))
-		copy(next, c.arena)
-		c.arena = next
-	}
-	c.arena = c.arena[:off+n]
-	c.lens = append(c.lens, n)
-	return c.arena[off : off+n]
-}
-
-// materialize rebuilds Args from the recorded lengths once the arena is
-// stable.
-func (c *Command) materialize() {
-	off := 0
-	for _, n := range c.lens {
-		c.Args = append(c.Args, c.arena[off:off+n])
-		off += n
-	}
-}
+// span locates one argument of the command being scanned, as an offset from
+// the command's first byte.
+type span struct{ off, n uint32 }
 
 // Reader decodes client commands (RESP arrays of bulk strings, plus the
-// inline plain text form) from a stream.
+// inline plain text form) from a stream, in place: it owns one buffer, reads
+// the stream into it, and hands out arguments as views of it. What a
+// connection can pin on the read side is that buffer and one list of views.
+//
+// The scan of a command is resumable. Everything known about the command at
+// buf[r:] is held as offsets from r, so sliding or regrowing the buffer
+// between two reads leaves it valid, and a byte that has been scanned is not
+// scanned again however the command is cut up by the transport.
 type Reader struct {
-	br *bufio.Reader
+	src io.Reader
+	buf []byte // buf[r:w] is read and not yet consumed
+	r   int
+	w   int
+	err error // from src, owed to the caller once buf[r:w] holds no command
+
+	// args holds every argument handed out since the last ReadCommand, one
+	// command after the other; a Command's Args is its piece of it.
+	args [][]byte
+
+	pos   int    // the next element (header line or payload) starts here
+	seen  int    // bytes from pos already searched for a line's '\n'
+	want  int    // arguments announced by the '*' header; -1 before it
+	bulk  int    // payload length announced by the '$' header at hand; -1 before it
+	total int    // payload bytes announced so far
+	spans []span // arguments complete so far
+
+	scanned int // bytes looked at so far, a byte looked at twice counted twice
 }
 
 // NewReader wraps r in a command decoder.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, readerBufSize)}
+	return &Reader{src: r, buf: make([]byte, readerBufSize), want: -1, bulk: -1}
 }
 
-// Buffered reports how many decoded-but-unread bytes are sitting in the read
-// buffer — nonzero means at least part of another pipelined command has
+// Buffered reports how many bytes have been read from the stream and not yet
+// consumed — nonzero means at least part of another pipelined command has
 // already arrived.
-func (r *Reader) Buffered() int { return r.br.Buffered() }
+func (r *Reader) Buffered() int { return r.w - r.r }
 
-// ReadCommand decodes the next command into cmd, reusing its storage. An
-// empty inline line or zero-element array yields len(cmd.Args) == 0; callers
-// skip those. Errors are either I/O errors or *ProtocolError.
+// ReadCommand decodes the next command into cmd, reading from the stream
+// only when the buffered bytes do not hold a whole command. An empty inline
+// line or zero-element array yields len(cmd.Args) == 0; callers skip those.
+// Errors are either I/O errors or *ProtocolError. Reading may move the
+// buffer, which ends the life of every argument handed out before.
 func (r *Reader) ReadCommand(cmd *Command) error {
-	cmd.reset()
-	line, err := r.readLine()
-	if err != nil {
-		return err
-	}
-	if len(line) == 0 {
-		return nil
-	}
-	if line[0] != '*' {
-		return r.readInline(cmd, line)
-	}
-	n, err := parseInt(line[1:])
-	if err != nil {
-		return protoErrf("invalid multibulk length")
-	}
-	if n < 0 || n > MaxCommandArgs {
-		return protoErrf("invalid multibulk length")
-	}
-	total := 0
-	for i := int64(0); i < n; i++ {
-		hdr, err := r.readLine()
-		if err != nil {
+	r.args = r.args[:0]
+	for idle := 0; ; {
+		done, err := r.scan(cmd)
+		if done || err != nil {
 			return err
 		}
-		if len(hdr) == 0 || hdr[0] != '$' {
-			return protoErrf("expected '$', got %q", firstByte(hdr))
-		}
-		blen, err := parseInt(hdr[1:])
-		if err != nil || blen < 0 || blen > MaxArgLen {
-			return protoErrf("invalid bulk length")
-		}
-		total += int(blen)
-		if total > MaxCommandBytes {
-			return protoErrf("command payload exceeds %d bytes", MaxCommandBytes)
-		}
-		dst := cmd.grow(int(blen))
-		if _, err := io.ReadFull(r.br, dst); err != nil {
-			return readErr(err)
-		}
-		if err := r.expectCRLF(); err != nil {
+		if err = r.err; err != nil {
+			r.err = nil
+			if err == io.EOF && r.w > r.r {
+				// A stream ending inside a command is a truncated
+				// frame, not a clean close.
+				err = io.ErrUnexpectedEOF
+			}
 			return err
 		}
+		if err = r.makeRoom(); err != nil {
+			return err
+		}
+		n, err := r.src.Read(r.buf[r.w:])
+		r.w += n
+		r.err = err
+		if n > 0 || err != nil {
+			idle = 0
+		} else if idle++; idle == 100 {
+			return io.ErrNoProgress
+		}
 	}
-	cmd.materialize()
+}
+
+// ReadBuffered decodes the next command into cmd if all of it is already
+// buffered and reports whether it did. It never reads from the stream and
+// never moves the buffer, so arguments handed out earlier stay valid. A
+// command that is incomplete or malformed is left for ReadCommand to wait
+// for or to report.
+func (r *Reader) ReadBuffered(cmd *Command) bool {
+	done, _ := r.scan(cmd)
+	return done
+}
+
+// makeRoom leaves free space behind the unconsumed bytes: by dropping an
+// outgrown buffer (and the argument list that grew with it) for a fresh one
+// of the base size once what is pending fits in that, else by sliding the
+// pending bytes to the front, else by doubling the buffer up to
+// maxReaderBufSize.
+func (r *Reader) makeRoom() error {
+	pending := r.w - r.r
+	switch {
+	case len(r.buf) > readerBufSize && pending < readerBufSize:
+		fresh := make([]byte, readerBufSize)
+		copy(fresh, r.buf[r.r:r.w])
+		r.buf, r.args = fresh, nil
+	case r.r > 0:
+		copy(r.buf, r.buf[r.r:r.w])
+	case pending == len(r.buf):
+		if pending == maxReaderBufSize {
+			// Unreachable while scan refuses what exceeds a limit; kept
+			// so that a mistake there closes a connection rather than
+			// spinning on zero-byte reads.
+			return protoErrf("command exceeds %d bytes with its framing", maxReaderBufSize)
+		}
+		grown := make([]byte, min(2*pending, maxReaderBufSize))
+		copy(grown, r.buf)
+		r.buf = grown
+	}
+	r.r, r.w = 0, pending
 	return nil
 }
 
-// readInline decodes the plain text command form ("PING\r\n"), splitting on
-// spaces and tabs. Quoting is not supported.
-func (r *Reader) readInline(cmd *Command, line []byte) error {
-	if len(line) > maxInlineLen {
-		return protoErrf("too big inline request")
+// scan advances the decode of the command at buf[r:] as far as the buffered
+// bytes allow. It reports done once the command is whole: cmd.Args are then
+// views of the buffer and the command's bytes are consumed. Short of that it
+// records how far it got and returns; on a malformed frame it returns the
+// error without advancing, so scanning again reports it again.
+func (r *Reader) scan(cmd *Command) (done bool, err error) {
+	b := r.buf[r.r:r.w]
+	if len(b) == 0 {
+		return false, nil
 	}
-	// Copy the whole line first: line aliases the bufio buffer.
-	buf := cmd.grow(len(line))
-	copy(buf, line)
-	cmd.lens = cmd.lens[:0]
+
+	if r.want < 0 {
+		n, adv := r.lengthHeader(b, '*')
+		if adv == 0 {
+			line, lineAdv, err := r.line(b)
+			if lineAdv == 0 {
+				return false, err
+			}
+			if len(line) == 0 || line[0] != '*' {
+				return r.inline(cmd, line, lineAdv)
+			}
+			n, adv = parseLength(line[1:]), lineAdv
+		}
+		if n < 0 || n > MaxCommandArgs {
+			return false, protoErrf("invalid multibulk length")
+		}
+		r.want, r.pos = int(n), adv
+	}
+
+	for len(r.spans) < r.want {
+		if r.bulk < 0 {
+			n, adv := r.lengthHeader(b, '$')
+			if adv == 0 {
+				line, lineAdv, err := r.line(b)
+				if lineAdv == 0 {
+					return false, err
+				}
+				if len(line) == 0 || line[0] != '$' {
+					return false, protoErrf("expected '$', got %q", firstByte(line))
+				}
+				n, adv = parseLength(line[1:]), lineAdv
+			}
+			if n < 0 || n > MaxArgLen {
+				return false, protoErrf("invalid bulk length")
+			}
+			if r.total+int(n) > MaxCommandBytes {
+				return false, protoErrf("command payload exceeds %d bytes", MaxCommandBytes)
+			}
+			r.total += int(n)
+			r.pos += adv
+			r.bulk = int(n)
+		}
+		// The payload is stepped over, not looked at. CRLF follows; a
+		// bare LF is tolerated as it is on lines.
+		end := r.pos + r.bulk
+		if end >= len(b) {
+			return false, nil
+		}
+		adv := 1
+		if b[end] == '\r' {
+			if end+1 == len(b) {
+				return false, nil
+			}
+			end, adv = end+1, 2
+		}
+		if b[end] != '\n' {
+			return false, protoErrf("expected CRLF after bulk payload")
+		}
+		r.scanned += adv
+		r.spans = append(r.spans, span{uint32(r.pos), uint32(r.bulk)})
+		r.pos += r.bulk + adv
+		r.bulk = -1
+	}
+
+	first := len(r.args)
+	for _, s := range r.spans {
+		r.args = append(r.args, b[s.off:s.off+s.n:s.off+s.n])
+	}
+	r.consume(cmd, first)
+	return true, nil
+}
+
+// consume hands cmd the arguments from args[first:], steps over the command
+// they were decoded from and forgets its scan.
+func (r *Reader) consume(cmd *Command, first int) {
+	cmd.Args = r.args[first:len(r.args):len(r.args)]
+	r.r += r.pos
+	r.pos, r.seen, r.want, r.bulk, r.total = 0, 0, -1, -1, 0
+	r.spans = r.spans[:0]
+}
+
+// lengthHeader is the fast path for the one header shape real clients send,
+// tried once per header: the type byte, one to seven digits, CRLF, at pos. It
+// returns the length and the bytes the header occupies, or adv == 0 for
+// anything else — another shape, a malformed one, a header not yet whole —
+// which the line grammar then decides. Seven digits cannot overflow and
+// cover every length in bounds.
+func (r *Reader) lengthHeader(b []byte, typ byte) (n int64, adv int) {
+	b = b[r.pos:]
+	if r.seen > 0 || len(b) < 4 || b[0] != typ {
+		return 0, 0
+	}
+	i := 1
+	for ; i < 8 && i < len(b); i++ {
+		d := b[i] - '0'
+		if d > 9 {
+			break
+		}
+		n = n*10 + int64(d)
+	}
+	r.scanned += i
+	if i == 1 || i+1 >= len(b) || b[i] != '\r' || b[i+1] != '\n' {
+		return 0, 0
+	}
+	return n, i + 2
+}
+
+// line returns the line at pos without its terminator, and the bytes it
+// occupies with it. Lines may end in \r\n (standard) or bare \n (tolerated
+// for inline use via netcat). While the terminator has not arrived it returns
+// adv == 0 and remembers how far it looked.
+func (r *Reader) line(b []byte) (line []byte, adv int, err error) {
+	from := r.pos + r.seen
+	limit := min(len(b), r.pos+maxInlineLen)
+	i := bytes.IndexByte(b[from:limit], '\n')
+	if i < 0 {
+		if limit-r.pos == maxInlineLen {
+			return nil, 0, protoErrf("line too long")
+		}
+		r.scanned += limit - from
+		r.seen = limit - r.pos
+		return nil, 0, nil
+	}
+	end := from + i
+	r.scanned += end + 1 - from + end - r.pos // the search, and the caller's parse
+	r.seen = 0
+	line = b[r.pos:end]
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return line, end + 1 - r.pos, nil
+}
+
+// inline decodes the plain text command form ("PING\r\n"), splitting the
+// line on spaces and tabs. Quoting is not supported.
+func (r *Reader) inline(cmd *Command, line []byte, adv int) (bool, error) {
+	args := r.args // kept only if the whole line passes
 	start := -1
-	for i := 0; i <= len(buf); i++ {
-		if i < len(buf) && buf[i] != ' ' && buf[i] != '\t' {
+	for i := 0; i <= len(line); i++ {
+		if i < len(line) && line[i] != ' ' && line[i] != '\t' {
 			if start < 0 {
 				start = i
 			}
@@ -169,62 +335,19 @@ func (r *Reader) readInline(cmd *Command, line []byte) error {
 		}
 		if start >= 0 {
 			if i-start > MaxArgLen {
-				return protoErrf("too big inline argument")
+				return false, protoErrf("too big inline argument")
 			}
-			cmd.Args = append(cmd.Args, buf[start:i])
-			if len(cmd.Args) > MaxCommandArgs {
-				return protoErrf("too many inline arguments")
+			if len(args)-len(r.args) == MaxCommandArgs {
+				return false, protoErrf("too many inline arguments")
 			}
+			args = append(args, line[start:i:i])
 			start = -1
 		}
 	}
-	return nil
-}
-
-// readLine returns the next line without its terminator. Lines may end in
-// \r\n (standard) or bare \n (tolerated for inline use via netcat).
-func (r *Reader) readLine() ([]byte, error) {
-	line, err := r.br.ReadSlice('\n')
-	if err != nil {
-		if errors.Is(err, bufio.ErrBufferFull) {
-			return nil, protoErrf("line too long")
-		}
-		return nil, readErr(err)
-	}
-	line = line[:len(line)-1]
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	return line, nil
-}
-
-func (r *Reader) expectCRLF() error {
-	b, err := r.br.ReadByte()
-	if err != nil {
-		return readErr(err)
-	}
-	if b == '\n' {
-		return nil
-	}
-	if b != '\r' {
-		return protoErrf("expected CRLF after bulk payload")
-	}
-	if b, err = r.br.ReadByte(); err != nil {
-		return readErr(err)
-	}
-	if b != '\n' {
-		return protoErrf("expected CRLF after bulk payload")
-	}
-	return nil
-}
-
-// readErr normalizes a mid-frame EOF: a stream ending inside a command is a
-// truncated frame, not a clean close.
-func readErr(err error) error {
-	if errors.Is(err, io.EOF) && err != io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
+	first := len(r.args)
+	r.args, r.pos = args, adv
+	r.consume(cmd, first)
+	return true, nil
 }
 
 func firstByte(b []byte) string {
@@ -232,6 +355,16 @@ func firstByte(b []byte) string {
 		return ""
 	}
 	return string(b[:1])
+}
+
+// parseLength is parseInt for a length header: -1, which no length is, when
+// b is not an integer.
+func parseLength(b []byte) int64 {
+	n, err := parseInt(b)
+	if err != nil {
+		return -1
+	}
+	return n
 }
 
 // parseInt parses a decimal integer from b without allocating.

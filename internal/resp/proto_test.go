@@ -142,7 +142,7 @@ func TestReadCommandAggregatePayloadCap(t *testing.T) {
 }
 
 func TestReadCommandPipelinedReuse(t *testing.T) {
-	// Sequential commands through ONE Command must reuse its arena; args
+	// Sequential commands through ONE Command must reuse its storage; args
 	// must be correct each time even as sizes vary.
 	in := "*2\r\n$4\r\nECHO\r\n$1\r\na\r\n" +
 		"*2\r\n$4\r\nECHO\r\n$26\r\nabcdefghijklmnopqrstuvwxyz\r\n" +
@@ -164,8 +164,8 @@ func TestReadCommandPipelinedReuse(t *testing.T) {
 func TestReadCommandSteadyStateAllocs(t *testing.T) {
 	// The zero-alloc decode claim, as a regression gate: after warm-up,
 	// re-reading the same pipelined stream into the same Command must not
-	// allocate per command (the reader and arena are reused; only the
-	// bytes.Reader reset remains).
+	// allocate per command (the reader's buffer and the Command's Args are
+	// reused; only the bytes.Reader reset remains).
 	var buf bytes.Buffer
 	const n = 200
 	for i := 0; i < n; i++ {
@@ -175,7 +175,7 @@ func TestReadCommandSteadyStateAllocs(t *testing.T) {
 	br := bytes.NewReader(input)
 	r := NewReader(br)
 	cmd := &Command{}
-	// Warm-up pass grows the arena and buffers to steady state.
+	// Warm-up pass grows Args and the scan's bookkeeping to steady state.
 	for i := 0; i < n; i++ {
 		if err := r.ReadCommand(cmd); err != nil {
 			t.Fatal(err)
@@ -183,7 +183,7 @@ func TestReadCommandSteadyStateAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		br.Reset(input)
-		r.br.Reset(br)
+		r.src, r.r, r.w = br, 0, 0
 		for i := 0; i < n; i++ {
 			if err := r.ReadCommand(cmd); err != nil {
 				t.Fatal(err)

@@ -151,18 +151,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 
-	h := &connHandler{
-		srv:       s,
-		conn:      conn,
-		r:         NewReader(conn),
-		w:         bufio.NewWriterSize(conn, 32<<10),
-		principal: engine.AnonymousFromRemoteAddr(conn.RemoteAddr().String()),
-		proto:     2,
-		id:        s.connID.Add(1),
-	}
-	batch := make([]Command, 0, 16)
+	h := s.newConnHandler(conn)
 	for !h.closing && !s.inShutdown.Load() {
-		n, err := h.readBatch(&batch)
+		n, err := h.readBatch()
 		if err != nil {
 			var pe *ProtocolError
 			if errors.As(err, &pe) {
@@ -172,7 +163,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		h.execBatch(batch[:n])
+		h.execBatch(h.batch[:n])
 		if err := h.w.Flush(); err != nil {
 			return
 		}
@@ -182,29 +173,50 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// readBatch reads one command blocking, then drains every command whose
-// bytes are already buffered, up to maxPipelineBatch. Commands keep their
-// own arenas, so all of a batch's arguments stay valid through execution.
-func (h *connHandler) readBatch(batch *[]Command) (int, error) {
-	b := *batch
-	n := 0
+func (s *Server) newConnHandler(conn net.Conn) *connHandler {
+	return &connHandler{
+		srv:       s,
+		conn:      conn,
+		r:         NewReader(conn),
+		w:         bufio.NewWriterSize(conn, 32<<10),
+		principal: engine.AnonymousFromRemoteAddr(conn.RemoteAddr().String()),
+		proto:     2,
+		id:        s.connID.Add(1),
+		batch:     make([]Command, 1, 16),
+	}
+}
+
+// readBatch waits for one command, then takes every command that has
+// arrived whole behind it, up to maxPipelineBatch, without reading again:
+// the buffer does not move while a batch is gathered, so all of its
+// arguments stay valid through execution, and a command still on its way —
+// or a malformed one — is left for the next call, after the whole ones in
+// front of it have been answered.
+func (h *connHandler) readBatch() (int, error) {
 	h.conn.SetReadDeadline(time.Now().Add(idleTimeout))
+	if h.srv.inShutdown.Load() {
+		// Shutdown's wake-up may have landed before the deadline above
+		// replaced it; from here on it cannot.
+		return 0, ErrServerClosed
+	}
+	if err := h.r.ReadCommand(&h.batch[0]); err != nil {
+		return 0, err
+	}
+	n := 0
 	for {
-		if n == len(b) {
-			b = append(b, Command{})
-		}
-		if err := h.r.ReadCommand(&b[n]); err != nil {
-			*batch = b
-			return 0, err
-		}
-		if len(b[n].Args) > 0 {
+		if len(h.batch[n].Args) > 0 { // empty lines and "*0" are skipped
 			n++
 		}
-		if n >= maxPipelineBatch || h.r.Buffered() == 0 {
+		if n == maxPipelineBatch {
+			break
+		}
+		if n == len(h.batch) {
+			h.batch = append(h.batch, Command{})
+		}
+		if !h.r.ReadBuffered(&h.batch[n]) {
 			break
 		}
 	}
-	*batch = b
 	return n, nil
 }
 
@@ -220,7 +232,8 @@ type connHandler struct {
 	id        int64
 	closing   bool
 
-	g group
+	batch []Command
+	g     group
 }
 
 // pend records one staged command's reply shape: how many of the run's
@@ -235,6 +248,9 @@ type pend struct {
 // same kind and filter stage into one engine.Run, executed by ExecuteRun as
 // one (or two) store passes with per-command charging.
 type group struct {
+	// filter outlives reset so that the next group on the same filter can
+	// recognise its name without making a string of it again; only the
+	// name is kept, ref is looked up afresh for every group.
 	filter string
 	ref    engine.FilterRef
 	run    engine.Run
@@ -242,7 +258,6 @@ type group struct {
 }
 
 func (g *group) reset() {
-	g.filter = ""
 	g.ref = engine.FilterRef{}
 	g.run.Reset(0)
 	g.pends = g.pends[:0]
@@ -294,15 +309,17 @@ func (h *connHandler) itemCommand(args [][]byte, kind engine.RunKind, multi bool
 		writeError(h.w, "ERR "+err.Error())
 		return
 	}
-	filter := string(args[1])
-	if h.g.run.Kind != kind || h.g.filter != filter {
+	sameFilter := string(args[1]) == h.g.filter // compared in place, no string is made
+	if h.g.run.Kind != kind || !sameFilter {
 		h.flushGroup()
-		ref, err := h.srv.eng.Lookup(filter)
+		if !sameFilter {
+			h.g.filter = string(args[1])
+		}
+		ref, err := h.srv.eng.Lookup(h.g.filter)
 		if err != nil {
-			writeError(h.w, fmt.Sprintf("ERR no such filter %q; BF.RESERVE it first", filter))
+			writeError(h.w, fmt.Sprintf("ERR no such filter %q; BF.RESERVE it first", h.g.filter))
 			return
 		}
-		h.g.filter = filter
 		h.g.ref = ref
 		h.g.run.Reset(kind)
 	}
@@ -333,13 +350,8 @@ func (h *connHandler) flushGroup() {
 			writeError(h.w, runErrorReply(g.run.Err))
 			continue
 		}
-		if p.multi {
-			writeArrayHeader(h.w, p.n)
-		}
-		for j := 0; j < p.n; j++ {
-			writeBool(h.w, g.run.Bools[idx])
-			idx++
-		}
+		writeVerdicts(h.w, g.run.Bools[idx:idx+p.n], p.multi)
+		idx += p.n
 	}
 	g.reset()
 }
@@ -365,11 +377,35 @@ func runErrorReply(err error) string {
 	return "ERR " + err.Error()
 }
 
-func writeBool(w *bufio.Writer, v bool) {
-	if v {
-		w.WriteString(":1\r\n")
-	} else {
-		w.WriteString(":0\r\n")
+// writeVerdicts renders one item command's reply — ":1\r\n" or ":0\r\n" per
+// item, behind an array header for the M-variants — straight into the
+// writer's free space, one Write per command. A reply larger than that space
+// goes out in as many pieces as it takes, so no reply size allocates.
+func writeVerdicts(w *bufio.Writer, verdicts []bool, multi bool) {
+	const perItem = len(":1\r\n")
+	if w.Available() < maxHeaderLen+perItem && w.Flush() != nil {
+		return // the writer keeps its error for the batch's final Flush
+	}
+	b := w.AvailableBuffer()
+	if multi {
+		b = append(b, '*')
+		b = strconv.AppendInt(b, int64(len(verdicts)), 10)
+		b = append(b, '\r', '\n')
+	}
+	for {
+		n := min(len(verdicts), (cap(b)-len(b))/perItem)
+		for _, v := range verdicts[:n] {
+			digit := byte('0')
+			if v {
+				digit = '1'
+			}
+			b = append(b, ':', digit, '\r', '\n')
+		}
+		w.Write(b)
+		if verdicts = verdicts[n:]; len(verdicts) == 0 || w.Flush() != nil {
+			return
+		}
+		b = w.AvailableBuffer()
 	}
 }
 
