@@ -77,7 +77,7 @@ func newServeFlagSet() (*flag.FlagSet, *serveFlags) {
 		mode:         fs.String("mode", "naive", "index derivation: naive (attackable Murmur) or hardened (keyed SipHash)"),
 		seed:         fs.Uint64("seed", 3, "public Murmur seed (naive mode only)"),
 		keyHex:       fs.String("key", "", "hex-encoded 16-byte index secret (hardened mode only; random when empty)"),
-		routeKeyHex:  fs.String("route-key", "", "hex-encoded 16-byte shard-routing secret (random when empty)"),
+		routeKeyHex:  fs.String("route-key", "", "hex-encoded 16-byte routing secret (random when empty): folded into a hardened filter's placement key, unused by a naive filter, whose shard is as public as its indexes; filters recovered from a layout-1 data directory keep routing by the key recorded there"),
 		counterWidth: fs.Int("counter-width", 4, "counter bits per position (counting variant only)"),
 		overflow:     fs.String("overflow", "wrap", "counter overflow policy: wrap or saturate (counting variant only)"),
 		dataDir:      fs.String("data-dir", "", "directory for durable filter state (snapshots + operation logs); empty serves from memory only"),

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"evilbloom/internal/core"
@@ -45,6 +46,29 @@ func NewInstantForger(fam *hashes.DoubleHashing, prefix []byte, rngSeed int64) (
 // {base + i·stride mod m : i < k}.
 func (f *InstantForger) ItemFor(base, stride uint64) ([]byte, error) {
 	return hashes.Murmur128PreimageIndexes(f.prefix, base, stride, f.m, f.seed)
+}
+
+// ItemInShard is ItemFor against a sharded naive store of the current
+// placement layout, which takes the shard from the top log₂(shards) bits of
+// the digest half h1 it also indexes with: the forged item has ItemFor's
+// index set AND is routed to shard, so one shard fills with 1/shards of the
+// insertions the whole store would need. (Layout 1 routed by a secret key.)
+// variant picks among the many digests with that placement — the paper's
+// multiple pre-images; a caller who needs items of some shape (printable, to
+// survive a JSON transport) enumerates variants.
+func (f *InstantForger) ItemInShard(shard, shards int, base, stride, variant uint64) ([]byte, error) {
+	if shards < 1 || shards&(shards-1) != 0 || shard < 0 || shard >= shards {
+		return nil, fmt.Errorf("attack: shard %d of %d (want a power-of-two count)", shard, shards)
+	}
+	if base >= f.m || stride >= f.m {
+		return nil, fmt.Errorf("attack: base %d or stride %d out of range for m=%d", base, stride, f.m)
+	}
+	// The smallest h1 with the wanted top bits, moved up to the first value
+	// ≡ base (mod m), then variant·m further: still inside the shard's
+	// 2^(64−log₂ shards) values for any filter and variant count in reach.
+	h1 := uint64(shard) << (64 - uint(bits.TrailingZeros(uint(shards))))
+	h1 += (base+f.m-h1%f.m)%f.m + variant*f.m
+	return hashes.Murmur128Preimage(f.prefix, h1, stride, f.seed)
 }
 
 // positions fills dst with the arithmetic progression for (base, stride),

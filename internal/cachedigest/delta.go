@@ -206,9 +206,8 @@ func (d *PeerDigest) ApplyDelta(frame []byte) (*PeerDigest, error) {
 	next := &PeerDigest{
 		info:  d.info,
 		bits:  make([]*bitset.BitSet, len(d.bits)),
-		route: d.route,
-		mask:  d.mask,
-		proto: d.proto,
+		place: d.place,
+		squid: d.squid,
 	}
 	next.info.Generation = info.NewGeneration
 	next.info.Count = info.NewCount
@@ -219,10 +218,6 @@ func (d *PeerDigest) ApplyDelta(frame []byte) (*PeerDigest, error) {
 			next.bits[shard] = d.bits[shard].Clone()
 		}
 		next.bits[shard].SetWord(int(w.Index%wordsPerShard), w.Value)
-	}
-	proto, k := next.proto, next.info.K
-	next.pool.New = func() any {
-		return &digestScratch{fam: proto.Clone(), idx: make([]uint64, 0, k)}
 	}
 	return next, nil
 }

@@ -18,13 +18,14 @@ import (
 // carries a different payload: not the full filter state (counters, secrets,
 // insertion bookkeeping) but only the occupancy pattern plus everything a
 // *peer* needs to evaluate membership queries against it locally — the index
-// family, the geometry, and (for sharded sources) the shard-routing key.
-// That is exactly what Squid ships between siblings: the summary, not the
-// cache.
+// placement rule (layout, family, seed, and under layout 1 the shard-routing
+// key) and the geometry. That is exactly what Squid ships between siblings:
+// the summary, not the cache.
 //
 //	offset  size  field
 //	0       8     magic "EVBDIGE1"
-//	8       2     format version (little-endian, currently 1)
+//	8       2     format version (little-endian): the exporter's placement
+//	              layout, 1 or 2 (hashes.Layout); same framing under both
 //	10      1     index family (1 murmur3 double hashing, 2 MD5-split)
 //	11      1     source variant (0 bloom, 1 counting, 2 blocked)
 //	12      4     reserved (zero)
@@ -34,7 +35,8 @@ import (
 //	40      8     shard size in bits
 //	48      8     per-item index count k
 //	56      8     source insertion count
-//	64      16    shard-routing key (zero when shard count is 1)
+//	64      16    shard-routing key (layout 1 with more than one shard;
+//	              zero otherwise)
 //	80      8     payload length in bytes
 //	88      ...   payload: per shard, one bitset blob (8-byte size header
 //	              plus ⌈shard_bits/64⌉ packed little-endian words)
@@ -44,17 +46,20 @@ import (
 // the geometry fields, so a decoder size-checks the envelope from the
 // 88-byte header before buffering the payload.
 //
+// The version is the layout id for the reason the snapshot envelope's is: a
+// peer that does not know a layout must refuse the digest, not evaluate it
+// under another rule and route by the noise.
+//
 // On secrets: a digest is only exchangeable when a peer can reproduce the
-// index mapping, so the envelope carries the naive family's public seed and
-// the shard-routing key — for a naive filter both already effectively
-// public (the paper's threat model). A hardened filter's keyed family never
-// travels; such filters export no digest at all, and an envelope claiming
-// an unknown family is rejected as unusable rather than guessed at.
+// placement, so the envelope carries the naive family's public seed and,
+// under layout 1, the shard-routing key — for a naive filter both already
+// effectively public (the paper's threat model). A hardened filter's keyed
+// placement never travels; such filters export no digest at all, and an
+// envelope claiming an unknown family is rejected as unusable rather than
+// guessed at.
 const (
 	// EnvelopeMagic opens every digest envelope.
 	EnvelopeMagic = "EVBDIGE1"
-	// EnvelopeVersion is the current format version.
-	EnvelopeVersion = 1
 	// EnvelopeHeaderLen is the fixed header size in bytes.
 	EnvelopeHeaderLen  = 88
 	envelopeTrailerLen = 4
@@ -115,6 +120,10 @@ const SourceVariantBlocked = 2
 
 // EnvelopeInfo is the decoded fixed header of a digest envelope.
 type EnvelopeInfo struct {
+	// Layout is the exporter's placement layout — the envelope's version
+	// field. Zero encodes as layout 1, which is also what every MD5-split
+	// digest is (one shard, nothing to route).
+	Layout hashes.Layout
 	// Family names the index derivation scheme.
 	Family Family
 	// SourceVariant records the exporting filter's backend (0 bloom,
@@ -134,7 +143,8 @@ type EnvelopeInfo struct {
 	K int
 	// Count is the source filter's net insertion count at export time.
 	Count uint64
-	// RouteKey keys shard selection (zero when Shards is 1).
+	// RouteKey keys layout 1's shard selection (zero when Shards is 1 or
+	// the layout takes the shard from the index digest).
 	RouteKey [16]byte
 	// PayloadLen is the payload size in bytes, implied by the geometry.
 	PayloadLen uint64
@@ -164,10 +174,12 @@ func DecodeEnvelopeInfo(hdr []byte) (EnvelopeInfo, error) {
 	if string(hdr[:8]) != EnvelopeMagic {
 		return e, fmt.Errorf("%w: bad magic", ErrEnvelopeCorrupt)
 	}
-	if v := binary.LittleEndian.Uint16(hdr[8:]); v != EnvelopeVersion {
+	v := binary.LittleEndian.Uint16(hdr[8:])
+	if v > 0xff || !hashes.Layout(v).Known() {
 		return e, fmt.Errorf("%w: unsupported envelope version %d", ErrEnvelopeCorrupt, v)
 	}
 	e = EnvelopeInfo{
+		Layout:        hashes.Layout(v),
 		Family:        Family(hdr[10]),
 		SourceVariant: hdr[11],
 		Generation:    binary.LittleEndian.Uint64(hdr[16:]),
@@ -198,8 +210,8 @@ func DecodeEnvelopeInfo(hdr []byte) (EnvelopeInfo, error) {
 		return e, fmt.Errorf("%w: digest would span %d shards × %d bits, limit %d bits",
 			ErrEnvelopeCorrupt, e.Shards, e.ShardBits, MaxEnvelopeBits)
 	}
-	if e.Family == FamilyMD5Split && (e.K != 4 || e.Shards != 1 || e.Seed != 0) {
-		return e, fmt.Errorf("%w: MD5-split digests are single-shard, k=4, unseeded", ErrEnvelopeCorrupt)
+	if e.Family == FamilyMD5Split && (e.K != 4 || e.Shards != 1 || e.Seed != 0 || e.Layout != hashes.LayoutV1) {
+		return e, fmt.Errorf("%w: MD5-split digests are single-shard, k=4, unseeded, version 1", ErrEnvelopeCorrupt)
 	}
 	if want := uint64(e.Shards) * e.shardBlobLen(); e.PayloadLen != want {
 		return e, fmt.Errorf("%w: payload length %d, geometry implies %d", ErrEnvelopeCorrupt, e.PayloadLen, want)
@@ -216,7 +228,7 @@ func EncodeEnvelope(info EnvelopeInfo, shards []*bitset.BitSet) ([]byte, error) 
 	info.PayloadLen = uint64(info.Shards) * info.shardBlobLen()
 	out := make([]byte, EnvelopeHeaderLen, info.EnvelopeSize())
 	copy(out, EnvelopeMagic)
-	binary.LittleEndian.PutUint16(out[8:], EnvelopeVersion)
+	binary.LittleEndian.PutUint16(out[8:], uint16(max(info.Layout, hashes.LayoutV1)))
 	out[10] = byte(info.Family)
 	out[11] = info.SourceVariant
 	binary.LittleEndian.PutUint64(out[16:], info.Generation)
@@ -247,23 +259,20 @@ func EncodeEnvelope(info EnvelopeInfo, shards []*bitset.BitSet) ([]byte, error) 
 
 // PeerDigest is a decoded digest envelope, ready to answer the receiving
 // side of the §7 exchange: "may this item be in the sibling's cache?". It is
-// safe for concurrent Test calls (index families are cloned per goroutine).
+// safe for concurrent Test calls.
 type PeerDigest struct {
-	info  EnvelopeInfo
-	bits  []*bitset.BitSet
-	route hashes.SipKey
-	mask  uint64
-	proto hashes.IndexFamily
-	pool  sync.Pool // of *digestScratch
-}
-
-type digestScratch struct {
-	fam hashes.IndexFamily
-	idx []uint64
+	info EnvelopeInfo
+	bits []*bitset.BitSet
+	// place is the exporter's own placement rule, rebuilt from the header
+	// by the code the exporter placed with; nil for an MD5-split digest,
+	// whose one shard is indexed by squid.
+	place *hashes.Placement
+	squid *hashes.MD5Split
+	pool  sync.Pool // of *[]uint64, one item's indexes
 }
 
 // OpenEnvelope validates a complete envelope (structure and CRC), rebuilds
-// the index family it names, and returns a digest a peer can query locally.
+// the placement it names, and returns a digest a peer can query locally.
 func OpenEnvelope(data []byte) (*PeerDigest, error) {
 	info, err := DecodeEnvelopeInfo(data)
 	if err != nil {
@@ -276,26 +285,21 @@ func OpenEnvelope(data []byte) (*PeerDigest, error) {
 	if got, sum := binary.LittleEndian.Uint32(data[len(body):]), crc32.ChecksumIEEE(body); got != sum {
 		return nil, fmt.Errorf("%w: checksum 0x%08x, computed 0x%08x", ErrEnvelopeCorrupt, got, sum)
 	}
-	var proto hashes.IndexFamily
+	d := &PeerDigest{info: info, bits: make([]*bitset.BitSet, info.Shards)}
 	switch info.Family {
 	case FamilyMurmurDouble:
-		if proto, err = hashes.NewDoubleHashing(info.K, info.ShardBits, info.Seed); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrEnvelopeCorrupt, err)
-		}
+		d.place, err = hashes.NewPlacement(hashes.PlacementSpec{
+			Layout: info.Layout, Shards: info.Shards, K: info.K, M: info.ShardBits,
+			Seed: info.Seed, RouteKey: info.RouteKey[:],
+		})
 	case FamilyMD5Split:
-		if proto, err = hashes.NewMD5Split(info.ShardBits); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrEnvelopeCorrupt, err)
-		}
+		d.squid, err = hashes.NewMD5Split(info.ShardBits)
 	default:
 		return nil, fmt.Errorf("%w: unknown index family %d (a keyed family's digest cannot be evaluated remotely)",
 			ErrEnvelopeUnusable, byte(info.Family))
 	}
-	d := &PeerDigest{
-		info:  info,
-		bits:  make([]*bitset.BitSet, info.Shards),
-		route: hashes.SipKeyFromBytes(info.RouteKey),
-		mask:  uint64(info.Shards - 1),
-		proto: proto,
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrEnvelopeCorrupt, err)
 	}
 	payload := body[EnvelopeHeaderLen:]
 	blobLen := info.shardBlobLen()
@@ -310,10 +314,6 @@ func OpenEnvelope(data []byte) (*PeerDigest, error) {
 		}
 		d.bits[i] = bs
 		payload = payload[blobLen:]
-	}
-	k := info.K
-	d.pool.New = func() any {
-		return &digestScratch{fam: proto.Clone(), idx: make([]uint64, 0, k)}
 	}
 	return d, nil
 }
@@ -343,32 +343,32 @@ func (d *PeerDigest) Weight() uint64 {
 // the peer-side membership check that decides whether a sibling probe is
 // worth a round trip.
 func (d *PeerDigest) Test(item []byte) bool {
-	shard := d.bits[0]
-	if d.mask != 0 {
-		shard = d.bits[hashes.SipHash24(d.route, item)&d.mask]
+	buf, _ := d.pool.Get().(*[]uint64)
+	if buf == nil {
+		buf = new([]uint64)
 	}
-	sc := d.pool.Get().(*digestScratch)
-	sc.idx = sc.fam.Indexes(sc.idx[:0], item)
-	ok := true
-	if d.info.SourceVariant == SourceVariantBlocked {
-		// A blocked exporter confined the item's bits to the 512-bit block
-		// its first index selects; evaluate the digest through the same
-		// mapping or every multi-probe lookup would miss.
-		for _, i := range sc.idx {
-			if !shard.Test(core.BlockedPosition(sc.idx[0], i)) {
-				ok = false
-				break
-			}
-		}
+	si, idx := 0, (*buf)[:0]
+	if d.place != nil {
+		si, idx = d.place.Place(idx, item)
 	} else {
-		for _, i := range sc.idx {
-			if !shard.Test(i) {
-				ok = false
-				break
-			}
+		idx = d.squid.Indexes(idx, item)
+	}
+	shard, blocked := d.bits[si], d.info.SourceVariant == SourceVariantBlocked
+	ok := true
+	for _, i := range idx {
+		if blocked {
+			// A blocked exporter confined the item's bits to the 512-bit
+			// block its first index selects; evaluate the digest through the
+			// same mapping or every multi-probe lookup would miss.
+			i = core.BlockedPosition(idx[0], i)
+		}
+		if !shard.Test(i) {
+			ok = false
+			break
 		}
 	}
-	d.pool.Put(sc)
+	*buf = idx
+	d.pool.Put(buf)
 	return ok
 }
 

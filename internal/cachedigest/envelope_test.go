@@ -3,6 +3,7 @@ package cachedigest
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"testing"
 
@@ -61,9 +62,18 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 // A digest must answer membership exactly like the exporting filter: set an
-// item's own index positions in the right shard and Test must claim it.
+// item's own index positions in the right shard and Test must claim it —
+// under either placement layout, each spelled out here independently of
+// hashes.Placement: layout 1 routes by SipHash under the envelope's routing
+// key, layout 2 by the top bits of the Murmur-128 half it also indexes with.
 func TestEnvelopeTestMatchesFamily(t *testing.T) {
-	info := EnvelopeInfo{Family: FamilyMurmurDouble, Seed: 9, Shards: 4, ShardBits: 256, K: 3}
+	for _, layout := range []hashes.Layout{0, hashes.LayoutV1, hashes.LayoutV2} {
+		t.Run(fmt.Sprint("layout-", layout), func(t *testing.T) { testEnvelopeMatchesFamily(t, layout) })
+	}
+}
+
+func testEnvelopeMatchesFamily(t *testing.T, layout hashes.Layout) {
+	info := EnvelopeInfo{Layout: layout, Family: FamilyMurmurDouble, Seed: 9, Shards: 4, ShardBits: 256, K: 3}
 	copy(info.RouteKey[:], "fedcba9876543210")
 	shards := make([]*bitset.BitSet, 4)
 	for i := range shards {
@@ -80,6 +90,10 @@ func TestEnvelopeTestMatchesFamily(t *testing.T) {
 		item := gen.Next()
 		inserted[i] = item
 		shard := shards[hashes.SipHash24(route, item)&3]
+		if layout == hashes.LayoutV2 {
+			h1, _ := hashes.Murmur128(item, 9)
+			shard = shards[h1>>62]
+		}
 		for _, x := range fam.Indexes(nil, item) {
 			shard.Set(x)
 		}
@@ -91,6 +105,9 @@ func TestEnvelopeTestMatchesFamily(t *testing.T) {
 	d, err := OpenEnvelope(env)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := d.Info().Layout, max(layout, hashes.LayoutV1); got != want {
+		t.Fatalf("decoded placement layout %d, want %d", got, want)
 	}
 	for _, item := range inserted {
 		if !d.Test(item) {

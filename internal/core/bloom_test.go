@@ -298,26 +298,3 @@ func TestBloomSnapshotRoundTrip(t *testing.T) {
 		t.Error("failed restore mutated the filter")
 	}
 }
-
-// A filter over the XOF family behaves like a normal Bloom filter.
-func TestXOFBloomNoFalseNegatives(t *testing.T) {
-	fam, err := hashes.NewXOFFamily(hashes.HMACSHA256, []byte("secret"), 7, 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBloom(fam)
-	f := func(items [][]byte) bool {
-		for _, it := range items {
-			b.Add(it)
-		}
-		for _, it := range items {
-			if !b.Test(it) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}

@@ -52,8 +52,17 @@ type Run struct {
 	itemScratch [][]byte
 }
 
-// Reset clears the run for reuse, keeping capacity.
+// maxRetainedItems is the largest staging a Run keeps between uses. A Run
+// lives as long as its connection, and one oversized pipeline must not pin
+// item, answer and compaction slices sized by it (24 + 24 + 1 bytes an item)
+// for that long. It equals service's cap on pooled batch scratch.
+const maxRetainedItems = 4096
+
+// Reset clears the run for reuse, keeping capacity up to maxRetainedItems.
 func (r *Run) Reset(kind RunKind) {
+	if cap(r.Items) > maxRetainedItems {
+		r.Items, r.Bools, r.itemScratch = nil, nil, nil
+	}
 	r.Kind = kind
 	r.Items = r.Items[:0]
 	r.Chunks = r.Chunks[:0]

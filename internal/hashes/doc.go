@@ -8,8 +8,8 @@
 //
 // Cryptographic functions: MD5, SHA-1, SHA-256/384/512 and HMAC built from
 // the standard library. The package also provides digest truncation — the
-// "security sin" the paper exploits — and MurmurHash3 inversion, which makes
-// pre-image forgery constant time exactly as §6.2 claims.
+// "security sin" the paper exploits — and MurmurHash3-128 inversion, which
+// makes pre-image forgery constant time exactly as §6.2 claims.
 //
 // Index derivation strategies (§3, §5.2, §6.1, §7, §8.2):
 //
@@ -27,6 +27,13 @@
 //
 // Any strategy can be keyed (HMAC or SipHash) to obtain the countermeasure
 // of §8.2: an adversary who cannot predict indexes cannot forge items.
-// Universal (Carter–Wegman) and XOFFamily (HMAC in counter mode, the §10
-// SHAKE stand-in) are two further keyed families for the §8 comparison.
+//
+// Placement is the serving system's one seam on top of these: it turns an
+// item into (shard, k indexes) under a named, versioned Layout, for the
+// sharded store and for a peer evaluating an exported digest alike. Layout 1
+// is a routing SipHash plus DoubleHashing or per-shard Recycling; layout 2
+// draws route and indexes from one hash — one Murmur-128 call, or SipHash-2-4
+// with 128-bit output read as a §8.2 bit stream under one key: "as few
+// base-hash calls per item as the bits allow", shard number included. A layout
+// is a storage format; placement_oracle_test.go freezes layout 1.
 package hashes

@@ -1,32 +1,10 @@
 package hashes
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // Fuzz targets exercise the inversion machinery and index families against
 // arbitrary inputs. `go test` runs the seed corpus; `go test -fuzz=Fuzz…`
 // explores further.
-
-func FuzzMurmur32PreimageRoundTrip(f *testing.F) {
-	f.Add([]byte("http"), uint32(0xdeadbeef), uint32(0))
-	f.Add([]byte(""), uint32(0), uint32(1))
-	f.Add([]byte("http://evil.example.com/"), uint32(0xffffffff), uint32(0x9747b28c))
-	f.Fuzz(func(t *testing.T, prefixRaw []byte, target, seed uint32) {
-		prefix := prefixRaw[:len(prefixRaw)-len(prefixRaw)%4]
-		msg, err := Murmur32Preimage(prefix, target, seed)
-		if err != nil {
-			t.Fatalf("preimage: %v", err)
-		}
-		if got := Murmur32(msg, seed); got != target {
-			t.Fatalf("Murmur32(preimage) = %#x, want %#x", got, target)
-		}
-		if !bytes.HasPrefix(msg, prefix) {
-			t.Fatal("prefix lost")
-		}
-	})
-}
 
 func FuzzMurmur128PreimageRoundTrip(f *testing.F) {
 	f.Add([]byte("http://evil.com/"), uint64(1), uint64(2), uint64(3))

@@ -1,25 +1,16 @@
 package hashes
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math/bits"
-)
+// This file inverts MurmurHash3's 32-bit finalizer, the building block of
+// the paper's remark (§6.2): "The forgery of the required URLs is
+// straightforward since MurmurHash can be inverted in constant time." Every
+// step of the hash is a bijection, so it runs backwards; invert128.go does so
+// for the whole 128-bit variant, the one the service's naive mode derives its
+// indexes from.
 
-// This file implements the inversion of MurmurHash3-32 that underpins the
-// paper's remark (§6.2): "The forgery of the required URLs is straightforward
-// since MurmurHash can be inverted in constant time." Every step of the hash
-// is a bijection on uint32 for inputs whose length is a multiple of the block
-// size, so given a target digest we can run the algorithm backwards and
-// recover the final 4-byte block — yielding pre-images with any chosen prefix.
-
-// Modular inverses of the odd finalizer/body constants modulo 2^32.
+// Modular inverses of the odd finalizer constants modulo 2^32.
 var (
-	invFmixC1     = mulInverse32(0x85ebca6b)
-	invFmixC2     = mulInverse32(0xc2b2ae35)
-	invMurmur32C1 = mulInverse32(murmur32C1)
-	invMurmur32C2 = mulInverse32(murmur32C2)
-	invFive       = mulInverse32(5)
+	invFmixC1 = mulInverse32(0x85ebca6b)
+	invFmixC2 = mulInverse32(0xc2b2ae35)
 )
 
 // mulInverse32 returns x such that a*x ≡ 1 (mod 2^32). a must be odd.
@@ -51,72 +42,4 @@ func InvertFmix32(h uint32) uint32 {
 	h *= invFmixC1
 	h = unxorshiftRight(h, 16)
 	return h
-}
-
-// unscramble32 inverts murmur32Scramble.
-func unscramble32(k uint32) uint32 {
-	k *= invMurmur32C2
-	k = bits.RotateLeft32(k, -15)
-	k *= invMurmur32C1
-	return k
-}
-
-// murmur32State returns the internal state h after hashing data (whose length
-// must be a multiple of 4) starting from seed, before tail and finalization.
-func murmur32State(data []byte, seed uint32) uint32 {
-	h := seed
-	for len(data) >= 4 {
-		k := binary.LittleEndian.Uint32(data)
-		data = data[4:]
-		h ^= murmur32Scramble(k)
-		h = bits.RotateLeft32(h, 13)
-		h = h*5 + 0xe6546b64
-	}
-	return h
-}
-
-// Murmur32Preimage returns a message prefix‖suffix, with the given prefix
-// (whose length must be a multiple of 4 bytes) and a computed 4-byte suffix,
-// such that Murmur32(message, seed) == target. This is the constant-time
-// pre-image forgery of §6.2: an adversary picks a plausible URL prefix and
-// appends 4 bytes to hit any digest — and therefore any filter index — she
-// wants.
-func Murmur32Preimage(prefix []byte, target, seed uint32) ([]byte, error) {
-	if len(prefix)%4 != 0 {
-		return nil, fmt.Errorf("hashes: prefix length %d is not a multiple of the 4-byte block size", len(prefix))
-	}
-	n := uint32(len(prefix) + 4)
-
-	// Walk backwards from the digest to the state after the final block.
-	h := InvertFmix32(target)
-	h ^= n
-	// Invert h = rotl(h', 13)*5 + 0xe6546b64.
-	h = (h - 0xe6546b64) * invFive
-	h = bits.RotateLeft32(h, -13)
-	// h == stateBeforeFinalBlock ^ scramble(lastWord).
-	state := murmur32State(prefix, seed)
-	lastWord := unscramble32(h ^ state)
-
-	out := make([]byte, len(prefix)+4)
-	copy(out, prefix)
-	binary.LittleEndian.PutUint32(out[len(prefix):], lastWord)
-	return out, nil
-}
-
-// Murmur32PreimageIndex returns a message prefix‖suffix mapping to the given
-// Bloom-filter index under digest-mod-m reduction. Among the ⌊2^32/m⌋ digests
-// that reduce to index, the one selected is offset·m + index, letting callers
-// enumerate distinct pre-images (multiple pre-images in the paper's terms).
-func Murmur32PreimageIndex(prefix []byte, index, m uint64, offset uint64, seed uint32) ([]byte, error) {
-	if m == 0 || m > 1<<32 {
-		return nil, fmt.Errorf("hashes: filter size %d not addressable by a 32-bit digest", m)
-	}
-	if index >= m {
-		return nil, fmt.Errorf("hashes: index %d out of range for m=%d", index, m)
-	}
-	target := offset*m + index
-	if target > 0xffffffff {
-		return nil, fmt.Errorf("hashes: offset %d overflows the 32-bit digest space for m=%d", offset, m)
-	}
-	return Murmur32Preimage(prefix, uint32(target), seed)
 }

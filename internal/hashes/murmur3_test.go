@@ -132,88 +132,6 @@ func TestMulInverse32(t *testing.T) {
 	}
 }
 
-// The headline §6.2 capability: constant-time pre-images for MurmurHash3-32.
-func TestMurmur32Preimage(t *testing.T) {
-	prefixes := [][]byte{
-		nil,
-		[]byte("http"),
-		[]byte("http://evil.example.com/"), // 24 bytes, multiple of 4
-	}
-	targets := []uint32{0, 1, 0xdeadbeef, 0x12345678, 0xffffffff}
-	seeds := []uint32{0, 1, 0x9747b28c}
-	for _, p := range prefixes {
-		for _, target := range targets {
-			for _, seed := range seeds {
-				msg, err := Murmur32Preimage(p, target, seed)
-				if err != nil {
-					t.Fatalf("preimage(%q, %#x, %#x): %v", p, target, seed, err)
-				}
-				if got := Murmur32(msg, seed); got != target {
-					t.Errorf("Murmur32(preimage) = %#x, want %#x", got, target)
-				}
-				if string(msg[:len(p)]) != string(p) {
-					t.Errorf("preimage does not keep prefix %q", p)
-				}
-			}
-		}
-	}
-}
-
-func TestMurmur32PreimageRejectsBadPrefix(t *testing.T) {
-	if _, err := Murmur32Preimage([]byte("abc"), 0, 0); err == nil {
-		t.Error("prefix of length 3 accepted")
-	}
-}
-
-// Property: for random prefixes (padded to 4-byte multiples), targets and
-// seeds, the forged message always hashes to the target.
-func TestMurmur32PreimageProperty(t *testing.T) {
-	f := func(prefixRaw []byte, target, seed uint32) bool {
-		prefix := prefixRaw[:len(prefixRaw)-len(prefixRaw)%4]
-		msg, err := Murmur32Preimage(prefix, target, seed)
-		if err != nil {
-			return false
-		}
-		return Murmur32(msg, seed) == target
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMurmur32PreimageIndex(t *testing.T) {
-	const m = 3200
-	for index := uint64(0); index < m; index += 321 {
-		for offset := uint64(0); offset < 3; offset++ {
-			msg, err := Murmur32PreimageIndex([]byte("evil"), index, m, offset, 0)
-			if err != nil {
-				t.Fatalf("index %d offset %d: %v", index, offset, err)
-			}
-			if got := uint64(Murmur32(msg, 0)) % m; got != index {
-				t.Errorf("digest mod m = %d, want %d", got, index)
-			}
-		}
-	}
-	// Distinct offsets must give distinct messages: multiple pre-images.
-	a, _ := Murmur32PreimageIndex(nil, 7, m, 0, 0)
-	b, _ := Murmur32PreimageIndex(nil, 7, m, 1, 0)
-	if string(a) == string(b) {
-		t.Error("offsets 0 and 1 produced identical pre-images")
-	}
-}
-
-func TestMurmur32PreimageIndexErrors(t *testing.T) {
-	if _, err := Murmur32PreimageIndex(nil, 0, 0, 0, 0); err == nil {
-		t.Error("m=0 accepted")
-	}
-	if _, err := Murmur32PreimageIndex(nil, 10, 10, 0, 0); err == nil {
-		t.Error("index == m accepted")
-	}
-	if _, err := Murmur32PreimageIndex(nil, 1, 1<<31, 4, 0); err == nil {
-		t.Error("offset overflowing 32-bit digest space accepted")
-	}
-}
-
 func TestMurmur64MatchesFirstHalf(t *testing.T) {
 	data := []byte("consistency")
 	h1, _ := Murmur128(data, 99)

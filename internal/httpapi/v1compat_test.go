@@ -55,8 +55,11 @@ func TestV1WireFormatFrozen(t *testing.T) {
 		{"GET", "/v1/stats", "", 200,
 			"{\"mode\":\"naive\",\"shards\":4,\"k\":10,\"shard_bits\":72135,\"count\":3,\"weight\":30," +
 				"\"fill\":0.0001039717196922437,\"estimated_fpr\":1.966078717724468e-39,\"per_shard\":[" +
-				"{\"shard\":0,\"count\":0,\"weight\":0,\"fill\":0,\"estimated_fpr\":0}," +
-				"{\"shard\":1,\"count\":1,\"weight\":10,\"fill\":0.0001386289595896583,\"estimated_fpr\":2.6214382902992907e-39}," +
+				// Which shard an item lands in is placement, not wire format:
+				// the three items' shards are layout v2's (0, 2, 3; layout v1
+				// under this route key put them in 1, 2, 3).
+				"{\"shard\":0,\"count\":1,\"weight\":10,\"fill\":0.0001386289595896583,\"estimated_fpr\":2.6214382902992907e-39}," +
+				"{\"shard\":1,\"count\":0,\"weight\":0,\"fill\":0,\"estimated_fpr\":0}," +
 				"{\"shard\":2,\"count\":1,\"weight\":10,\"fill\":0.0001386289595896583,\"estimated_fpr\":2.6214382902992907e-39}," +
 				"{\"shard\":3,\"count\":1,\"weight\":10,\"fill\":0.0001386289595896583,\"estimated_fpr\":2.6214382902992907e-39}]}\n"},
 	}

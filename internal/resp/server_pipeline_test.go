@@ -167,6 +167,11 @@ func TestConnBufferBounded(t *testing.T) {
 	if len(h.r.buf) != readerBufSize {
 		t.Fatalf("buffer is %d bytes after the small command, want the base %d", len(h.r.buf), readerBufSize)
 	}
+	// The run the big commands were staged in is not kept either: its item
+	// views, answers and compaction scratch were sized by them.
+	if c := cap(h.g.run.Items) + cap(h.g.run.Bools); c >= itemsEach {
+		t.Fatalf("the connection's run still holds staging for %d items after the small command", c)
+	}
 	t.Logf("buffer peaked at %d bytes, back at %d", peak, len(h.r.buf))
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"evilbloom/internal/core"
+	"evilbloom/internal/hashes"
 	"evilbloom/internal/urlgen"
 )
 
@@ -172,7 +173,8 @@ func TestBloomStoreNotRemovable(t *testing.T) {
 // Crafted duplicate-position index sets must be refused, not allowed to
 // underflow mid-removal (the partial-removal footprint).
 func TestRemoveRefusesDuplicateUnderflow(t *testing.T) {
-	fam, err := newShardFamily(countingRaceConfig(core.Wrap, 1), 0)
+	cfg := countingRaceConfig(core.Wrap, 1)
+	fam, err := hashes.NewDoubleHashing(cfg.HashCount, cfg.ShardBits, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

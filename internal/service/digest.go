@@ -6,6 +6,7 @@ import (
 
 	"evilbloom/internal/bitset"
 	"evilbloom/internal/cachedigest"
+	"evilbloom/internal/hashes"
 )
 
 // ErrDigestUnexportable answers digest requests against a hardened filter:
@@ -33,6 +34,7 @@ func (s *Sharded) DigestETag(gen uint64) string {
 // interval).
 func (s *Sharded) gatherOccupancy() (cachedigest.EnvelopeInfo, []*bitset.BitSet, error) {
 	info := cachedigest.EnvelopeInfo{
+		Layout:        s.cfg.layout,
 		Family:        cachedigest.FamilyMurmurDouble,
 		SourceVariant: byte(s.variant),
 		Seed:          s.seed,
@@ -40,9 +42,9 @@ func (s *Sharded) gatherOccupancy() (cachedigest.EnvelopeInfo, []*bitset.BitSet,
 		ShardBits:     s.mShard,
 		K:             s.k,
 	}
-	if len(s.shards) > 1 {
-		// Single-shard filters route everything to shard 0; the key is only
-		// needed — and only published — when there is a choice to reproduce.
+	if len(s.shards) > 1 && s.cfg.layout == hashes.LayoutV1 {
+		// The routing key is only needed — and only published — when there
+		// is a keyed choice to reproduce: layout 1 with more than one shard.
 		copy(info.RouteKey[:], s.cfg.RouteKey)
 	}
 	bits := make([]*bitset.BitSet, len(s.shards))

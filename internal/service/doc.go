@@ -9,11 +9,17 @@
 // # Store architecture
 //
 // A store splits one logical filter into N power-of-two shards, each an
-// independent backend with its own index family and its own read-write
-// lock, so adds, membership tests and removals on different shards never
-// contend. Shard selection uses a separate keyed SipHash over the item, so
-// an adversary who can predict the per-shard index families still cannot
-// aim her insertions at a single shard and saturate it ahead of the others.
+// independent backend with its own read-write lock, so adds, membership
+// tests and removals on different shards never contend. Where an item goes —
+// its shard and its k indexes inside it — is decided by the store's one
+// hashes.Placement under a versioned layout recorded in meta.json and in the
+// snapshot and digest envelopes. New filters get layout 2, one hash per key:
+// a naive filter takes the shard from the same public Murmur-128 digest it
+// indexes with (so the attackable mode now also lets the adversary pick the
+// shard — one shard saturates with 1/N of the insertions), a hardened filter
+// reads shard and indexes off one keyed SipHash bit stream. Filters recovered
+// from older data directories or envelopes keep layout 1 (a routing SipHash
+// under its own key, then the index hash) for as long as they live.
 //
 // The shards are variant-generic: the Backend interface carries the
 // index-level operations (AddIndexes/TestIndexes/Count/Weight/M/K), and the
@@ -27,9 +33,11 @@
 //     dablooms behaviour the §6.2 attack exploits, or saturate, the
 //     countermeasure).
 //
-// Index derivation runs outside the shard locks on pooled per-goroutine
-// family clones, and every backend reports occupancy deltas so statistics
-// are O(shards) instead of O(m) — no shard ever holds its lock for a scan.
+// Placement runs outside the shard locks — a batch routes every key once,
+// keeps the digest, and derives indexes a window of keys at a time into
+// scratch pooled per store — and every backend reports occupancy deltas so
+// statistics are O(shards) instead of O(m) — no shard ever holds its lock
+// for a scan.
 //
 // Two index-derivation modes mirror §8 of the paper:
 //
@@ -39,9 +47,10 @@
 //     and against a naive counting filter the §4.3 deletion adversary can
 //     evict targeted honest items — package attack's RemoteView and
 //     RemoteDeletion do exactly that.
-//   - ModeHardened: keyed SipHash-2-4 with digest recycling (§8.2), one key
-//     per shard derived from a server secret. The same campaigns degrade
-//     into random insertions and refused removals.
+//   - ModeHardened: keyed SipHash-2-4 with digest recycling (§8.2) under a
+//     server secret — two PRF calls for route and seven indexes at the
+//     default geometry. The same campaigns degrade into random insertions
+//     and refused removals.
 //
 // # Filter lifecycle
 //
@@ -82,9 +91,10 @@
 // mesh: every local filter runs one refresh loop that fetches each peer's
 // same-named filter's cache digest (GET /v2/filters/{name}/digest) on a
 // jittered interval. Digests travel in package cachedigest's versioned,
-// checksummed envelope — the occupancy pattern plus the public index
-// family, geometry and shard-routing key, so the receiver evaluates
-// membership locally; a counting filter's digest is its non-zero mask, one
+// checksummed envelope — the occupancy pattern plus the public placement
+// rule (layout, seed, geometry and, under layout 1, the shard-routing key),
+// so the receiver evaluates membership locally through the same
+// hashes.Placement; a counting filter's digest is its non-zero mask, one
 // bit per position. The digest endpoint's ETag is the store's Generation (a
 // per-shard mutation counter summed in O(shards)), so an unchanged filter
 // answers a conditional fetch with 304 and no serialization at all.

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -14,7 +15,7 @@ import (
 func oracleGroup(s *Sharded, items [][]byte) [][]int {
 	groups := make([][]int, len(s.shards))
 	for i, it := range items {
-		si := s.shardFor(it)
+		si, _ := s.place.Route(it)
 		groups[si] = append(groups[si], i)
 	}
 	return groups
@@ -152,9 +153,61 @@ func TestGroupingIndependentOfShardCount(t *testing.T) {
 	}
 }
 
-// The steady-state batch path allocates nothing: index scratch is pooled per
-// shard, grouping scratch per store, and the journal appends into its own
-// buffer.
+// Index scratch is sized by the window, not by the batch: since PR 19 one
+// MaxBatch request against a 1-shard k = 512 filter — a geometry any client
+// may create — derived 10 000 × 512 indexes (41 MB) before touching a bit,
+// per request in flight, for a 100 KB request.
+func TestBatchScratchBounded(t *testing.T) {
+	cfg := tinyConfig(VariantCounting, 1)
+	// 16-bit counters: each takes ≈ 78 of the 5 M increments, none wraps.
+	cfg.ShardBits, cfg.HashCount, cfg.CounterWidth = 1<<16, MaxHashCount, 16
+	s, err := NewSharded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := benchItems(MaxBatch)
+	const windowBytes = deriveWindow * MaxHashCount * 8
+	g := s.group(items)
+	for lo := 0; lo < len(g.order); {
+		si, run := g.run(lo)
+		lo += len(run)
+		if len(run) > deriveWindow {
+			t.Fatalf("a run of %d keys, want at most the window of %d", len(run), deriveWindow)
+		}
+		if idx := s.derive(g, items, si, run); len(idx) != len(run)*MaxHashCount || cap(g.idx)*8 > windowBytes {
+			t.Fatalf("window of %d keys: %d indexes in a scratch of %d bytes, want %d in at most %d",
+				len(run), len(idx), cap(g.idx)*8, len(run)*MaxHashCount, windowBytes)
+		}
+	}
+	s.ungroup(g)
+
+	// The three batch methods end to end: everything they allocate for a
+	// MaxBatch call — plan, digests, one window, results — stays far below
+	// what deriving the whole run at once took.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.AddBatch(items)
+	present := s.TestBatch(nil, items)
+	removed, err := s.RemoveBatch(items)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range items {
+		if !present[i] || !removed[i] {
+			t.Fatalf("item %d: present %v, removed %v across window boundaries", i, present[i], removed[i])
+		}
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Errorf("three MaxBatch calls at k=%d allocated %d bytes, want a few windows' worth (one window is %d)", MaxHashCount, grew, windowBytes)
+	}
+	if st := s.Stats(); st.Count != 0 || st.Weight != 0 {
+		t.Errorf("after removing every added item: count %d, weight %d", st.Count, st.Weight)
+	}
+}
+
+// The steady-state batch path allocates nothing: the plan and the window of
+// indexes are pooled per store, and the journal appends into its own buffer.
 func TestBatchPathSteadyStateAllocs(t *testing.T) {
 	if underRace() {
 		t.Skip("sync.Pool drops entries under the race detector")

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"evilbloom/internal/core"
+	"evilbloom/internal/hashes"
 )
 
 // Per-filter durable store. Each filter registered in a persistent registry
@@ -122,23 +123,27 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // store bit-identically, secrets included — the data directory is the
 // server's own trusted storage, with the meta file written 0600.
 type persistedMeta struct {
-	Version      int    `json:"version"`
-	Variant      string `json:"variant"`
-	Mode         string `json:"mode"`
-	Shards       int    `json:"shards"`
-	ShardBits    uint64 `json:"shard_bits"`
-	HashCount    int    `json:"hash_count"`
-	Seed         uint64 `json:"seed"`
-	CounterWidth int    `json:"counter_width,omitempty"`
-	Overflow     string `json:"overflow,omitempty"`
-	KeyHex       string `json:"key,omitempty"`
-	RouteKeyHex  string `json:"route_key"`
+	Version int `json:"version"`
+	// Layout is the placement layout. Directories written before layouts
+	// had numbers have no such key and are layout 1.
+	Layout       hashes.Layout `json:"layout,omitempty"`
+	Variant      string        `json:"variant"`
+	Mode         string        `json:"mode"`
+	Shards       int           `json:"shards"`
+	ShardBits    uint64        `json:"shard_bits"`
+	HashCount    int           `json:"hash_count"`
+	Seed         uint64        `json:"seed"`
+	CounterWidth int           `json:"counter_width,omitempty"`
+	Overflow     string        `json:"overflow,omitempty"`
+	KeyHex       string        `json:"key,omitempty"`
+	RouteKeyHex  string        `json:"route_key"`
 }
 
 // metaFromConfig flattens a normalized Config for meta.json.
 func metaFromConfig(cfg Config) persistedMeta {
 	m := persistedMeta{
 		Version:     1,
+		Layout:      cfg.layout,
 		Variant:     cfg.Variant.String(),
 		Mode:        cfg.Mode.String(),
 		Shards:      cfg.Shards,
@@ -174,7 +179,11 @@ func (m persistedMeta) config() (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
+	if m.Layout == 0 {
+		m.Layout = hashes.LayoutV1
+	}
 	cfg := Config{
+		layout:       m.Layout,
 		Variant:      variant,
 		Mode:         mode,
 		Shards:       m.Shards,

@@ -601,6 +601,7 @@ func TestDurableDeleteRemovesState(t *testing.T) {
 // extended to the create-from-snapshot path.
 func TestCreateFromSnapshotRejectsOversizedHeaderEarly(t *testing.T) {
 	h := snapshotHeader{
+		layout:    currentLayout,
 		variant:   VariantBloom,
 		mode:      ModeNaive,
 		seed:      1,

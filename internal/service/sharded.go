@@ -2,7 +2,6 @@ package service
 
 import (
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -17,10 +16,11 @@ type Mode int
 const (
 	// ModeNaive is the attackable configuration of §6: unkeyed MurmurHash3
 	// double hashing with a public seed shared by every shard, exactly like
-	// dablooms' compile-time seed constant.
+	// dablooms' compile-time seed constant. Nothing about where an item goes
+	// is secret — its shard included.
 	ModeNaive Mode = iota
 	// ModeHardened is the §8.2 countermeasure: keyed SipHash-2-4 with digest
-	// recycling, one derived key per shard, all keys server-side secrets.
+	// recycling, every key a server-side secret.
 	ModeHardened
 )
 
@@ -87,12 +87,13 @@ type Config struct {
 	Mode Mode
 	// Seed is the public MurmurHash3 seed used in ModeNaive.
 	Seed uint64
-	// Key is the 16-byte server secret used in ModeHardened; per-shard keys
-	// are derived from it. Drawn from crypto/rand when nil.
+	// Key is the 16-byte server secret used in ModeHardened. Drawn from
+	// crypto/rand when nil.
 	Key []byte
-	// RouteKey is the 16-byte secret keying shard selection. Drawn from
-	// crypto/rand when nil. Kept separate from Key so that even a leaked
-	// index key does not let an adversary target one shard.
+	// RouteKey is the 16-byte routing secret. Drawn from crypto/rand when
+	// nil. A hardened store folds it into its one placement key; a naive
+	// store of the current layout does not use it (its shard is public, like
+	// its indexes); stores recovered under layout v1 route by it.
 	RouteKey []byte
 	// CounterWidth is the counter size in bits for VariantCounting (default
 	// 4, the dablooms width). It must be zero for VariantBloom.
@@ -101,7 +102,14 @@ type Config struct {
 	// (default core.Wrap, faithful to dablooms and what the §6.2 attack
 	// exploits; core.Saturate is the countermeasure). Zero for VariantBloom.
 	Overflow core.OverflowPolicy
+	// layout is the placement layout (hashes.Layout). Zero, all a caller
+	// outside this package can pass, means the current one; recovery from a
+	// data directory or an envelope sets what was recorded.
+	layout hashes.Layout
 }
+
+// currentLayout is the placement layout every newly created store gets.
+const currentLayout = hashes.LayoutV2
 
 // withDefaults fills zero fields and validates the result.
 func (c Config) withDefaults() (Config, error) {
@@ -173,6 +181,9 @@ func (c Config) withDefaults() (Config, error) {
 	default:
 		return c, fmt.Errorf("service: unknown variant %v", c.Variant)
 	}
+	if c.layout == 0 {
+		c.layout = currentLayout
+	}
 	var err error
 	if c.RouteKey, err = ensureKey(c.RouteKey); err != nil {
 		return c, err
@@ -201,9 +212,7 @@ func ensureKey(key []byte) ([]byte, error) {
 	return key, nil
 }
 
-// shard pairs one backend with its lock and a pool of per-goroutine index
-// families (IndexFamily instances reuse digest state and must not be shared;
-// pooling clones keeps index derivation out of the critical section).
+// shard pairs one backend with its lock.
 type shard struct {
 	mu      sync.RWMutex
 	backend Backend
@@ -226,17 +235,11 @@ type shard struct {
 	// across shards is the store's Generation — the cheap monotone version
 	// number the digest exchange uses for its ETag short-circuit.
 	muts uint64
-	pool sync.Pool // of *scratch
 }
 
-// scratch is the per-goroutine working set checked out of a shard's pool.
-type scratch struct {
-	fam hashes.IndexFamily
-	idx []uint64
-}
-
-// Sharded is a striped-lock filter store: N independent backend shards,
-// shard selection by a keyed hash. It implements core.Filter; unlike
+// Sharded is a striped-lock filter store: N independent backend shards, an
+// item's shard and indexes given by the store's one hashes.Placement (always
+// outside any lock). It implements core.Filter; unlike
 // core.Synced it scales with parallel load because operations on different
 // shards proceed concurrently and membership tests on the same shard share a
 // read lock. The shards are variant-generic: any Backend (plain bloom,
@@ -244,8 +247,7 @@ type scratch struct {
 // reuses the same routing, locking, batching and incremental-stats code.
 type Sharded struct {
 	shards  []shard
-	mask    uint64
-	route   hashes.SipKey
+	place   *hashes.Placement
 	variant Variant
 	mode    Mode
 	seed    uint64
@@ -275,8 +277,9 @@ type Sharded struct {
 	// sees this lock.
 	deltaMu   sync.Mutex
 	deltaBase *digestBaseline
-	// groupings pools the batch methods' grouping scratch, so a steady
-	// stream of batches allocates nothing.
+	// groupings pools the working set of one call — a batch's visiting plan
+	// and one window of indexes — so a steady stream of calls allocates
+	// nothing.
 	groupings sync.Pool // of *grouping
 }
 
@@ -313,12 +316,17 @@ func NewSharded(cfg Config) (*Sharded, error) {
 	if _, err := rand.Read(salt[:]); err != nil {
 		return nil, fmt.Errorf("service: drawing etag salt: %w", err)
 	}
-	var rk [16]byte
-	copy(rk[:], cfg.RouteKey)
+	place, err := hashes.NewPlacement(hashes.PlacementSpec{
+		Layout: cfg.layout, Keyed: cfg.Mode == ModeHardened,
+		Shards: cfg.Shards, K: cfg.HashCount, M: cfg.ShardBits,
+		Seed: cfg.Seed, Key: cfg.Key, RouteKey: cfg.RouteKey,
+	})
+	if err != nil {
+		return nil, err
+	}
 	s := &Sharded{
 		shards:   make([]shard, cfg.Shards),
-		mask:     uint64(cfg.Shards - 1),
-		route:    hashes.SipKeyFromBytes(rk),
+		place:    place,
 		variant:  cfg.Variant,
 		mode:     cfg.Mode,
 		seed:     cfg.Seed,
@@ -330,75 +338,39 @@ func NewSharded(cfg Config) (*Sharded, error) {
 		cfg:      cfg,
 	}
 	for i := range s.shards {
-		fam, err := newShardFamily(cfg, i)
-		if err != nil {
-			return nil, err
-		}
 		sh := &s.shards[i]
-		if sh.backend, err = newBackend(cfg, fam); err != nil {
+		if sh.backend, err = newBackend(cfg, place.Family(i)); err != nil {
 			return nil, err
 		}
 		sh.remover, _ = sh.backend.(Remover)
 		if ar, ok := sh.backend.(atomicReader); ok && ar.LockFreeReads() {
 			sh.atomic = ar
 		}
-		proto := fam // each clone source is the shard's own family
-		k := cfg.HashCount
-		sh.pool.New = func() any {
-			return &scratch{fam: proto.Clone(), idx: make([]uint64, 0, k)}
-		}
 	}
 	return s, nil
 }
 
-// newShardFamily builds shard i's index family under cfg's mode.
-func newShardFamily(cfg Config, i int) (hashes.IndexFamily, error) {
-	switch cfg.Mode {
-	case ModeNaive:
-		// Every shard shares the one public seed, mirroring how deployed
-		// filters (dablooms, Squid) bake a constant into the binary — the
-		// property the §6 attacks rely on.
-		return hashes.NewDoubleHashing(cfg.HashCount, cfg.ShardBits, cfg.Seed)
-	case ModeHardened:
-		d, err := hashes.NewDigester(hashes.SipHash24Alg, deriveShardKey(cfg.Key, i))
-		if err != nil {
-			return nil, err
-		}
-		return hashes.NewRecycling(d, cfg.HashCount, cfg.ShardBits)
-	default:
-		return nil, fmt.Errorf("service: unknown mode %v", cfg.Mode)
-	}
+// place1 checks a working set out of the pool with one item placed: its
+// shard, and its indexes in g.idx. The caller returns g with ungroup.
+func (s *Sharded) place1(item []byte) (*shard, *grouping) {
+	g := s.checkout()
+	var si int
+	si, g.idx = s.place.Place(g.idx[:0], item)
+	return &s.shards[si], g
 }
 
-// deriveShardKey expands the server secret into shard i's 16-byte SipHash
-// key: SHA-256(secret ‖ i) truncated. Shards must not share an index key or
-// one shard's forged false positives would replay against every other.
-func deriveShardKey(secret []byte, i int) []byte {
-	h := sha256.New()
-	h.Write(secret)                                                      //nolint:errcheck // hash writes never fail
-	h.Write([]byte{byte(i >> 24), byte(i >> 16), byte(i >> 8), byte(i)}) //nolint:errcheck
-	return h.Sum(nil)[:16]
-}
-
-// shardFor routes item to its shard index via the keyed routing hash.
-func (s *Sharded) shardFor(item []byte) int {
-	return int(hashes.SipHash24(s.route, item) & s.mask)
-}
-
-// Add implements core.Filter. Index derivation happens outside the shard
-// lock on a pooled family clone; only the position writes are serialized.
+// Add implements core.Filter. Placement happens outside the shard lock; only
+// the position writes are serialized.
 func (s *Sharded) Add(item []byte) {
-	sh := &s.shards[s.shardFor(item)]
-	sc := sh.pool.Get().(*scratch)
-	sc.idx = sc.fam.Indexes(sc.idx[:0], item)
+	sh, g := s.place1(item)
 	sh.mu.Lock()
-	sh.weight = applyDelta(sh.weight, sh.backend.AddIndexes(sc.idx))
+	sh.weight = applyDelta(sh.weight, sh.backend.AddIndexes(g.idx))
 	sh.muts++
 	if s.journal != nil {
 		s.journal.JournalAdd(item)
 	}
 	sh.mu.Unlock()
-	sh.pool.Put(sc)
+	s.ungroup(g)
 }
 
 // applyDelta shifts an unsigned weight by a signed occupancy change (wrap
@@ -412,18 +384,16 @@ func applyDelta(w uint64, d int) uint64 { return uint64(int64(w) + int64(d)) }
 // guarantee the RLock gave, minus two atomic RMWs of lock traffic per call.
 // Other backends fall back to sharing the shard's read lock.
 func (s *Sharded) Test(item []byte) bool {
-	sh := &s.shards[s.shardFor(item)]
-	sc := sh.pool.Get().(*scratch)
-	sc.idx = sc.fam.Indexes(sc.idx[:0], item)
+	sh, g := s.place1(item)
 	var ok bool
 	if sh.atomic != nil {
-		ok = sh.atomic.TestIndexesAtomic(sc.idx)
+		ok = sh.atomic.TestIndexesAtomic(g.idx)
 	} else {
 		sh.mu.RLock()
-		ok = sh.backend.TestIndexes(sc.idx)
+		ok = sh.backend.TestIndexes(g.idx)
 		sh.mu.RUnlock()
 	}
-	sh.pool.Put(sc)
+	s.ungroup(g)
 	return ok
 }
 
@@ -452,11 +422,9 @@ func (s *Sharded) Remove(item []byte) (bool, error) {
 	if !s.Removable() {
 		return false, ErrNotRemovable
 	}
-	sh := &s.shards[s.shardFor(item)]
-	sc := sh.pool.Get().(*scratch)
-	sc.idx = sc.fam.Indexes(sc.idx[:0], item)
+	sh, g := s.place1(item)
 	sh.mu.Lock()
-	removed, err := sh.removeLocked(sc.idx)
+	removed, err := sh.removeLocked(g.idx)
 	if removed {
 		sh.muts++
 		if s.journal != nil {
@@ -464,7 +432,7 @@ func (s *Sharded) Remove(item []byte) (bool, error) {
 		}
 	}
 	sh.mu.Unlock()
-	sh.pool.Put(sc)
+	s.ungroup(g)
 	return removed, err
 }
 
@@ -489,8 +457,8 @@ func (sh *shard) removeLocked(idx []uint64) (bool, error) {
 
 // RemoveBatch deletes every item the filter believes present, reporting
 // per-item outcomes in input order. Like AddBatch it groups by shard and
-// takes each shard's lock once. It returns ErrNotRemovable for backends
-// without the capability.
+// takes each shard's lock once per window. It returns ErrNotRemovable for
+// backends without the capability.
 func (s *Sharded) RemoveBatch(items [][]byte) ([]bool, error) {
 	if !s.Removable() {
 		return nil, ErrNotRemovable
@@ -502,13 +470,12 @@ func (s *Sharded) RemoveBatch(items [][]byte) ([]bool, error) {
 		si, run := g.run(lo)
 		lo += len(run)
 		sh := &s.shards[si]
-		sc := sh.derive(items, run)
+		idx := s.derive(g, items, si, run)
 		sh.mu.Lock()
 		for j, ii := range run {
-			ok, err := sh.removeLocked(sc.idx[j*s.k : (j+1)*s.k])
+			ok, err := sh.removeLocked(idx[j*s.k : (j+1)*s.k])
 			if err != nil {
 				sh.mu.Unlock()
-				sh.pool.Put(sc)
 				return removed, err
 			}
 			if ok {
@@ -520,72 +487,87 @@ func (s *Sharded) RemoveBatch(items [][]byte) ([]bool, error) {
 			removed[ii] = ok
 		}
 		sh.mu.Unlock()
-		sh.pool.Put(sc)
 	}
 	return removed, nil
 }
 
 // AddBatch inserts every item, grouping by shard so each shard's lock is
-// taken once per batch instead of once per item.
+// taken once per window of the batch instead of once per item.
 func (s *Sharded) AddBatch(items [][]byte) {
 	g := s.group(items)
 	for lo := 0; lo < len(g.order); {
 		si, run := g.run(lo)
 		lo += len(run)
 		sh := &s.shards[si]
-		sc := sh.derive(items, run)
+		idx := s.derive(g, items, si, run)
 		sh.mu.Lock()
 		for j, ii := range run {
-			sh.weight = applyDelta(sh.weight, sh.backend.AddIndexes(sc.idx[j*s.k:(j+1)*s.k]))
+			sh.weight = applyDelta(sh.weight, sh.backend.AddIndexes(idx[j*s.k:(j+1)*s.k]))
 			sh.muts++
 			if s.journal != nil {
 				s.journal.JournalAdd(items[ii])
 			}
 		}
 		sh.mu.Unlock()
-		sh.pool.Put(sc)
 	}
 	s.ungroup(g)
 }
 
-// TestBatch reports membership for every item, in input order, grouping by
-// shard like AddBatch. The result is appended to dst.
+// TestBatch reports membership for every item, in input order; the result is
+// appended to dst. Grouping by shard exists to take each shard's lock once,
+// so a store that reads lock-free (all shards of a store have one backend
+// type) skips the sort and takes the items in windows as they come: place a
+// window, then probe it — keeping a window's probes, independent loads,
+// together is what lets a filter larger than the cache overlap its misses.
 func (s *Sharded) TestBatch(dst []bool, items [][]byte) []bool {
 	base := len(dst)
 	dst = append(dst, make([]bool, len(items))...)
+	if s.shards[0].atomic != nil {
+		g := s.checkout()
+		g.shard = resized(g.shard, min(len(items), deriveWindow))
+		for lo := 0; lo < len(items); lo += deriveWindow {
+			window := items[lo:min(lo+deriveWindow, len(items))]
+			idx := resized(g.idx, len(window)*s.k)[:0]
+			for j, it := range window {
+				var si int
+				si, idx = s.place.Place(idx, it)
+				g.shard[j] = uint16(si)
+			}
+			g.idx = idx
+			for j := range window {
+				dst[base+lo+j] = s.shards[g.shard[j]].atomic.TestIndexesAtomic(idx[j*s.k : (j+1)*s.k])
+			}
+		}
+		s.ungroup(g)
+		return dst
+	}
 	g := s.group(items)
 	for lo := 0; lo < len(g.order); {
 		si, run := g.run(lo)
 		lo += len(run)
 		sh := &s.shards[si]
-		sc := sh.derive(items, run)
-		if sh.atomic != nil {
-			for j, ii := range run {
-				dst[base+ii] = sh.atomic.TestIndexesAtomic(sc.idx[j*s.k : (j+1)*s.k])
-			}
-		} else {
-			sh.mu.RLock()
-			for j, ii := range run {
-				dst[base+ii] = sh.backend.TestIndexes(sc.idx[j*s.k : (j+1)*s.k])
-			}
-			sh.mu.RUnlock()
+		idx := s.derive(g, items, si, run)
+		sh.mu.RLock()
+		for j, ii := range run {
+			dst[base+ii] = sh.backend.TestIndexes(idx[j*s.k : (j+1)*s.k])
 		}
-		sh.pool.Put(sc)
+		sh.mu.RUnlock()
 	}
 	s.ungroup(g)
 	return dst
 }
 
-// derive checks a scratch out of the shard's pool holding the indexes of
-// items[run[0]], items[run[1]], …, k apiece — outside the shard lock. The
-// caller returns it with sh.pool.Put.
-func (sh *shard) derive(items [][]byte, run []int) *scratch {
-	sc := sh.pool.Get().(*scratch)
-	sc.idx = sc.idx[:0]
+// derive fills g.idx with the indexes of items[run[0]], items[run[1]], …, k
+// apiece, from the digests group kept — outside any lock — and returns it.
+// run is one window, so the scratch is deriveWindow × k however large the
+// batch.
+func (s *Sharded) derive(g *grouping, items [][]byte, shard int, run []int) []uint64 {
+	idx := resized(g.idx, len(run)*s.k)[:0]
 	for _, ii := range run {
-		sc.idx = sc.fam.Indexes(sc.idx, items[ii])
+		idx = s.place.Indexes(idx, items[ii], shard, g.digest[ii])
 	}
-	return sc
+	g.idx = idx
+	return idx
 }
 
 // grouping is one batch's visiting plan: the item positions sorted by
@@ -594,9 +576,13 @@ func (sh *shard) derive(items [][]byte, run []int) *scratch {
 // in it is sized by the batch; nothing is sized by the shard count, so a
 // one-item batch costs the same on 65 536 shards as on 8.
 type grouping struct {
-	shard []uint16 // destination shard of items[i]
-	order []int    // item positions in visiting order
-	tmp   []int    // the radix sort's second buffer, stores above 256 shards only
+	shard  []uint16                 // destination shard of items[i]
+	digest []hashes.PlacementDigest // what routing items[i] already computed of its indexes
+	order  []int                    // item positions in visiting order
+	tmp    []int                    // the radix sort's second buffer, stores above 256 shards only
+	// idx is one window's indexes (or a single-item call's): at most
+	// deriveWindow × k, never sized by the batch.
+	idx []uint64
 }
 
 // MaxShards-1 must fit grouping.shard's element type.
@@ -607,19 +593,33 @@ const _ = uint16(MaxShards - 1)
 // the life of the store. It equals httpapi's cap on pooled item slices.
 const maxPooledGrouping = 4096
 
-// group routes every item and sorts the positions by shard: a stable LSD
+// deriveWindow is how many keys have their indexes derived, then applied, at
+// a time. Deriving a whole run at once made the index scratch run × k — 41 MB
+// for one 10 000-item request against a 1-shard k = 512 filter any client may
+// create. A window takes its shard's lock once; 64 keys bound the scratch to
+// 256 KiB at k = 512 and hold every run the bench sends.
+const deriveWindow = 64
+
+// checkout takes a working set from the pool.
+func (s *Sharded) checkout() *grouping {
+	if g, _ := s.groupings.Get().(*grouping); g != nil {
+		return g
+	}
+	return new(grouping)
+}
+
+// group routes every item, keeping what routing learned of its indexes, and
+// sorts the positions by shard: a stable LSD
 // radix sort on the shard number, eight bits a pass — one pass up to 256
 // shards, two up to MaxShards — with its counters on the stack. The caller
 // walks the result with run and hands it back with ungroup.
 func (s *Sharded) group(items [][]byte) *grouping {
-	g, _ := s.groupings.Get().(*grouping)
-	if g == nil {
-		g = new(grouping)
-	}
+	g := s.checkout()
 	n := len(items)
-	g.shard, g.order = resized(g.shard, n), resized(g.order, n)
+	g.shard, g.digest, g.order = resized(g.shard, n), resized(g.digest, n), resized(g.order, n)
 	for i, it := range items {
-		g.shard[i] = uint16(s.shardFor(it))
+		si, d := s.place.Route(it)
+		g.shard[i], g.digest[i] = uint16(si), d
 	}
 	buckets := min(len(s.shards), 256)
 	radixPass(g.order, nil, g.shard, 0, buckets)
@@ -663,12 +663,13 @@ func radixPass(dst, src []int, shard []uint16, shift uint, buckets int) {
 	}
 }
 
-// run returns the shard of the item visited lo-th and the positions of all
-// items of that shard, which follow it in g.order.
+// run returns the shard of the item visited lo-th and the positions of the
+// items of that shard that follow it in g.order, up to one window of them;
+// the rest of a longer run is what the next call returns.
 func (g *grouping) run(lo int) (shard int, positions []int) {
 	sh := g.shard[g.order[lo]]
-	hi := lo + 1
-	for hi < len(g.order) && g.shard[g.order[hi]] == sh {
+	hi, end := lo+1, min(lo+deriveWindow, len(g.order))
+	for hi < end && g.shard[g.order[hi]] == sh {
 		hi++
 	}
 	return int(sh), g.order[lo:hi]

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"evilbloom/internal/hashes"
 	"evilbloom/internal/urlgen"
 )
 
@@ -88,53 +89,104 @@ func TestAddThenTest(t *testing.T) {
 	}
 }
 
-// The keyed router must spread a uniform workload roughly evenly and must
-// depend on the routing key: the same items under a different key land on a
-// different shard assignment.
+// Routing must spread a uniform workload roughly evenly under every layout
+// and mode, and each layout says which secret moves an item to another
+// shard: v1 routes by the route key in both modes; v2 naive routes by the
+// public index digest, so the route key moves nothing (and the seed does);
+// v2 hardened folds the route key into its one PRF key, so it moves items.
 func TestShardRouting(t *testing.T) {
-	cfg := testConfig(ModeNaive, 8)
+	for _, tc := range []struct {
+		name          string
+		layout        hashes.Layout
+		mode          Mode
+		routeKeyMoves bool
+	}{
+		{"v1-naive", hashes.LayoutV1, ModeNaive, true},
+		{"v1-hardened", hashes.LayoutV1, ModeHardened, true},
+		{"v2-naive", hashes.LayoutV2, ModeNaive, false},
+		{"v2-hardened", hashes.LayoutV2, ModeHardened, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(tc.mode, 8)
+			cfg.layout = tc.layout
+			s, err := NewSharded(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			otherRoute, otherIndex := cfg, cfg
+			otherRoute.RouteKey = []byte("0000000000000000")
+			otherIndex.Seed, otherIndex.Key = 4, []byte("another-16b-key!")
+			s2, err := NewSharded(otherRoute)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s3, err := NewSharded(otherIndex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := urlgen.New(7)
+			counts := make([]int, s.Shards())
+			movedByRoute, movedByIndex := 0, 0
+			const n = 8000
+			for i := 0; i < n; i++ {
+				it := gen.Next()
+				a, _ := s.place.Route(it)
+				b, _ := s2.place.Route(it)
+				c, _ := s3.place.Route(it)
+				counts[a]++
+				if a != b {
+					movedByRoute++
+				}
+				if a != c {
+					movedByIndex++
+				}
+				if again, _ := s.place.Route(it); a != again {
+					t.Fatal("routing is not deterministic")
+				}
+			}
+			want := n / s.Shards()
+			for i, c := range counts {
+				if math.Abs(float64(c-want)) > 0.25*float64(want) {
+					t.Errorf("shard %d holds %d of %d items (want ≈%d): router is skewed", i, c, n, want)
+				}
+			}
+			// Under an independent key, 7/8 of items should route elsewhere.
+			if tc.routeKeyMoves && movedByRoute < n/2 {
+				t.Errorf("only %d/%d items moved under a different route key", movedByRoute, n)
+			}
+			if !tc.routeKeyMoves && movedByRoute != 0 {
+				t.Errorf("%d/%d items moved under a different route key, which this layout does not route by", movedByRoute, n)
+			}
+			// The seed (naive) or index key (hardened) routes only under v2.
+			if wantMoved := tc.layout == hashes.LayoutV2; wantMoved && movedByIndex < n/2 {
+				t.Errorf("only %d/%d items moved under a different seed/key", movedByIndex, n)
+			} else if !wantMoved && movedByIndex != 0 {
+				t.Errorf("%d/%d items moved under a different seed/key; v1 routes by the route key alone", movedByIndex, n)
+			}
+		})
+	}
+}
+
+// Batch operations must agree exactly with their singleton counterparts —
+// on the lock-free read path, which places and probes key by key, and on the
+// locked one (a counter width that straddles words), which groups by shard
+// and derives in windows: 1000 probes over 2 shards cross many of them.
+func TestBatchMatchesSingleton(t *testing.T) {
+	lockFree := testConfig(ModeHardened, 4)
+	locked := testConfig(ModeNaive, 2)
+	locked.Variant, locked.CounterWidth = VariantCounting, 3
+	for name, cfg := range map[string]Config{"lock-free": lockFree, "locked": locked} {
+		t.Run(name, func(t *testing.T) { testBatchMatchesSingleton(t, cfg) })
+	}
+}
+
+func testBatchMatchesSingleton(t *testing.T, cfg Config) {
 	s, err := NewSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg2 := cfg
-	cfg2.RouteKey = []byte("0000000000000000")
-	s2, err := NewSharded(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := urlgen.New(7)
-	counts := make([]int, s.Shards())
-	moved := 0
-	const n = 8000
-	for i := 0; i < n; i++ {
-		it := gen.Next()
-		a, b := s.shardFor(it), s2.shardFor(it)
-		counts[a]++
-		if a != b {
-			moved++
-		}
-		if a != s.shardFor(it) {
-			t.Fatal("routing is not deterministic")
-		}
-	}
-	want := n / s.Shards()
-	for i, c := range counts {
-		if math.Abs(float64(c-want)) > 0.25*float64(want) {
-			t.Errorf("shard %d holds %d of %d items (want ≈%d): router is skewed", i, c, n, want)
-		}
-	}
-	// Under an independent key, 7/8 of items should route elsewhere.
-	if moved < n/2 {
-		t.Errorf("only %d/%d items moved under a different route key", moved, n)
-	}
-}
-
-// Batch operations must agree exactly with their singleton counterparts.
-func TestBatchMatchesSingleton(t *testing.T) {
-	s, err := NewSharded(testConfig(ModeHardened, 4))
-	if err != nil {
-		t.Fatal(err)
+	if got, want := s.shards[0].atomic != nil, cfg.CounterWidth == 0; got != want {
+		t.Fatalf("store reads lock-free: %v, want %v", got, want)
 	}
 	gen := urlgen.New(2)
 	batch := make([][]byte, 500)
@@ -262,21 +314,49 @@ func TestStats(t *testing.T) {
 	}
 }
 
-// Hardened shards must not share an index key: an item's positions in one
-// shard's family must not replay in another's.
+// Layout v1's hardened shards must not share an index key: an item's
+// positions in one shard's family must not replay in another's. (Layout v2
+// has one key for the whole store and does not need the property: an item's
+// shard is a function of the item, so there is no other shard to replay a
+// forged positive against — TestHardenedV2ShardIsTheItems.)
 func TestHardenedShardKeysDiffer(t *testing.T) {
-	s, err := NewSharded(testConfig(ModeHardened, 4))
+	cfg := testConfig(ModeHardened, 4)
+	cfg.layout = hashes.LayoutV1
+	s, err := NewSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	item := []byte("http://example.com/same-item")
 	seen := make(map[string]bool)
 	for i := range s.shards {
-		idx := s.shards[i].pool.Get().(*scratch).fam.Indexes(nil, item)
+		idx := s.place.Family(i).Indexes(nil, item)
 		key := fmt.Sprint(idx)
 		if seen[key] {
 			t.Fatalf("two shards derived identical index sets %v", idx)
 		}
 		seen[key] = true
+	}
+}
+
+// Under layout v2 an item is only ever looked up in its own shard: set its
+// bits in every OTHER shard and the store still answers absent.
+func TestHardenedV2ShardIsTheItems(t *testing.T) {
+	s, err := NewSharded(testConfig(ModeHardened, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	item := []byte("http://example.com/same-item")
+	home, idx := s.place.Place(nil, item)
+	for i := range s.shards {
+		if i != home {
+			s.shards[i].backend.AddIndexes(idx)
+		}
+	}
+	if s.Test(item) {
+		t.Error("an item's bits in foreign shards made it present")
+	}
+	s.shards[home].backend.AddIndexes(idx)
+	if !s.Test(item) {
+		t.Error("an item's bits in its own shard did not")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 
 	"evilbloom/internal/core"
+	"evilbloom/internal/hashes"
 )
 
 // Snapshot envelope: the wire and on-disk format of a whole-store snapshot.
@@ -21,7 +22,9 @@ import (
 //
 //	offset  size  field
 //	0       8     magic "EVBSNAP1"
-//	8       2     format version (little-endian, currently 1)
+//	8       2     format version (little-endian): the filter's placement
+//	              layout, 1 or 2 (hashes.Layout) — the framing below is the
+//	              same under both; what differs is which keys set these bits
 //	10      1     variant (0 bloom, 1 counting, 2 blocked)
 //	11      1     mode (0 naive, 1 hardened)
 //	12      1     counter width in bits (0 for bloom)
@@ -32,7 +35,7 @@ import (
 //	32      8     shard size in positions
 //	40      8     per-item index count k
 //	48      8     payload length in bytes
-//	56      16    shard-routing key (naive mode; zero in hardened mode)
+//	56      16    shard-routing key (naive mode under layout 1; zero otherwise)
 //	72      ...   payload: per shard, an 8-byte length then the backend blob
 //	72+len  4     IEEE CRC-32 of everything before it
 //
@@ -40,23 +43,26 @@ import (
 // the geometry fields, so a decoder can size-check the envelope before
 // touching the payload.
 //
+// The version field doubles as the layout id because a reader that does not
+// know a layout cannot use the bits at all: a binary from before layout 2
+// refuses a version-2 envelope as corrupt instead of restoring it under the
+// wrong rule. An envelope restores only into a filter of its own layout
+// (ErrSnapshotMismatch otherwise); uploaded as a new filter it recreates one
+// of its own layout, which is how a layout-1 snapshot stays a faithful clone.
+//
 // On secrets: a naive filter is, per the paper's threat model, a fully
 // public implementation — its seed already ships on the info endpoints, and
 // per-shard occupancy is meaningless to a restoring party that cannot
-// reproduce the shard routing, so the envelope carries the routing key too;
-// a naive snapshot is a complete, self-contained clone. A hardened filter's
-// keys never travel: its envelope zeroes the routing-key field and is only
-// restorable where the keys live — the server's own data directory.
+// reproduce the shard routing. Under layout 2 the seed is the whole rule;
+// under layout 1 routing had its own key, so the envelope carries that too.
+// Either way a naive snapshot is a complete, self-contained clone. A hardened
+// filter's keys never travel: its envelope is only restorable where the keys
+// live — the server's own data directory.
 const (
 	snapshotMagic      = "EVBSNAP1"
-	snapshotVersion    = 1
 	snapshotHeaderLen  = 72
 	snapshotTrailerLen = 4
 )
-
-// SnapshotVersion is the wire version of the snapshot envelope, served on
-// the snapshot endpoint's version header.
-const SnapshotVersion = snapshotVersion
 
 // Snapshot envelope errors, matched by the HTTP layer to pick status codes:
 // corrupt envelopes are the client's transfer problem (400), mismatches are
@@ -65,14 +71,15 @@ var (
 	// ErrSnapshotCorrupt marks envelopes that fail structural validation:
 	// bad magic, unknown version, impossible lengths, checksum mismatch.
 	ErrSnapshotCorrupt = errors.New("service: snapshot corrupt")
-	// ErrSnapshotMismatch marks well-formed envelopes whose geometry
-	// (variant, mode, shards, shard size, k, counter width, overflow policy
-	// or naive seed) does not match the filter being restored.
+	// ErrSnapshotMismatch marks well-formed envelopes whose placement layout
+	// or geometry (variant, mode, shards, shard size, k, counter width,
+	// overflow policy or naive seed) does not match the filter being restored.
 	ErrSnapshotMismatch = errors.New("service: snapshot does not match filter")
 )
 
 // snapshotHeader is the decoded fixed prefix of an envelope.
 type snapshotHeader struct {
+	layout     hashes.Layout
 	variant    Variant
 	mode       Mode
 	width      int
@@ -88,6 +95,7 @@ type snapshotHeader struct {
 // headerFor derives the envelope header from a store's configuration.
 func (s *Sharded) headerFor(payloadLen int) snapshotHeader {
 	h := snapshotHeader{
+		layout:     s.cfg.layout,
 		variant:    s.variant,
 		mode:       s.mode,
 		width:      s.width,
@@ -98,7 +106,7 @@ func (s *Sharded) headerFor(payloadLen int) snapshotHeader {
 		k:          s.k,
 		payloadLen: uint64(payloadLen),
 	}
-	if s.mode == ModeNaive {
+	if s.mode == ModeNaive && h.layout == hashes.LayoutV1 {
 		copy(h.routeKey[:], s.cfg.RouteKey)
 	}
 	return h
@@ -135,7 +143,7 @@ func (h snapshotHeader) expectedPayloadLen() (uint64, error) {
 // encode serializes the header into the first snapshotHeaderLen bytes of dst.
 func (h snapshotHeader) encode(dst []byte) {
 	copy(dst, snapshotMagic)
-	binary.LittleEndian.PutUint16(dst[8:], snapshotVersion)
+	binary.LittleEndian.PutUint16(dst[8:], uint16(h.layout))
 	dst[10] = byte(h.variant)
 	dst[11] = byte(h.mode)
 	dst[12] = byte(h.width)
@@ -160,10 +168,12 @@ func decodeSnapshotHeader(hdr []byte) (snapshotHeader, error) {
 	if string(hdr[:8]) != snapshotMagic {
 		return h, fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)
 	}
-	if v := binary.LittleEndian.Uint16(hdr[8:]); v != snapshotVersion {
+	v := binary.LittleEndian.Uint16(hdr[8:])
+	if v > 0xff || !hashes.Layout(v).Known() {
 		return h, fmt.Errorf("%w: unsupported snapshot version %d", ErrSnapshotCorrupt, v)
 	}
 	h = snapshotHeader{
+		layout:     hashes.Layout(v),
 		variant:    Variant(hdr[10]),
 		mode:       Mode(hdr[11]),
 		width:      int(hdr[12]),
@@ -221,6 +231,7 @@ func SnapshotConfig(hdr []byte) (Config, error) {
 		return Config{}, fmt.Errorf("%w: hardened snapshots carry no keys and cannot be restored over the wire (restore from the server's own data directory)", ErrSnapshotMismatch)
 	}
 	return Config{
+		layout:       h.layout,
 		Variant:      h.variant,
 		Shards:       h.shards,
 		ShardBits:    h.shardBits,
@@ -229,8 +240,9 @@ func SnapshotConfig(hdr []byte) (Config, error) {
 		Seed:         h.seed,
 		CounterWidth: h.width,
 		Overflow:     h.overflow,
-		// The routing key travels with naive snapshots: the per-shard
-		// occupancy is only a faithful clone when items route identically.
+		// The routing key travels with layout-1 naive snapshots: the
+		// per-shard occupancy is only a faithful clone when items route
+		// identically. (Layout 2 ignores it; the zeros are never used.)
 		RouteKey: bytes.Clone(h.routeKey[:]),
 	}, nil
 }
@@ -239,6 +251,8 @@ func SnapshotConfig(hdr []byte) (Config, error) {
 func (s *Sharded) match(h snapshotHeader) error {
 	mine := s.headerFor(int(h.payloadLen))
 	switch {
+	case h.layout != mine.layout:
+		return fmt.Errorf("%w: snapshot placement layout %d, filter uses %d", ErrSnapshotMismatch, h.layout, mine.layout)
 	case h.variant != mine.variant:
 		return fmt.Errorf("%w: snapshot variant %v, filter is %v", ErrSnapshotMismatch, h.variant, mine.variant)
 	case h.mode != mine.mode:
