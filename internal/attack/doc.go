@@ -16,36 +16,34 @@
 // The adversary sees the filter through a View: how items map to index
 // positions and which positions are occupied. Views exist for every
 // in-process filter variant (NewBloomView, NewCountingView,
-// NewPartitionedView) and — via RemoteView — for a live `evilbloom serve`
-// instance reached over HTTP, where the adversary maintains a local shadow
-// of the server state from nothing but its public parameters and her own
-// insertions. That last view turns every in-process attack into a
-// client-vs-server scenario.
+// NewPartitionedView) and — via RemoteView — for one filter of a live
+// `evilbloom serve` instance, where the adversary keeps a local shadow of
+// the server state from nothing but its public parameters and her own
+// acknowledged insertions. That last view turns every in-process attack
+// into a client-vs-server scenario.
 //
-// RemoteDeletion extends the wire-level setting to §4.3: against a naive
-// counting filter served with public remove endpoints, it assembles false
-// positives out of the adversary's own legitimate insertions and has the
-// server delete them, draining a targeted honest item's counters into a
-// false negative; a hardened server refuses the same campaign because the
-// crafted items are not false positives under its keyed family.
+// The live campaigns are written once, against Target — info, stats, add,
+// test and remove, with rate-limit refusals surfacing as *ThrottledError —
+// and run unchanged over either wire plane: RemoteClient adapts the HTTP/JSON
+// API, resp.Target the binary RESP plane. PublicFamily is the one place
+// published parameters become the adversary's index family.
 //
-// RemoteDigestPollution extends the setting across machines: two live
-// `evilbloom serve` nodes exchange cache digests (§7), and the adversary —
-// again using only public endpoints — fills the first node's filter with
-// chosen items so the digest the second node routes by lies about nearly
-// everything. The damage lands on a server the adversary never spoke to:
-// the sibling's misses are misdirected, one wasted round trip per false
-// hit, reproducing the paper's 79%-vs-40% gap over real HTTP. The greedy
-// PolluteGreedy campaign drives it, since a digest-sized filter saturates
-// under strict condition-(6) forging.
-//
-// RemoteThrottledPollution measures the defense the paper suggests against
-// all of the above: per-client mutation rate limiting (`evilbloom serve
-// -rate-mutations`). It re-runs the chosen-insertion campaign counting
-// 429s instead of assuming every insertion lands — the shadow model
-// mirrors only accepted adds, staying exact mid-throttle — and reports the
-// stretched time-to-saturation and blunted FPR trajectory, plus the
-// server-side accounting (RemoteClient.Clients) that names the attacking
-// identity. Unthrottled: saturation inside the request budget. Throttled:
-// damage capped at the burst, every refused mutation attributed.
+//   - RemotePollution is §4.1's chosen-insertion campaign in its greedy
+//     form. It counts throttled insertions instead of assuming every one
+//     lands, so pointed at a server defending itself with per-client
+//     mutation budgets (`evilbloom serve -rate-mutations`, the paper's own
+//     suggested countermeasure) it measures what the defence buys: damage
+//     capped at the burst, every refusal attributed (RemoteClient.Clients).
+//   - RemoteDeletion is §4.3: against a naive counting filter served with
+//     public remove endpoints, it assembles false positives out of the
+//     adversary's own legitimate insertions and has the server delete them,
+//     draining a targeted honest item's counters into a false negative; a
+//     hardened server refuses the same campaign because the crafted items
+//     are not false positives under its keyed family.
+//   - RemoteDigestPollution is §7 across machines: live nodes exchange cache
+//     digests, and the adversary fills one node's filter with chosen items
+//     so the digest a sibling routes by lies about nearly everything. The
+//     damage lands on a server she never mutated — one wasted round trip
+//     per false hit, the paper's 79%-vs-40% gap over real HTTP. The
+//     sibling's routing oracle and the mesh controls are HTTP reads.
 package attack

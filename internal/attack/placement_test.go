@@ -14,7 +14,7 @@ import (
 // serverStats reads the server's own per-shard ground truth.
 func serverStats(t *testing.T, base string) service.Stats {
 	t.Helper()
-	resp, err := http.Get(base + "/v1/stats")
+	resp, err := http.Get(base + "/v2/filters/web/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,17 +27,10 @@ func serverStats(t *testing.T, base string) service.Stats {
 }
 
 // forgerFromInfo builds the constant-time forger from nothing but the
-// server's published parameters.
-func forgerFromInfo(t *testing.T, client *attack.RemoteClient) (*attack.InstantForger, *attack.RemoteInfo) {
+// target's published parameters, over either plane.
+func forgerFromInfo(t *testing.T, target attack.Target) (*attack.InstantForger, *attack.RemoteInfo) {
 	t.Helper()
-	info, err := client.Info()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Seed == nil {
-		t.Fatalf("server mode %q publishes no seed", info.Mode)
-	}
-	fam, err := hashes.NewDoubleHashing(info.K, info.ShardBits, *info.Seed)
+	fam, info, err := attack.PublicFamily(target)
 	if err != nil {
 		t.Fatal(err)
 	}

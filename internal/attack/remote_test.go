@@ -24,22 +24,24 @@ func fig3Geometry(mode service.Mode, shards int) service.Config {
 	}
 }
 
-// startServer brings up a live filter service for the adversary to attack.
+// startServer brings up a live filter service holding one filter "web" for
+// the adversary to attack.
 func startServer(t *testing.T, cfg service.Config) (*httptest.Server, *attack.RemoteClient) {
 	t.Helper()
-	store, err := service.NewSharded(cfg)
-	if err != nil {
+	reg := service.NewRegistry()
+	t.Cleanup(func() { reg.Close() }) //nolint:errcheck // memory-only
+	if _, err := reg.Create("web", cfg); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(httpapi.NewServer(store))
+	ts := httptest.NewServer(httpapi.NewRegistryServer(reg))
 	t.Cleanup(ts.Close)
-	return ts, attack.NewRemoteClient(ts.URL, nil)
+	return ts, attack.NewRemoteClient(ts.URL, "web", nil)
 }
 
 // remoteCampaign runs the Fig 3 pollution campaign (600 chosen insertions)
 // against a live server and returns the server's own post-attack FPR
 // estimate — the ground truth, independent of the adversary's beliefs.
-func remoteCampaign(t *testing.T, client *attack.RemoteClient, view *attack.RemoteView) float64 {
+func remoteCampaign(t *testing.T, client attack.Target, view *attack.RemoteView) float64 {
 	t.Helper()
 	adv := attack.NewChosenInsertion(view, view, view, urlgen.New(2))
 	if _, err := adv.PolluteN(600, 0); err != nil {
@@ -67,7 +69,7 @@ func TestRemotePollutionNaiveVsHardened(t *testing.T) {
 	// Naive: the adversary reconstructs the index family from the server's
 	// published parameters alone.
 	_, naiveClient := startServer(t, fig3Geometry(service.ModeNaive, 1))
-	naiveView, err := attack.NewRemoteViewFromInfo(naiveClient)
+	naiveView, err := attack.NewRemoteViewFromInfo(naiveClient, 1)
 	if err != nil {
 		t.Fatalf("building view from public info: %v", err)
 	}
@@ -76,8 +78,8 @@ func TestRemotePollutionNaiveVsHardened(t *testing.T) {
 	// Hardened: the same server geometry with keyed SipHash. The public
 	// info publishes no seed, so the from-info constructor must refuse...
 	_, hardClient := startServer(t, fig3Geometry(service.ModeHardened, 1))
-	if _, err := attack.NewRemoteViewFromInfo(hardClient); err == nil {
-		t.Fatal("hardened server let the adversary reconstruct its family from /v1/info")
+	if _, err := attack.NewRemoteViewFromInfo(hardClient, 1); err == nil {
+		t.Fatal("hardened server let the adversary reconstruct its family from /info")
 	}
 	// ...and an adversary who assumes the dablooms default anyway gets
 	// nothing for her trouble.
@@ -85,7 +87,7 @@ func TestRemotePollutionNaiveVsHardened(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hardFPR := remoteCampaign(t, hardClient, attack.NewRemoteView(hardClient, guess))
+	hardFPR := remoteCampaign(t, hardClient, attack.NewRemoteView(hardClient, guess, 1))
 
 	t.Logf("post-campaign server FPR: naive=%.4f (paper 0.316), hardened=%.4f (random ≈0.077)", naiveFPR, hardFPR)
 	if naiveFPR < 0.30 {
@@ -105,7 +107,7 @@ func TestRemotePollutionNaiveVsHardened(t *testing.T) {
 // n·k, with zero server-side collisions.
 func TestRemotePollutionCrossesShards(t *testing.T) {
 	_, client := startServer(t, fig3Geometry(service.ModeNaive, 4))
-	view, err := attack.NewRemoteViewFromInfo(client)
+	view, err := attack.NewRemoteViewFromInfo(client, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +131,14 @@ func TestRemotePollutionCrossesShards(t *testing.T) {
 // The client must surface server-side rejections and transport failures.
 func TestRemoteClientErrors(t *testing.T) {
 	_, client := startServer(t, fig3Geometry(service.ModeNaive, 1))
-	if err := client.Add(nil); err == nil {
+	if err := client.AddBatch([][]byte{nil}); err == nil {
 		t.Error("empty item accepted")
 	}
-	dead := attack.NewRemoteClient("http://127.0.0.1:1", nil)
+	dead := attack.NewRemoteClient("http://127.0.0.1:1", "web", nil)
 	if _, err := dead.Info(); err == nil {
 		t.Error("unreachable server produced no error")
 	}
-	view := attack.NewRemoteView(dead, mustFamily(t))
+	view := attack.NewRemoteView(dead, mustFamily(t), 1)
 	view.Add([]byte("x"))
 	if view.Err() == nil {
 		t.Error("transport failure not latched in Err")

@@ -6,18 +6,6 @@ import (
 	"evilbloom/internal/hashes"
 )
 
-// DeletionOps is the wire surface the deletion adversary needs — the public
-// add, test and remove operations of whichever plane carries her traffic.
-// *RemoteClient implements it over HTTP; respcampaign adapts a pipelined
-// RESP connection. Remove reports whether the server accepted the removal
-// (false when its filter believed the item absent — the refusal the
-// hardened server answers with).
-type DeletionOps interface {
-	Test(item []byte) (bool, error)
-	AddBatch(items [][]byte) error
-	Remove(item []byte) (bool, error)
-}
-
 // RemoteDeletion is the §4.3 deletion adversary run over the wire against a
 // live counting-filter server: she evicts a targeted honest item (a victim
 // URL on a blocklist, say) using nothing but the public add, test and
@@ -53,7 +41,7 @@ type DeletionOps interface {
 // that oracle for free), at the price of extra cover insertions; against a
 // single-shard filter — the paper's geometry — one cover pass suffices.
 type RemoteDeletion struct {
-	ops DeletionOps
+	ops Target
 	fam hashes.IndexFamily
 	gen Generator
 
@@ -68,30 +56,21 @@ type RemoteDeletion struct {
 	Refused uint64
 }
 
-// NewRemoteDeletion wires the adversary to a filter-scoped transport
-// (normally client.ForFilter(name), or a RESP adapter), deriving indexes
-// from fam — the family reconstructed from the filter's public info, or a
-// guess against a hardened server.
-func NewRemoteDeletion(ops DeletionOps, fam hashes.IndexFamily, gen Generator) *RemoteDeletion {
+// NewRemoteDeletion wires the adversary to a filter over either plane,
+// deriving indexes from fam — the family reconstructed from the filter's
+// public info, or a guess against a hardened server.
+func NewRemoteDeletion(ops Target, fam hashes.IndexFamily, gen Generator) *RemoteDeletion {
 	return &RemoteDeletion{ops: ops, fam: fam, gen: gen}
 }
 
-// NewRemoteDeletionFromInfo reconstructs the family from the filter's
-// published parameters, refusing (like NewRemoteViewFromInfo) when the
-// server publishes no seed.
-func NewRemoteDeletionFromInfo(client *RemoteClient, gen Generator) (*RemoteDeletion, error) {
-	info, err := client.Info()
+// NewRemoteDeletionFromInfo wires the adversary to the family PublicFamily
+// reconstructs, refusing when the server publishes no seed.
+func NewRemoteDeletionFromInfo(ops Target, gen Generator) (*RemoteDeletion, error) {
+	fam, _, err := PublicFamily(ops)
 	if err != nil {
 		return nil, err
 	}
-	if info.Seed == nil {
-		return nil, fmt.Errorf("attack: server mode %q publishes no seed; indexes are not predictable", info.Mode)
-	}
-	fam, err := hashes.NewDoubleHashing(info.K, info.ShardBits, *info.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return NewRemoteDeletion(client, fam, gen), nil
+	return NewRemoteDeletion(ops, fam, gen), nil
 }
 
 // EvictReport is the outcome of one eviction campaign.

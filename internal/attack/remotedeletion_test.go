@@ -3,8 +3,11 @@ package attack_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"evilbloom/internal/attack"
@@ -36,7 +39,7 @@ func startRegistryServer(t *testing.T, name string, spec httpapi.FilterSpec) (*h
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("creating filter %q: status %d", name, resp.StatusCode)
 	}
-	return ts, attack.NewRemoteClient(ts.URL, nil).ForFilter(name)
+	return ts, attack.NewRemoteClient(ts.URL, name, nil)
 }
 
 // countingSpec is the paper's Fig 3 geometry (m=3200, k=4) as one counting
@@ -58,7 +61,7 @@ func countingSpec(mode string) httpapi.FilterSpec {
 
 // honestWorkload inserts a blocklist of honest items plus the victim
 // through the public API and returns the honest control set.
-func honestWorkload(t *testing.T, client *attack.RemoteClient, victim []byte) [][]byte {
+func honestWorkload(t *testing.T, client attack.Target, victim []byte) [][]byte {
 	t.Helper()
 	gen := urlgen.New(400)
 	honest := make([][]byte, 50)
@@ -68,7 +71,7 @@ func honestWorkload(t *testing.T, client *attack.RemoteClient, victim []byte) []
 	if err := client.AddBatch(honest); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Add(victim); err != nil {
+	if err := client.AddBatch([][]byte{victim}); err != nil {
 		t.Fatal(err)
 	}
 	return honest
@@ -186,7 +189,7 @@ func TestRemoteDeletionCrossesShards(t *testing.T) {
 func TestRemoteRemoveClient(t *testing.T) {
 	_, client := startRegistryServer(t, "counts", countingSpec("naive"))
 	item := []byte("http://a.example/1")
-	if err := client.Add(item); err != nil {
+	if err := client.AddBatch([][]byte{item}); err != nil {
 		t.Fatal(err)
 	}
 	ok, err := client.Remove(item)
@@ -197,17 +200,6 @@ func TestRemoteRemoveClient(t *testing.T) {
 	if err != nil || ok {
 		t.Fatalf("Remove(absent) = %v, %v; want refused without error", ok, err)
 	}
-	// Batch: one present, one absent.
-	if err := client.Add(item); err != nil {
-		t.Fatal(err)
-	}
-	got, err := client.RemoveBatch([][]byte{item, []byte("http://a.example/never")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || !got[0] || got[1] {
-		t.Errorf("RemoveBatch = %v, want [true false]", got)
-	}
 	// A bloom filter rejects removal with a capability error.
 	_, bloom := startRegistryServer(t, "plain", httpapi.FilterSpec{
 		Shards: 1, ShardBits: 3200, HashCount: 4, Seed: 7,
@@ -215,8 +207,38 @@ func TestRemoteRemoveClient(t *testing.T) {
 	if _, err := bloom.Remove(item); err == nil {
 		t.Error("bloom-backed filter accepted a remove")
 	}
-	if _, err := bloom.RemoveBatch([][]byte{item}); err == nil {
-		t.Error("bloom-backed filter accepted a remove-batch")
+}
+
+// A refused removal is an answer like any other: its body is drained so the
+// keep-alive connection survives, and a hardened deletion campaign — one
+// refusal per round — does not dial once per round.
+func TestRefusedRemovalsKeepTheConnection(t *testing.T) {
+	reg := service.NewRegistry()
+	t.Cleanup(func() { reg.Close() }) //nolint:errcheck // memory-only
+	if _, err := reg.Create("blocklist", service.Config{
+		Variant: service.VariantCounting, Mode: service.ModeHardened,
+		Shards: 1, ShardBits: 3200, HashCount: 4, Key: []byte("0123456789abcdef"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var dials atomic.Int32
+	ts := httptest.NewUnstartedServer(httpapi.NewRegistryServer(reg))
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	client := attack.NewRemoteClient(ts.URL, "blocklist", ts.Client())
+	for i := 0; i < 20; i++ {
+		ok, err := client.Remove([]byte(fmt.Sprintf("http://never.example/%d", i)))
+		if err != nil || ok {
+			t.Fatalf("removal %d = %v, %v; want refused without error", i, ok, err)
+		}
+	}
+	if n := dials.Load(); n > 2 {
+		t.Errorf("20 refused removals used %d connections, want ≤ 2", n)
 	}
 }
 

@@ -2,7 +2,6 @@ package attack
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 )
@@ -11,8 +10,9 @@ import (
 // RemoteClient grows the digest-exchange endpoints (route, peers/refresh,
 // raw digest export), and RemoteDigestPollution drives the paper's
 // two-proxy experiment across two real evilbloom servers — pollute the
-// first server's filter through its public add endpoint, then watch the
-// second server's routing misdirect probe traffic at it.
+// first server's filter through its public add endpoint (over either
+// plane), then watch the second server's routing misdirect probe traffic at
+// it.
 
 // RemoteRoutePeer is one sibling's answer inside a routing verdict.
 type RemoteRoutePeer struct {
@@ -39,7 +39,7 @@ type RemoteRoute struct {
 // holds the same oracle any client does.)
 func (c *RemoteClient) Route(item []byte) (*RemoteRoute, error) {
 	var rt RemoteRoute
-	if err := c.post(c.prefix+"/route", map[string]string{"item": string(item)}, &rt); err != nil {
+	if err := c.call(http.MethodPost, c.prefix+"/route", itemBody(item), &rt); err != nil {
 		return nil, err
 	}
 	return &rt, nil
@@ -70,7 +70,7 @@ func (c *RemoteClient) RefreshPeers() ([]RemotePeerStatus, error) {
 	var resp struct {
 		Peers []RemotePeerStatus `json:"peers"`
 	}
-	if err := c.post(c.prefix+"/peers/refresh", nil, &resp); err != nil {
+	if err := c.call(http.MethodPost, c.prefix+"/peers/refresh", nil, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Peers, nil
@@ -80,17 +80,9 @@ func (c *RemoteClient) RefreshPeers() ([]RemotePeerStatus, error) {
 // everything else the digest exchange rests on, so the adversary can
 // measure her pollution directly in the artifact the victims will route by.
 func (c *RemoteClient) Digest() ([]byte, error) {
-	path := c.prefix + "/digest"
-	resp, err := c.hc.Get(c.base + path)
-	if err != nil {
-		return nil, fmt.Errorf("attack: GET %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("attack: %s answered %d: %s", path, resp.StatusCode, msg)
-	}
-	return io.ReadAll(resp.Body)
+	var env []byte
+	err := c.call(http.MethodGet, c.prefix+"/digest", nil, &env)
+	return env, err
 }
 
 // RemotePeerRevocation is the server's acknowledgment of a credential
@@ -106,13 +98,8 @@ type RemotePeerRevocation struct {
 // already landed is scrubbed. Server-scoped, not filter-scoped — a
 // credential covers every filter.
 func (c *RemoteClient) RevokePeerToken(name string) (*RemotePeerRevocation, error) {
-	path := "/v2/peer-tokens/" + url.PathEscape(name)
-	resp, err := c.do(http.MethodDelete, path, nil)
-	if err != nil {
-		return nil, err
-	}
 	var rev RemotePeerRevocation
-	if err := decodeRemote(resp, path, &rev); err != nil {
+	if err := c.call(http.MethodDelete, "/v2/peer-tokens/"+url.PathEscape(name), nil, &rev); err != nil {
 		return nil, err
 	}
 	return &rev, nil
@@ -132,17 +119,21 @@ func (c *RemoteClient) RevokePeerToken(name string) (*RemotePeerRevocation, erro
 // campaign: a digest-sized filter saturates under strict condition-(6)
 // forging, and digest pollution is about weight.
 type RemoteDigestPollution struct {
-	// Proxy is a filter-scoped client for server A, the node whose cache
-	// the malicious client can populate (any client can: add is public).
-	Proxy *RemoteClient
-	// Peer is a filter-scoped client for server B, the routing victim.
+	// Proxy is server A's filter, the one whose cache the malicious client
+	// can populate (any client can: add is public), over either plane.
+	Proxy Target
+	// ProxyPeer is A's entry in B's peer roster (its base URL), naming the
+	// digest the report describes; empty takes the first digest B holds,
+	// the two-node layout.
+	ProxyPeer string
+	// Peer is server B's filter, the routing victim. Routing, refresh and
+	// revocation are HTTP reads.
 	Peer *RemoteClient
-	// Honest, when non-nil, is a filter-scoped client for a third node H —
-	// an honest sibling whose digest B also routes by. It is seeded with
-	// CleanN items from HonestTraffic, so in a quorum mesh its lightly
-	// loaded digest must corroborate every "peer" verdict the saturated
-	// evil digest claims.
-	Honest *RemoteClient
+	// Honest, when non-nil, is the filter of a third node H — an honest
+	// sibling whose digest B also routes by. It is seeded with CleanN items
+	// from HonestTraffic, so in a quorum mesh its lightly loaded digest must
+	// corroborate every "peer" verdict the saturated evil digest claims.
+	Honest Target
 	// HonestTraffic supplies H's cache (required when Honest is set). A
 	// stream distinct from CleanTraffic: the siblings cache different
 	// objects, as real proxies would.
@@ -196,7 +187,7 @@ func (c *RemoteDigestPollution) Run(polluted bool) (*RemoteDigestReport, error) 
 	}
 	// The shadow view reconstructs A's index family from its public info —
 	// possible precisely because digest exchange requires a public family.
-	view, err := NewRemoteViewFromInfo(c.Proxy)
+	view, err := NewRemoteViewFromInfo(c.Proxy, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +216,7 @@ func (c *RemoteDigestPollution) Run(polluted bool) (*RemoteDigestReport, error) 
 			view.Add(c.ExtraTraffic.Next())
 		}
 	}
-	if err := view.Err(); err != nil {
+	if err := view.Flush(); err != nil {
 		return nil, fmt.Errorf("attack: transport during cache fill: %w", err)
 	}
 	rep.Inserted = view.Count()
@@ -244,28 +235,30 @@ func (c *RemoteDigestPollution) Run(polluted bool) (*RemoteDigestReport, error) 
 		if c.HonestTraffic == nil {
 			return nil, fmt.Errorf("attack: Honest node set without HonestTraffic")
 		}
-		for i := 0; i < c.CleanN; i++ {
-			if err := c.Honest.Add(c.HonestTraffic.Next()); err != nil {
-				return nil, fmt.Errorf("attack: seeding honest sibling: %w", err)
-			}
+		cache := make([][]byte, c.CleanN)
+		for i := range cache {
+			cache[i] = c.HonestTraffic.Next()
+		}
+		if err := c.Honest.AddBatch(cache); err != nil {
+			return nil, fmt.Errorf("attack: seeding honest sibling: %w", err)
 		}
 	}
 
 	// The digest exchange: B refreshes its view of its siblings — in
 	// deployment the jittered interval does this; the experiment forces it
 	// for determinism, exactly like ExchangeDigests in the in-process §7
-	// run. The report describes A's digest (matched by base URL; first
-	// digest held when the roster entry differs, the two-node layout).
+	// run. The report describes A's digest (matched by ProxyPeer; the first
+	// digest held when no roster entry matches).
 	peers, err := c.Peer.RefreshPeers()
 	if err != nil {
 		return nil, err
 	}
 	for _, p := range peers {
-		if p.HasDigest && (p.Peer == c.Proxy.Base() || rep.DigestBits == 0) {
+		if p.HasDigest && (p.Peer == c.ProxyPeer || rep.DigestBits == 0) {
 			rep.DigestBits = p.DigestBits
 			rep.DigestWeight = p.DigestWeight
 			rep.DigestGeneration = p.Generation
-			if p.Peer == c.Proxy.Base() {
+			if p.Peer == c.ProxyPeer {
 				break
 			}
 		}

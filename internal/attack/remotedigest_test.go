@@ -50,8 +50,8 @@ func digestPair(t *testing.T) (proxy, peer *attack.RemoteClient) {
 	t.Cleanup(tsB.Close)
 	t.Cleanup(func() { regB.Close(); regA.Close() }) //nolint:errcheck // teardown
 
-	return attack.NewRemoteClient(tsA.URL, nil).ForFilter("cache"),
-		attack.NewRemoteClient(tsB.URL, nil).ForFilter("cache")
+	return attack.NewRemoteClient(tsA.URL, "cache", nil),
+		attack.NewRemoteClient(tsB.URL, "cache", nil)
 }
 
 // runDigestCampaign stages one §7 run (paper phase sizes: 51 clean + 100
@@ -128,9 +128,10 @@ func TestRemoteDigestPollutionReproducesSection7Gap(t *testing.T) {
 // two-node acceptance test so the baselines are comparable.
 func quorumCampaign(m *meshtest.Mesh) *attack.RemoteDigestPollution {
 	return &attack.RemoteDigestPollution{
-		Proxy:         attack.NewRemoteClient(m.Nodes[1].URL, nil).ForFilter(m.Filter),
-		Peer:          attack.NewRemoteClient(m.Nodes[0].URL, nil).ForFilter(m.Filter),
-		Honest:        attack.NewRemoteClient(m.Nodes[2].URL, nil).ForFilter(m.Filter),
+		Proxy:         attack.NewRemoteClient(m.Nodes[1].URL, m.Filter, nil),
+		ProxyPeer:     m.Nodes[1].URL,
+		Peer:          attack.NewRemoteClient(m.Nodes[0].URL, m.Filter, nil),
+		Honest:        attack.NewRemoteClient(m.Nodes[2].URL, m.Filter, nil),
 		HonestTraffic: urlgen.New(5),
 		CleanTraffic:  urlgen.New(1),
 		ExtraTraffic:  urlgen.New(8),
@@ -192,8 +193,7 @@ func TestRemoteDigestPollutionQuorum(t *testing.T) {
 
 	// Revocation: ejecting the evil sibling's credential on the victim
 	// scrubs its digest and refuses everything it seals from now on.
-	victim := attack.NewRemoteClient(mesh.Nodes[0].URL, nil)
-	rev, err := victim.RevokePeerToken(meshtest.PeerName(1))
+	rev, err := campaign.Peer.RevokePeerToken(meshtest.PeerName(1))
 	if err != nil {
 		t.Fatalf("revocation: %v", err)
 	}
@@ -240,7 +240,7 @@ func TestRemoteDigestPollutionQuorum(t *testing.T) {
 // public, so she fetches the same artifact the victims route by.
 func TestRemoteDigestPublicExport(t *testing.T) {
 	proxy, _ := digestPair(t)
-	if err := proxy.Add([]byte("x")); err != nil {
+	if err := proxy.AddBatch([][]byte{[]byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 	env, err := proxy.Digest()

@@ -1,6 +1,7 @@
 package attack_test
 
 import (
+	"errors"
 	"net/http/httptest"
 	"testing"
 
@@ -40,7 +41,7 @@ func startCampaignServer(t *testing.T, rate *service.RateLimitConfig) *attack.Re
 	ts := httptest.NewServer(httpapi.NewRegistryServer(reg))
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { reg.Close() }) //nolint:errcheck // memory-only
-	return attack.NewRemoteClient(ts.URL, nil).ForFilter("cache")
+	return attack.NewRemoteClient(ts.URL, "cache", nil)
 }
 
 // The acceptance scenario: the same chosen-insertion campaign, same filter
@@ -63,7 +64,7 @@ func TestRemoteThrottledPollutionBluntsCampaign(t *testing.T) {
 		TrustProxy:      true,
 	}
 
-	naive := &attack.RemoteThrottledPollution{
+	naive := &attack.RemotePollution{
 		Target:   startCampaignServer(t, nil),
 		Traffic:  urlgen.New(2),
 		Requests: requests,
@@ -73,8 +74,9 @@ func TestRemoteThrottledPollutionBluntsCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	throttled := &attack.RemoteThrottledPollution{
-		Target:   startCampaignServer(t, throttledCfg).WithIdentity("mallory"),
+	mallory := startCampaignServer(t, throttledCfg).WithIdentity("mallory")
+	throttled := &attack.RemotePollution{
+		Target:   mallory,
 		Traffic:  urlgen.New(2), // the very same candidate stream
 		Requests: requests,
 	}
@@ -126,13 +128,14 @@ func TestRemoteThrottledPollutionBluntsCampaign(t *testing.T) {
 	}
 	// The shadow stayed exact: only accepted items entered it, so the
 	// server's weight is precisely what the adversary believes.
-	if want := uint64(burst * 4); throttledRep.ServerWeight != want {
-		t.Errorf("server weight %d, want %d (burst × k, shadow-exact)", throttledRep.ServerWeight, want)
+	if want := uint64(burst * 4); throttledRep.ServerWeight != want || throttledRep.ShadowWeight != want {
+		t.Errorf("server weight %d, shadow %d, want %d (burst × k, shadow-exact)",
+			throttledRep.ServerWeight, throttledRep.ShadowWeight, want)
 	}
 
 	// Attribution: the server names mallory, with every blocked mutation
 	// charged to her identity.
-	clients, err := throttled.Target.Clients()
+	clients, err := mallory.Clients()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,25 +152,27 @@ func TestRemoteThrottledPollutionBluntsCampaign(t *testing.T) {
 	}
 }
 
-// TryAdd must separate the three outcomes: accepted, throttled (with
-// Retry-After), and hard errors.
-func TestTryAddOutcomes(t *testing.T) {
+// An insertion has three outcomes on the wire: accepted, throttled — a
+// *ThrottledError carrying Retry-After, nothing landed — and hard errors.
+func TestThrottledAddOutcomes(t *testing.T) {
 	client := startCampaignServer(t, &service.RateLimitConfig{
 		MutationsPerSec: 1.0 / 3600,
 		Burst:           1,
 	})
-	ok, _, err := client.TryAdd([]byte("first"))
-	if err != nil || !ok {
-		t.Fatalf("first add: ok=%v err=%v", ok, err)
+	if err := client.AddBatch([][]byte{[]byte("first")}); err != nil {
+		t.Fatalf("first add: %v", err)
 	}
-	ok, retry, err := client.TryAdd([]byte("second"))
-	if err != nil || ok {
-		t.Fatalf("second add past the burst: ok=%v err=%v", ok, err)
+	var throttled *attack.ThrottledError
+	if err := client.AddBatch([][]byte{[]byte("second")}); !errors.As(err, &throttled) {
+		t.Fatalf("second add past the burst: %v, want *ThrottledError", err)
 	}
-	if retry <= 0 {
-		t.Errorf("throttled TryAdd returned Retry-After %v", retry)
+	if throttled.RetryAfter <= 0 {
+		t.Errorf("throttled add carried Retry-After %v", throttled.RetryAfter)
 	}
-	if _, _, err := client.TryAdd(nil); err == nil {
-		t.Error("empty item produced no error")
+	if present, err := client.Test([]byte("second")); err != nil || present {
+		t.Errorf("throttled item present=%v err=%v; a refusal must land nothing", present, err)
+	}
+	if err := client.AddBatch([][]byte{nil}); err == nil || errors.As(err, &throttled) {
+		t.Errorf("empty item: %v, want a hard error", err)
 	}
 }

@@ -48,5 +48,5 @@
 // is taken at face value, so polluting one node's filter (§4.1) poisons
 // every sibling's routing. Package service's peer subsystem serves the
 // deployment side; attack.RemoteDigestPollution runs the §7 campaign
-// across two real servers.
+// across real servers, polluting over either wire plane.
 package cachedigest

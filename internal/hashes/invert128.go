@@ -6,15 +6,17 @@ import (
 	"math/bits"
 )
 
-// Inversion of the 128-bit x64 MurmurHash3 variant. For inputs whose length
-// is a multiple of the 16-byte block size, every step of the algorithm is a
-// bijection on (uint64, uint64), so a full 128-bit digest can be hit with a
-// single constant-time computation. Because dablooms derives all k filter
+// This file inverts the 128-bit x64 MurmurHash3 variant, the one the
+// service's naive mode derives its indexes from — the paper's remark (§6.2):
+// "The forgery of the required URLs is straightforward since MurmurHash can
+// be inverted in constant time." For inputs whose length is a multiple of
+// the 16-byte block size, every step of the algorithm is a bijection on
+// (uint64, uint64), so a full 128-bit digest can be hit with a single
+// constant-time computation. Because dablooms derives all k filter
 // indexes from one Murmur128 digest via g_i = h1 + i·h2 (Kirsch–
 // Mitzenmacher), this gives the adversary direct write access to index sets:
 // she picks (h1, h2), inverts, and obtains a 16-byte suffix for any chosen
-// prefix — the strongest form of the paper's "MurmurHash can be inverted in
-// constant time" (§6.2).
+// prefix — the strongest form of the remark.
 
 var (
 	invFmix64C1   = mulInverse64(0xff51afd7ed558ccd)

@@ -14,9 +14,10 @@ const (
 )
 
 // Murmur32 computes the 32-bit x86 variant of MurmurHash3 with the given
-// seed. This is the function dablooms feeds to its Kirsch–Mitzenmacher index
-// derivation and the one whose inversion (see Invert functions) the paper
-// uses to claim constant-time pre-image forgery.
+// seed — the function dablooms feeds to its Kirsch–Mitzenmacher index
+// derivation. The paper's constant-time pre-image claim is made good on the
+// 128-bit variant the service derives its naive indexes from
+// (invert128.go).
 func Murmur32(data []byte, seed uint32) uint32 {
 	h := seed
 	n := uint32(len(data))
@@ -52,7 +53,7 @@ func murmur32Scramble(k uint32) uint32 {
 }
 
 // fmix32 is MurmurHash3's 32-bit finalizer. Every step is a bijection on
-// uint32, which is what makes the digest invertible (see InvertFmix32).
+// uint32, like fmix64's on uint64 (see InvertFmix64).
 func fmix32(h uint32) uint32 {
 	h ^= h >> 16
 	h *= 0x85ebca6b

@@ -3,7 +3,6 @@ package hashes
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // Reference vectors for MurmurHash3 x86 32-bit, cross-checked against the
@@ -103,33 +102,6 @@ func popcount32(v uint32) int {
 		n++
 	}
 	return n
-}
-
-func TestInvertFmix32(t *testing.T) {
-	for _, h := range []uint32{0, 1, 0xdeadbeef, 0xffffffff, 12345} {
-		if got := fmix32(InvertFmix32(h)); got != h {
-			t.Errorf("fmix32(InvertFmix32(%#x)) = %#x", h, got)
-		}
-		if got := InvertFmix32(fmix32(h)); got != h {
-			t.Errorf("InvertFmix32(fmix32(%#x)) = %#x", h, got)
-		}
-	}
-}
-
-// Property: the finalizer inversion is the exact inverse on random values.
-func TestInvertFmix32Property(t *testing.T) {
-	f := func(h uint32) bool { return fmix32(InvertFmix32(h)) == h && InvertFmix32(fmix32(h)) == h }
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMulInverse32(t *testing.T) {
-	for _, a := range []uint32{1, 3, 5, murmur32C1, murmur32C2, 0x85ebca6b, 0xc2b2ae35, 0xffffffff} {
-		if got := a * mulInverse32(a); got != 1 {
-			t.Errorf("a*inv(a) = %d for a=%#x", got, a)
-		}
-	}
 }
 
 func TestMurmur64MatchesFirstHalf(t *testing.T) {

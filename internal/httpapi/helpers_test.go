@@ -1,6 +1,10 @@
 package httpapi
 
-import "evilbloom/internal/service"
+import (
+	"testing"
+
+	"evilbloom/internal/service"
+)
 
 // testConfig returns a small deterministic store config.
 func testConfig(mode service.Mode, shards int) service.Config {
@@ -13,4 +17,15 @@ func testConfig(mode service.Mode, shards int) service.Config {
 		Key:       []byte("0123456789abcdef"),
 		RouteKey:  []byte("fedcba9876543210"),
 	}
+}
+
+// adoptServer serves store as the registry's default filter, the way
+// `evilbloom serve` serves the store its flags describe.
+func adoptServer(t *testing.T, store *service.Sharded) *Server {
+	t.Helper()
+	reg := service.NewRegistry()
+	if _, err := reg.Adopt(service.DefaultFilterName, store); err != nil {
+		t.Fatal(err)
+	}
+	return NewRegistryServer(reg)
 }

@@ -30,7 +30,7 @@ func TestRestartPreservesDeletionAttack(t *testing.T) {
 		FilterSpec{Variant: "counting", Mode: "naive", Shards: 1, ShardBits: 3200, HashCount: 4, Seed: 7}, nil); code != 201 {
 		t.Fatalf("create status %d", code)
 	}
-	client := attack.NewRemoteClient(ts.URL, nil).ForFilter("blocklist")
+	client := attack.NewRemoteClient(ts.URL, "blocklist", nil)
 
 	victim := []byte("http://honest.example.com/blocked-page")
 	gen := urlgen.New(400)
@@ -38,10 +38,7 @@ func TestRestartPreservesDeletionAttack(t *testing.T) {
 	for i := range honest {
 		honest[i] = gen.Next()
 	}
-	if err := client.AddBatch(honest); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Add(victim); err != nil {
+	if err := client.AddBatch(append(honest, victim)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -98,7 +95,7 @@ func TestRestartPreservesDeletionAttack(t *testing.T) {
 
 	ts2 := httptest.NewServer(NewRegistryServer(reg2))
 	defer ts2.Close()
-	client2 := attack.NewRemoteClient(ts2.URL, nil).ForFilter("blocklist")
+	client2 := attack.NewRemoteClient(ts2.URL, "blocklist", nil)
 	present, err := client2.Test(victim)
 	if err != nil {
 		t.Fatal(err)

@@ -164,7 +164,7 @@ func TestV1ShimSharesDefaultBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(store)
+	srv := adoptServer(t, store)
 	clock := newManualClock()
 	srv.Registry().Limiter().SetNow(clock.now)
 	if err := srv.Registry().ConfigureRateLimit(service.RateLimitConfig{MutationsPerSec: 0.5, Burst: 2}); err != nil {

@@ -337,17 +337,6 @@ func NewRegistryServer(reg *service.Registry) *Server {
 	return NewEngineServer(engine.New(reg))
 }
 
-// NewServer wraps a single store in the HTTP API, registered as the
-// registry's default filter — the original single-filter constructor, kept
-// so tests need no registry ceremony.
-func NewServer(store *service.Sharded) *Server {
-	reg := service.NewRegistry()
-	if _, err := reg.Adopt(service.DefaultFilterName, store); err != nil {
-		panic(err) // fresh registry, constant valid name: unreachable
-	}
-	return NewRegistryServer(reg)
-}
-
 // Engine returns the command engine this server fronts.
 func (s *Server) Engine() *engine.Engine { return s.eng }
 

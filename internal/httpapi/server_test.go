@@ -21,7 +21,7 @@ func newTestServer(t *testing.T, mode service.Mode) (*httptest.Server, *service.
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewServer(store))
+	ts := httptest.NewServer(adoptServer(t, store))
 	t.Cleanup(ts.Close)
 	return ts, store
 }

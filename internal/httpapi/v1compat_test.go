@@ -28,7 +28,7 @@ func TestV1WireFormatFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewServer(store))
+	ts := httptest.NewServer(adoptServer(t, store))
 	t.Cleanup(ts.Close)
 
 	// The steps run in order: the counters in later goldens depend on the

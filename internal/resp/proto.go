@@ -99,11 +99,6 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{src: r, buf: make([]byte, readerBufSize), want: -1, bulk: -1}
 }
 
-// Buffered reports how many bytes have been read from the stream and not yet
-// consumed — nonzero means at least part of another pipelined command has
-// already arrived.
-func (r *Reader) Buffered() int { return r.w - r.r }
-
 // ReadCommand decodes the next command into cmd, reading from the stream
 // only when the buffered bytes do not hold a whole command. An empty inline
 // line or zero-element array yields len(cmd.Args) == 0; callers skip those.

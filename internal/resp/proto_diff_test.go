@@ -292,7 +292,7 @@ func TestBatchViewsStayValid(t *testing.T) {
 	if n != batch {
 		t.Fatalf("batch of %d commands, want %d", n, batch)
 	}
-	if r.w != len(r.buf) || r.Buffered() != 0 {
+	if r.w != len(r.buf) || r.r != r.w {
 		t.Fatalf("buffer [%d:%d] of %d: the batch should end on its last byte", r.r, r.w, len(r.buf))
 	}
 	for i := 0; i < batch; i++ {

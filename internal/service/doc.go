@@ -144,9 +144,9 @@
 // Why it matters for the paper: §8 names restricting who may update the
 // filter as the operational mitigation below keyed hashing, and Naor–Yogev
 // formalize adversarial power as a query/insertion budget. Rate limiting
-// implements exactly that budget: attack.RemoteThrottledPollution runs the
-// same chosen-insertion campaign against an unthrottled server (saturation)
-// and a rate-limited one (damage capped at the burst, attacker named),
+// implements exactly that budget: attack.RemotePollution runs the same
+// chosen-insertion campaign against an unthrottled server (saturation) and
+// a rate-limited one (damage capped at the burst, attacker named),
 // completing the naive → rate-limited → hardened mitigation ladder the
 // registry can A/B per filter.
 //
@@ -154,7 +154,8 @@
 // damage crosses a trust boundary. §7 shows an adversary who pollutes one
 // proxy's cache makes the *sibling* waste a round trip per false hit
 // (79% vs 40% of probe queries); attack.RemoteDigestPollution reproduces
-// exactly that across two live `evilbloom serve` processes, and the
+// exactly that across live `evilbloom serve` processes, polluting over
+// either wire plane and probing the sibling's routing over HTTP, and the
 // Retouched-Bloom-filter literature (Donnet et al.) shows the same
 // trade-off propagation in honest meshes.
 //

@@ -30,7 +30,8 @@ import (
 // The exchange crosses a trust boundary, and that is the point of serving
 // it: a peer's digest is taken at face value, so an adversary who pollutes
 // one node's filter (§4.1) poisons every sibling's routing — the §7 attack,
-// run live by attack.RemoteDigestPollution. The digests themselves are
+// run live by attack.RemoteDigestPollution (pollution over either wire
+// plane, the victim's routing read over HTTP). The digests themselves are
 // integrity-checked (CRC, size-bounded before buffering) so a corrupt peer
 // can waste round trips but not crash the receiver.
 

@@ -31,7 +31,8 @@ import (
 // naive filter stays attackable in principle, but the attacker's insertion
 // budget — and with it the reachable FPR — is capped. The registry can A/B
 // the full ladder per filter: naive unthrottled, naive rate-limited,
-// hardened keyed. attack.RemoteThrottledPollution measures the middle tier.
+// hardened keyed. attack.RemotePollution measures the middle tier, over
+// either wire plane.
 
 // Rate-limit defaults; RateLimitConfig fields override them.
 // DefaultRateClientsMax bounds each filter's client accounting table.

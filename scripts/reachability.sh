@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Reachability rule: every package must be linked into a shipped root —
-# cmd/evilbloom, cmd/evillint or bench/ — or be one of the three named test
+# cmd/evilbloom, cmd/evillint or bench/ — or be one of the two named test
 # harnesses. A package that only its own tests (or nothing) reach fails,
 # and so does one made of _test.go files alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-harness='^evilbloom/internal/(service/meshtest|lint/analysistest|attack/respcampaign)$'
+harness='^evilbloom/internal/(service/meshtest|lint/analysistest)$'
 unreached=$(comm -23 <(go list ./internal/... | sort) <(go list -deps ./cmd/... ./bench/... | sort) | grep -Ev "$harness" || true)
 testonly=$(go list -f '{{if not .GoFiles}}{{.ImportPath}}{{end}}' ./...)
 if [[ -n "$unreached$testonly" ]]; then
