@@ -4,7 +4,11 @@ package engine
 // optimization. A pipelined connection often sends long runs of the same
 // command against the same filter (BF.ADD x1, BF.ADD x2, ...); the codec
 // stages them into one Run and the engine executes the whole run with one
-// or two store passes instead of per-command lock round-trips. Charging
+// store pass instead of per-command lock round-trips. An add run's novelty
+// answers come from that same pass: Sharded.TestAndAddBatch reads each
+// item's presence under the shard lock that inserts it, as removeLocked
+// decides a removal, so a run answers exactly what its commands would
+// answer one at a time — a duplicate later in the run reports 0. Charging
 // stays per command: each staged command is a Chunk charged separately at
 // execution time, so a collapsed run spends exactly what the same
 // commands would have spent uncollapsed, and a budget that runs dry
@@ -16,7 +20,8 @@ type RunKind int
 
 const (
 	// RunAdd is a collapsed BF.ADD/BF.MADD run: insert, replying novelty
-	// (true when the item was not already claimed present).
+	// (true when the item was not believed present just before its own
+	// insertion), decided by one TestAndAddBatch pass.
 	RunAdd RunKind = iota + 1
 	// RunTest is a collapsed BF.EXISTS/BF.MEXISTS run: membership only.
 	RunTest
@@ -70,7 +75,7 @@ func (r *Run) Reset(kind RunKind) {
 	r.Err = nil
 }
 
-// Add stages one command of n items (already appended to Items).
+// AddChunk stages one command of n items (already appended to Items).
 func (r *Run) AddChunk(n int) {
 	r.Chunks = append(r.Chunks, Chunk{N: n})
 }
@@ -78,7 +83,8 @@ func (r *Run) AddChunk(n int) {
 // ExecuteRun charges and executes a staged run as p against ref. Mutating
 // kinds charge chunk by chunk in staging order — the same order and the
 // same per-command granularity as unpipelined execution — then the items
-// of every admitted chunk go through the store in one batch pass.
+// of every admitted chunk go through the store in one batch pass, a single
+// store call whatever the kind.
 func (e *Engine) ExecuteRun(p Principal, ref FilterRef, run *Run) {
 	run.Bools = run.Bools[:0]
 	run.Err = nil
@@ -118,14 +124,7 @@ func (e *Engine) ExecuteRun(p Principal, ref FilterRef, run *Run) {
 	st := ref.f.Store()
 	switch run.Kind {
 	case RunAdd:
-		// Novelty semantics: reply whether each item was new. One
-		// TestBatch before the AddBatch answers that for the whole run —
-		// the collapse that makes pipelined BF.ADD cheap.
-		run.Bools = st.TestBatch(run.Bools, items)
-		st.AddBatch(items)
-		for i := range run.Bools {
-			run.Bools[i] = !run.Bools[i]
-		}
+		run.Bools = st.TestAndAddBatch(run.Bools, items)
 	case RunTest:
 		run.Bools = st.TestBatch(run.Bools, items)
 	case RunRemove:

@@ -32,12 +32,16 @@
 //     waits for the next blocking read, after the replies to the whole
 //     commands in front of it have gone out. Consecutive
 //     commands with the same kind (add / test / remove) and filter collapse
-//     into a single AddBatch/TestBatch/RemoveBatch call — one shard-lock
-//     acquisition per run instead of per command — and replies are rendered
-//     one command at a time straight into the write buffer, in command
-//     order, with a single flush per batch. Interleaved kinds
-//     (ADD a; EXISTS a; ADD b) degrade gracefully to runs of length one,
-//     preserving strict sequential semantics.
+//     into a single TestAndAddBatch/TestBatch/RemoveBatch call — one
+//     shard-lock acquisition per run instead of per command — and replies
+//     are rendered one command at a time straight into the write buffer, in
+//     command order, with a single flush per batch. An add run answers
+//     "newly added" from its one TestAndAddBatch pass, which reads each
+//     item's presence under the shard lock that inserts it, as removeLocked
+//     answers removal: a pipelined run replies exactly what its commands
+//     would reply one at a time, duplicates included (BF.MADD web a a
+//     answers 1, 0). Interleaved kinds (ADD a; EXISTS a; ADD b) degrade
+//     gracefully to runs of length one.
 //
 // The plane is deliberately NOT a side door around the §8 mitigations:
 // mutations spend the same per-client rate-limit buckets as HTTP (identity =
@@ -50,7 +54,5 @@
 // bypass explicit geometry and muddy pollution accounting), and BF.RESERVE
 // accepts VARIANT/MODE/SHARDS/SHARDBITS/HASHES/SEED/COUNTERWIDTH/OVERFLOW
 // option pairs so experiments can pin paper geometries (m=3200, k=4) over
-// the wire. Within one pipelined add run, duplicate items each report 1
-// ("newly added"): presence is sampled once per run, before the run's
-// single AddBatch pass.
+// the wire.
 package resp

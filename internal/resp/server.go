@@ -246,7 +246,7 @@ type pend struct {
 
 // group is the codec half of run-collapsing: consecutive commands with the
 // same kind and filter stage into one engine.Run, executed by ExecuteRun as
-// one (or two) store passes with per-command charging.
+// one store pass with per-command charging.
 type group struct {
 	// filter outlives reset so that the next group on the same filter can
 	// recognise its name without making a string of it again; only the

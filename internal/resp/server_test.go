@@ -319,9 +319,10 @@ func TestServerPipelineOrder(t *testing.T) {
 	}
 }
 
-// Duplicate items within one pipelined run each report newly-added: the
-// run executes TestBatch before AddBatch as one pass. This is the
-// documented divergence — pin it so a change is deliberate.
+// A pipelined add run answers exactly what its commands answer one at a
+// time: novelty is read per item under the shard lock that inserts it, so a
+// duplicate later in the run — the next command's, or its own command's —
+// reports 0, as RedisBloom does.
 func TestServerRunDuplicateSemantics(t *testing.T) {
 	reg := newTestRegistry(t)
 	if _, err := reg.Create("web", service.Config{Shards: 1}); err != nil {
@@ -343,13 +344,66 @@ func TestServerRunDuplicateSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Int != 1 || second.Int != 1 {
-		t.Fatalf("same-run duplicates = %d, %d; the documented semantics report 1, 1", first.Int, second.Int)
+	if first.Int != 1 || second.Int != 0 {
+		t.Fatalf("pipelined duplicates = %d, %d; want 1, 0", first.Int, second.Int)
 	}
-	// Across runs the duplicate is visible.
-	if r := do(t, cli, "BF.ADD", "web", "dup"); r.Int != 0 {
-		t.Fatalf("next-run duplicate = %+v, want :0", r)
+	r := do(t, cli, "BF.MADD", "web", "a", "a", "b")
+	var got []int64
+	for _, e := range r.Elems {
+		got = append(got, e.Int)
 	}
+	if fmt.Sprint(got) != "[1 0 1]" {
+		t.Fatalf("BF.MADD web a a b = %v, want [1 0 1]", got)
+	}
+
+	// The same command sequence gets byte-identical replies whether it
+	// arrives in one write, where consecutive adds collapse into runs, or
+	// one command a connection. Two more servers over identically
+	// configured naive filters (public seed: the same keys land on the same
+	// positions) take the two sides.
+	seq := [][]string{
+		{"BF.ADD", "web", "dup"},
+		{"BF.ADD", "web", "dup"},
+		{"BF.MADD", "web", "a", "a", "b"},
+		{"BF.ADD", "web", "b"},
+		{"BF.MADD", "web", "c", "dup", "c", "d"},
+		{"BF.MEXISTS", "web", "a", "c", "never"},
+		{"BF.ADD", "web", "never"},
+		{"BF.MADD", "web", "e", "never", "e"},
+		{"BF.ADD", "web", "e"},
+	}
+	serve := func() string {
+		reg := newTestRegistry(t)
+		if _, err := reg.Create("web", service.Config{Shards: 8}); err != nil {
+			t.Fatal(err)
+		}
+		return startServer(t, reg)
+	}
+	var whole, oneByOne strings.Builder
+	for _, args := range seq {
+		whole.WriteString(respCommand(args...))
+	}
+	pipelined := exchange(t, serve(), whole.String())
+	single := serve()
+	for _, args := range seq {
+		oneByOne.WriteString(exchange(t, single, respCommand(args...)))
+	}
+	if pipelined != oneByOne.String() {
+		t.Fatalf("pipelined replies differ from one-at-a-time replies:\n got %q\nwant %q", pipelined, oneByOne.String())
+	}
+	if want := ":1\r\n:0\r\n"; !strings.HasPrefix(pipelined, want) {
+		t.Fatalf("replies %q do not start with the duplicate pair %q", pipelined, want)
+	}
+}
+
+// respCommand encodes args as one RESP array command.
+func respCommand(args ...string) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "*%d\r\n", len(args))
+	for _, a := range args {
+		fmt.Fprintf(&sb, "$%d\r\n%s\r\n", len(a), a)
+	}
+	return sb.String()
 }
 
 // The satellite regression: HTTP and RESP mutations spend the SAME

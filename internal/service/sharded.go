@@ -493,7 +493,26 @@ func (s *Sharded) RemoveBatch(items [][]byte) ([]bool, error) {
 
 // AddBatch inserts every item, grouping by shard so each shard's lock is
 // taken once per window of the batch instead of once per item.
-func (s *Sharded) AddBatch(items [][]byte) {
+func (s *Sharded) AddBatch(items [][]byte) { s.addBatch(nil, items) }
+
+// TestAndAddBatch inserts every item like AddBatch and appends to dst, in
+// input order, whether each item was new: not believed present just before
+// its own insertion. Novelty is read under the shard lock that applies the
+// insertion, in journal order, the way removeLocked decides a removal — so
+// a duplicate later in the batch sees the earlier copy, and the answers are
+// exactly what Test then Add item by item would give (items of different
+// shards share no positions, so visiting shard by shard changes nothing).
+func (s *Sharded) TestAndAddBatch(dst []bool, items [][]byte) []bool {
+	base := len(dst)
+	dst = append(dst, make([]bool, len(items))...)
+	s.addBatch(dst[base:], items)
+	return dst
+}
+
+// addBatch is the one insert walk behind AddBatch and TestAndAddBatch: each
+// shard's lock once per window, indexes derived outside it. When novel is
+// non-nil, novel[i] records whether items[i] was new.
+func (s *Sharded) addBatch(novel []bool, items [][]byte) {
 	g := s.group(items)
 	for lo := 0; lo < len(g.order); {
 		si, run := g.run(lo)
@@ -502,7 +521,11 @@ func (s *Sharded) AddBatch(items [][]byte) {
 		idx := s.derive(g, items, si, run)
 		sh.mu.Lock()
 		for j, ii := range run {
-			sh.weight = applyDelta(sh.weight, sh.backend.AddIndexes(idx[j*s.k:(j+1)*s.k]))
+			ix := idx[j*s.k : (j+1)*s.k]
+			if novel != nil {
+				novel[ii] = !sh.backend.TestIndexes(ix)
+			}
+			sh.weight = applyDelta(sh.weight, sh.backend.AddIndexes(ix))
 			sh.muts++
 			if s.journal != nil {
 				s.journal.JournalAdd(items[ii])
