@@ -79,7 +79,7 @@ func newServeFlagSet() (*flag.FlagSet, *serveFlags) {
 		keyHex:       fs.String("key", "", "hex-encoded 16-byte index secret (hardened mode only; random when empty)"),
 		routeKeyHex:  fs.String("route-key", "", "hex-encoded 16-byte routing secret (random when empty): folded into a hardened filter's placement key, unused by a naive filter, whose shard is as public as its indexes; filters recovered from a layout-1 data directory keep routing by the key recorded there"),
 		counterWidth: fs.Int("counter-width", 4, "counter bits per position (counting variant only)"),
-		overflow:     fs.String("overflow", "wrap", "counter overflow policy: wrap or saturate (counting variant only)"),
+		overflow:     fs.String("overflow", "saturate", "counter overflow policy (counting variant only): saturate pins a full counter; wrap rolls it over to zero, as dablooms does, so an item added 2^counter-width times is erased"),
 		dataDir:      fs.String("data-dir", "", "directory for durable filter state (snapshots + operation logs); empty serves from memory only"),
 		fsync:        fs.String("fsync", "interval", "operation-log durability: always, interval or never (needs -data-dir)"),
 		peerRefresh:  fs.Duration("peer-refresh", service.DefaultPeerRefresh, "digest refresh interval for -peer siblings"),

@@ -260,7 +260,7 @@ func (a *Deletion) Evict(victim []byte, perItemBudget uint64, maxRemovals int) (
 			return removed, fmt.Errorf("attack: trusted party refused removal: %w", err)
 		}
 		removed = append(removed, item)
-		if !a.filter.TestIndexes(victimIdx) {
+		if !a.filter.TestIndexesAtomic(victimIdx) {
 			return removed, nil
 		}
 	}

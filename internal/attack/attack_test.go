@@ -355,7 +355,7 @@ func TestKeyedFilterResistsTargetedForgery(t *testing.T) {
 	// model — but derives indexes with the wrong key).
 	mirror := core.NewBloom(guess.Family())
 	for _, i := range server.Bits().Support() {
-		mirror.AddIndexes([]uint64{i})
+		mirror.AddIndexesAtomic([]uint64{i})
 	}
 	forger := NewForger(NewBloomView(mirror), urlgen.New(17))
 	hits := 0

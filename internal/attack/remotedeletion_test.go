@@ -250,7 +250,7 @@ func TestRemoteInfoV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Variant != "counting" || info.CounterWidth != 4 || info.Overflow != "wrap" {
+	if info.Variant != "counting" || info.CounterWidth != 4 || info.Overflow != "saturate" {
 		t.Errorf("counting info incomplete: %+v", info)
 	}
 	if info.Seed == nil || *info.Seed != 7 {

@@ -59,24 +59,12 @@ func NewBlocked(fam hashes.IndexFamily) (*Blocked, error) {
 // Add implements Filter.
 func (b *Blocked) Add(item []byte) {
 	b.scratch = b.fam.Indexes(b.scratch[:0], item)
-	b.AddIndexes(b.scratch)
+	b.AddIndexesAtomic(b.scratch)
 }
 
-// AddIndexes inserts a pre-computed index set, mapped into the first index's
-// block, and returns the number of previously-unset bits it set.
-func (b *Blocked) AddIndexes(idx []uint64) int {
-	fresh := 0
-	for _, i := range idx {
-		if b.bits.Set(BlockedPosition(idx[0], i)) {
-			fresh++
-		}
-	}
-	b.n++
-	return fresh
-}
-
-// AddIndexesAtomic is AddIndexes with atomic bit stores; see
-// Bloom.AddIndexesAtomic for the locking contract.
+// AddIndexesAtomic inserts a pre-computed index set, mapped into the first
+// index's block, and returns the number of previously-unset bits it set;
+// see Bloom.AddIndexesAtomic for the locking contract.
 func (b *Blocked) AddIndexesAtomic(idx []uint64) int {
 	fresh := 0
 	for _, i := range idx {
@@ -91,21 +79,12 @@ func (b *Blocked) AddIndexesAtomic(idx []uint64) int {
 // Test implements Filter.
 func (b *Blocked) Test(item []byte) bool {
 	b.scratch = b.fam.Indexes(b.scratch[:0], item)
-	return b.TestIndexes(b.scratch)
+	return b.TestIndexesAtomic(b.scratch)
 }
 
-// TestIndexes reports whether every block-mapped position of idx is set.
-func (b *Blocked) TestIndexes(idx []uint64) bool {
-	for _, i := range idx {
-		if !b.bits.Test(BlockedPosition(idx[0], i)) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestIndexesAtomic is TestIndexes with atomic bit loads — callable with no
-// lock held while a serialized writer mutates through the atomic paths.
+// TestIndexesAtomic reports whether every block-mapped position of idx is
+// set, with atomic bit loads — callable with no lock held while a serialized
+// writer mutates through the atomic paths.
 func (b *Blocked) TestIndexesAtomic(idx []uint64) bool {
 	for _, i := range idx {
 		if !b.bits.TestAtomic(BlockedPosition(idx[0], i)) {

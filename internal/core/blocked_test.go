@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"evilbloom/internal/bitset"
 	"evilbloom/internal/hashes"
 	"evilbloom/internal/urlgen"
 )
@@ -86,23 +87,31 @@ func TestBlockedAddTestRoundTrip(t *testing.T) {
 	}
 }
 
+// The atomic write and read paths must place exactly the bits a plain
+// bit vector would get from BlockedPosition applied to every index.
 func TestBlockedAtomicPathsMatchPlain(t *testing.T) {
-	plain := newBlockedFilter(t, 5, 8*BlockBits)
-	atomicF := newBlockedFilter(t, 5, 8*BlockBits)
+	b := newBlockedFilter(t, 5, 8*BlockBits)
+	plain := bitset.New(b.M())
 	gen := urlgen.New(9)
-	scratch := make([]uint64, 0, plain.K())
+	scratch := make([]uint64, 0, b.K())
 	for i := 0; i < 200; i++ {
 		it := gen.Next()
-		idx := plain.Family().Indexes(scratch[:0], it)
-		if p, a := plain.AddIndexes(idx), atomicF.AddIndexesAtomic(idx); p != a {
-			t.Fatalf("AddIndexes fresh=%d, AddIndexesAtomic fresh=%d for %q", p, a, it)
+		idx := b.Family().Indexes(scratch[:0], it)
+		want := 0
+		for _, j := range idx {
+			if plain.Set(BlockedPosition(idx[0], j)) {
+				want++
+			}
 		}
-		if p, a := plain.TestIndexes(idx), atomicF.TestIndexesAtomic(idx); p != a {
-			t.Fatalf("TestIndexes=%v, TestIndexesAtomic=%v for %q", p, a, it)
+		if got := b.AddIndexesAtomic(idx); got != want {
+			t.Fatalf("AddIndexesAtomic fresh=%d, plain bit vector fresh=%d for %q", got, want, it)
+		}
+		if !b.TestIndexesAtomic(idx) {
+			t.Fatalf("TestIndexesAtomic misses just-added %q", it)
 		}
 	}
-	if plain.Weight() != atomicF.Weight() {
-		t.Fatalf("weights diverge: plain %d, atomic %d", plain.Weight(), atomicF.Weight())
+	if got := b.OccupancyBits(); !got.Equal(plain) {
+		t.Fatalf("bits diverge: atomic weight %d, plain weight %d", got.Weight(), plain.Weight())
 	}
 }
 

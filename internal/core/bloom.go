@@ -62,28 +62,16 @@ func NewBloomOptimal(capacity uint64, f float64, alg hashes.Algorithm, key []byt
 // Add implements Filter.
 func (b *Bloom) Add(item []byte) {
 	b.scratch = b.fam.Indexes(b.scratch[:0], item)
-	b.AddIndexes(b.scratch)
+	b.AddIndexesAtomic(b.scratch)
 }
 
-// AddIndexes inserts a pre-computed index set and returns the number of
-// previously-unset bits it set. Chosen-insertion adversaries drive the
+// AddIndexesAtomic inserts a pre-computed index set and returns the number
+// of previously-unset bits it set. Chosen-insertion adversaries drive the
 // filter through this to account for exactly which bits their forged items
-// touch.
-func (b *Bloom) AddIndexes(idx []uint64) int {
-	fresh := 0
-	for _, i := range idx {
-		if b.bits.Set(i) {
-			fresh++
-		}
-	}
-	b.n++
-	return fresh
-}
-
-// AddIndexesAtomic is AddIndexes with atomic bit stores: for callers that
-// serialize writers under a lock but serve TestIndexesAtomic readers with no
-// lock at all. The insertion count is not read on that lock-free path, so it
-// stays a plain increment under the writer's lock.
+// touch. Writers are serialized by the caller; bits are published with
+// atomic stores, so TestIndexesAtomic readers may run with no lock at all.
+// The insertion count is not read on that lock-free path, so it stays a
+// plain increment under the writer's lock.
 func (b *Bloom) AddIndexesAtomic(idx []uint64) int {
 	fresh := 0
 	for _, i := range idx {
@@ -98,21 +86,12 @@ func (b *Bloom) AddIndexesAtomic(idx []uint64) int {
 // Test implements Filter.
 func (b *Bloom) Test(item []byte) bool {
 	b.scratch = b.fam.Indexes(b.scratch[:0], item)
-	return b.TestIndexes(b.scratch)
+	return b.TestIndexesAtomic(b.scratch)
 }
 
-// TestIndexes reports whether every index in idx is set.
-func (b *Bloom) TestIndexes(idx []uint64) bool {
-	for _, i := range idx {
-		if !b.bits.Test(i) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestIndexesAtomic is TestIndexes with atomic bit loads — callable with no
-// lock held while a serialized writer mutates through the atomic paths.
+// TestIndexesAtomic reports whether every index in idx is set, with atomic
+// bit loads — callable with no lock held while a serialized writer mutates
+// through the atomic paths.
 func (b *Bloom) TestIndexesAtomic(idx []uint64) bool {
 	for _, i := range idx {
 		if !b.bits.TestAtomic(i) {

@@ -109,16 +109,16 @@ func TestNewBloomOptimal(t *testing.T) {
 
 func TestBloomAddIndexesFreshCount(t *testing.T) {
 	b := newTestBloom(t, 4, 100)
-	if fresh := b.AddIndexes([]uint64{1, 2, 3, 4}); fresh != 4 {
+	if fresh := b.AddIndexesAtomic([]uint64{1, 2, 3, 4}); fresh != 4 {
 		t.Errorf("fresh = %d, want 4", fresh)
 	}
-	if fresh := b.AddIndexes([]uint64{3, 4, 5, 6}); fresh != 2 {
+	if fresh := b.AddIndexesAtomic([]uint64{3, 4, 5, 6}); fresh != 2 {
 		t.Errorf("fresh = %d, want 2", fresh)
 	}
-	if !b.TestIndexes([]uint64{1, 2, 3, 4, 5, 6}) {
+	if !b.TestIndexesAtomic([]uint64{1, 2, 3, 4, 5, 6}) {
 		t.Error("inserted indexes not set")
 	}
-	if b.TestIndexes([]uint64{1, 2, 7}) {
+	if b.TestIndexesAtomic([]uint64{1, 2, 7}) {
 		t.Error("unset index reported set")
 	}
 	if b.Weight() != 6 {

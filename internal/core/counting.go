@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"evilbloom/internal/bitset"
@@ -85,37 +86,14 @@ func NewCounting(fam hashes.IndexFamily, width int, policy OverflowPolicy) (*Cou
 // Add implements Filter.
 func (c *Counting) Add(item []byte) {
 	c.scratch = c.fam.Indexes(c.scratch[:0], item)
-	c.AddIndexes(c.scratch)
+	c.AddIndexesAtomic(c.scratch)
 }
 
-// AddIndexes increments the counters at idx; it returns how many counters
-// were previously zero and how many overflowed during this insertion.
-func (c *Counting) AddIndexes(idx []uint64) (fresh, overflowed int) {
-	for _, i := range idx {
-		v := c.counters.get(i)
-		if v == 0 {
-			fresh++
-		}
-		if v == c.counters.max() {
-			overflowed++
-			c.overflow++
-			if c.policy == Saturate {
-				continue
-			}
-			c.counters.set(i, 0) // wrap: roll over, erasing evidence
-			continue
-		}
-		c.counters.set(i, v+1)
-	}
-	c.n++
-	return fresh, overflowed
-}
-
-// AddIndexesAtomic is AddIndexes with atomic counter stores: for callers
-// that serialize writers under a lock but serve TestIndexesAtomic readers
-// with no lock at all. The writer's own reads stay plain (writes are
-// single-writer by contract); only the stores racing lock-free loads are
-// atomic. Insertion and overflow counts are not read on the lock-free path.
+// AddIndexesAtomic increments the counters at idx; it returns how many
+// counters were previously zero and how many overflowed during this
+// insertion. Writers are serialized by the caller; each counter is published
+// with one atomic store, so TestIndexesAtomic readers may run with no lock at
+// all. The insertion and overflow counts are not read on the lock-free path.
 func (c *Counting) AddIndexesAtomic(idx []uint64) (fresh, overflowed int) {
 	for _, i := range idx {
 		v := c.counters.get(i)
@@ -143,11 +121,11 @@ func (c *Counting) AddIndexesAtomic(idx []uint64) (fresh, overflowed int) {
 // deletion. Saturated counters under the Saturate policy are left pinned.
 func (c *Counting) Remove(item []byte) error {
 	c.scratch = c.fam.Indexes(c.scratch[:0], item)
-	_, err := c.RemoveIndexes(c.scratch)
+	_, err := c.RemoveIndexesAtomic(c.scratch)
 	return err
 }
 
-// CanRemoveIndexes reports whether RemoveIndexes(idx) would complete
+// CanRemoveIndexes reports whether RemoveIndexesAtomic(idx) would complete
 // without hitting a zero counter: every position's counter covers its
 // multiplicity in idx (an index set may repeat a position, and each
 // occurrence decrements once). Pinned counters under the Saturate policy
@@ -173,35 +151,14 @@ func (c *Counting) CanRemoveIndexes(idx []uint64) bool {
 	return true
 }
 
-// RemoveIndexes decrements a pre-computed index set. It returns how many
-// counters this removal drove to zero — the mirror of AddIndexes' fresh
-// count, which lets a wrapper track the non-zero weight incrementally. The
-// zeroed count stays valid on error: counters decremented before the failing
-// position remain decremented, exactly like the partial-removal footprint
-// real implementations leave behind.
-func (c *Counting) RemoveIndexes(idx []uint64) (zeroed int, err error) {
-	if c.n > 0 {
-		c.n--
-	}
-	for pos, i := range idx {
-		v := c.counters.get(i)
-		switch {
-		case v == 0:
-			return zeroed, fmt.Errorf("core: removing item whose counter %d (position %d) is already zero", i, pos)
-		case v == c.counters.max() && c.policy == Saturate:
-			// Pinned: cannot safely decrement.
-		default:
-			c.counters.set(i, v-1)
-			if v == 1 {
-				zeroed++
-			}
-		}
-	}
-	return zeroed, nil
-}
-
-// RemoveIndexesAtomic is RemoveIndexes with atomic counter stores; see
-// AddIndexesAtomic for the locking contract.
+// RemoveIndexesAtomic decrements a pre-computed index set, publishing each
+// counter with an atomic store (see AddIndexesAtomic for the locking
+// contract). It returns how many counters this removal drove to zero — the
+// mirror of AddIndexesAtomic's fresh count, which lets a wrapper track the
+// non-zero weight incrementally. The zeroed count stays valid on error:
+// counters decremented before the failing position remain decremented,
+// exactly like the partial-removal footprint real implementations leave
+// behind.
 func (c *Counting) RemoveIndexesAtomic(idx []uint64) (zeroed int, err error) {
 	if c.n > 0 {
 		c.n--
@@ -226,32 +183,16 @@ func (c *Counting) RemoveIndexesAtomic(idx []uint64) (zeroed int, err error) {
 // Test implements Filter.
 func (c *Counting) Test(item []byte) bool {
 	c.scratch = c.fam.Indexes(c.scratch[:0], item)
-	return c.TestIndexes(c.scratch)
+	return c.TestIndexesAtomic(c.scratch)
 }
 
-// TestIndexes reports whether every counter at idx is non-zero.
-func (c *Counting) TestIndexes(idx []uint64) bool {
-	for _, i := range idx {
-		if c.counters.get(i) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// AtomicReads reports whether this filter's counters can be read torn-free
-// with single atomic word loads: true exactly when the width divides the
-// word size, so no counter ever straddles two words. Widths 1, 2, 4, 8 and
-// 16 qualify; a straddling width would let a lock-free reader observe half
-// of a two-word counter update.
-func (c *Counting) AtomicReads() bool { return 64%c.counters.width == 0 }
-
-// TestIndexesAtomic is TestIndexes with atomic counter loads — callable with
-// no lock held while a serialized writer mutates through the atomic paths.
-// Only valid when AtomicReads() is true.
+// TestIndexesAtomic reports whether every counter at idx is non-zero, with
+// one atomic load per counter — callable with no lock held while a
+// serialized writer mutates through the atomic paths. No counter straddles a
+// word, so this holds at every width.
 func (c *Counting) TestIndexesAtomic(idx []uint64) bool {
 	for _, i := range idx {
-		if c.counters.getAtomic(i) == 0 {
+		if c.counters.get(i) == 0 {
 			return false
 		}
 	}
@@ -281,36 +222,21 @@ func (c *Counting) CounterMax() uint64 { return c.counters.max() }
 // is set iff counter i is non-zero. This is the shape a Squid-style cache
 // digest of a counting filter travels in — membership answers are identical
 // to the source filter's, at one bit per position instead of the counter
-// width. Callers export digests under a lock, so zero storage words are
-// skipped a whole word at a time: a sparse filter is scanned in ~m·width/64
-// word reads, not m counter extractions.
+// width. Callers export digests under a lock, so a zero storage word skips
+// all of its counters at once: a sparse filter is scanned in about
+// m/⌊64/width⌋ word reads, not m counter extractions.
 func (c *Counting) OccupancyBits() *bitset.BitSet {
-	m := c.M()
-	bits := bitset.New(m)
-	w := uint64(c.counters.width)
-	for i := uint64(0); i < m; {
-		bit := i * w
-		word := bit / 64
-		if c.counters.words[word] == 0 {
-			if end := (word + 1) * 64; bit+w <= end {
-				// Counter i lies wholly inside a zero word, as does every
-				// later counter ending at or before the word boundary; jump
-				// to the first counter extending past it. (Counters may
-				// straddle words, so the straddler is re-checked normally.)
-				next := (end-w)/w + 1
-				if next > m {
-					next = m
-				}
-				i = next
-				continue
+	p := &c.counters
+	occ := bitset.New(p.m)
+	for wi, word := range p.words {
+		for i := uint64(wi) * p.per; word != 0 && i < p.m; i++ {
+			if word&p.max() != 0 {
+				occ.Set(i)
 			}
+			word >>= uint(p.width)
 		}
-		if c.counters.get(i) != 0 {
-			bits.Set(i)
-		}
-		i++
 	}
-	return bits
+	return occ
 }
 
 // Weight returns the number of non-zero counters.
@@ -348,7 +274,8 @@ func (c *Counting) Family() hashes.IndexFamily { return c.fam }
 func (c *Counting) Policy() OverflowPolicy { return c.policy }
 
 // countingSnapshotHeader is the fixed prefix of a Counting snapshot: width,
-// policy, m, n and the overflow count, followed by the packed counter words.
+// policy, m, n and the overflow count, followed by the counters in the
+// contiguous packing (see packedCounters.appendStream).
 const countingSnapshotHeader = 1 + 1 + 8 + 8 + 8
 
 // MarshalBinary encodes the counter state (width, policy, insertion and
@@ -356,16 +283,13 @@ const countingSnapshotHeader = 1 + 1 + 8 + 8 + 8
 // like a cache digest, a snapshot is only meaningful to a party that already
 // knows the filter's public geometry (and, for keyed families, its secret).
 func (c *Counting) MarshalBinary() ([]byte, error) {
-	out := make([]byte, countingSnapshotHeader+8*len(c.counters.words))
+	out := make([]byte, countingSnapshotHeader, countingSnapshotHeader+8*c.counters.streamWords())
 	out[0] = byte(c.counters.width)
 	out[1] = byte(c.policy)
 	binary.LittleEndian.PutUint64(out[2:], c.counters.m)
 	binary.LittleEndian.PutUint64(out[10:], c.n)
 	binary.LittleEndian.PutUint64(out[18:], c.overflow)
-	for i, w := range c.counters.words {
-		binary.LittleEndian.PutUint64(out[countingSnapshotHeader+8*i:], w)
-	}
-	return out, nil
+	return c.counters.appendStream(out), nil
 }
 
 // UnmarshalBinary restores state written by MarshalBinary into a filter that
@@ -383,24 +307,25 @@ func (c *Counting) UnmarshalBinary(data []byte) error {
 	if policy != Wrap && policy != Saturate {
 		return fmt.Errorf("core: snapshot carries invalid overflow policy %d", int(policy))
 	}
-	if want := countingSnapshotHeader + 8*len(c.counters.words); len(data) != want {
+	if want := countingSnapshotHeader + 8*c.counters.streamWords(); len(data) != want {
 		return fmt.Errorf("core: counting snapshot needs %d bytes, have %d", want, len(data))
 	}
 	c.policy = policy
 	c.n = binary.LittleEndian.Uint64(data[10:])
 	c.overflow = binary.LittleEndian.Uint64(data[18:])
-	// Atomic in-place stores: a restore runs under the caller's write
-	// exclusion, but lock-free readers may be loading these words with no
-	// lock at all.
-	for i := range c.counters.words {
-		atomic.StoreUint64(&c.counters.words[i], binary.LittleEndian.Uint64(data[countingSnapshotHeader+8*i:]))
-	}
+	c.counters.storeStream(data[countingSnapshotHeader:])
 	return nil
 }
 
-// packedCounters stores m counters of `width` bits each, packed into words.
+// packedCounters stores m counters of width bits each, ⌊64/width⌋ to a word
+// and none straddling two: every counter access is one load or one store of
+// one word, which is what lets lock-free readers use a single atomic load at
+// every width. The top 64 mod width bits of each word stay zero; that slack
+// is the layout's memory overhead (docs/ARCHITECTURE.md has the table).
 type packedCounters struct {
 	width int
+	per   uint64 // counters per word, ⌊64/width⌋
+	recip uint64 // ⌈2^64/per⌉: locate divides by per as a multiply
 	m     uint64
 	words []uint64
 }
@@ -412,80 +337,106 @@ func newPackedCounters(m uint64, width int) (packedCounters, error) {
 	if m == 0 {
 		return packedCounters{}, fmt.Errorf("core: zero-size counter array")
 	}
-	totalBits := m * uint64(width)
+	per := uint64(64 / width)
 	return packedCounters{
 		width: width,
+		per:   per,
+		recip: ^uint64(0)/per + 1,
 		m:     m,
-		words: make([]uint64, (totalBits+63)/64),
+		words: make([]uint64, (m+per-1)/per),
 	}, nil
 }
 
 func (p *packedCounters) max() uint64 { return 1<<uint(p.width) - 1 }
 
-// get returns counter i. Counters may straddle a word boundary.
+// locate returns the word holding counter i and the counter's bit offset in
+// it. The word is ⌊i/per⌋, computed without a divide as the high half of
+// i·⌈2^64/per⌉: the reciprocal exceeds 2^64/per by less than one, which
+// cannot carry the quotient past the next integer while i·per < 2^64 — for
+// every i below 2^58, far beyond any filter size.
+func (p *packedCounters) locate(i uint64) (word uint64, shift uint) {
+	word, _ = bits.Mul64(i, p.recip)
+	return word, uint(i-word*p.per) * uint(p.width)
+}
+
+// get returns counter i with one atomic load, callable with no lock held.
 func (p *packedCounters) get(i uint64) uint64 {
 	if i >= p.m {
 		return 0
 	}
-	bit := i * uint64(p.width)
-	word, off := bit/64, bit%64
-	v := p.words[word] >> off
-	if off+uint64(p.width) > 64 {
-		v |= p.words[word+1] << (64 - off)
-	}
-	return v & p.max()
+	w, s := p.locate(i)
+	return atomic.LoadUint64(&p.words[w]) >> s & p.max()
 }
 
-// set is the plain-write twin of setAtomic, for counters no lock-free
-// reader can observe (construction, snapshot restore under all locks).
-//
-//lint:allow atomicpublish plain-write twin of setAtomic: callers serialize externally with no lock-free readers
-func (p *packedCounters) set(i uint64, v uint64) {
-	if i >= p.m {
-		return
-	}
-	v &= p.max()
-	bit := i * uint64(p.width)
-	word, off := bit/64, bit%64
-	p.words[word] = p.words[word]&^(p.max()<<off) | v<<off
-	if off+uint64(p.width) > 64 {
-		rem := off + uint64(p.width) - 64
-		loMask := uint64(1)<<rem - 1
-		p.words[word+1] = p.words[word+1]&^loMask | v>>(uint64(p.width)-rem)
-	}
-}
-
-// getAtomic is get with atomic word loads. Torn-free only for widths that
-// divide 64 (the counter then lives in one word); a straddling counter is
-// read with two loads that a concurrent setAtomic could interleave, which is
-// why Counting.AtomicReads gates the lock-free path on the width.
-func (p *packedCounters) getAtomic(i uint64) uint64 {
-	if i >= p.m {
-		return 0
-	}
-	bit := i * uint64(p.width)
-	word, off := bit/64, bit%64
-	v := atomic.LoadUint64(&p.words[word]) >> off
-	if off+uint64(p.width) > 64 {
-		v |= atomic.LoadUint64(&p.words[word+1]) << (64 - off)
-	}
-	return v & p.max()
-}
-
-// setAtomic is set with atomic word stores: the read-modify-write stays a
-// plain read (writers are serialized by the caller), only the store racing
-// lock-free atomic loads is atomic.
+// setAtomic stores v into counter i. The read-modify-write stays a plain
+// read (writers are serialized by the caller); only the store, which races
+// lock-free loads, is atomic.
 func (p *packedCounters) setAtomic(i uint64, v uint64) {
 	if i >= p.m {
 		return
 	}
-	v &= p.max()
-	bit := i * uint64(p.width)
-	word, off := bit/64, bit%64
-	atomic.StoreUint64(&p.words[word], p.words[word]&^(p.max()<<off)|v<<off)
-	if off+uint64(p.width) > 64 {
-		rem := off + uint64(p.width) - 64
-		loMask := uint64(1)<<rem - 1
-		atomic.StoreUint64(&p.words[word+1], p.words[word+1]&^loMask|v>>(uint64(p.width)-rem))
+	w, s := p.locate(i)
+	atomic.StoreUint64(&p.words[w], p.words[w]&^(p.max()<<s)|(v&p.max())<<s)
+}
+
+// Snapshots carry the counters in a stream packed contiguously: counter i at
+// stream bits [i·width, (i+1)·width) of little-endian 64-bit words, where a
+// counter may straddle two stream words. When the width divides 64 every
+// in-memory word is full, the two packings are the same words, and they are
+// copied as they are.
+
+// contiguous reports whether the in-memory words already are the stream.
+func (p *packedCounters) contiguous() bool { return p.per*uint64(p.width) == 64 }
+
+// streamWords is the length of the stream in 64-bit words.
+func (p *packedCounters) streamWords() int { return int((p.m*uint64(p.width) + 63) / 64) }
+
+// appendStream appends the stream encoding of the counters to out. Callers
+// hold the writers' lock, so the counters do not change underneath it.
+func (p *packedCounters) appendStream(out []byte) []byte {
+	stream := p.words
+	if !p.contiguous() {
+		w := uint64(p.width)
+		stream = make([]uint64, p.streamWords())
+		for i := uint64(0); i < p.m; i++ {
+			v, bit := p.get(i), i*w
+			stream[bit/64] |= v << (bit % 64)
+			if bit%64+w > 64 {
+				stream[bit/64+1] |= v >> (64 - bit%64)
+			}
+		}
+	}
+	for _, word := range stream {
+		out = binary.LittleEndian.AppendUint64(out, word)
+	}
+	return out
+}
+
+// storeStream overwrites every counter from data, a stream of exactly
+// streamWords words, one atomic store per word: a restore runs under the
+// writers' exclusion, but lock-free readers may be loading these words.
+func (p *packedCounters) storeStream(data []byte) {
+	if p.contiguous() {
+		for i := range p.words {
+			atomic.StoreUint64(&p.words[i], binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		return
+	}
+	w := uint64(p.width)
+	for wi := range p.words {
+		var word uint64
+		for j := uint64(0); j < p.per; j++ {
+			i := uint64(wi)*p.per + j
+			if i >= p.m {
+				break
+			}
+			bit := i * w
+			v := binary.LittleEndian.Uint64(data[8*(bit/64):]) >> (bit % 64)
+			if bit%64+w > 64 {
+				v |= binary.LittleEndian.Uint64(data[8*(bit/64+1):]) << (64 - bit%64)
+			}
+			word |= v & p.max() << (j * w)
+		}
+		atomic.StoreUint64(&p.words[wi], word)
 	}
 }

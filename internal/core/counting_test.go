@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -125,9 +126,9 @@ func TestCountingDeletionCreatesFalseNegative(t *testing.T) {
 	victimIdx := c.Family().Clone().Indexes(nil, victim)
 	// The adversary "removes" an item with the same index set (a Bloom
 	// second pre-image) without it ever being inserted.
-	zeroed, err := c.RemoveIndexes(victimIdx)
+	zeroed, err := c.RemoveIndexesAtomic(victimIdx)
 	if err != nil {
-		t.Fatalf("RemoveIndexes: %v", err)
+		t.Fatalf("RemoveIndexesAtomic: %v", err)
 	}
 	if zeroed != len(victimIdx) {
 		t.Errorf("zeroed %d counters, want %d (victim stood alone)", zeroed, len(victimIdx))
@@ -176,7 +177,7 @@ func TestCountingWeightAndFPR(t *testing.T) {
 	if c.Weight() != 0 || c.EstimatedFPR() != 0 {
 		t.Error("fresh filter not empty")
 	}
-	c.AddIndexes([]uint64{1, 2, 3, 4})
+	c.AddIndexesAtomic([]uint64{1, 2, 3, 4})
 	if c.Weight() != 4 {
 		t.Errorf("Weight = %d, want 4", c.Weight())
 	}
@@ -190,50 +191,83 @@ func TestCountingWeightAndFPR(t *testing.T) {
 
 func TestCountingAddIndexesReturns(t *testing.T) {
 	c := newTestCounting(t, 4, 64, 4, Wrap)
-	fresh, over := c.AddIndexes([]uint64{1, 2, 3})
+	fresh, over := c.AddIndexesAtomic([]uint64{1, 2, 3})
 	if fresh != 3 || over != 0 {
 		t.Errorf("first insert: fresh=%d over=%d", fresh, over)
 	}
-	fresh, over = c.AddIndexes([]uint64{3, 4, 5})
+	fresh, over = c.AddIndexesAtomic([]uint64{3, 4, 5})
 	if fresh != 2 || over != 0 {
 		t.Errorf("second insert: fresh=%d over=%d", fresh, over)
 	}
 	for i := 0; i < 14; i++ {
-		c.AddIndexes([]uint64{1})
+		c.AddIndexesAtomic([]uint64{1})
 	}
-	_, over = c.AddIndexes([]uint64{1}) // 16th increment of counter 1
+	_, over = c.AddIndexesAtomic([]uint64{1}) // 16th increment of counter 1
 	if over != 1 {
 		t.Errorf("overflow not reported: over=%d", over)
 	}
 }
 
-// Property: packed counters at any width behave like a plain uint array.
+// Property: packed counters at every width behave like a plain uint array,
+// and the snapshot carries them in the contiguous packing — checked against
+// contiguousStream, an encoder of the reference array written bit by bit —
+// from which UnmarshalBinary rebuilds the same counters.
 func TestPackedCountersProperty(t *testing.T) {
-	f := func(width8 uint8, ops []uint16) bool {
-		width := int(width8%16) + 1
-		const m = 257 // prime, forces straddling at many widths
-		pc, err := newPackedCounters(m, width)
-		if err != nil {
-			return false
-		}
-		ref := make([]uint64, m)
-		maxVal := uint64(1)<<uint(width) - 1
-		for _, op := range ops {
-			i := uint64(op) % m
-			v := uint64(op>>8) & maxVal
-			pc.set(i, v)
-			ref[i] = v
-		}
-		for i := uint64(0); i < m; i++ {
-			if pc.get(i) != ref[i] {
-				return false
+	const m = 257 // prime: at most widths the last word is partly filled
+	for width := 1; width <= 16; width++ {
+		t.Run(fmt.Sprintf("width%d", width), func(t *testing.T) {
+			f := func(ops []uint16) bool {
+				c := newTestCounting(t, 3, m, width, Wrap)
+				ref := make([]uint64, m)
+				maxVal := uint64(1)<<uint(width) - 1
+				for _, op := range ops {
+					i := uint64(op) % m
+					v := uint64(op>>8) & maxVal
+					c.counters.setAtomic(i, v)
+					ref[i] = v
+				}
+				for i := uint64(0); i < m; i++ {
+					if c.counters.get(i) != ref[i] {
+						return false
+					}
+				}
+				blob, err := c.MarshalBinary()
+				if err != nil || !bytes.Equal(blob[countingSnapshotHeader:], contiguousStream(ref, width)) {
+					return false
+				}
+				restored := newTestCounting(t, 3, m, width, Wrap)
+				if err := restored.UnmarshalBinary(blob); err != nil {
+					return false
+				}
+				for i := uint64(0); i < m; i++ {
+					if restored.Counter(i) != ref[i] {
+						return false
+					}
+				}
+				again, err := restored.MarshalBinary()
+				return err == nil && bytes.Equal(again, blob)
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// contiguousStream is the snapshot payload of ref at the given width: counter
+// i at stream bits [i·width, (i+1)·width), little-endian 64-bit words.
+func contiguousStream(ref []uint64, width int) []byte {
+	w := uint64(width)
+	out := make([]byte, 8*((uint64(len(ref))*w+63)/64))
+	for i, v := range ref {
+		for b := uint64(0); b < w; b++ {
+			if v>>b&1 != 0 {
+				bit := uint64(i)*w + b
+				out[bit/8] |= 1 << (bit % 8)
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
+	return out
 }
 
 // Property: counting filters have no false negatives below overflow load.
@@ -284,8 +318,8 @@ func TestCountingAddRemoveInverseProperty(t *testing.T) {
 }
 
 // OccupancyBits must agree with Occupied at every position — including
-// counter widths that straddle word boundaries and the zero-word skip path
-// — since it is what a cache digest of the filter is built from.
+// counter widths that leave slack at the top of each word and the zero-word
+// skip path — since it is what a cache digest of the filter is built from.
 func TestCountingOccupancyBits(t *testing.T) {
 	for _, width := range []int{1, 3, 4, 5, 12, 16} {
 		t.Run(fmt.Sprintf("width%d", width), func(t *testing.T) {

@@ -59,7 +59,7 @@ func TestV2FilterLifecycle(t *testing.T) {
 		t.Fatalf("create status %d", code)
 	}
 	if created.Name != "blocklist" || created.Variant != "counting" || created.CounterWidth != 4 ||
-		created.Overflow != "wrap" || created.Seed == nil || *created.Seed != 9 {
+		created.Overflow != "saturate" || created.Seed == nil || *created.Seed != 9 {
 		t.Errorf("created info %+v", created)
 	}
 	if reg.Len() != 1 {
@@ -176,6 +176,35 @@ func TestV2ItemOpsAndCapabilities(t *testing.T) {
 		if !strings.Contains(er.Error, "variant=counting") {
 			t.Errorf("%s capability error %q does not name the fix", op, er.Error)
 		}
+	}
+}
+
+// A counting filter created without "overflow" saturates: an item added 17
+// times in one add-batch — one more than a 4-bit counter holds — tests
+// present, and still does after one removal. Under wrap the sixteenth add
+// rolls its counters to zero, the seventeenth leaves them at one, and that
+// removal would erase it.
+func TestV2RepeatedAddKeepsItemUnderDefaultOverflow(t *testing.T) {
+	ts, _ := newRegistryTestServer(t)
+	doJSON(t, "PUT", ts.URL+"/v2/filters/hot", FilterSpec{Variant: "counting", Shards: 1, ShardBits: 4096, HashCount: 4}, nil)
+	base := ts.URL + "/v2/filters/hot"
+	items := make([]string, 17)
+	for i := range items {
+		items[i] = "x"
+	}
+	if code := doJSON(t, "POST", base+"/add-batch", batchRequest{Items: items}, nil); code != 200 {
+		t.Fatalf("add-batch: code %d", code)
+	}
+	var tr testResponse
+	if doJSON(t, "POST", base+"/test", itemRequest{Item: "x"}, &tr); !tr.Present {
+		t.Fatal("x absent after 17 adds")
+	}
+	var rm removeResponse
+	if code := doJSON(t, "POST", base+"/remove", itemRequest{Item: "x"}, &rm); code != 200 || rm.Removed != 1 {
+		t.Fatalf("remove: code %d resp %+v", code, rm)
+	}
+	if doJSON(t, "POST", base+"/test", itemRequest{Item: "x"}, &tr); !tr.Present {
+		t.Fatal("x absent after 17 adds and one removal")
 	}
 }
 

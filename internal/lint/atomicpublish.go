@@ -12,7 +12,7 @@ import (
 // readers issue bare atomic.LoadUint64 on the backing word slices while
 // writers — still serialized under the shard write lock — must publish
 // every mutation with atomic stores (bitset.SetAtomic, bitset.StoreFrom,
-// the core *Atomic method twins). A single plain write to a word that a
+// the core *Atomic index methods). A single plain write to a word that a
 // lock-free reader loads is a data race the race detector only catches if
 // a test happens to interleave it; this analyzer catches it structurally:
 //
@@ -27,9 +27,9 @@ import (
 //  3. inside internal/service — the one package that orchestrates
 //     lock-free reads against live stores — any call to an outside
 //     function that (transitively) performs plain writes to an atomic
-//     field is reported too, so wiring a backend adapter to a non-atomic
-//     twin (AddIndexes instead of AddIndexesAtomic) fails the build even
-//     though the racy write itself lives two packages away.
+//     field is reported too, so wiring a backend adapter to a plain writer
+//     (bitset.Set instead of SetAtomic) fails the build even though the
+//     racy write itself lives two packages away.
 var AtomicPublish = &analysis.Analyzer{
 	Name: "atomicpublish",
 	Doc: "writers of atomically-read word slices must publish via atomic stores " +

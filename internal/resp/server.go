@@ -589,13 +589,8 @@ func (h *connHandler) reserve(args [][]byte) {
 				return
 			}
 		case equalFold(opt, "OVERFLOW"):
-			switch val {
-			case "wrap":
-				cfg.Overflow = core.Wrap
-			case "saturate":
-				cfg.Overflow = core.Saturate
-			default:
-				writeError(h.w, "ERR bad OVERFLOW value (want wrap or saturate)")
+			if cfg.Overflow, err = core.ParseOverflowPolicy(val); err != nil {
+				writeError(h.w, "ERR "+err.Error())
 				return
 			}
 		case equalFold(opt, "EXPANSION"), equalFold(opt, "NONSCALING"):

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"evilbloom/internal/core"
 	"evilbloom/internal/httpapi"
 	"evilbloom/internal/service"
 )
@@ -563,5 +564,62 @@ func TestServerShutdownDrainsIdleConns(t *testing.T) {
 	// New connections are refused after shutdown.
 	if _, err := DialTimeout(ln.Addr().String(), time.Second); err == nil {
 		t.Fatal("dial succeeded after Shutdown")
+	}
+}
+
+// BF.RESERVE parses OVERFLOW with core's one policy parser, and a counting
+// filter reserved without it saturates: seventeen copies of one item in a
+// single BF.MADD — one more than a 4-bit counter holds — leave it present,
+// and only the first copy is newly added (under wrap the sixteenth erases
+// it, so the seventeenth would be new again).
+func TestReserveOverflowPolicy(t *testing.T) {
+	reg := newTestRegistry(t)
+	cli := dialTest(t, startServer(t, reg))
+	reserve := func(name string, opts ...string) *Reply {
+		args := []string{"BF.RESERVE", name, "0", "0", "VARIANT", "counting", "SHARDS", "1", "SHARDBITS", "4096", "HASHES", "4"}
+		return do(t, cli, append(args, opts...)...)
+	}
+	for name, want := range map[string]core.OverflowPolicy{"default": core.Saturate, "saturate": core.Saturate, "wrap": core.Wrap} {
+		var opts []string
+		if name != "default" {
+			opts = []string{"OVERFLOW", name}
+		}
+		if r := reserve(name, opts...); r.Err() != nil {
+			t.Fatalf("BF.RESERVE %s %v: %v", name, opts, r.Err())
+		}
+		f, err := reg.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Store().OverflowPolicy(); got != want {
+			t.Errorf("BF.RESERVE %v reserved a %v filter, want %v", opts, got, want)
+		}
+	}
+	if r := reserve("bogus", "OVERFLOW", "bogus"); r.Err() == nil || !strings.Contains(r.Str, "unknown overflow policy") {
+		t.Fatalf("OVERFLOW bogus: %+v, want an unknown-policy error", r)
+	}
+	if _, err := reg.Get("bogus"); err == nil {
+		t.Error("a refused BF.RESERVE created its filter")
+	}
+
+	madd := []string{"BF.MADD", "default"}
+	for i := 0; i < 17; i++ {
+		madd = append(madd, "x")
+	}
+	r := do(t, cli, madd...)
+	if len(r.Elems) != 17 {
+		t.Fatalf("BF.MADD of 17 items answered %+v", r)
+	}
+	for i, e := range r.Elems {
+		want := int64(0)
+		if i == 0 {
+			want = 1
+		}
+		if e.Int != want {
+			t.Errorf("BF.MADD reply %d = %d, want %d: only the first copy of x is new", i, e.Int, want)
+		}
+	}
+	if r := do(t, cli, "BF.EXISTS", "default", "x"); r.Int != 1 {
+		t.Fatalf("BF.EXISTS after 17 adds of x = %+v, want 1", r)
 	}
 }

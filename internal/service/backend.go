@@ -14,8 +14,8 @@ import (
 // and hands each backend pre-computed index sets, so any index-addressable
 // filter variant — plain bit vectors, counting arrays, or a future hardened
 // construction — plugs in without touching the locking, routing, or stats
-// machinery. Implementations need not be concurrency-safe; the shard lock
-// serializes every call.
+// machinery. The shard lock serializes every call but one: TestIndexes runs
+// with no lock held, concurrently with a serialized writer.
 type Backend interface {
 	// AddIndexes inserts a pre-derived index set and returns the net change
 	// in occupied positions, which keeps the shard's incremental weight
@@ -23,7 +23,10 @@ type Backend interface {
 	// insertion erases occupancy — a wrap-policy counter rolling over to
 	// zero, the §6.2 overflow attack's effect.
 	AddIndexes(idx []uint64) int
-	// TestIndexes reports whether every position in idx is occupied.
+	// TestIndexes reports whether every position in idx is occupied. It is
+	// callable with no lock held: it only loads, with atomic word loads, and
+	// every mutation publishes its words with atomic stores. A test racing a
+	// mutation answers from some state the shard passed through.
 	TestIndexes(idx []uint64) bool
 	// Count returns the net number of insertions.
 	Count() uint64
@@ -82,23 +85,6 @@ type digestSource interface {
 	OccupancyBits() *bitset.BitSet
 }
 
-// atomicReader is the lock-free membership capability: a backend whose
-// occupancy is readable with bare atomic word loads, no shard lock held,
-// while serialized writers mutate through atomic stores. The shard layer
-// routes Test through it when LockFreeReads reports true, skipping the
-// striped RLock entirely — membership tests are pure loads, so the read
-// path's only synchronization becomes the cache-coherence traffic of the
-// loads themselves. Mutations keep the shard write lock regardless: weight,
-// generation and journal accounting all live there.
-type atomicReader interface {
-	// LockFreeReads reports whether the backend's geometry permits torn-free
-	// atomic reads (a packed counter straddling a word boundary does not).
-	LockFreeReads() bool
-	// TestIndexesAtomic is TestIndexes with atomic loads, callable with no
-	// lock held.
-	TestIndexesAtomic(idx []uint64) bool
-}
-
 // ErrNotRemovable answers removal requests against a backend without the
 // Remover capability.
 var ErrNotRemovable = errors.New("service: filter backend does not support removal (create it with variant=counting)")
@@ -148,12 +134,10 @@ func ParseVariant(s string) (Variant, error) {
 	}
 }
 
-// bloomBackend adapts *core.Bloom to Backend + Snapshotter + atomicReader.
-// TestIndexes, Count, Weight, M and K promote straight through; AddIndexes
-// is pinned to the atomic-store path because the shard layer serves
-// lock-free readers against these bits — a plain store racing an atomic
-// load is a data race, so every service-side mutation goes through core's
-// atomic variants.
+// bloomBackend adapts *core.Bloom to Backend + Snapshotter. Count, Weight,
+// M and K promote straight through; the index methods are pinned to core's
+// atomic paths, because the shard layer serves lock-free readers against
+// these bits.
 type bloomBackend struct {
 	*core.Bloom
 }
@@ -162,9 +146,9 @@ func (b bloomBackend) AddIndexes(idx []uint64) int {
 	return b.Bloom.AddIndexesAtomic(idx)
 }
 
-// LockFreeReads implements atomicReader: a bit vector always reads torn-free
-// one word at a time.
-func (b bloomBackend) LockFreeReads() bool { return true }
+func (b bloomBackend) TestIndexes(idx []uint64) bool {
+	return b.Bloom.TestIndexesAtomic(idx)
+}
 
 func (b bloomBackend) Snapshot() ([]byte, error) {
 	return b.Bloom.MarshalBinary()
@@ -185,8 +169,9 @@ func (b blockedBackend) AddIndexes(idx []uint64) int {
 	return b.Blocked.AddIndexesAtomic(idx)
 }
 
-// LockFreeReads implements atomicReader.
-func (b blockedBackend) LockFreeReads() bool { return true }
+func (b blockedBackend) TestIndexes(idx []uint64) bool {
+	return b.Blocked.TestIndexesAtomic(idx)
+}
 
 func (b blockedBackend) Snapshot() ([]byte, error) {
 	return b.Blocked.MarshalBinary()
@@ -197,9 +182,10 @@ func (b blockedBackend) Restore(data []byte) error {
 	return b.Blocked.UnmarshalBinary(data)
 }
 
-// countingBackend adapts *core.Counting to Backend + Remover + Snapshotter;
-// only AddIndexes needs an adapter (core reports fresh and overflowed
-// counters separately, the Backend contract wants the net occupancy change).
+// countingBackend adapts *core.Counting to Backend + Remover + Snapshotter,
+// pinned to core's atomic paths like the others. AddIndexes also converts:
+// core reports fresh and overflowed counters separately, the Backend
+// contract wants the net occupancy change.
 type countingBackend struct {
 	*core.Counting
 }
@@ -214,14 +200,13 @@ func (c countingBackend) AddIndexes(idx []uint64) int {
 	return fresh // saturated counters stay occupied
 }
 
+func (c countingBackend) TestIndexes(idx []uint64) bool {
+	return c.Counting.TestIndexesAtomic(idx)
+}
+
 func (c countingBackend) RemoveIndexes(idx []uint64) (int, error) {
 	return c.Counting.RemoveIndexesAtomic(idx)
 }
-
-// LockFreeReads implements atomicReader: true exactly when no counter
-// straddles a word boundary (width divides 64), so a single atomic load
-// reads a counter torn-free.
-func (c countingBackend) LockFreeReads() bool { return c.AtomicReads() }
 
 func (c countingBackend) Snapshot() ([]byte, error) {
 	return c.MarshalBinary()
@@ -246,16 +231,13 @@ var (
 	_ Backend      = bloomBackend{}
 	_ Snapshotter  = bloomBackend{}
 	_ digestSource = bloomBackend{}
-	_ atomicReader = bloomBackend{}
 	_ Backend      = blockedBackend{}
 	_ Snapshotter  = blockedBackend{}
 	_ digestSource = blockedBackend{}
-	_ atomicReader = blockedBackend{}
 	_ Backend      = countingBackend{}
 	_ Remover      = countingBackend{}
 	_ Snapshotter  = countingBackend{}
 	_ digestSource = countingBackend{}
-	_ atomicReader = countingBackend{}
 	_              = overflowReporter(countingBackend{})
 )
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"evilbloom/internal/core"
 	"evilbloom/internal/hashes"
 )
 
@@ -130,6 +131,47 @@ func TestNaiveDataDirFromParentRecovers(t *testing.T)    { naivePrePR22.check(t)
 func TestLayoutV2DataDirsRecover(t *testing.T) {
 	t.Run("naive", naiveV2.check)
 	t.Run("hardened", hardenedV2.check)
+}
+
+// Written by commit 4e30ec1, the last binary that packed counters
+// contiguously in memory as well as on disk, whose counting default was
+// wrap. Widths 3 and 5 do not divide 64: snapshots convert their packing.
+func countingContiguous(width int) dataDirFixture {
+	return dataDirFixture{fmt.Sprintf("counting-contiguous/w%d", width), "counting-fixture", hashes.LayoutV2, 3185,
+		[2]ShardStats{{Shard: 0, Count: 261, Weight: 1671}, {Shard: 1, Count: 239, Weight: 1514}}}
+}
+
+// The counting fixtures recover under their recorded width and policy, hold
+// every item, and snapshot to exactly the envelope their writer served —
+// whether the state comes from the directory or from that envelope.
+func TestCountingDataDirsFromParentRecover(t *testing.T) {
+	for _, width := range []int{3, 4, 5} {
+		fx := countingContiguous(width)
+		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
+			fx.check(t)
+			store := fx.recover(t)
+			if store.CounterWidth() != width || store.OverflowPolicy() != core.Wrap {
+				t.Fatalf("recovered a %d-bit %v filter; the directory records %d-bit wrap", store.CounterWidth(), store.OverflowPolicy(), width)
+			}
+			env, err := os.ReadFile(filepath.Join("testdata", fx.dir, "snapshot.evb"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			clone, err := NewRegistry().CreateFromSnapshot("clone", bytes.NewReader(env))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, s := range map[string]*Sharded{"recovered": store, "clone": clone.Store()} {
+				got, err := s.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, env) {
+					t.Errorf("%s: snapshot differs from the envelope the writer served", name)
+				}
+			}
+		})
+	}
 }
 
 // A snapshot envelope says which layout set its bits. Restored into a live

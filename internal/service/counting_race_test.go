@@ -184,9 +184,9 @@ func TestRemoveRefusesDuplicateUnderflow(t *testing.T) {
 	}
 	// Counter 5 holds 1; an index set visiting it twice passes the
 	// membership check but cannot be removed safely.
-	c.AddIndexes([]uint64{5, 6})
+	c.AddIndexesAtomic([]uint64{5, 6})
 	dup := []uint64{5, 5}
-	if !c.TestIndexes(dup) {
+	if !c.TestIndexesAtomic(dup) {
 		t.Fatal("membership check should pass: counter non-zero")
 	}
 	if c.CanRemoveIndexes(dup) {

@@ -9,8 +9,10 @@
 // # Store architecture
 //
 // A store splits one logical filter into N power-of-two shards, each an
-// independent backend with its own read-write lock, so adds, membership
-// tests and removals on different shards never contend. Where an item goes —
+// independent backend with its own write lock, so adds and removals on
+// different shards never contend; membership tests take no lock at all,
+// on every variant and counter width, because writers publish every word
+// with atomic stores and no counter straddles two words. Where an item goes —
 // its shard and its k indexes inside it — is decided by the store's one
 // hashes.Placement under a versioned layout recorded in meta.json and in the
 // snapshot and digest envelopes. New filters get layout 2, one hash per key:
@@ -24,14 +26,17 @@
 // The shards are variant-generic: the Backend interface carries the
 // index-level operations (AddIndexes/TestIndexes/Count/Weight/M/K), and the
 // optional Remover and Snapshotter capability interfaces mark what a
-// particular backend can additionally do. Two variants ship today:
+// particular backend can additionally do. Three variants ship today:
 //
 //   - VariantBloom: the classic §3 bit vector. No deletion; requests for it
 //     are answered with a capability error.
 //   - VariantCounting: the §4.3/§6 counting filter — small counters per
-//     position, deletion supported, overflow policy selectable (wrap, the
-//     dablooms behaviour the §6.2 attack exploits, or saturate, the
-//     countermeasure).
+//     position, deletion supported. Its overflow policy defaults to
+//     saturate, under which an item added any number of times stays
+//     present; wrap, the dablooms behaviour the §6.2 attack exploits, is
+//     opt-in and erases an item added 2^width times.
+//   - VariantBlocked: a bit vector whose k probes share one 512-bit block,
+//     one cache miss per operation. No deletion.
 //
 // Placement runs outside the shard locks — a batch routes every key once,
 // keeps the digest, and derives indexes a window of keys at a time into

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"evilbloom/internal/core"
 	"evilbloom/internal/urlgen"
@@ -37,13 +38,14 @@ func lockfreeCfg(variant Variant) Config {
 // while writer goroutines add (and, on counting, add-then-remove) under the
 // shard write locks, reader goroutines run Test. Two things must hold
 // throughout: the race detector stays silent (every word the readers touch
-// is accessed atomically on both sides, or under the shard RLock), and a set
-// of permanently-inserted items never once tests negative — a torn or stale
-// read of a half-written word would surface as exactly that.
+// is accessed atomically on both sides), and a set of permanently-inserted
+// items never once tests negative — a torn or stale read of a half-written
+// word would surface as exactly that.
 //
-// Which read path a store takes is decided by its geometry alone: bit
-// vectors and counters whose width divides 64 read lock-free; a width that
-// straddles word boundaries (the 3-bit row) has only the RLock fallback.
+// Every row reads lock-free, which the test first pins directly: with every
+// shard write-locked, Test and TestBatch still answer. The counter widths
+// 3, 5 and 13 leave slack at the top of each word (21, 12 and 4 counters a
+// word), the packing that keeps any counter from straddling two.
 func TestLockFreeReadsNoTornState(t *testing.T) {
 	for _, row := range []struct {
 		variant Variant
@@ -53,25 +55,23 @@ func TestLockFreeReadsNoTornState(t *testing.T) {
 		{variant: VariantBlocked},
 		{variant: VariantCounting},
 		{variant: VariantCounting, width: 3},
+		{variant: VariantCounting, width: 5},
+		{variant: VariantCounting, width: 13},
 	} {
 		cfg := lockfreeCfg(row.variant)
+		name := row.variant.String()
 		if row.width != 0 {
-			// Max 7 per counter: the ≤200 permanents plus 4 in-flight
-			// writer items at ~2.4% fill stay far below it.
+			// Max 7 per counter at the narrowest: the ≤200 permanents plus 4
+			// in-flight writer items at ~2.4% fill stay far below it.
 			cfg.CounterWidth = row.width
+			name = fmt.Sprintf("%v-w%d", row.variant, row.width)
 		}
-		lockFree := cfg.CounterWidth == 0 || 64%cfg.CounterWidth == 0
-		t.Run(fmt.Sprintf("%v/lockfree=%v", row.variant, lockFree), func(t *testing.T) {
+		t.Run(name+"/lockfree=true", func(t *testing.T) {
 			s, err := NewSharded(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range s.shards {
-				if got := s.shards[i].atomic != nil; got != lockFree {
-					t.Fatalf("shard %d: lock-free reads = %v, geometry (counter width %d) wants %v",
-						i, got, cfg.CounterWidth, lockFree)
-				}
-			}
+			assertReadsTakeNoLock(t, s)
 
 			gen := urlgen.New(1)
 			permanent := make([][]byte, 200)
@@ -137,6 +137,25 @@ func TestLockFreeReadsNoTornState(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// assertReadsTakeNoLock fails unless Test and TestBatch answer while every
+// shard is write-locked.
+func assertReadsTakeNoLock(t *testing.T, s *Sharded) {
+	t.Helper()
+	s.lockAll()
+	defer s.unlockAll()
+	done := make(chan struct{})
+	go func() {
+		s.Test([]byte("probe"))
+		s.TestBatch(nil, [][]byte{[]byte("probe"), []byte("other")})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a membership test waited on a shard lock")
 	}
 }
 

@@ -98,9 +98,11 @@ type Config struct {
 	// CounterWidth is the counter size in bits for VariantCounting (default
 	// 4, the dablooms width). It must be zero for VariantBloom.
 	CounterWidth int
-	// Overflow selects what a counting shard does when a counter saturates
-	// (default core.Wrap, faithful to dablooms and what the §6.2 attack
-	// exploits; core.Saturate is the countermeasure). Zero for VariantBloom.
+	// Overflow selects what a counting shard does when a counter saturates.
+	// The default, core.Saturate, pins the counter, so repeated adds never
+	// erase an item; core.Wrap rolls it over to zero, faithful to dablooms
+	// and what the §6.2 attack exploits: an item added 2^CounterWidth times
+	// vanishes. Zero for VariantBloom.
 	Overflow core.OverflowPolicy
 	// layout is the placement layout (hashes.Layout). Zero, all a caller
 	// outside this package can pass, means the current one; recovery from a
@@ -176,7 +178,7 @@ func (c Config) withDefaults() (Config, error) {
 			return c, fmt.Errorf("service: counter width %d outside [1,16]", c.CounterWidth)
 		}
 		if c.Overflow == 0 {
-			c.Overflow = core.Wrap
+			c.Overflow = core.Saturate
 		}
 	default:
 		return c, fmt.Errorf("service: unknown variant %v", c.Variant)
@@ -219,13 +221,6 @@ type shard struct {
 	// remover caches the backend's Remover capability (nil when absent) so
 	// the remove hot path skips a per-call type assertion.
 	remover Remover
-	// atomic caches the backend's atomicReader capability when its geometry
-	// supports torn-free atomic reads (nil otherwise): the lock-free Test
-	// path. Membership tests through it take no lock at all; mutations still
-	// serialize under mu and store words atomically, so readers never see a
-	// torn word and the weight/generation/journal accounting — all of it on
-	// the write side — is untouched.
-	atomic atomicReader
 	// weight tracks the backend's occupied-position count incrementally
 	// from the fresh/zeroed deltas AddIndexes and RemoveIndexes report, so
 	// Stats is O(shards) instead of an O(m) scan under the lock.
@@ -241,8 +236,8 @@ type shard struct {
 // item's shard and indexes given by the store's one hashes.Placement (always
 // outside any lock). It implements core.Filter; unlike
 // core.Synced it scales with parallel load because operations on different
-// shards proceed concurrently and membership tests on the same shard share a
-// read lock. The shards are variant-generic: any Backend (plain bloom,
+// shards proceed concurrently and membership tests take no lock at all. The
+// shards are variant-generic: any Backend (plain bloom,
 // counting under either overflow policy, or a future hardened construction)
 // reuses the same routing, locking, batching and incremental-stats code.
 type Sharded struct {
@@ -343,9 +338,6 @@ func NewSharded(cfg Config) (*Sharded, error) {
 			return nil, err
 		}
 		sh.remover, _ = sh.backend.(Remover)
-		if ar, ok := sh.backend.(atomicReader); ok && ar.LockFreeReads() {
-			sh.atomic = ar
-		}
 	}
 	return s, nil
 }
@@ -377,22 +369,12 @@ func (s *Sharded) Add(item []byte) {
 // overflows make add deltas negative).
 func applyDelta(w uint64, d int) uint64 { return uint64(int64(w) + int64(d)) }
 
-// Test implements core.Filter. When the backend supports torn-free atomic
-// reads (every shipped variant except straddling-width counters), the test
-// is pure atomic word loads with no lock at all — a test racing a mutation
-// returns an answer from some state the shard passed through, the same
-// guarantee the RLock gave, minus two atomic RMWs of lock traffic per call.
-// Other backends fall back to sharing the shard's read lock.
+// Test implements core.Filter. The test is pure atomic word loads with no
+// lock at all, on every variant and counter width: a test racing a mutation
+// answers from some state the shard passed through.
 func (s *Sharded) Test(item []byte) bool {
 	sh, g := s.place1(item)
-	var ok bool
-	if sh.atomic != nil {
-		ok = sh.atomic.TestIndexesAtomic(g.idx)
-	} else {
-		sh.mu.RLock()
-		ok = sh.backend.TestIndexes(g.idx)
-		sh.mu.RUnlock()
-	}
+	ok := sh.backend.TestIndexes(g.idx)
 	s.ungroup(g)
 	return ok
 }
@@ -537,44 +519,27 @@ func (s *Sharded) addBatch(novel []bool, items [][]byte) {
 }
 
 // TestBatch reports membership for every item, in input order; the result is
-// appended to dst. Grouping by shard exists to take each shard's lock once,
-// so a store that reads lock-free (all shards of a store have one backend
-// type) skips the sort and takes the items in windows as they come: place a
-// window, then probe it — keeping a window's probes, independent loads,
-// together is what lets a filter larger than the cache overlap its misses.
+// appended to dst. Reads take no lock, so there is nothing to group by
+// shard: the items are taken in windows as they come — place a window, then
+// probe it. Keeping a window's probes, independent loads, together is what
+// lets a filter larger than the cache overlap its misses.
 func (s *Sharded) TestBatch(dst []bool, items [][]byte) []bool {
 	base := len(dst)
 	dst = append(dst, make([]bool, len(items))...)
-	if s.shards[0].atomic != nil {
-		g := s.checkout()
-		g.shard = resized(g.shard, min(len(items), deriveWindow))
-		for lo := 0; lo < len(items); lo += deriveWindow {
-			window := items[lo:min(lo+deriveWindow, len(items))]
-			idx := resized(g.idx, len(window)*s.k)[:0]
-			for j, it := range window {
-				var si int
-				si, idx = s.place.Place(idx, it)
-				g.shard[j] = uint16(si)
-			}
-			g.idx = idx
-			for j := range window {
-				dst[base+lo+j] = s.shards[g.shard[j]].atomic.TestIndexesAtomic(idx[j*s.k : (j+1)*s.k])
-			}
+	g := s.checkout()
+	g.shard = resized(g.shard, min(len(items), deriveWindow))
+	for lo := 0; lo < len(items); lo += deriveWindow {
+		window := items[lo:min(lo+deriveWindow, len(items))]
+		idx := resized(g.idx, len(window)*s.k)[:0]
+		for j, it := range window {
+			var si int
+			si, idx = s.place.Place(idx, it)
+			g.shard[j] = uint16(si)
 		}
-		s.ungroup(g)
-		return dst
-	}
-	g := s.group(items)
-	for lo := 0; lo < len(g.order); {
-		si, run := g.run(lo)
-		lo += len(run)
-		sh := &s.shards[si]
-		idx := s.derive(g, items, si, run)
-		sh.mu.RLock()
-		for j, ii := range run {
-			dst[base+ii] = sh.backend.TestIndexes(idx[j*s.k : (j+1)*s.k])
+		g.idx = idx
+		for j := range window {
+			dst[base+lo+j] = s.shards[g.shard[j]].backend.TestIndexes(idx[j*s.k : (j+1)*s.k])
 		}
-		sh.mu.RUnlock()
 	}
 	s.ungroup(g)
 	return dst
