@@ -3,7 +3,6 @@ package cachedigest
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"evilbloom/internal/bitset"
 )
@@ -19,7 +18,7 @@ import (
 // falls back to a full fetch. Deltas are an optimization, never a
 // correctness dependency.
 //
-// Frame layout (little-endian), a sibling of the EVBDIGE1 envelope:
+// Layout (little-endian), a frame (frame.go) like the EVBDIGE1 envelope:
 //
 //	offset  size  field
 //	     0     8  magic "EVBDIGD1"
@@ -32,7 +31,8 @@ import (
 //	    40     8  total word count (binds the delta to the digest geometry)
 //	    48  16*n  records: word index u64, word value u64 — strictly
 //	              ascending indexes, each < total word count
-//	  48+16n    4  CRC-32 (IEEE) of everything above
+//
+// then the frame's CRC-32.
 //
 // Word indexes are global across shards: shard i, word j maps to
 // i*wordsPerShard + j with wordsPerShard = ceil(ShardBits/64). Values are
@@ -40,12 +40,10 @@ import (
 // plain overwrite and a replayed delta is idempotent.
 
 const (
-	deltaMagic   = "EVBDIGD1"
 	deltaVersion = 1
 	// DeltaHeaderLen is the fixed delta header size in bytes.
-	DeltaHeaderLen  = 48
-	deltaRecordLen  = 16
-	deltaTrailerLen = 4
+	DeltaHeaderLen = 48
+	deltaRecordLen = 16
 
 	// maxDeltaWords bounds the declared record count before any allocation,
 	// mirroring the envelope's MaxEnvelopeBits budget (one record per word).
@@ -72,36 +70,32 @@ type DeltaInfo struct {
 	Words          int    // number of changed-word records
 }
 
-// IsDeltaFrame reports whether data begins with the delta magic — how the
-// peer fetch path tells a delta from a full envelope when a server's
-// response headers are absent or ambiguous.
-func IsDeltaFrame(data []byte) bool {
-	return len(data) >= len(deltaMagic) && string(data[:len(deltaMagic)]) == deltaMagic
-}
-
-// DeltaSize returns the total frame size implied by info.
-func DeltaSize(info DeltaInfo) int {
-	return DeltaHeaderLen + deltaRecordLen*info.Words + deltaTrailerLen
+// DeltaFrame is the delta's frame format. Its magic is how the peer fetch
+// path tells a delta from a full envelope.
+var DeltaFrame = &Format{
+	Magic:     "EVBDIGD1",
+	HeaderLen: DeltaHeaderLen,
+	Size: func(hdr []byte) (uint64, error) {
+		info, err := decodeDeltaHeader(hdr)
+		return deltaRecordLen * uint64(info.Words), err
+	},
+	Corrupt: ErrEnvelopeCorrupt,
 }
 
 // EncodeDelta serializes changed words into a delta frame. Words must be
 // sorted by ascending index with every index < totalWords; EncodeDelta
 // validates both so a malformed frame can never be produced.
 func EncodeDelta(info DeltaInfo, words []DeltaWord) ([]byte, error) {
-	info.Words = len(words)
 	if uint64(len(words)) > maxDeltaWords || info.TotalWords > maxDeltaWords {
 		return nil, fmt.Errorf("cachedigest: delta of %d/%d words exceeds the %d-word budget",
 			len(words), info.TotalWords, maxDeltaWords)
 	}
-	out := make([]byte, DeltaSize(info))
-	copy(out, deltaMagic)
-	binary.LittleEndian.PutUint16(out[8:], deltaVersion)
+	out := DeltaFrame.Start(deltaVersion, deltaRecordLen*len(words))
 	binary.LittleEndian.PutUint32(out[12:], uint32(len(words)))
 	binary.LittleEndian.PutUint64(out[16:], info.BaseGeneration)
 	binary.LittleEndian.PutUint64(out[24:], info.NewGeneration)
 	binary.LittleEndian.PutUint64(out[32:], info.NewCount)
 	binary.LittleEndian.PutUint64(out[40:], info.TotalWords)
-	off := DeltaHeaderLen
 	prev := uint64(0)
 	for i, w := range words {
 		if w.Index >= info.TotalWords {
@@ -111,33 +105,24 @@ func EncodeDelta(info DeltaInfo, words []DeltaWord) ([]byte, error) {
 			return nil, fmt.Errorf("cachedigest: delta word indexes not strictly ascending at %d", w.Index)
 		}
 		prev = w.Index
-		binary.LittleEndian.PutUint64(out[off:], w.Index)
-		binary.LittleEndian.PutUint64(out[off+8:], w.Value)
-		off += deltaRecordLen
+		out = binary.LittleEndian.AppendUint64(out, w.Index)
+		out = binary.LittleEndian.AppendUint64(out, w.Value)
 	}
-	binary.LittleEndian.PutUint32(out[off:], crc32.ChecksumIEEE(out[:off]))
-	return out, nil
+	return DeltaFrame.Finish(out), nil
 }
 
-// DecodeDeltaInfo parses and validates just the fixed header, so callers can
-// size-check a frame before reading records. Like DecodeEnvelopeInfo it
-// needs only the first DeltaHeaderLen bytes.
-func DecodeDeltaInfo(data []byte) (DeltaInfo, error) {
+// decodeDeltaHeader validates and decodes a delta header whose length and
+// magic DeltaFrame checked — all a reader needs to size the frame.
+func decodeDeltaHeader(hdr []byte) (DeltaInfo, error) {
 	var info DeltaInfo
-	if len(data) < DeltaHeaderLen {
-		return info, fmt.Errorf("%w: %d bytes, delta header needs %d", ErrEnvelopeCorrupt, len(data), DeltaHeaderLen)
-	}
-	if !IsDeltaFrame(data) {
-		return info, fmt.Errorf("%w: bad delta magic %q", ErrEnvelopeCorrupt, data[:len(deltaMagic)])
-	}
-	if v := binary.LittleEndian.Uint16(data[8:]); v != deltaVersion {
+	if v := Version(hdr); v != deltaVersion {
 		return info, fmt.Errorf("%w: delta version %d", ErrEnvelopeUnusable, v)
 	}
-	n := binary.LittleEndian.Uint32(data[12:])
-	info.BaseGeneration = binary.LittleEndian.Uint64(data[16:])
-	info.NewGeneration = binary.LittleEndian.Uint64(data[24:])
-	info.NewCount = binary.LittleEndian.Uint64(data[32:])
-	info.TotalWords = binary.LittleEndian.Uint64(data[40:])
+	n := binary.LittleEndian.Uint32(hdr[12:])
+	info.BaseGeneration = binary.LittleEndian.Uint64(hdr[16:])
+	info.NewGeneration = binary.LittleEndian.Uint64(hdr[24:])
+	info.NewCount = binary.LittleEndian.Uint64(hdr[32:])
+	info.TotalWords = binary.LittleEndian.Uint64(hdr[40:])
 	if info.TotalWords > maxDeltaWords {
 		return info, fmt.Errorf("%w: delta claims %d-word digest, budget is %d", ErrEnvelopeUnusable, info.TotalWords, maxDeltaWords)
 	}
@@ -152,24 +137,16 @@ func DecodeDeltaInfo(data []byte) (DeltaInfo, error) {
 // record ordering. It does not check the base generation — that needs the
 // receiver's held digest and happens in PeerDigest.ApplyDelta.
 func DecodeDelta(data []byte) (DeltaInfo, []DeltaWord, error) {
-	info, err := DecodeDeltaInfo(data)
+	hdr, records, err := DeltaFrame.Open(data)
 	if err != nil {
-		return info, nil, err
+		return DeltaInfo{}, nil, err
 	}
-	if len(data) != DeltaSize(info) {
-		return info, nil, fmt.Errorf("%w: delta frame is %d bytes, header implies %d", ErrEnvelopeCorrupt, len(data), DeltaSize(info))
-	}
-	body := data[:len(data)-deltaTrailerLen]
-	want := binary.LittleEndian.Uint32(data[len(body):])
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return info, nil, fmt.Errorf("%w: delta CRC mismatch: frame says %08x, payload hashes to %08x", ErrEnvelopeCorrupt, want, got)
-	}
+	info, _ := decodeDeltaHeader(hdr) // Open validated it through Size
 	words := make([]DeltaWord, info.Words)
-	off := DeltaHeaderLen
 	prev := uint64(0)
 	for i := range words {
-		words[i].Index = binary.LittleEndian.Uint64(data[off:])
-		words[i].Value = binary.LittleEndian.Uint64(data[off+8:])
+		words[i].Index = binary.LittleEndian.Uint64(records[deltaRecordLen*i:])
+		words[i].Value = binary.LittleEndian.Uint64(records[deltaRecordLen*i+8:])
 		if words[i].Index >= info.TotalWords {
 			return info, nil, fmt.Errorf("%w: delta word index %d outside %d-word digest", ErrEnvelopeCorrupt, words[i].Index, info.TotalWords)
 		}
@@ -177,7 +154,6 @@ func DecodeDelta(data []byte) (DeltaInfo, []DeltaWord, error) {
 			return info, nil, fmt.Errorf("%w: delta word indexes not strictly ascending at %d", ErrEnvelopeCorrupt, words[i].Index)
 		}
 		prev = words[i].Index
-		off += deltaRecordLen
 	}
 	return info, words, nil
 }

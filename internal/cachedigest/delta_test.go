@@ -26,7 +26,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsDeltaFrame(frame) {
+	if !bytes.HasPrefix(frame, []byte(DeltaFrame.Magic)) {
 		t.Fatal("encoded delta does not carry the delta magic")
 	}
 	info, got, err := DecodeDelta(frame)

@@ -24,15 +24,15 @@
 //
 // # The digest envelope
 //
-// The envelope (see the format comment in envelope.go for the byte-by-byte
-// layout) is how a digest crosses a process boundary: versioned,
-// checksummed, size-determined from its 88-byte header, and self-describing
-// — it names the index family (murmur3 double hashing for service filters,
-// MD5-split for Squid digests), the geometry, and the shard-routing key, so
-// a receiving peer can evaluate membership locally via OpenEnvelope and
-// PeerDigest.Test. Digest.Envelope exports a Squid digest in the same
-// format, so the simulation and a live `evilbloom serve -peer` deployment
-// speak identical bytes.
+// The envelope (envelope.go; its framing is frame.go's, shared with
+// snapshots and deltas) is how a digest crosses a process boundary:
+// versioned, checksummed, and self-describing — it names the index family
+// (murmur3 double hashing for service filters, MD5-split for Squid
+// digests), the geometry, and the shard-routing key, so a receiving peer
+// can evaluate membership locally via OpenEnvelope and PeerDigest.Test.
+// Digest.Envelope exports a Squid digest in the same format, so the
+// simulation and a live `evilbloom serve -peer` deployment speak identical
+// bytes.
 //
 // Unlike package service's snapshot envelope, which carries full filter
 // state for restoration by the same trusted party, the digest envelope

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 
 	"evilbloom/internal/bitset"
@@ -14,18 +13,18 @@ import (
 
 // Digest envelope: the wire format a cache digest travels in between
 // evilbloom nodes — the §7 exchange lifted out of one process. Like the
-// snapshot envelope it is versioned, length-checked and checksummed, but it
-// carries a different payload: not the full filter state (counters, secrets,
-// insertion bookkeeping) but only the occupancy pattern plus everything a
-// *peer* needs to evaluate membership queries against it locally — the index
+// snapshot envelope it is a frame (frame.go), but it carries a different
+// payload: not the full filter state (counters, secrets, insertion
+// bookkeeping) but only the occupancy pattern plus everything a *peer*
+// needs to evaluate membership queries against it locally — the index
 // placement rule (layout, family, seed, and under layout 1 the shard-routing
 // key) and the geometry. That is exactly what Squid ships between siblings:
 // the summary, not the cache.
 //
 //	offset  size  field
 //	0       8     magic "EVBDIGE1"
-//	8       2     format version (little-endian): the exporter's placement
-//	              layout, 1 or 2 (hashes.Layout); same framing under both
+//	8       2     version: the exporter's placement layout, 1 or 2
+//	              (hashes.Layout); same framing under both
 //	10      1     index family (1 murmur3 double hashing, 2 MD5-split)
 //	11      1     source variant (0 bloom, 1 counting, 2 blocked)
 //	12      4     reserved (zero)
@@ -40,11 +39,9 @@ import (
 //	80      8     payload length in bytes
 //	88      ...   payload: per shard, one bitset blob (8-byte size header
 //	              plus ⌈shard_bits/64⌉ packed little-endian words)
-//	88+len  4     IEEE CRC-32 of everything before it
 //
-// All integers are little-endian. The payload length is fully determined by
-// the geometry fields, so a decoder size-checks the envelope from the
-// 88-byte header before buffering the payload.
+// then the frame's CRC-32. The payload length follows from the geometry
+// fields alone.
 //
 // The version is the layout id for the reason the snapshot envelope's is: a
 // peer that does not know a layout must refuse the digest, not evaluate it
@@ -58,11 +55,8 @@ import (
 // envelope claiming an unknown family is rejected as unusable rather than
 // guessed at.
 const (
-	// EnvelopeMagic opens every digest envelope.
-	EnvelopeMagic = "EVBDIGE1"
 	// EnvelopeHeaderLen is the fixed header size in bytes.
-	EnvelopeHeaderLen  = 88
-	envelopeTrailerLen = 4
+	EnvelopeHeaderLen = 88
 	// MaxEnvelopeBits caps the total digest size a decoder will buffer
 	// (matches the service's per-filter storage cap: 2^33 bits = 1 GiB).
 	MaxEnvelopeBits = uint64(1) << 33
@@ -108,6 +102,17 @@ var (
 	// secrets rightly never travel).
 	ErrEnvelopeUnusable = errors.New("cachedigest: digest envelope unusable by a peer")
 )
+
+// EnvelopeFrame is the digest envelope's frame format.
+var EnvelopeFrame = &Format{
+	Magic:     "EVBDIGE1",
+	HeaderLen: EnvelopeHeaderLen,
+	Size: func(hdr []byte) (uint64, error) {
+		e, err := DecodeEnvelopeInfo(hdr)
+		return e.PayloadLen, err
+	},
+	Corrupt: ErrEnvelopeCorrupt,
+}
 
 // SourceVariantBlocked is the source-variant byte of a blocked Bloom filter
 // (the values mirror the service's Variant enum: 0 bloom, 1 counting,
@@ -155,26 +160,14 @@ func (e EnvelopeInfo) shardBlobLen() uint64 {
 	return 8 + 8*((e.ShardBits+63)/64)
 }
 
-// EnvelopeSize returns the total envelope size in bytes the header implies —
-// what a receiver must buffer before decoding.
-func (e EnvelopeInfo) EnvelopeSize() int {
-	return EnvelopeHeaderLen + int(e.PayloadLen) + envelopeTrailerLen
-}
-
-// DecodeEnvelopeInfo validates and decodes the fixed header. Geometry and
-// length fields are fully checked — a receiver can size-check and reject an
-// envelope from its first EnvelopeHeaderLen bytes, before buffering any
-// payload. Family usability is NOT checked here (a relay may forward
-// envelopes it cannot evaluate); OpenEnvelope checks it.
+// DecodeEnvelopeInfo validates and decodes a header whose length and magic
+// EnvelopeFrame checked (ReadFrame hands admit one). Geometry and length
+// fields are fully checked, so a receiver can refuse an envelope before
+// buffering its payload. Family usability is NOT checked here (a relay may
+// forward envelopes it cannot evaluate); OpenEnvelope checks it.
 func DecodeEnvelopeInfo(hdr []byte) (EnvelopeInfo, error) {
 	var e EnvelopeInfo
-	if len(hdr) < EnvelopeHeaderLen {
-		return e, fmt.Errorf("%w: %d header bytes, need %d", ErrEnvelopeCorrupt, len(hdr), EnvelopeHeaderLen)
-	}
-	if string(hdr[:8]) != EnvelopeMagic {
-		return e, fmt.Errorf("%w: bad magic", ErrEnvelopeCorrupt)
-	}
-	v := binary.LittleEndian.Uint16(hdr[8:])
+	v := Version(hdr)
 	if v > 0xff || !hashes.Layout(v).Known() {
 		return e, fmt.Errorf("%w: unsupported envelope version %d", ErrEnvelopeCorrupt, v)
 	}
@@ -226,9 +219,7 @@ func EncodeEnvelope(info EnvelopeInfo, shards []*bitset.BitSet) ([]byte, error) 
 		return nil, fmt.Errorf("cachedigest: %d shard vectors for a %d-shard envelope", len(shards), info.Shards)
 	}
 	info.PayloadLen = uint64(info.Shards) * info.shardBlobLen()
-	out := make([]byte, EnvelopeHeaderLen, info.EnvelopeSize())
-	copy(out, EnvelopeMagic)
-	binary.LittleEndian.PutUint16(out[8:], uint16(max(info.Layout, hashes.LayoutV1)))
+	out := EnvelopeFrame.Start(uint16(max(info.Layout, hashes.LayoutV1)), int(info.PayloadLen))
 	out[10] = byte(info.Family)
 	out[11] = info.SourceVariant
 	binary.LittleEndian.PutUint64(out[16:], info.Generation)
@@ -252,9 +243,7 @@ func EncodeEnvelope(info EnvelopeInfo, shards []*bitset.BitSet) ([]byte, error) 
 	if got, want := uint64(len(out)-EnvelopeHeaderLen), info.PayloadLen; got != want {
 		return nil, fmt.Errorf("cachedigest: payload is %d bytes, geometry implies %d", got, want)
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(out))
-	return append(out, crc[:]...), nil
+	return EnvelopeFrame.Finish(out), nil
 }
 
 // PeerDigest is a decoded digest envelope, ready to answer the receiving
@@ -274,17 +263,11 @@ type PeerDigest struct {
 // OpenEnvelope validates a complete envelope (structure and CRC), rebuilds
 // the placement it names, and returns a digest a peer can query locally.
 func OpenEnvelope(data []byte) (*PeerDigest, error) {
-	info, err := DecodeEnvelopeInfo(data)
+	hdr, payload, err := EnvelopeFrame.Open(data)
 	if err != nil {
 		return nil, err
 	}
-	if want := info.EnvelopeSize(); len(data) != want {
-		return nil, fmt.Errorf("%w: envelope is %d bytes, header implies %d", ErrEnvelopeCorrupt, len(data), want)
-	}
-	body := data[:len(data)-envelopeTrailerLen]
-	if got, sum := binary.LittleEndian.Uint32(data[len(body):]), crc32.ChecksumIEEE(body); got != sum {
-		return nil, fmt.Errorf("%w: checksum 0x%08x, computed 0x%08x", ErrEnvelopeCorrupt, got, sum)
-	}
+	info, _ := DecodeEnvelopeInfo(hdr) // Open validated it through Size
 	d := &PeerDigest{info: info, bits: make([]*bitset.BitSet, info.Shards)}
 	switch info.Family {
 	case FamilyMurmurDouble:
@@ -301,7 +284,6 @@ func OpenEnvelope(data []byte) (*PeerDigest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrEnvelopeCorrupt, err)
 	}
-	payload := body[EnvelopeHeaderLen:]
 	blobLen := info.shardBlobLen()
 	for i := range d.bits {
 		bs := &bitset.BitSet{}

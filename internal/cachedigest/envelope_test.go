@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"testing"
 
 	"evilbloom/internal/bitset"
@@ -39,9 +38,9 @@ func buildEnvelope(t *testing.T) ([]byte, EnvelopeInfo) {
 
 // reseal recomputes the trailing CRC after a test mutated header or payload
 // bytes, so the corruption under test is the only defect in the envelope.
+// Finish appends into env's own capacity, overwriting the old CRC.
 func reseal(env []byte) {
-	body := env[:len(env)-envelopeTrailerLen]
-	binary.LittleEndian.PutUint32(env[len(body):], crc32.ChecksumIEEE(body))
+	EnvelopeFrame.Finish(env[:len(env)-frameCRCLen])
 }
 
 func TestEnvelopeRoundTrip(t *testing.T) {
@@ -233,8 +232,8 @@ func TestDecodeEnvelopeInfoSizeChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.EnvelopeSize() != len(env) {
-		t.Errorf("EnvelopeSize = %d, envelope is %d bytes", info.EnvelopeSize(), len(env))
+	if n := EnvelopeHeaderLen + int(info.PayloadLen) + frameCRCLen; n != len(env) {
+		t.Errorf("header implies %d bytes, envelope is %d bytes", n, len(env))
 	}
 	huge := append([]byte(nil), env[:EnvelopeHeaderLen]...)
 	binary.LittleEndian.PutUint64(huge[32:], 1<<20) // 2^20 shards

@@ -10,7 +10,7 @@ import (
 
 // Kind classifies a command failure independently of any wire format. The
 // codecs own the rendering — HTTP maps kinds to status codes (400, 404,
-// 405, 409, 429, 401, 413, 500), RESP to reply classes (-ERR, -WRONGTYPE,
+// 405, 409, 429, 401, 500), RESP to reply classes (-ERR, -WRONGTYPE,
 // -BUSY, -WRONGPASS) — but the decision of *what went wrong* is made here,
 // once, so the two planes cannot drift into the almost-identical
 // enforcement gap an adversary hunts for.
@@ -31,8 +31,6 @@ const (
 	KindBusy
 	// KindUnauthorized is a failed authentication attempt.
 	KindUnauthorized
-	// KindTooLarge is a request body over the transport cap.
-	KindTooLarge
 	// KindInternal is everything else.
 	KindInternal
 )

@@ -82,7 +82,7 @@ func TestDigestETagAcrossDeltaPath(t *testing.T) {
 	if code != http.StatusOK || hdr.Get(service.HeaderDigestFrame) != "delta" {
 		t.Fatalf("post-mutation fetch: status %d frame %q, want 200 delta", code, hdr.Get(service.HeaderDigestFrame))
 	}
-	if !cachedigest.IsDeltaFrame(body) {
+	if !bytes.HasPrefix(body, []byte(cachedigest.DeltaFrame.Magic)) {
 		t.Fatal("delta-framed response does not carry the delta magic")
 	}
 	e2 := hdr.Get("ETag")
@@ -144,6 +144,55 @@ func pushDigestAs(t *testing.T, base, name, peer, token string, env []byte) (int
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 	return resp.StatusCode, string(body)
+}
+
+// A sealed frame followed by any byte is refused like an unsealed one: the
+// push answers 400, stores nothing under its label, and hands the charge
+// back to the peer principal.
+func TestSealedDigestPushRefusesTrailingBytes(t *testing.T) {
+	reg := service.NewRegistry()
+	eng := engine.New(reg)
+	if err := eng.ConfigurePeerAuth([]string{"nodeB:secret-b"}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewEngineServer(eng))
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { reg.Close() }) //nolint:errcheck // teardown
+
+	doJSON(t, "PUT", ts.URL+"/v2/filters/d", naiveSpec(1), nil)
+	f, err := reg.Get("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Store().Add([]byte("x"))
+	env, _, code := getDigest(t, ts.URL, "d", "")
+	if code != http.StatusOK {
+		t.Fatalf("digest fetch: status %d", code)
+	}
+	sealed := cachedigest.Seal(env, []byte("secret-b"))
+
+	trailing := append(append([]byte(nil), sealed...), "garbage"...)
+	if code, body := pushDigestAs(t, ts.URL, "d", "nodeB", "nodeB:secret-b", trailing); code != http.StatusBadRequest {
+		t.Fatalf("sealed push with trailing bytes: status %d (%s), want 400", code, body)
+	}
+	peers, err := reg.Peers().Status("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(peers) != 0 {
+		t.Errorf("refused push stored a digest: %+v", peers)
+	}
+	if st := reg.Limiter().FilterStats("d"); st.AllowedMutations != 0 {
+		t.Errorf("refused push kept its charge: %d allowed mutations, want 0", st.AllowedMutations)
+	}
+
+	// The same frame without the garbage lands and is charged once.
+	if code, body := pushDigestAs(t, ts.URL, "d", "nodeB", "nodeB:secret-b", sealed); code != http.StatusOK {
+		t.Fatalf("sealed push: status %d (%s), want 200", code, body)
+	}
+	if st := reg.Limiter().FilterStats("d"); st.AllowedMutations != 1 {
+		t.Errorf("accepted push: %d allowed mutations, want 1", st.AllowedMutations)
+	}
 }
 
 // An authenticated mesh accepts digest pushes only from live roster

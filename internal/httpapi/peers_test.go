@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -133,9 +132,7 @@ func TestDigestHardenedRefused(t *testing.T) {
 // resealEnvelope recomputes a digest envelope's trailing CRC after a header
 // mutation, so the mutation under test is the envelope's only defect.
 func resealEnvelope(env []byte) []byte {
-	body := env[:len(env)-4]
-	binary.LittleEndian.PutUint32(env[len(body):], crc32.ChecksumIEEE(body))
-	return env
+	return cachedigest.EnvelopeFrame.Finish(env[:len(env)-4])
 }
 
 // pushDigest POSTs an envelope to the digest import endpoint.
@@ -184,6 +181,7 @@ func TestDigestPushStatusTable(t *testing.T) {
 			return resealEnvelope(e)
 		}, http.StatusBadRequest},
 		{"unknown keyed family", "p", func(e []byte) []byte { e[10] = 9; return resealEnvelope(e) }, http.StatusConflict},
+		{"trailing bytes", "trailing", func(e []byte) []byte { return append(e, "garbage"...) }, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -196,6 +194,15 @@ func TestDigestPushStatusTable(t *testing.T) {
 
 	if code, _ := pushDigest(t, ts.URL, "nope", "p", env); code != http.StatusNotFound {
 		t.Errorf("push to unknown filter: want 404")
+	}
+	peers, err := reg.Peers().Status("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ps := range peers {
+		if ps.Peer == "trailing" {
+			t.Errorf("a push with trailing bytes stored a digest: %+v", ps)
+		}
 	}
 
 	// The one valid push above must now answer routing queries.

@@ -7,7 +7,6 @@
 package httpapi
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +14,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"evilbloom/internal/cachedigest"
 	"evilbloom/internal/core"
 	"evilbloom/internal/engine"
 	"evilbloom/internal/service"
@@ -618,15 +618,6 @@ func (s *Server) handleItemOp(w http.ResponseWriter, r *http.Request, ref engine
 	sc.reply(w)
 }
 
-// frameVersion reads the version field that snapshot envelopes, digest
-// envelopes and digest delta frames all keep after their 8-byte magic.
-func frameVersion(frame []byte) uint16 {
-	if len(frame) < 10 {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(frame[8:])
-}
-
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, ref engine.FilterRef) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
@@ -638,7 +629,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, ref engi
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Evilbloom-Snapshot-Version", fmt.Sprint(frameVersion(blob)))
+	w.Header().Set("X-Evilbloom-Snapshot-Version", fmt.Sprint(cachedigest.Version(blob)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(blob) //nolint:errcheck // client gone; nothing to do
 }
@@ -702,7 +693,7 @@ func (s *Server) handleDigestGet(w http.ResponseWriter, r *http.Request, ref eng
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("ETag", res.ETag)
-	w.Header().Set("X-Evilbloom-Digest-Version", fmt.Sprint(frameVersion(res.Blob)))
+	w.Header().Set("X-Evilbloom-Digest-Version", fmt.Sprint(cachedigest.Version(res.Blob)))
 	frame := "full"
 	if res.Delta {
 		frame = "delta"
@@ -874,8 +865,6 @@ func writeEngineError(w http.ResponseWriter, err error) {
 		}
 	case engine.KindUnauthorized:
 		status = http.StatusUnauthorized
-	case engine.KindTooLarge:
-		status = http.StatusRequestEntityTooLarge
 	case engine.KindInternal:
 		status = http.StatusInternalServerError
 	}

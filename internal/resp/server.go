@@ -371,7 +371,7 @@ func runErrorReply(err error) string {
 	case engine.KindBusy:
 		return "BUSY " + err.Error()
 	case engine.KindInvalid, engine.KindNotFound, engine.KindConflict,
-		engine.KindUnauthorized, engine.KindTooLarge, engine.KindInternal:
+		engine.KindUnauthorized, engine.KindInternal:
 		return "ERR " + err.Error()
 	}
 	return "ERR " + err.Error()

@@ -475,17 +475,18 @@ func readDigestResponse(resp *http.Response, held *cachedigest.PeerDigest, seale
 	if sealed && auth == nil {
 		return fetchResult{err: fmt.Errorf("peer sealed its digest as %q, but this node holds no mesh credentials", sealer)}
 	}
-	frame, n, err := readFrame(resp.Body, sealed)
+	frame, format, err := cachedigest.ReadFrame(resp.Body, sealed, nil, cachedigest.DeltaFrame, cachedigest.EnvelopeFrame)
 	if err != nil {
 		return fetchResult{err: err}
 	}
+	n := uint64(len(frame))
 	if sealed {
 		if frame, err = auth.Unseal(sealer, frame); err != nil {
 			return fetchResult{err: err}
 		}
 	}
 	res := fetchResult{etag: resp.Header.Get("ETag"), sealedBy: sealer, bytes: n}
-	if cachedigest.IsDeltaFrame(frame) {
+	if format == cachedigest.DeltaFrame {
 		if held == nil {
 			res.err = fmt.Errorf("%w: delta answered with no digest held", cachedigest.ErrDeltaGap)
 			return res
@@ -554,49 +555,6 @@ func (p *Peers) record(w *peerWatch, st *peerDigest, res fetchResult) error {
 	return nil
 }
 
-// readFrame buffers one digest frame — full envelope or delta — from rd,
-// size-checking from the fixed header before trusting the body's claimed
-// length, plus the MAC trailer when the exchange is sealed. It returns the
-// frame (trailer included) and the byte count read.
-func readFrame(rd io.Reader, sealed bool) ([]byte, uint64, error) {
-	// The delta header (48 bytes) is a prefix-length below the envelope's
-	// 88; read the short prefix, sniff the magic, then extend as needed.
-	hdr := make([]byte, cachedigest.EnvelopeHeaderLen)
-	if _, err := io.ReadFull(rd, hdr[:cachedigest.DeltaHeaderLen]); err != nil {
-		return nil, 0, fmt.Errorf("%w: reading header: %v", cachedigest.ErrEnvelopeCorrupt, err)
-	}
-	var size int
-	if cachedigest.IsDeltaFrame(hdr) {
-		info, err := cachedigest.DecodeDeltaInfo(hdr[:cachedigest.DeltaHeaderLen])
-		if err != nil {
-			return nil, 0, err
-		}
-		size = cachedigest.DeltaSize(info)
-		hdr = hdr[:cachedigest.DeltaHeaderLen]
-	} else {
-		if _, err := io.ReadFull(rd, hdr[cachedigest.DeltaHeaderLen:]); err != nil {
-			return nil, 0, fmt.Errorf("%w: reading header: %v", cachedigest.ErrEnvelopeCorrupt, err)
-		}
-		info, err := cachedigest.DecodeEnvelopeInfo(hdr)
-		if err != nil {
-			return nil, 0, err
-		}
-		size = info.EnvelopeSize()
-	}
-	if sealed {
-		size += cachedigest.MACTrailerLen
-	}
-	frame := make([]byte, size)
-	copy(frame, hdr)
-	if _, err := io.ReadFull(rd, frame[len(hdr):]); err != nil {
-		return nil, 0, fmt.Errorf("%w: reading payload: %v", cachedigest.ErrEnvelopeCorrupt, err)
-	}
-	if n, _ := io.ReadFull(rd, make([]byte, 1)); n != 0 {
-		return nil, 0, fmt.Errorf("%w: trailing bytes after digest frame", cachedigest.ErrEnvelopeCorrupt)
-	}
-	return frame, uint64(size), nil
-}
-
 // RefreshNow synchronously refreshes every configured peer of one filter —
 // the POST .../peers/refresh handler, and what deterministic tests and the
 // smoke script use instead of waiting out the interval. It returns the
@@ -643,41 +601,31 @@ func (p *Peers) Push(name, label string, rd io.Reader, sealer string, sealed boo
 	if w == nil {
 		return PeerStatus{}, fmt.Errorf("%w: %q", ErrFilterNotFound, name)
 	}
-	hdr := make([]byte, cachedigest.EnvelopeHeaderLen)
-	if _, err := io.ReadFull(rd, hdr); err != nil {
-		return PeerStatus{}, fmt.Errorf("%w: reading header: %v", cachedigest.ErrEnvelopeCorrupt, err)
-	}
-	info, err := cachedigest.DecodeEnvelopeInfo(hdr)
-	if err != nil {
-		return PeerStatus{}, err
-	}
-	bits := uint64(info.Shards) * info.ShardBits
-	if err := w.reservePush(label, bits); err != nil {
-		return PeerStatus{}, err
-	}
-	size := info.EnvelopeSize()
-	if sealed {
-		size += cachedigest.MACTrailerLen
-	}
-	env := make([]byte, size)
-	copy(env, hdr)
+	var bits uint64 // reserved; never 0 once the header is admitted
+	env, _, err := cachedigest.ReadFrame(rd, sealed, func(hdr []byte) error {
+		info, err := cachedigest.DecodeEnvelopeInfo(hdr)
+		if err != nil {
+			return err
+		}
+		b := uint64(info.Shards) * info.ShardBits
+		if err := w.reservePush(label, b); err != nil {
+			return err
+		}
+		bits = b
+		return nil
+	}, cachedigest.EnvelopeFrame)
 	auth := p.getAuthority()
+	if err == nil && sealed {
+		if auth == nil {
+			err = fmt.Errorf("%w: sealed push, but this node holds no mesh credentials", cachedigest.ErrEnvelopeUnauthenticated)
+		} else {
+			env, err = auth.Unseal(sealer, env)
+		}
+	}
 	var d *cachedigest.PeerDigest
-	if _, err = io.ReadFull(rd, env[len(hdr):]); err != nil {
-		err = fmt.Errorf("%w: reading payload: %v", cachedigest.ErrEnvelopeCorrupt, err)
-	} else {
-		frame := env
-		if sealed {
-			if auth == nil {
-				err = fmt.Errorf("%w: sealed push, but this node holds no mesh credentials", cachedigest.ErrEnvelopeUnauthenticated)
-			} else {
-				frame, err = auth.Unseal(sealer, env)
-			}
-		}
-		if err == nil {
-			//lint:allow atomicpublish writes land in a freshly decoded digest, never in a published store
-			d, err = cachedigest.OpenEnvelope(frame)
-		}
+	if err == nil {
+		//lint:allow atomicpublish writes land in a freshly decoded digest, never in a published store
+		d, err = cachedigest.OpenEnvelope(env)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()

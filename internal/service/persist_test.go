@@ -614,7 +614,7 @@ func TestCreateFromSnapshotRejectsOversizedHeaderEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.payloadLen = want
-	hdr := make([]byte, snapshotHeaderLen)
+	hdr := snapshotFrame.Start(uint16(h.layout), 0)
 	h.encode(hdr)
 
 	reg := NewRegistry()

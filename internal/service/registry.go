@@ -9,6 +9,8 @@ import (
 	"regexp"
 	"sort"
 	"sync"
+
+	"evilbloom/internal/cachedigest"
 )
 
 // DefaultFilterName is the registry entry the /v1/* back-compat shim routes
@@ -194,41 +196,34 @@ func (r *Registry) Create(name string, cfg Config) (*Filter, error) {
 // envelope header alone resolves the configuration (naive snapshots only;
 // hardened ones carry no keys and are refused with ErrSnapshotMismatch), so
 // every registry limit is enforced and the storage budget reserved BEFORE
-// the payload is buffered: an unauthenticated client cannot make the server
-// hold more snapshot bytes than the budget it was granted — the 72-byte
-// header is all that is read ahead of the size check and reservation.
+// the payload is buffered: the payload is geometry-implied, so an
+// unauthenticated client cannot make the server hold more snapshot bytes
+// than the budget it was granted.
 func (r *Registry) CreateFromSnapshot(name string, rd io.Reader) (*Filter, error) {
-	hdr := make([]byte, snapshotHeaderLen)
-	if _, err := io.ReadFull(rd, hdr); err != nil {
-		return nil, fmt.Errorf("%w: reading header: %v", ErrSnapshotCorrupt, err)
-	}
-	cfg, err := SnapshotConfig(hdr)
+	var (
+		cfg  Config
+		bits uint64 // reserved; never 0 once the header is admitted
+	)
+	env, _, err := cachedigest.ReadFrame(rd, false, func(hdr []byte) error {
+		c, err := SnapshotConfig(hdr)
+		if err != nil {
+			return err
+		}
+		b, err := r.validate(name, &c)
+		if err != nil {
+			return err
+		}
+		if err := r.reserve(name, b); err != nil {
+			return err
+		}
+		cfg, bits = c, b
+		return nil
+	}, snapshotFrame)
 	if err != nil {
+		if bits != 0 {
+			r.unreserve(name, bits)
+		}
 		return nil, err
-	}
-	h, err := decodeSnapshotHeader(hdr) // re-decode for the exact payload length
-	if err != nil {
-		return nil, err
-	}
-	bits, err := r.validate(name, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.reserve(name, bits); err != nil {
-		return nil, err
-	}
-	// The reservation caps the geometry (storageBits ≤ MaxFilterBits and the
-	// header's payload length is geometry-implied), so this buffer is
-	// bounded by the budget just charged.
-	env := make([]byte, snapshotHeaderLen+int(h.payloadLen)+snapshotTrailerLen)
-	copy(env, hdr)
-	if _, err := io.ReadFull(rd, env[snapshotHeaderLen:]); err != nil {
-		r.unreserve(name, bits)
-		return nil, fmt.Errorf("%w: reading payload: %v", ErrSnapshotCorrupt, err)
-	}
-	if n, _ := io.ReadFull(rd, make([]byte, 1)); n != 0 {
-		r.unreserve(name, bits)
-		return nil, fmt.Errorf("%w: trailing bytes after envelope", ErrSnapshotCorrupt)
 	}
 	return r.createReserved(name, cfg, bits, env)
 }

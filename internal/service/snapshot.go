@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
+	"evilbloom/internal/cachedigest"
 	"evilbloom/internal/core"
 	"evilbloom/internal/hashes"
 )
@@ -18,7 +18,9 @@ import (
 // restore could not tell a truncated blob from a complete one, nor a
 // counting blob from a bloom one. Every snapshot now travels inside a
 // versioned, checksummed envelope (compatibility note: the raw PR 2 format
-// is gone; it was never replayable, which is the point of this change):
+// is gone; it was never replayable, which is the point of this change). It
+// is a frame (cachedigest/frame.go: magic, version, size-determined
+// payload, CRC-32) with this header:
 //
 //	offset  size  field
 //	0       8     magic "EVBSNAP1"
@@ -58,11 +60,16 @@ import (
 // Either way a naive snapshot is a complete, self-contained clone. A hardened
 // filter's keys never travel: its envelope is only restorable where the keys
 // live — the server's own data directory.
-const (
-	snapshotMagic      = "EVBSNAP1"
-	snapshotHeaderLen  = 72
-	snapshotTrailerLen = 4
-)
+// snapshotFrame is the snapshot envelope's frame format.
+var snapshotFrame = &cachedigest.Format{
+	Magic:     "EVBSNAP1",
+	HeaderLen: 72,
+	Size: func(hdr []byte) (uint64, error) {
+		h, err := decodeSnapshotHeader(hdr)
+		return h.payloadLen, err
+	},
+	Corrupt: ErrSnapshotCorrupt,
+}
 
 // Snapshot envelope errors, matched by the HTTP layer to pick status codes:
 // corrupt envelopes are the client's transfer problem (400), mismatches are
@@ -93,18 +100,17 @@ type snapshotHeader struct {
 }
 
 // headerFor derives the envelope header from a store's configuration.
-func (s *Sharded) headerFor(payloadLen int) snapshotHeader {
+func (s *Sharded) headerFor() snapshotHeader {
 	h := snapshotHeader{
-		layout:     s.cfg.layout,
-		variant:    s.variant,
-		mode:       s.mode,
-		width:      s.width,
-		overflow:   s.policy,
-		seed:       s.seed,
-		shards:     len(s.shards),
-		shardBits:  s.mShard,
-		k:          s.k,
-		payloadLen: uint64(payloadLen),
+		layout:    s.cfg.layout,
+		variant:   s.variant,
+		mode:      s.mode,
+		width:     s.width,
+		overflow:  s.policy,
+		seed:      s.seed,
+		shards:    len(s.shards),
+		shardBits: s.mShard,
+		k:         s.k,
 	}
 	if s.mode == ModeNaive && h.layout == hashes.LayoutV1 {
 		copy(h.routeKey[:], s.cfg.RouteKey)
@@ -140,15 +146,13 @@ func (h snapshotHeader) expectedPayloadLen() (uint64, error) {
 	return uint64(h.shards) * (8 + blob), nil
 }
 
-// encode serializes the header into the first snapshotHeaderLen bytes of dst.
+// encode writes the header's fields into dst, a header begun by
+// snapshotFrame.Start (which wrote the magic and version).
 func (h snapshotHeader) encode(dst []byte) {
-	copy(dst, snapshotMagic)
-	binary.LittleEndian.PutUint16(dst[8:], uint16(h.layout))
 	dst[10] = byte(h.variant)
 	dst[11] = byte(h.mode)
 	dst[12] = byte(h.width)
 	dst[13] = byte(h.overflow)
-	dst[14], dst[15] = 0, 0
 	binary.LittleEndian.PutUint64(dst[16:], h.seed)
 	binary.LittleEndian.PutUint64(dst[24:], uint64(h.shards))
 	binary.LittleEndian.PutUint64(dst[32:], h.shardBits)
@@ -157,18 +161,11 @@ func (h snapshotHeader) encode(dst []byte) {
 	copy(dst[56:72], h.routeKey[:])
 }
 
-// decodeSnapshotHeader validates and decodes the fixed prefix. It checks
-// structure only; the CRC spans the payload and is verified by
-// decodeSnapshot once the whole envelope is in hand.
+// decodeSnapshotHeader validates and decodes a header whose length and
+// magic snapshotFrame checked; the CRC is Open's.
 func decodeSnapshotHeader(hdr []byte) (snapshotHeader, error) {
 	var h snapshotHeader
-	if len(hdr) < snapshotHeaderLen {
-		return h, fmt.Errorf("%w: %d header bytes, need %d", ErrSnapshotCorrupt, len(hdr), snapshotHeaderLen)
-	}
-	if string(hdr[:8]) != snapshotMagic {
-		return h, fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)
-	}
-	v := binary.LittleEndian.Uint16(hdr[8:])
+	v := cachedigest.Version(hdr)
 	if v > 0xff || !hashes.Layout(v).Known() {
 		return h, fmt.Errorf("%w: unsupported snapshot version %d", ErrSnapshotCorrupt, v)
 	}
@@ -199,29 +196,12 @@ func decodeSnapshotHeader(hdr []byte) (snapshotHeader, error) {
 	return h, nil
 }
 
-// decodeSnapshot validates a complete envelope (structure and CRC) and
-// returns its header and payload. The payload slice aliases data.
-func decodeSnapshot(data []byte) (snapshotHeader, []byte, error) {
-	h, err := decodeSnapshotHeader(data)
-	if err != nil {
-		return h, nil, err
-	}
-	want := snapshotHeaderLen + int(h.payloadLen) + snapshotTrailerLen
-	if len(data) != want {
-		return h, nil, fmt.Errorf("%w: envelope is %d bytes, header implies %d", ErrSnapshotCorrupt, len(data), want)
-	}
-	body := data[:len(data)-snapshotTrailerLen]
-	if got, sum := binary.LittleEndian.Uint32(data[len(body):]), crc32.ChecksumIEEE(body); got != sum {
-		return h, nil, fmt.Errorf("%w: checksum 0x%08x, computed 0x%08x", ErrSnapshotCorrupt, got, sum)
-	}
-	return h, body[snapshotHeaderLen:], nil
-}
-
-// SnapshotConfig resolves an envelope header into the Config that recreates
-// its filter — the PUT-with-snapshot-body path. Only naive-mode snapshots
-// are resolvable over the wire: a hardened filter's occupancy is meaningless
-// without its server-side keys, which never travel in an envelope, so
-// restoring one remotely would produce a filter whose answers are noise.
+// SnapshotConfig resolves an envelope header, its length and magic already
+// checked, into the Config that recreates its filter — the
+// PUT-with-snapshot-body path. Only naive-mode snapshots are resolvable
+// over the wire: a hardened filter's occupancy is meaningless without its
+// server-side keys, which never travel in an envelope, so restoring one
+// remotely would produce a filter whose answers are noise.
 func SnapshotConfig(hdr []byte) (Config, error) {
 	h, err := decodeSnapshotHeader(hdr)
 	if err != nil {
@@ -249,7 +229,7 @@ func SnapshotConfig(hdr []byte) (Config, error) {
 
 // match checks the header against a live store's immutable configuration.
 func (s *Sharded) match(h snapshotHeader) error {
-	mine := s.headerFor(int(h.payloadLen))
+	mine := s.headerFor()
 	switch {
 	case h.layout != mine.layout:
 		return fmt.Errorf("%w: snapshot placement layout %d, filter uses %d", ErrSnapshotMismatch, h.layout, mine.layout)
@@ -288,12 +268,12 @@ func (s *Sharded) snapshotLocked() ([]byte, error) {
 }
 
 func (s *Sharded) snapshot(lock bool) ([]byte, error) {
-	h := s.headerFor(0)
+	h := s.headerFor()
 	payloadLen, err := h.expectedPayloadLen()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, snapshotHeaderLen, snapshotHeaderLen+int(payloadLen)+snapshotTrailerLen)
+	out := snapshotFrame.Start(uint16(h.layout), int(payloadLen))
 	for i := range s.shards {
 		sh := &s.shards[i]
 		snap, ok := sh.backend.(Snapshotter)
@@ -310,19 +290,14 @@ func (s *Sharded) snapshot(lock bool) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: snapshotting shard %d: %w", i, err)
 		}
-		var sz [8]byte
-		binary.LittleEndian.PutUint64(sz[:], uint64(len(blob)))
-		out = append(out, sz[:]...)
-		out = append(out, blob...)
+		out = append(binary.LittleEndian.AppendUint64(out, uint64(len(blob))), blob...)
 	}
-	h.payloadLen = uint64(len(out) - snapshotHeaderLen)
+	h.payloadLen = uint64(len(out) - snapshotFrame.HeaderLen)
 	if h.payloadLen != payloadLen {
 		return nil, fmt.Errorf("service: snapshot payload is %d bytes, geometry implies %d", h.payloadLen, payloadLen)
 	}
-	h.encode(out[:snapshotHeaderLen])
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(out))
-	return append(out, crc[:]...), nil
+	h.encode(out)
+	return snapshotFrame.Finish(out), nil
 }
 
 // Restore overwrites the store's occupancy state from an envelope written by
@@ -333,38 +308,34 @@ func (s *Sharded) snapshot(lock bool) ([]byte, error) {
 // must be discarded, which is what every caller does. Incremental shard
 // weights are recomputed from the restored backends, so stats stay exact.
 func (s *Sharded) Restore(data []byte) error {
-	h, payload, err := decodeSnapshot(data)
+	hdr, payload, err := snapshotFrame.Open(data)
 	if err != nil {
 		return err
 	}
+	h, _ := decodeSnapshotHeader(hdr) // Open validated it through Size
 	if err := s.match(h); err != nil {
 		return err
 	}
+	// match pinned the geometry, so the payload is one fixed-size
+	// [8-byte length][blob] chunk per shard.
+	blobLen, _ := h.shardBlobLen()
 	s.lockAll()
 	defer s.unlockAll()
 	for i := range s.shards {
-		if len(payload) < 8 {
-			return fmt.Errorf("%w: payload exhausted at shard %d", ErrSnapshotCorrupt, i)
-		}
-		n := binary.LittleEndian.Uint64(payload)
-		payload = payload[8:]
-		if n > uint64(len(payload)) {
-			return fmt.Errorf("%w: shard %d blob claims %d bytes, %d remain", ErrSnapshotCorrupt, i, n, len(payload))
+		chunk := payload[i*(8+int(blobLen)):][:8+blobLen]
+		if n := binary.LittleEndian.Uint64(chunk); n != blobLen {
+			return fmt.Errorf("%w: shard %d blob claims %d bytes, geometry implies %d", ErrSnapshotCorrupt, i, n, blobLen)
 		}
 		sh := &s.shards[i]
 		snap, ok := sh.backend.(Snapshotter)
 		if !ok {
 			return fmt.Errorf("service: %v backend of shard %d cannot restore", s.variant, i)
 		}
-		if err := snap.Restore(payload[:n]); err != nil {
-			return fmt.Errorf("service: restoring shard %d: %w", i, err)
+		if err := snap.Restore(chunk[8:]); err != nil {
+			return fmt.Errorf("%w: shard %d: %v", ErrSnapshotCorrupt, i, err)
 		}
 		sh.weight = sh.backend.Weight()
 		sh.muts++ // a restore is a mutation: digests of this store are stale now
-		payload = payload[n:]
-	}
-	if len(payload) != 0 {
-		return fmt.Errorf("%w: %d trailing payload bytes", ErrSnapshotCorrupt, len(payload))
 	}
 	return nil
 }
