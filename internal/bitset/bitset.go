@@ -3,6 +3,7 @@ package bitset
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/bits"
 	"sync/atomic"
 )
@@ -20,12 +21,8 @@ type BitSet struct {
 func New(size uint64) *BitSet {
 	return &BitSet{
 		size:  size,
-		words: make([]uint64, wordsFor(size)),
+		words: make([]uint64, (size+wordBits-1)/wordBits),
 	}
-}
-
-func wordsFor(size uint64) int {
-	return int((size + wordBits - 1) / wordBits)
 }
 
 // Size returns the number of bits the set holds (the filter size m).
@@ -91,26 +88,12 @@ func (b *BitSet) SetAtomic(i uint64) bool {
 }
 
 // TestAtomic is Test with an atomic word load — safe to call with no lock
-// held while a serialized writer uses SetAtomic/StoreFrom.
+// held while a serialized writer uses SetAtomic, Load or Reset.
 func (b *BitSet) TestAtomic(i uint64) bool {
 	if i >= b.size {
 		return false
 	}
 	return atomic.LoadUint64(&b.words[i/wordBits])&(1<<(i%wordBits)) != 0
-}
-
-// StoreFrom overwrites b's contents with o's, word by word with atomic
-// stores, without replacing the backing array — so lock-free readers holding
-// the old view never observe a torn word or a dangling slice. Sizes must
-// match exactly.
-func (b *BitSet) StoreFrom(o *BitSet) error {
-	if b.size != o.size {
-		return fmt.Errorf("bitset: storing %d bits into a %d-bit set", o.size, b.size)
-	}
-	for i, w := range o.words {
-		atomic.StoreUint64(&b.words[i], w)
-	}
-	return nil
 }
 
 // Words returns the number of backing 64-bit words.
@@ -130,7 +113,7 @@ func (b *BitSet) Word(i int) uint64 {
 // the last word are trimmed so the set stays canonical; out-of-range indexes
 // are ignored.
 //
-//lint:allow atomicpublish plain-write twin: delta application happens on an unpublished working copy, then publishes via StoreFrom
+//lint:allow atomicpublish plain-write twin: delta application patches an unpublished working copy of a peer's digest
 func (b *BitSet) SetWord(i int, w uint64) {
 	if i < 0 || i >= len(b.words) {
 		return
@@ -183,12 +166,11 @@ func (b *BitSet) SetAll() {
 	b.trimTail()
 }
 
-// Reset clears every bit.
-//
-//lint:allow atomicpublish plain-write twin: callers serialize externally and must not expose the set to lock-free readers
+// Reset clears every bit, one atomic store per word, so lock-free readers
+// may run alongside a serialized writer calling it.
 func (b *BitSet) Reset() {
 	for i := range b.words {
-		b.words[i] = 0
+		atomic.StoreUint64(&b.words[i], 0)
 	}
 }
 
@@ -250,37 +232,52 @@ func (b *BitSet) IntersectWith(o *BitSet) error {
 	return nil
 }
 
-// MarshalBinary encodes the set as an 8-byte little-endian size followed by
-// the packed words. It implements encoding.BinaryMarshaler; cache digests
-// (§7 of the paper) travel between proxies in this form.
-func (b *BitSet) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 8+8*len(b.words))
-	binary.LittleEndian.PutUint64(out, b.size)
-	for i, w := range b.words {
-		binary.LittleEndian.PutUint64(out[8+8*i:], w)
+// AppendBinary appends the set's encoding to dst: an 8-byte little-endian
+// size followed by the packed words — the form cache digests (§7 of the
+// paper) and snapshotted bloom or blocked shards travel in.
+func (b *BitSet) AppendBinary(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, b.size)
+	for _, w := range b.words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return out, nil
+	return dst
 }
 
-// UnmarshalBinary decodes data produced by MarshalBinary. The receiver
-// must be unpublished: decoding replaces the backing words wholesale.
-//
-//lint:allow atomicpublish decodes into a receiver that must not be visible to lock-free readers yet
-func (b *BitSet) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("bitset: truncated header: %d bytes", len(data))
+// Load overwrites the set in place from r, which must hold what AppendBinary
+// writes for a set of b's size, reading through buf (≥ 8 bytes) with one
+// atomic store per word: lock-free readers keep a valid view, and no second
+// copy of the words exists. Bits set past Size are refused (not canonical).
+// On error the set is half-written.
+func (b *BitSet) Load(r io.Reader, buf []byte) error {
+	if _, err := io.ReadFull(r, buf[:8]); err != nil {
+		return err
 	}
-	size := binary.LittleEndian.Uint64(data)
-	want := wordsFor(size)
-	if len(data) != 8+8*want {
-		return fmt.Errorf("bitset: size %d needs %d payload bytes, have %d", size, 8*want, len(data)-8)
+	if size := binary.LittleEndian.Uint64(buf); size != b.size {
+		return fmt.Errorf("bitset: loading %d bits into a %d-bit set", size, b.size)
 	}
-	b.size = size
-	b.words = make([]uint64, want)
-	for i := range b.words {
-		b.words[i] = binary.LittleEndian.Uint64(data[8+8*i:])
+	err := ReadWords(r, buf, len(b.words), func(i int, w uint64) { atomic.StoreUint64(&b.words[i], w) })
+	if err != nil {
+		return err
 	}
-	b.trimTail()
+	if rem := b.size % wordBits; rem != 0 && b.words[len(b.words)-1]>>rem != 0 {
+		return fmt.Errorf("bitset: bits set past size %d", b.size)
+	}
+	return nil
+}
+
+// ReadWords reads n little-endian 64-bit words from r, a chunk of buf
+// (≥ 8 bytes) at a time and never past the n-th, handing each to put.
+func ReadWords(r io.Reader, buf []byte, n int, put func(i int, w uint64)) error {
+	for i := 0; i < n; {
+		chunk := buf[:8*min(n-i, len(buf)/8)]
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return err
+		}
+		for j := 0; j < len(chunk); j += 8 {
+			put(i, binary.LittleEndian.Uint64(chunk[j:]))
+			i++
+		}
+	}
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package bitset
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -177,31 +179,77 @@ func TestMarshalRoundTrip(t *testing.T) {
 		for i := uint64(0); i < size/3+1; i++ {
 			b.Set(uint64(rng.Int63()) % (size + 1))
 		}
-		data, err := b.MarshalBinary()
-		if err != nil {
-			t.Fatalf("size %d: marshal: %v", size, err)
+		c := New(size)
+		if err := c.Load(bytes.NewReader(b.AppendBinary(nil)), make([]byte, 8)); err != nil {
+			t.Fatalf("size %d: load: %v", size, err)
 		}
-		var c BitSet
-		if err := c.UnmarshalBinary(data); err != nil {
-			t.Fatalf("size %d: unmarshal: %v", size, err)
-		}
-		if !b.Equal(&c) {
+		if !b.Equal(c) {
 			t.Errorf("size %d: round trip mismatch", size)
 		}
 	}
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	var b BitSet
-	if err := b.UnmarshalBinary(nil); err == nil {
-		t.Error("unmarshal of nil succeeded")
+	load := func(data []byte) error { return New(100).Load(bytes.NewReader(data), make([]byte, 8)) }
+	if err := load(nil); err == nil {
+		t.Error("load of nil succeeded")
 	}
-	if err := b.UnmarshalBinary([]byte{1, 2, 3}); err == nil {
-		t.Error("unmarshal of short header succeeded")
+	if err := load([]byte{1, 2, 3}); err == nil {
+		t.Error("load of short header succeeded")
 	}
-	good, _ := New(100).MarshalBinary()
-	if err := b.UnmarshalBinary(good[:len(good)-1]); err == nil {
-		t.Error("unmarshal of truncated payload succeeded")
+	good := New(100).AppendBinary(nil)
+	if err := load(good[:len(good)-1]); err == nil {
+		t.Error("load of truncated payload succeeded")
+	}
+}
+
+// Load overwrites a set of the encoded size in place and refuses a size
+// mismatch, a short stream and bits set past the size.
+func TestLoad(t *testing.T) {
+	src := New(130)
+	src.Set(0)
+	src.Set(129)
+	data := src.AppendBinary(nil)
+	dst := New(130)
+	dst.Set(64)
+	words := dst.words
+	if err := dst.Load(bytes.NewReader(data), make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if !dst.Equal(src) || &dst.words[0] != &words[0] {
+		t.Error("Load did not overwrite the set in place")
+	}
+	if err := New(129).Load(bytes.NewReader(data), make([]byte, 8)); err == nil {
+		t.Error("Load accepted another size")
+	}
+	if err := New(130).Load(bytes.NewReader(data[:len(data)-1]), make([]byte, 64)); err == nil {
+		t.Error("Load accepted a truncated stream")
+	}
+	data[len(data)-1] |= 0x80 // bit 191, past the size
+	if err := New(130).Load(bytes.NewReader(data), make([]byte, 64)); err == nil {
+		t.Error("Load accepted bits set past the size")
+	}
+}
+
+// ReadWords hands every word over in order whatever the chunk size, and
+// reads nothing past the last one.
+func TestReadWords(t *testing.T) {
+	var data []byte
+	for i := uint64(0); i < 10; i++ {
+		data = binary.LittleEndian.AppendUint64(data, i*i)
+	}
+	for _, bufLen := range []int{8, 15, 24, 200} {
+		r := bytes.NewReader(data)
+		var got []uint64
+		err := ReadWords(r, make([]byte, bufLen), 7, func(i int, w uint64) {
+			if i != len(got) {
+				t.Fatalf("word %d handed over as %d", len(got), i)
+			}
+			got = append(got, w)
+		})
+		if err != nil || len(got) != 7 || got[6] != 36 || r.Len() != 24 {
+			t.Errorf("buf %d: %v, %d words, %d bytes left", bufLen, err, len(got), r.Len())
+		}
 	}
 }
 
@@ -253,7 +301,7 @@ func TestWeightSupportProperty(t *testing.T) {
 	}
 }
 
-// Property: marshal/unmarshal is the identity for arbitrary contents.
+// Property: AppendBinary then Load is the identity for arbitrary contents.
 func TestMarshalProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		size := uint64(nRaw) % 4096
@@ -262,15 +310,11 @@ func TestMarshalProperty(t *testing.T) {
 		for i := uint64(0); size > 0 && i < size/2; i++ {
 			b.Set(uint64(rng.Int63()) % size)
 		}
-		data, err := b.MarshalBinary()
-		if err != nil {
+		c := New(size)
+		if err := c.Load(bytes.NewReader(b.AppendBinary(nil)), make([]byte, 24)); err != nil {
 			return false
 		}
-		var c BitSet
-		if err := c.UnmarshalBinary(data); err != nil {
-			return false
-		}
-		return b.Equal(&c)
+		return b.Equal(c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -53,11 +53,6 @@ func (d *Digest) EstimatedFPR() float64 { return d.bloom.EstimatedFPR() }
 // model makes the implementation public).
 func (d *Digest) Bloom() *core.Bloom { return d.bloom }
 
-// MarshalBinary serializes the digest for the sibling exchange.
-func (d *Digest) MarshalBinary() ([]byte, error) {
-	return d.bloom.Bits().MarshalBinary()
-}
-
 // Network accounts simulated round trips between peers. The paper's testbed
 // measured ≈10 ms per unnecessary sibling hit.
 type Network struct {

@@ -1,6 +1,7 @@
 package cachedigest
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -234,11 +235,7 @@ func EncodeEnvelope(info EnvelopeInfo, shards []*bitset.BitSet) ([]byte, error) 
 		if bs.Size() != info.ShardBits {
 			return nil, fmt.Errorf("cachedigest: shard %d holds %d bits, geometry says %d", i, bs.Size(), info.ShardBits)
 		}
-		blob, err := bs.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, blob...)
+		out = bs.AppendBinary(out)
 	}
 	if got, want := uint64(len(out)-EnvelopeHeaderLen), info.PayloadLen; got != want {
 		return nil, fmt.Errorf("cachedigest: payload is %d bytes, geometry implies %d", got, want)
@@ -284,18 +281,13 @@ func OpenEnvelope(data []byte) (*PeerDigest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrEnvelopeCorrupt, err)
 	}
-	blobLen := info.shardBlobLen()
+	rd, buf := bytes.NewReader(payload), make([]byte, 4<<10)
 	for i := range d.bits {
-		bs := &bitset.BitSet{}
-		if err := bs.UnmarshalBinary(payload[:blobLen]); err != nil {
+		// Load refuses a vector of another size, or with bits set past it.
+		d.bits[i] = bitset.New(info.ShardBits)
+		if err := d.bits[i].Load(rd, buf); err != nil {
 			return nil, fmt.Errorf("%w: shard %d: %v", ErrEnvelopeCorrupt, i, err)
 		}
-		if bs.Size() != info.ShardBits {
-			return nil, fmt.Errorf("%w: shard %d vector holds %d bits, header says %d",
-				ErrEnvelopeCorrupt, i, bs.Size(), info.ShardBits)
-		}
-		d.bits[i] = bs
-		payload = payload[blobLen:]
 	}
 	return d, nil
 }

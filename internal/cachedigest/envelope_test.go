@@ -152,6 +152,26 @@ func TestSquidDigestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
+// A digest is decoded by the one bit-vector loader snapshots use, so bits
+// set past a shard's size — bytes no exporter writes — are corrupt, not
+// silently dropped.
+func TestEnvelopeRefusesBitsPastShardSize(t *testing.T) {
+	d, err := NewDigest(100) // 507 bits: the last word has 5 bits of slack
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Add("GET", "http://a.test/")
+	env, err := d.Envelope(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env[len(env)-5] |= 0x80 // bit 511, the top of the last payload word
+	reseal(env)
+	if _, err := OpenEnvelope(env); !errors.Is(err, ErrEnvelopeCorrupt) {
+		t.Errorf("got %v, want ErrEnvelopeCorrupt", err)
+	}
+}
+
 // The corruption/mismatch table, mirroring the snapshot envelope tests:
 // structural damage must decode to ErrEnvelopeCorrupt, unknown families to
 // ErrEnvelopeUnusable, and nothing may be silently accepted.

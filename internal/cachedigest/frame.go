@@ -90,12 +90,19 @@ func (f *Format) Open(data []byte) (hdr, payload []byte, err error) {
 // ReadFrame is the one reader of a frame from a stream. It reads the
 // shortest of formats' headers, picks the format by magic, completes and
 // sizes the header, and passes it to admit (when not nil): the caller's
-// budget, whose refusal is returned as it is. Only then does it allocate
-// and read the payload, the CRC and, when sealed, the MAC trailer; any
-// byte after them is corrupt. It checks neither CRC nor MAC (a sealed
-// frame is unsealed before its CRC is trusted): the caller Opens the
-// frame, and ReadFrame then Open accept exactly what Open accepts.
-func ReadFrame(rd io.Reader, sealed bool, admit func(hdr []byte) error, formats ...*Format) ([]byte, *Format, error) {
+// budget, whose refusal is returned as it is. Only then does it read the
+// payload, the CRC and, when sealed, the MAC trailer; any byte after them
+// is corrupt.
+//
+// By default it returns the frame, unchecked (a sealed frame is unsealed
+// before its CRC is trusted): the caller Opens it, and ReadFrame then Open
+// accept exactly what Open accepts. When admit also returns a consumer, an
+// unsealed payload is never buffered: consume reads it from a reader bounded
+// to exactly its size that checksums it as it passes, and must read all of
+// it; ReadFrame checks the CRC itself, accepts exactly what Open would, and
+// returns only the header. The CRC is known only after consume has used
+// every byte, so on any error the caller discards what consume built.
+func ReadFrame(rd io.Reader, sealed bool, admit func(hdr []byte) (consume func(io.Reader) error, err error), formats ...*Format) ([]byte, *Format, error) {
 	lo, hi := formats[0].HeaderLen, formats[0].HeaderLen
 	for _, f := range formats[1:] {
 		lo, hi = min(lo, f.HeaderLen), max(hi, f.HeaderLen)
@@ -118,22 +125,43 @@ func ReadFrame(rd io.Reader, sealed bool, admit func(hdr []byte) error, formats 
 		return nil, f, fmt.Errorf("%w: reading header: %v", f.Corrupt, err)
 	}
 	n, err := f.frameLen(hdr)
+	var consume func(io.Reader) error
 	if err == nil && admit != nil {
-		err = admit(hdr)
+		consume, err = admit(hdr)
 	}
 	if err != nil {
 		return nil, f, err
 	}
-	if sealed {
-		n += MACTrailerLen
-	}
-	frame := make([]byte, n)
-	copy(frame, hdr)
-	if _, err := io.ReadFull(rd, frame[len(hdr):]); err != nil {
-		return nil, f, fmt.Errorf("%w: reading payload: %v", f.Corrupt, err)
+	if consume == nil {
+		if sealed {
+			n += MACTrailerLen
+		}
+		frame := make([]byte, n)
+		copy(frame, hdr)
+		if _, err := io.ReadFull(rd, frame[len(hdr):]); err != nil {
+			return nil, f, fmt.Errorf("%w: reading payload: %v", f.Corrupt, err)
+		}
+		hdr = frame
+	} else {
+		crc := crc32.NewIEEE()
+		crc.Write(hdr) //nolint:errcheck // a hash never fails
+		body := &io.LimitedReader{R: io.TeeReader(rd, crc), N: int64(n - len(hdr) - frameCRCLen)}
+		if err := consume(body); err != nil {
+			return nil, f, err
+		}
+		if body.N != 0 {
+			return nil, f, fmt.Errorf("%w: payload ends %d bytes short", f.Corrupt, body.N)
+		}
+		var sum [frameCRCLen]byte
+		if _, err := io.ReadFull(rd, sum[:]); err != nil {
+			return nil, f, fmt.Errorf("%w: reading checksum: %v", f.Corrupt, err)
+		}
+		if got, want := binary.LittleEndian.Uint32(sum[:]), crc.Sum32(); got != want {
+			return nil, f, fmt.Errorf("%w: checksum 0x%08x, computed 0x%08x", f.Corrupt, got, want)
+		}
 	}
 	if k, _ := io.ReadFull(rd, make([]byte, 1)); k != 0 {
 		return nil, f, fmt.Errorf("%w: trailing bytes after frame", f.Corrupt)
 	}
-	return frame, f, nil
+	return hdr, f, nil
 }

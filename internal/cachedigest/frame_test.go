@@ -84,6 +84,47 @@ func sameSentinel(a, b error) bool {
 	return true
 }
 
+// streamAgreesWithOpen runs ReadFrame in consumer mode over data served in
+// cuts-sized chunks: it must accept exactly what Open accepts, fail with
+// the same sentinel, and hand its consumer exactly Open's payload; and a
+// consumer that stops one byte short of the payload is refused.
+func streamAgreesWithOpen(t *testing.T, data, cuts, wantHdr, wantPayload []byte, wantErr error) {
+	t.Helper()
+	var seen []byte
+	hdr, _, err := ReadFrame(&chunkReader{data: data, cuts: cuts}, false, func(hdr []byte) (func(io.Reader) error, error) {
+		if impliedLen(hdr) > len(data) {
+			return nil, errRefused // the input cannot fill it: Open refuses it too
+		}
+		return func(r io.Reader) error {
+			var err error
+			seen, err = io.ReadAll(r)
+			return err
+		}, nil
+	}, frameFormats...)
+	switch {
+	case errors.Is(err, errRefused):
+		if wantErr == nil {
+			t.Fatal("consumer mode: refused a frame Open accepts")
+		}
+	case !sameSentinel(err, wantErr):
+		t.Fatalf("consumer mode: %v; Open: %v", err, wantErr)
+	case err == nil && (!bytes.Equal(hdr, wantHdr) || !bytes.Equal(seen, wantPayload)):
+		t.Fatal("consumer mode and Open disagree on header or payload")
+	}
+	if wantErr != nil || len(wantPayload) == 0 {
+		return
+	}
+	_, _, err = ReadFrame(&chunkReader{data: data, cuts: cuts}, false, func([]byte) (func(io.Reader) error, error) {
+		return func(r io.Reader) error {
+			_, err := io.ReadFull(r, make([]byte, len(wantPayload)-1))
+			return err
+		}, nil
+	}, frameFormats...)
+	if !errors.Is(err, ErrEnvelopeCorrupt) {
+		t.Fatalf("a consumer that stopped short: %v, want ErrEnvelopeCorrupt", err)
+	}
+}
+
 // FuzzFrame checks the one stream reader against the one in-memory opener.
 // For arbitrary bytes served in arbitrary chunks:
 //
@@ -93,7 +134,9 @@ func sameSentinel(a, b error) bool {
 //     a payload-sized allocation; a refusal from admit is returned as it is
 //     and reads nothing more;
 //   - a MAC trailer's worth of extra bytes, read as sealed, comes back
-//     appended to the same frame.
+//     appended to the same frame;
+//   - in consumer mode the payload streams, and the same holds
+//     (streamAgreesWithOpen).
 func FuzzFrame(f *testing.F) {
 	env := fuzzEnvelope()
 	delta := fuzzDelta(42)
@@ -137,7 +180,7 @@ func FuzzFrame(f *testing.F) {
 		rd := &chunkReader{data: data, cuts: cuts}
 		admitted := false
 		var at int
-		frame, format, err := ReadFrame(rd, false, func(hdr []byte) error {
+		frame, format, err := ReadFrame(rd, false, func(hdr []byte) (func(io.Reader) error, error) {
 			admitted = true
 			if rd.served != len(hdr) || !bytes.Equal(hdr, data[:len(hdr)]) {
 				t.Fatalf("admit saw %d header bytes after %d were read", len(hdr), rd.served)
@@ -155,9 +198,9 @@ func FuzzFrame(f *testing.F) {
 				}
 			}
 			if refuse || n > len(data) {
-				return errRefused // the budget: never buffer more than the input could fill
+				return nil, errRefused // the budget: never buffer more than the input could fill
 			}
-			return nil
+			return nil, nil
 		}, frameFormats...)
 		if admitted && errors.Is(err, errRefused) {
 			if rd.served != at {
@@ -181,6 +224,7 @@ func FuzzFrame(f *testing.F) {
 		if err == nil && (!bytes.Equal(hdr, wantHdr) || !bytes.Equal(payload, wantPayload)) {
 			t.Fatal("ReadFrame+Open and Open disagree on header or payload")
 		}
+		streamAgreesWithOpen(t, data, cuts, wantHdr, wantPayload, wantErr)
 		if frame == nil {
 			return
 		}

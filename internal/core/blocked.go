@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"evilbloom/internal/bitset"
 	"evilbloom/internal/hashes"
 )
 
@@ -33,10 +31,7 @@ func BlockedPosition(first, idx uint64) uint64 {
 // 512 positions instead of m. Not safe for concurrent use on its own; the
 // service layer serializes writers and uses the atomic read path.
 type Blocked struct {
-	bits    *bitset.BitSet
-	fam     hashes.IndexFamily
-	n       uint64
-	scratch []uint64
+	bitFilter
 }
 
 var _ Filter = (*Blocked)(nil)
@@ -49,11 +44,7 @@ func NewBlocked(fam hashes.IndexFamily) (*Blocked, error) {
 	if m == 0 || m%BlockBits != 0 {
 		return nil, fmt.Errorf("core: blocked filter size %d is not a positive multiple of %d", m, BlockBits)
 	}
-	return &Blocked{
-		bits:    bitset.New(m),
-		fam:     fam,
-		scratch: make([]uint64, 0, fam.K()),
-	}, nil
+	return &Blocked{newBitFilter(fam)}, nil
 }
 
 // Add implements Filter.
@@ -94,75 +85,5 @@ func (b *Blocked) TestIndexesAtomic(idx []uint64) bool {
 	return true
 }
 
-// Count implements Filter.
-func (b *Blocked) Count() uint64 { return b.n }
-
-// M returns the filter size in bits.
-func (b *Blocked) M() uint64 { return b.fam.M() }
-
-// K returns the number of hash functions.
-func (b *Blocked) K() int { return b.fam.K() }
-
 // Blocks returns the number of 512-bit blocks.
 func (b *Blocked) Blocks() uint64 { return b.M() / BlockBits }
-
-// Weight returns the Hamming weight w_H(z).
-func (b *Blocked) Weight() uint64 { return b.bits.Weight() }
-
-// Fill returns W/m.
-func (b *Blocked) Fill() float64 { return b.bits.Fill() }
-
-// EstimatedFPR returns (W/m)^k — the same global-fill estimate the other
-// variants report. It slightly underestimates a blocked filter's true rate
-// (bits cluster within blocks), but keeps the stats comparable across
-// variants; the designed-rate penalty of blocking is a property of the
-// construction, not of one filter's state.
-func (b *Blocked) EstimatedFPR() float64 {
-	return FPForgeryProbability(b.M(), b.K(), b.Weight())
-}
-
-// Occupied reports whether raw bit i is set — the adversary's per-position
-// view of the storage (§4). Note the argument is a storage position, not an
-// index-family output; apply BlockedPosition to map the latter.
-func (b *Blocked) Occupied(i uint64) bool { return b.bits.Test(i) }
-
-// OccupancyBits returns a private copy of the occupancy pattern — for a
-// blocked filter, like a plain one, the digest IS the bit vector. A party
-// evaluating membership against it must apply BlockedPosition to each
-// index-family output, exactly as the filter itself does.
-func (b *Blocked) OccupancyBits() *bitset.BitSet { return b.bits.Clone() }
-
-// Family returns the index family.
-func (b *Blocked) Family() hashes.IndexFamily { return b.fam }
-
-// MarshalBinary encodes the filter state (insertion count plus the bit
-// vector) in exactly the Bloom framing — the geometry field distinguishes
-// nothing; the enclosing snapshot envelope carries the variant.
-func (b *Blocked) MarshalBinary() ([]byte, error) {
-	bits, err := b.bits.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 8, 8+len(bits))
-	binary.LittleEndian.PutUint64(out, b.n)
-	return append(out, bits...), nil
-}
-
-// UnmarshalBinary restores state written by MarshalBinary into a filter that
-// must already have the same geometry (m). Like Bloom, the bit vector is
-// overwritten in place with atomic stores so lock-free readers survive a
-// restore.
-func (b *Blocked) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("core: truncated blocked snapshot: %d bytes", len(data))
-	}
-	bits := bitset.New(0)
-	if err := bits.UnmarshalBinary(data[8:]); err != nil {
-		return err
-	}
-	if bits.Size() != b.fam.M() {
-		return fmt.Errorf("core: snapshot geometry (m=%d) does not match filter (m=%d)", bits.Size(), b.fam.M())
-	}
-	b.n = binary.LittleEndian.Uint64(data)
-	return b.bits.StoreFrom(bits)
-}

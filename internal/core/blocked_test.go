@@ -123,18 +123,12 @@ func TestBlockedSnapshotRoundTrip(t *testing.T) {
 		items[i] = gen.Next()
 		a.Add(items[i])
 	}
-	blob, err := a.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := a.AppendBinary(nil)
 	b := newBlockedFilter(t, 4, 16*BlockBits)
-	if err := b.UnmarshalBinary(blob); err != nil {
+	if err := loadBlob(b, blob); err != nil {
 		t.Fatal(err)
 	}
-	again, err := b.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := b.AppendBinary(nil)
 	if !bytes.Equal(blob, again) {
 		t.Error("restored filter re-serializes differently")
 	}
@@ -152,13 +146,13 @@ func TestBlockedSnapshotRoundTrip(t *testing.T) {
 	other := newBlockedFilter(t, 4, 8*BlockBits)
 	other.Add([]byte("sentinel"))
 	w := other.Weight()
-	if err := other.UnmarshalBinary(blob); err == nil {
+	if err := loadBlob(other, blob); err == nil {
 		t.Fatal("geometry-mismatched snapshot accepted")
 	}
 	if other.Weight() != w || !other.Test([]byte("sentinel")) {
 		t.Fatal("failed restore disturbed the target filter")
 	}
-	if err := other.UnmarshalBinary(blob[:4]); err == nil {
+	if err := loadBlob(other, blob[:4]); err == nil {
 		t.Fatal("truncated snapshot accepted")
 	}
 }

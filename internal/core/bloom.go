@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 
 	"evilbloom/internal/bitset"
@@ -20,24 +21,103 @@ type Filter interface {
 	Count() uint64
 }
 
-// Bloom is the classic filter of §3: an m-bit vector and k hash functions
-// supplied by an IndexFamily. Not safe for concurrent use; wrap in Synced.
-type Bloom struct {
+// bitFilter is what the classic and the blocked filter share: an m-bit
+// vector, the index family and the insertion count, with every method that
+// does not depend on where an item's bits go — statistics, the adversary's
+// view and the state encoding.
+type bitFilter struct {
 	bits    *bitset.BitSet
 	fam     hashes.IndexFamily
 	n       uint64
 	scratch []uint64
 }
 
+func newBitFilter(fam hashes.IndexFamily) bitFilter {
+	return bitFilter{bits: bitset.New(fam.M()), fam: fam, scratch: make([]uint64, 0, fam.K())}
+}
+
+// Count implements Filter.
+func (b *bitFilter) Count() uint64 { return b.n }
+
+// M returns the filter size in bits.
+func (b *bitFilter) M() uint64 { return b.fam.M() }
+
+// K returns the number of hash functions.
+func (b *bitFilter) K() int { return b.fam.K() }
+
+// Weight returns the Hamming weight w_H(z).
+func (b *bitFilter) Weight() uint64 { return b.bits.Weight() }
+
+// Fill returns W/m.
+func (b *bitFilter) Fill() float64 { return b.bits.Fill() }
+
+// EstimatedFPR returns (W/m)^k, the probability that a uniformly random
+// query is a false positive given the current bit pattern. It slightly
+// underestimates a blocked filter's true rate (bits cluster within blocks),
+// but keeps the stats comparable across variants.
+func (b *bitFilter) EstimatedFPR() float64 {
+	return FPForgeryProbability(b.M(), b.K(), b.Weight())
+}
+
+// Occupied reports whether bit i is set — the adversary's per-position view
+// of a known filter (§4). For a blocked filter i is a storage position:
+// apply BlockedPosition to map an index-family output.
+func (b *bitFilter) Occupied(i uint64) bool { return b.bits.Test(i) }
+
+// OccupancyBits returns a private copy of the occupancy pattern — the bit
+// vector a Squid-style cache digest of this filter consists of. For a bit
+// vector filter the digest IS the filter, so this is simply a clone of the
+// bits (a party evaluating a blocked filter's digest applies
+// BlockedPosition, as the filter does); the counting variant projects its
+// counters down to the same shape.
+func (b *bitFilter) OccupancyBits() *bitset.BitSet { return b.bits.Clone() }
+
+// Family returns the index family (public knowledge in the threat model:
+// "the implementation of the Bloom filter is public and known").
+func (b *bitFilter) Family() hashes.IndexFamily { return b.fam }
+
+// Reset clears all bits and the insertion count.
+func (b *bitFilter) Reset() {
+	b.bits.Reset()
+	b.n = 0
+}
+
+// AppendBinary appends the filter state (insertion count, then the bit
+// vector in bitset.AppendBinary's form) to dst; a blocked filter's is
+// framed the same, the enclosing snapshot envelope carries the variant.
+// Like the Counting snapshot, the index family is NOT serialized — a
+// snapshot is only meaningful to a party that already knows the filter's
+// public geometry (and, for keyed families, its secret).
+func (b *bitFilter) AppendBinary(dst []byte) []byte {
+	return b.bits.AppendBinary(binary.LittleEndian.AppendUint64(dst, b.n))
+}
+
+// Load overwrites the filter state in place from r, which must hold what
+// AppendBinary writes for a filter of the same m, reading through buf
+// (≥ 8 bytes); see bitset.Load. On error the filter is half-written.
+func (b *bitFilter) Load(r io.Reader, buf []byte) error {
+	if _, err := io.ReadFull(r, buf[:8]); err != nil {
+		return err
+	}
+	n := binary.LittleEndian.Uint64(buf)
+	if err := b.bits.Load(r, buf); err != nil {
+		return err
+	}
+	b.n = n
+	return nil
+}
+
+// Bloom is the classic filter of §3: an m-bit vector and k hash functions
+// supplied by an IndexFamily. Not safe for concurrent use; wrap in Synced.
+type Bloom struct {
+	bitFilter
+}
+
 var _ Filter = (*Bloom)(nil)
 
 // NewBloom builds a filter over the family's (m, k) geometry.
 func NewBloom(fam hashes.IndexFamily) *Bloom {
-	return &Bloom{
-		bits:    bitset.New(fam.M()),
-		fam:     fam,
-		scratch: make([]uint64, 0, fam.K()),
-	}
+	return &Bloom{newBitFilter(fam)}
 }
 
 // NewBloomOptimal sizes a classic filter for capacity items at target
@@ -101,94 +181,16 @@ func (b *Bloom) TestIndexesAtomic(idx []uint64) bool {
 	return true
 }
 
-// Count implements Filter.
-func (b *Bloom) Count() uint64 { return b.n }
-
-// M returns the filter size in bits.
-func (b *Bloom) M() uint64 { return b.fam.M() }
-
-// K returns the number of hash functions.
-func (b *Bloom) K() int { return b.fam.K() }
-
-// Weight returns the Hamming weight w_H(z).
-func (b *Bloom) Weight() uint64 { return b.bits.Weight() }
-
-// Fill returns W/m.
-func (b *Bloom) Fill() float64 { return b.bits.Fill() }
-
-// EstimatedFPR returns (W/m)^k, the probability that a uniformly random
-// query is a false positive given the current bit pattern.
-func (b *Bloom) EstimatedFPR() float64 {
-	return FPForgeryProbability(b.M(), b.K(), b.Weight())
-}
-
-// Occupied reports whether bit i is set — the adversary's per-position view
-// of a known filter (§4).
-func (b *Bloom) Occupied(i uint64) bool { return b.bits.Test(i) }
-
 // Bits exposes a read-only snapshot view of the underlying bit vector. The
 // query-only adversary of §4.2 is assumed to know it. Callers must not
 // mutate filter state through it; use Clone for a private copy.
 func (b *Bloom) Bits() *bitset.BitSet { return b.bits }
 
-// OccupancyBits returns a private copy of the occupancy pattern — the bit
-// vector a Squid-style cache digest of this filter consists of. For a plain
-// Bloom filter the digest IS the filter, so this is simply a clone of the
-// bits; the counting variant projects its counters down to the same shape.
-func (b *Bloom) OccupancyBits() *bitset.BitSet { return b.bits.Clone() }
-
-// Family returns the index family (public knowledge in the threat model:
-// "the implementation of the Bloom filter is public and known").
-func (b *Bloom) Family() hashes.IndexFamily { return b.fam }
-
 // Clone returns an independent deep copy sharing no state.
 func (b *Bloom) Clone() *Bloom {
-	return &Bloom{
-		bits:    b.bits.Clone(),
-		fam:     b.fam.Clone(),
-		n:       b.n,
-		scratch: make([]uint64, 0, b.fam.K()),
-	}
-}
-
-// Reset clears all bits and the insertion count.
-func (b *Bloom) Reset() {
-	b.bits.Reset()
-	b.n = 0
-}
-
-// MarshalBinary encodes the filter state (insertion count plus the bit
-// vector). Like the Counting snapshot, the index family is NOT serialized —
-// a snapshot is only meaningful to a party that already knows the filter's
-// public geometry (and, for keyed families, its secret).
-func (b *Bloom) MarshalBinary() ([]byte, error) {
-	bits, err := b.bits.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 8, 8+len(bits))
-	binary.LittleEndian.PutUint64(out, b.n)
-	return append(out, bits...), nil
-}
-
-// UnmarshalBinary restores state written by MarshalBinary into a filter that
-// must already have the same geometry (m). The filter is only modified on
-// success. The existing bit vector is overwritten in place with atomic word
-// stores rather than swapped for a new allocation: lock-free readers hold a
-// reference to the vector, so its identity must survive a restore.
-func (b *Bloom) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("core: truncated bloom snapshot: %d bytes", len(data))
-	}
-	bits := bitset.New(0)
-	if err := bits.UnmarshalBinary(data[8:]); err != nil {
-		return err
-	}
-	if bits.Size() != b.fam.M() {
-		return fmt.Errorf("core: snapshot geometry (m=%d) does not match filter (m=%d)", bits.Size(), b.fam.M())
-	}
-	b.n = binary.LittleEndian.Uint64(data)
-	return b.bits.StoreFrom(bits)
+	c := &Bloom{newBitFilter(b.fam.Clone())}
+	c.bits, c.n = b.bits.Clone(), b.n
+	return c
 }
 
 // Synced wraps a Filter with a mutex for concurrent use.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 	"testing"
@@ -263,12 +265,9 @@ func TestBloomSnapshotRoundTrip(t *testing.T) {
 		items[i] = []byte(fmt.Sprintf("http://snap%d.example.com/", i))
 		a.Add(items[i])
 	}
-	blob, err := a.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := a.AppendBinary(nil)
 	b := newTestBloom(t, 4, 3200)
-	if err := b.UnmarshalBinary(blob); err != nil {
+	if err := loadBlob(b, blob); err != nil {
 		t.Fatal(err)
 	}
 	if b.Count() != a.Count() || b.Weight() != a.Weight() {
@@ -279,22 +278,24 @@ func TestBloomSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("restored filter lost %q", it)
 		}
 	}
-	again, err := b.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := b.AppendBinary(nil)
 	if string(again) != string(blob) {
 		t.Error("restored filter re-serializes differently")
 	}
 	// Geometry mismatch and truncation are refused without mutating state.
 	small := newTestBloom(t, 4, 64)
-	if err := small.UnmarshalBinary(blob); err == nil {
+	if err := loadBlob(small, blob); err == nil {
 		t.Error("snapshot restored into a filter of different m")
 	}
-	if err := b.UnmarshalBinary(blob[:5]); err == nil {
+	if err := loadBlob(b, blob[:5]); err == nil {
 		t.Error("truncated snapshot accepted")
 	}
 	if b.Count() != a.Count() {
 		t.Error("failed restore mutated the filter")
 	}
+}
+
+// loadBlob restores f from an in-memory blob through its streaming Load.
+func loadBlob(f interface{ Load(io.Reader, []byte) error }, blob []byte) error {
+	return f.Load(bytes.NewReader(blob), make([]byte, 64))
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/bits"
 	"sync/atomic"
 
@@ -278,43 +279,50 @@ func (c *Counting) Policy() OverflowPolicy { return c.policy }
 // contiguous packing (see packedCounters.appendStream).
 const countingSnapshotHeader = 1 + 1 + 8 + 8 + 8
 
-// MarshalBinary encodes the counter state (width, policy, insertion and
-// overflow counts, packed counters). The index family is NOT serialized —
-// like a cache digest, a snapshot is only meaningful to a party that already
-// knows the filter's public geometry (and, for keyed families, its secret).
-func (c *Counting) MarshalBinary() ([]byte, error) {
-	out := make([]byte, countingSnapshotHeader, countingSnapshotHeader+8*c.counters.streamWords())
-	out[0] = byte(c.counters.width)
-	out[1] = byte(c.policy)
-	binary.LittleEndian.PutUint64(out[2:], c.counters.m)
-	binary.LittleEndian.PutUint64(out[10:], c.n)
-	binary.LittleEndian.PutUint64(out[18:], c.overflow)
-	return c.counters.appendStream(out), nil
+// AppendBinary appends the counter state (width, policy, insertion and
+// overflow counts, packed counters) to dst. The index family is NOT
+// serialized — like a cache digest, a snapshot is only meaningful to a party
+// that already knows the filter's public geometry (and, for keyed families,
+// its secret).
+func (c *Counting) AppendBinary(dst []byte) []byte {
+	dst = append(dst, byte(c.counters.width), byte(c.policy))
+	dst = binary.LittleEndian.AppendUint64(dst, c.counters.m)
+	dst = binary.LittleEndian.AppendUint64(dst, c.n)
+	dst = binary.LittleEndian.AppendUint64(dst, c.overflow)
+	return c.counters.appendStream(dst)
 }
 
-// UnmarshalBinary restores state written by MarshalBinary into a filter that
-// must already have the same geometry (m and counter width).
-func (c *Counting) UnmarshalBinary(data []byte) error {
-	if len(data) < countingSnapshotHeader {
-		return fmt.Errorf("core: truncated counting snapshot: %d bytes", len(data))
+// Load overwrites the counter state in place from r, which must hold what
+// AppendBinary writes for a filter of the same m and counter width, reading
+// through buf (≥ countingSnapshotHeader bytes); the overflow policy comes
+// from the snapshot. On error the filter is half-written.
+func (c *Counting) Load(r io.Reader, buf []byte) error {
+	hdr := buf[:countingSnapshotHeader]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return err
 	}
-	width, policy := int(data[0]), OverflowPolicy(data[1])
-	m := binary.LittleEndian.Uint64(data[2:])
-	if width != c.counters.width || m != c.counters.m {
+	width, policy := int(hdr[0]), OverflowPolicy(hdr[1])
+	if m := binary.LittleEndian.Uint64(hdr[2:]); width != c.counters.width || m != c.counters.m {
 		return fmt.Errorf("core: snapshot geometry (m=%d, width=%d) does not match filter (m=%d, width=%d)",
 			m, width, c.counters.m, c.counters.width)
 	}
 	if policy != Wrap && policy != Saturate {
 		return fmt.Errorf("core: snapshot carries invalid overflow policy %d", int(policy))
 	}
-	if want := countingSnapshotHeader + 8*c.counters.streamWords(); len(data) != want {
-		return fmt.Errorf("core: counting snapshot needs %d bytes, have %d", want, len(data))
+	n, overflow := binary.LittleEndian.Uint64(hdr[10:]), binary.LittleEndian.Uint64(hdr[18:])
+	if err := c.counters.load(r, buf); err != nil {
+		return err
 	}
-	c.policy = policy
-	c.n = binary.LittleEndian.Uint64(data[10:])
-	c.overflow = binary.LittleEndian.Uint64(data[18:])
-	c.counters.storeStream(data[countingSnapshotHeader:])
+	c.policy, c.n, c.overflow = policy, n, overflow
 	return nil
+}
+
+// Reset zeroes every counter and both counts.
+func (c *Counting) Reset() {
+	for i := range c.counters.words {
+		atomic.StoreUint64(&c.counters.words[i], 0)
+	}
+	c.n, c.overflow = 0, 0
 }
 
 // packedCounters stores m counters of width bits each, ⌊64/width⌋ to a word
@@ -394,49 +402,75 @@ func (p *packedCounters) streamWords() int { return int((p.m*uint64(p.width) + 6
 // appendStream appends the stream encoding of the counters to out. Callers
 // hold the writers' lock, so the counters do not change underneath it.
 func (p *packedCounters) appendStream(out []byte) []byte {
-	stream := p.words
-	if !p.contiguous() {
-		w := uint64(p.width)
-		stream = make([]uint64, p.streamWords())
-		for i := uint64(0); i < p.m; i++ {
-			v, bit := p.get(i), i*w
-			stream[bit/64] |= v << (bit % 64)
-			if bit%64+w > 64 {
-				stream[bit/64+1] |= v >> (64 - bit%64)
-			}
+	if p.contiguous() {
+		for _, word := range p.words {
+			out = binary.LittleEndian.AppendUint64(out, word)
+		}
+		return out
+	}
+	w := uint(p.width)
+	var acc uint64 // the stream word being filled, its low have bits
+	have := uint(0)
+	for i := uint64(0); i < p.m; i++ {
+		v := p.get(i)
+		acc |= v << have
+		if have += w; have >= 64 {
+			out = binary.LittleEndian.AppendUint64(out, acc)
+			have -= 64
+			acc = v >> (w - have) // the straddling counter's high bits
 		}
 	}
-	for _, word := range stream {
-		out = binary.LittleEndian.AppendUint64(out, word)
+	if have > 0 {
+		out = binary.LittleEndian.AppendUint64(out, acc)
 	}
 	return out
 }
 
-// storeStream overwrites every counter from data, a stream of exactly
-// streamWords words, one atomic store per word: a restore runs under the
-// writers' exclusion, but lock-free readers may be loading these words.
-func (p *packedCounters) storeStream(data []byte) {
+// load overwrites every counter from the stream in r, read through buf,
+// with one atomic store per in-memory word (lock-free readers may be
+// loading them). Stream bits past the m-th counter must be zero.
+func (p *packedCounters) load(r io.Reader, buf []byte) error {
+	var slack uint64 // stream bits past the last counter
 	if p.contiguous() {
-		for i := range p.words {
-			atomic.StoreUint64(&p.words[i], binary.LittleEndian.Uint64(data[8*i:]))
+		if err := bitset.ReadWords(r, buf, len(p.words), func(i int, x uint64) { atomic.StoreUint64(&p.words[i], x) }); err != nil {
+			return err
 		}
-		return
-	}
-	w := uint64(p.width)
-	for wi := range p.words {
-		var word uint64
-		for j := uint64(0); j < p.per; j++ {
-			i := uint64(wi)*p.per + j
-			if i >= p.m {
-				break
-			}
-			bit := i * w
-			v := binary.LittleEndian.Uint64(data[8*(bit/64):]) >> (bit % 64)
-			if bit%64+w > 64 {
-				v |= binary.LittleEndian.Uint64(data[8*(bit/64+1):]) << (64 - bit%64)
-			}
-			word |= v & p.max() << (j * w)
+		if rem := p.m % p.per; rem != 0 {
+			slack = p.words[len(p.words)-1] >> (rem * uint64(p.width))
 		}
-		atomic.StoreUint64(&p.words[wi], word)
+	} else {
+		w := uint(p.width)
+		var (
+			i, word, acc uint64 // next counter; the in-memory word being filled; a straddling counter's low bits
+			have         uint   // bits held in acc, always < w
+		)
+		err := bitset.ReadWords(r, buf, p.streamWords(), func(_ int, x uint64) {
+			left := uint(64) // bits of x not yet consumed, at its bottom
+			for have+left >= w {
+				v := (acc | x<<have) & p.max()
+				x >>= w - have
+				left -= w - have
+				acc, have = 0, 0
+				switch slot := i % p.per; {
+				case i >= p.m:
+					slack |= v
+				case slot == p.per-1 || i == p.m-1:
+					atomic.StoreUint64(&p.words[i/p.per], word|v<<(slot*uint64(w)))
+					word = 0
+				default:
+					word |= v << (slot * uint64(w))
+				}
+				i++
+			}
+			acc, have = x, left
+		})
+		if err != nil {
+			return err
+		}
+		slack |= acc
 	}
+	if slack != 0 {
+		return fmt.Errorf("core: counter stream has bits set past its %d counters", p.m)
+	}
+	return nil
 }

@@ -146,12 +146,9 @@ func TestCountingSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		c.Add(gen(i))
 	}
-	blob, err := c.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := c.AppendBinary(nil)
 	restored := newTestCounting(t, 4, 512, 4, Wrap) // policy comes from the snapshot
-	if err := restored.UnmarshalBinary(blob); err != nil {
+	if err := loadBlob(restored, blob); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Count() != c.Count() || restored.Weight() != c.Weight() || restored.Overflows() != c.Overflows() {
@@ -164,10 +161,10 @@ func TestCountingSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	wrongGeometry := newTestCounting(t, 4, 512, 8, Wrap)
-	if err := wrongGeometry.UnmarshalBinary(blob); err == nil {
+	if err := loadBlob(wrongGeometry, blob); err == nil {
 		t.Error("snapshot accepted into a filter with a different counter width")
 	}
-	if err := restored.UnmarshalBinary(blob[:10]); err == nil {
+	if err := loadBlob(restored, blob[:10]); err == nil {
 		t.Error("truncated snapshot accepted")
 	}
 }
@@ -211,7 +208,7 @@ func TestCountingAddIndexesReturns(t *testing.T) {
 // Property: packed counters at every width behave like a plain uint array,
 // and the snapshot carries them in the contiguous packing — checked against
 // contiguousStream, an encoder of the reference array written bit by bit —
-// from which UnmarshalBinary rebuilds the same counters.
+// from which Load rebuilds the same counters.
 func TestPackedCountersProperty(t *testing.T) {
 	const m = 257 // prime: at most widths the last word is partly filled
 	for width := 1; width <= 16; width++ {
@@ -231,12 +228,12 @@ func TestPackedCountersProperty(t *testing.T) {
 						return false
 					}
 				}
-				blob, err := c.MarshalBinary()
-				if err != nil || !bytes.Equal(blob[countingSnapshotHeader:], contiguousStream(ref, width)) {
+				blob := c.AppendBinary(nil)
+				if !bytes.Equal(blob[countingSnapshotHeader:], contiguousStream(ref, width)) {
 					return false
 				}
 				restored := newTestCounting(t, 3, m, width, Wrap)
-				if err := restored.UnmarshalBinary(blob); err != nil {
+				if err := loadBlob(restored, blob); err != nil {
 					return false
 				}
 				for i := uint64(0); i < m; i++ {
@@ -244,8 +241,7 @@ func TestPackedCountersProperty(t *testing.T) {
 						return false
 					}
 				}
-				again, err := restored.MarshalBinary()
-				return err == nil && bytes.Equal(again, blob)
+				return bytes.Equal(restored.AppendBinary(nil), blob)
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 				t.Error(err)

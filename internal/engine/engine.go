@@ -301,7 +301,7 @@ func describeFilter(f *service.Filter) FilterDescription {
 		Shards:       st.Shards(),
 		K:            st.K(),
 		ShardBits:    st.ShardBits(),
-		Capabilities: []string{"add", "test"},
+		Capabilities: []string{"add", "test", "snapshot"},
 		Durable:      f.Durable(),
 	}
 	switch st.Mode() {
@@ -315,9 +315,6 @@ func describeFilter(f *service.Filter) FilterDescription {
 	if st.Variant() == service.VariantCounting {
 		d.CounterWidth = st.CounterWidth()
 		d.Overflow = st.OverflowPolicy().String()
-	}
-	if st.Snapshotable() {
-		d.Capabilities = append(d.Capabilities, "snapshot")
 	}
 	if st.Removable() {
 		d.Capabilities = append(d.Capabilities, "remove")

@@ -2,8 +2,13 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -130,5 +135,72 @@ func TestCompactHTTP(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("durable filter does not advertise compact: %+v", info.Capabilities)
+	}
+}
+
+// The HTTP twin of service.TestCreateFromSnapshotStreamFailures: an upload
+// that fails while it streams into the new filter — the checksum included,
+// known only after the last shard is written — answers 400 and leaves no
+// filter behind (404) and no directory, on a durable server.
+func TestCreateFromSnapshotStreamFailures(t *testing.T) {
+	dir := t.TempDir()
+	reg := service.NewRegistry()
+	if _, err := reg.OpenDataDir(dir, service.SyncNever); err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close() //nolint:errcheck
+	ts := httptest.NewServer(NewRegistryServer(reg))
+	defer ts.Close()
+
+	src, err := service.NewSharded(service.Config{Shards: 2, ShardBits: 4096, HashCount: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		src.Add([]byte(fmt.Sprintf("item-%d", i)))
+	}
+	env, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(body []byte) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v2/filters/up", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/octet-stream")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const hdr = 72
+	blobLen := binary.LittleEndian.Uint64(env[hdr:])
+	lying := bytes.Clone(env)
+	binary.LittleEndian.PutUint64(lying[hdr+8+int(blobLen):], blobLen+8)
+	for name, body := range map[string][]byte{
+		"crc last byte":  append(bytes.Clone(env[:len(env)-1]), env[len(env)-1]^0x01),
+		"trailing byte":  append(bytes.Clone(env), 0),
+		"cut in length":  env[:hdr+3],
+		"cut mid":        env[:len(env)/2],
+		"cut before crc": env[:len(env)-5],
+		"blob length":    resealEnvelope(lying),
+	} {
+		if code := put(body); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, code)
+		}
+		if code := doJSON(t, "GET", ts.URL+"/v2/filters/up", nil, nil); code != http.StatusNotFound {
+			t.Errorf("%s: the failed upload's filter answers %d, want 404", name, code)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "up")); !os.IsNotExist(err) {
+			t.Errorf("%s: the failed upload left its directory (%v)", name, err)
+		}
+	}
+	if code := put(env); code != http.StatusCreated {
+		t.Fatalf("sound upload after the failures: status %d", code)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // (PR 6). The service skips the striped RLock on membership tests:
 // readers issue bare atomic.LoadUint64 on the backing word slices while
 // writers — still serialized under the shard write lock — must publish
-// every mutation with atomic stores (bitset.SetAtomic, bitset.StoreFrom,
+// every mutation with atomic stores (bitset.SetAtomic, bitset.Load,
 // the core *Atomic index methods). A single plain write to a word that a
 // lock-free reader loads is a data race the race detector only catches if
 // a test happens to interleave it; this analyzer catches it structurally:

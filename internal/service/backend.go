@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"io"
 
 	"evilbloom/internal/bitset"
 	"evilbloom/internal/core"
@@ -37,6 +38,16 @@ type Backend interface {
 	M() uint64
 	// K returns the per-item index count.
 	K() int
+	// AppendBinary appends the state a snapshot carries to dst: exactly
+	// snapshotHeader.shardBlobLen bytes, no index family (geometry and
+	// secrets travel out of band).
+	AppendBinary(dst []byte) []byte
+	// Load overwrites that state in place from r, reading through buf, and
+	// refuses a blob no AppendBinary of this geometry writes. A failed load
+	// may leave the backend half-written: callers discard or Reset it.
+	Load(r io.Reader, buf []byte) error
+	// Reset empties the backend: every position and its counts.
+	Reset()
 }
 
 // Remover is the optional deletion capability: backends built on counters
@@ -54,18 +65,6 @@ type Remover interface {
 	// already unoccupied; decrements applied before the failure stick, and
 	// zeroed stays accurate for them.
 	RemoveIndexes(idx []uint64) (zeroed int, err error)
-}
-
-// Snapshotter is the optional persistence capability: a backend that can
-// serialize its occupancy state and rebuild itself from such a blob. The
-// index family is never part of a snapshot — geometry and secrets travel out
-// of band.
-type Snapshotter interface {
-	Snapshot() ([]byte, error)
-	// Restore overwrites the backend's occupancy state with a blob written
-	// by Snapshot on a backend of identical geometry. A failed restore may
-	// leave the backend half-written; callers must discard it.
-	Restore(data []byte) error
 }
 
 // overflowReporter is the stats-only capability of counter-based backends:
@@ -134,8 +133,8 @@ func ParseVariant(s string) (Variant, error) {
 	}
 }
 
-// bloomBackend adapts *core.Bloom to Backend + Snapshotter. Count, Weight,
-// M and K promote straight through; the index methods are pinned to core's
+// bloomBackend adapts *core.Bloom to Backend. Count, Weight, M, K and the
+// state encoding (AppendBinary, Load, Reset) promote straight through; the index methods are pinned to core's
 // atomic paths, because the shard layer serves lock-free readers against
 // these bits.
 type bloomBackend struct {
@@ -148,15 +147,6 @@ func (b bloomBackend) AddIndexes(idx []uint64) int {
 
 func (b bloomBackend) TestIndexes(idx []uint64) bool {
 	return b.Bloom.TestIndexesAtomic(idx)
-}
-
-func (b bloomBackend) Snapshot() ([]byte, error) {
-	return b.Bloom.MarshalBinary()
-}
-
-func (b bloomBackend) Restore(data []byte) error {
-	//lint:allow atomicpublish unpublished receiver: Restore runs at boot replay or on a store built but not yet published
-	return b.Bloom.UnmarshalBinary(data)
 }
 
 // blockedBackend adapts *core.Blocked the same way; the block-local index
@@ -173,16 +163,7 @@ func (b blockedBackend) TestIndexes(idx []uint64) bool {
 	return b.Blocked.TestIndexesAtomic(idx)
 }
 
-func (b blockedBackend) Snapshot() ([]byte, error) {
-	return b.Blocked.MarshalBinary()
-}
-
-func (b blockedBackend) Restore(data []byte) error {
-	//lint:allow atomicpublish unpublished receiver: Restore runs at boot replay or on a store built but not yet published
-	return b.Blocked.UnmarshalBinary(data)
-}
-
-// countingBackend adapts *core.Counting to Backend + Remover + Snapshotter,
+// countingBackend adapts *core.Counting to Backend + Remover,
 // pinned to core's atomic paths like the others. AddIndexes also converts:
 // core reports fresh and overflowed counters separately, the Backend
 // contract wants the net occupancy change.
@@ -208,17 +189,13 @@ func (c countingBackend) RemoveIndexes(idx []uint64) (int, error) {
 	return c.Counting.RemoveIndexesAtomic(idx)
 }
 
-func (c countingBackend) Snapshot() ([]byte, error) {
-	return c.MarshalBinary()
-}
-
-func (c countingBackend) Restore(data []byte) error {
+func (c countingBackend) Load(r io.Reader, buf []byte) error {
 	// core restores the overflow policy from the blob; the service pins the
 	// policy at creation, so a blob smuggling a different one (the envelope
 	// cannot catch it: the inner blob has its own policy byte) is rejected
 	// rather than silently flipping the shard's overflow behaviour.
 	want := c.Policy()
-	if err := c.UnmarshalBinary(data); err != nil {
+	if err := c.Counting.Load(r, buf); err != nil {
 		return err
 	}
 	if got := c.Policy(); got != want {
@@ -229,14 +206,11 @@ func (c countingBackend) Restore(data []byte) error {
 
 var (
 	_ Backend      = bloomBackend{}
-	_ Snapshotter  = bloomBackend{}
 	_ digestSource = bloomBackend{}
 	_ Backend      = blockedBackend{}
-	_ Snapshotter  = blockedBackend{}
 	_ digestSource = blockedBackend{}
 	_ Backend      = countingBackend{}
 	_ Remover      = countingBackend{}
-	_ Snapshotter  = countingBackend{}
 	_ digestSource = countingBackend{}
 	_              = overflowReporter(countingBackend{})
 )

@@ -24,9 +24,10 @@
 // under its own key, then the index hash) for as long as they live.
 //
 // The shards are variant-generic: the Backend interface carries the
-// index-level operations (AddIndexes/TestIndexes/Count/Weight/M/K), and the
-// optional Remover and Snapshotter capability interfaces mark what a
-// particular backend can additionally do. Three variants ship today:
+// index-level operations (AddIndexes/TestIndexes/Count/Weight/M/K) and the
+// state encoding snapshots are made of (AppendBinary/Load/Reset), and the
+// optional Remover capability interface marks a backend that can also
+// delete. Three variants ship today:
 //
 //   - VariantBloom: the classic §3 bit vector. No deletion; requests for it
 //     are answered with a capability error.

@@ -500,7 +500,6 @@ func readDigestResponse(resp *http.Response, held *cachedigest.PeerDigest, seale
 		res.digest, res.delta = d, true
 		return res
 	}
-	//lint:allow atomicpublish writes land in a freshly decoded digest, never in a published store
 	d, err := cachedigest.OpenEnvelope(frame)
 	if err != nil {
 		res.err = err
@@ -602,17 +601,17 @@ func (p *Peers) Push(name, label string, rd io.Reader, sealer string, sealed boo
 		return PeerStatus{}, fmt.Errorf("%w: %q", ErrFilterNotFound, name)
 	}
 	var bits uint64 // reserved; never 0 once the header is admitted
-	env, _, err := cachedigest.ReadFrame(rd, sealed, func(hdr []byte) error {
+	env, _, err := cachedigest.ReadFrame(rd, sealed, func(hdr []byte) (func(io.Reader) error, error) {
 		info, err := cachedigest.DecodeEnvelopeInfo(hdr)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		b := uint64(info.Shards) * info.ShardBits
 		if err := w.reservePush(label, b); err != nil {
-			return err
+			return nil, err
 		}
 		bits = b
-		return nil
+		return nil, nil
 	}, cachedigest.EnvelopeFrame)
 	auth := p.getAuthority()
 	if err == nil && sealed {
@@ -624,7 +623,6 @@ func (p *Peers) Push(name, label string, rd io.Reader, sealer string, sealed boo
 	}
 	var d *cachedigest.PeerDigest
 	if err == nil {
-		//lint:allow atomicpublish writes land in a freshly decoded digest, never in a published store
 		d, err = cachedigest.OpenEnvelope(env)
 	}
 	w.mu.Lock()

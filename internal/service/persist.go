@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"evilbloom/internal/cachedigest"
 	"evilbloom/internal/core"
 	"evilbloom/internal/hashes"
 )
@@ -233,22 +234,19 @@ var _ Journal = (*Persister)(nil)
 // optional initial snapshot (generation 0) and an empty generation-0 log.
 // The directory must not already hold a filter.
 func createPersister(dir string, cfg Config, policy SyncPolicy, initialSnap []byte) (*Persister, error) {
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		return nil, fmt.Errorf("service: creating filter dir: %w", err)
+	if err := claimDir(dir); err != nil {
+		return nil, err
 	}
 	metaPath := filepath.Join(dir, metaFileName)
-	if _, err := os.Stat(metaPath); err == nil {
-		return nil, fmt.Errorf("%w: %s", errDirInitialized, dir)
-	}
 	blob, err := json.MarshalIndent(metaFromConfig(cfg), "", "  ")
 	if err != nil {
 		return nil, err
 	}
-	if err := writeFileAtomic(metaPath, blob, 0o600); err != nil {
+	if err := writeFileAtomic(metaPath, blob); err != nil {
 		return nil, err
 	}
 	if initialSnap != nil {
-		if err := writeFileAtomic(filepath.Join(dir, snapName(0)), initialSnap, 0o600); err != nil {
+		if err := writeFileAtomic(filepath.Join(dir, snapName(0)), initialSnap); err != nil {
 			return nil, err
 		}
 	}
@@ -258,6 +256,17 @@ func createPersister(dir string, cfg Config, policy SyncPolicy, initialSnap []by
 	}
 	p.startFlusher()
 	return p, nil
+}
+
+// claimDir creates a filter directory, refusing one that holds a filter.
+func claimDir(dir string) error {
+	if err := os.MkdirAll(dir, 0o700); err != nil {
+		return fmt.Errorf("service: creating filter dir: %w", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, metaFileName)); err == nil {
+		return fmt.Errorf("%w: %s", errDirInitialized, dir)
+	}
+	return nil
 }
 
 // openPersister reads an existing filter directory's configuration. Replay
@@ -295,9 +304,10 @@ func (p *Persister) Replay(s *Sharded) error {
 	restored := false
 	for i := len(snaps) - 1; i >= 0; i-- {
 		gen := snaps[i]
-		blob, err := os.ReadFile(filepath.Join(p.dir, snapName(gen)))
+		f, err := os.Open(filepath.Join(p.dir, snapName(gen)))
 		if err == nil {
-			err = s.Restore(blob)
+			_, _, err = cachedigest.ReadFrame(f, false, s.restorer, snapshotFrame)
+			f.Close() //nolint:errcheck // read-only
 		}
 		if err == nil {
 			replayFrom, restored = gen, true
@@ -311,6 +321,9 @@ func (p *Persister) Replay(s *Sharded) error {
 		if len(wals) == 0 || wals[0] != 0 {
 			return fmt.Errorf("service: no snapshot generation is restorable and the log chain does not reach generation 0")
 		}
+		// A restore streams, so one refused by its checksum has already
+		// written every shard: the log chain replays onto an empty store.
+		s.reset()
 	}
 	// Replay the log chain. Segments must be contiguous from replayFrom: a
 	// gap means lost operations, which is corruption, not a torn tail.
@@ -496,7 +509,7 @@ func (p *Persister) startFlusher() {
 func (p *Persister) Compact(s *Sharded) error {
 	s.lockAll()
 	defer s.unlockAll()
-	blob, err := s.snapshotLocked()
+	blob, err := s.snapshot(false)
 	if err != nil {
 		return err
 	}
@@ -520,7 +533,7 @@ func (p *Persister) Compact(s *Sharded) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(p.dir, snapName(newGen)), blob, 0o600); err != nil {
+	if err := writeFileAtomic(filepath.Join(p.dir, snapName(newGen)), blob); err != nil {
 		wal.Close()                                      //nolint:errcheck // discarding the unused segment
 		os.Remove(filepath.Join(p.dir, walName(newGen))) //nolint:errcheck
 		return err
@@ -624,21 +637,24 @@ func parseGen(name, prefix, suffix string) (uint64, bool) {
 
 // writeFileAtomic writes data via temp-file + rename + directory sync, so a
 // crash leaves either the old file or the new one, never a torn hybrid.
-func writeFileAtomic(path string, data []byte, perm os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+// Every file in a filter directory is 0600, os.CreateTemp's mode.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) //nolint:errcheck // best-effort cleanup on error paths
-	if err := tmp.Chmod(perm); err != nil {
-		tmp.Close() //nolint:errcheck
-		return err
-	}
 	if _, err := tmp.Write(data); err != nil {
-		tmp.Close() //nolint:errcheck
+		tmp.Close()           //nolint:errcheck
+		os.Remove(tmp.Name()) //nolint:errcheck // best-effort cleanup
 		return err
 	}
+	return installTemp(tmp, path)
+}
+
+// installTemp syncs and closes a complete temp file, renames it over path
+// and syncs the directory; on failure the temp file is removed.
+func installTemp(tmp *os.File, path string) error {
+	defer os.Remove(tmp.Name()) //nolint:errcheck // best-effort cleanup on error paths
 	if err := tmp.Sync(); err != nil {
 		tmp.Close() //nolint:errcheck
 		return err
@@ -649,9 +665,59 @@ func writeFileAtomic(path string, data []byte, perm os.FileMode) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	if d, err := os.Open(dir); err == nil {
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
 		d.Sync()  //nolint:errcheck // advisory: rename durability
 		d.Close() //nolint:errcheck
 	}
 	return nil
+}
+
+// snapshotUpload is the writer an upload is teed into: from begin on, the
+// temp file that commit installs as the filter's generation-0 snapshot, so
+// that file is the upload byte for byte and never held in memory. A write
+// error waits for commit: a failing disk must not read as a corrupt upload.
+type snapshotUpload struct {
+	dir string   // the filter directory, once begin has claimed it
+	f   *os.File // the temp file that becomes snap-0
+	err error
+}
+
+// begin claims dir and opens the temp file with the envelope header, which
+// was read before begin could run.
+func (u *snapshotUpload) begin(dir string, hdr []byte) error {
+	if err := claimDir(dir); err != nil {
+		return err
+	}
+	u.dir = dir
+	var err error
+	u.f, err = os.CreateTemp(dir, snapName(0)+".tmp-*")
+	u.Write(hdr) //nolint:errcheck // a write error waits for commit
+	return err
+}
+
+func (u *snapshotUpload) Write(b []byte) (int, error) {
+	if u.f != nil && u.err == nil {
+		_, u.err = u.f.Write(b)
+	}
+	return len(b), nil
+}
+
+// commit installs the upload as snap-0 (nothing to do when begin never ran).
+func (u *snapshotUpload) commit() error {
+	if u.f == nil || u.err != nil {
+		return u.err
+	}
+	f := u.f
+	u.f = nil
+	return installTemp(f, filepath.Join(u.dir, snapName(0)))
+}
+
+// abort removes what begin created: the directory, temp file included.
+func (u *snapshotUpload) abort() {
+	if u.f != nil {
+		u.f.Close() //nolint:errcheck
+	}
+	if u.dir != "" {
+		os.RemoveAll(u.dir) //nolint:errcheck // best-effort rollback
+	}
 }

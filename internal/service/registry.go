@@ -188,7 +188,19 @@ func (c Config) storageBits() (uint64, error) {
 // first, then the store is built outside the lock (sizing allocates) and the
 // reservation is filled or rolled back.
 func (r *Registry) Create(name string, cfg Config) (*Filter, error) {
-	return r.create(name, cfg, nil)
+	bits, err := r.validate(name, &cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.reserve(name, bits); err != nil {
+		return nil, err
+	}
+	store, err := NewSharded(cfg)
+	if err != nil {
+		r.unreserve(name, bits)
+		return nil, err
+	}
+	return r.createReserved(name, store, bits, nil)
 }
 
 // CreateFromSnapshot builds a filter from a snapshot envelope read from rd
@@ -196,36 +208,51 @@ func (r *Registry) Create(name string, cfg Config) (*Filter, error) {
 // envelope header alone resolves the configuration (naive snapshots only;
 // hardened ones carry no keys and are refused with ErrSnapshotMismatch), so
 // every registry limit is enforced and the storage budget reserved BEFORE
-// the payload is buffered: the payload is geometry-implied, so an
-// unauthenticated client cannot make the server hold more snapshot bytes
-// than the budget it was granted.
+// the store is built. The payload then streams into the unpublished
+// store's words (and, durable, into the file that becomes generation 0):
+// one copy of the bits, never the envelope. Any failure, a checksum
+// mismatch after the last shard included, discards the store and its
+// directory and rolls the reservation back.
 func (r *Registry) CreateFromSnapshot(name string, rd io.Reader) (*Filter, error) {
 	var (
-		cfg  Config
-		bits uint64 // reserved; never 0 once the header is admitted
+		bits  uint64 // reserved; never 0 once the header is admitted
+		store *Sharded
+		gen0  snapshotUpload
 	)
-	env, _, err := cachedigest.ReadFrame(rd, false, func(hdr []byte) error {
-		c, err := SnapshotConfig(hdr)
+	_, _, err := cachedigest.ReadFrame(io.TeeReader(rd, &gen0), false, func(hdr []byte) (func(io.Reader) error, error) {
+		cfg, err := SnapshotConfig(hdr)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		b, err := r.validate(name, &c)
+		b, err := r.validate(name, &cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := r.reserve(name, b); err != nil {
-			return err
+			return nil, err
 		}
-		cfg, bits = c, b
-		return nil
+		bits = b
+		if store, err = NewSharded(cfg); err != nil {
+			return nil, err
+		}
+		if r.dataDir != "" {
+			if err := gen0.begin(r.filterDir(name), hdr); err != nil {
+				return nil, err
+			}
+		}
+		return store.restorer(hdr)
 	}, snapshotFrame)
+	if err == nil {
+		err = gen0.commit()
+	}
 	if err != nil {
+		gen0.abort()
 		if bits != 0 {
 			r.unreserve(name, bits)
 		}
 		return nil, err
 	}
-	return r.createReserved(name, cfg, bits, env)
+	return r.createReserved(name, store, bits, nil)
 }
 
 // validate resolves cfg in place and returns its storage bits, enforcing
@@ -244,39 +271,14 @@ func (r *Registry) validate(name string, cfg *Config) (uint64, error) {
 	return c.storageBits()
 }
 
-// create is the spec-based creation path: validate, reserve, build.
-func (r *Registry) create(name string, cfg Config, snap []byte) (*Filter, error) {
-	bits, err := r.validate(name, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.reserve(name, bits); err != nil {
-		return nil, err
-	}
-	return r.createReserved(name, cfg, bits, snap)
-}
-
-// createReserved finishes a creation whose name and budget are already
-// reserved: build the store, optionally restore a snapshot into it,
-// initialize its durable directory, publish — any failure rolls the
-// reservation back, so a failed or oversized restore never leaks budget
-// (fill-or-rollback).
-func (r *Registry) createReserved(name string, cfg Config, bits uint64, snap []byte) (*Filter, error) {
-	store, err := NewSharded(cfg)
-	if err != nil {
-		r.unreserve(name, bits)
-		return nil, err
-	}
-	if snap != nil {
-		if err := store.Restore(snap); err != nil {
-			r.unreserve(name, bits)
-			return nil, err
-		}
-	}
+// createReserved finishes a creation whose name and budget are reserved and
+// whose store is built: initialize its durable directory (snap, when not
+// nil, is generation 0; an upload has installed its own) and publish — any
+// failure rolls the reservation back, so a failed creation never leaks
+// budget (fill-or-rollback).
+func (r *Registry) createReserved(name string, store *Sharded, bits uint64, snap []byte) (*Filter, error) {
 	f := &Filter{name: name, store: store, bits: bits}
 	if r.dataDir != "" {
-		// The received envelope doubles as the filter's generation-0
-		// snapshot, so the directory is byte-complete from the first moment.
 		p, err := createPersister(r.filterDir(name), store.config(), r.sync, snap)
 		if err != nil {
 			if !errors.Is(err, errDirInitialized) {
@@ -290,16 +292,20 @@ func (r *Registry) createReserved(name string, cfg Config, bits uint64, snap []b
 		store.SetJournal(p)
 		f.persist = p
 	}
-	// Watch before publishing: the name is still reserved, so no Delete can
-	// race in between and orphan a just-started refresh loop (or a
-	// just-provisioned accounting table).
-	r.peers.watch(name)
-	r.limiter.watch(name)
+	return r.publish(f), nil
+}
+
+// publish makes a reserved filter visible. It watches first: the name is
+// still reserved, so no Delete can race in between and orphan a
+// just-started refresh loop (or a just-provisioned accounting table).
+func (r *Registry) publish(f *Filter) *Filter {
+	r.peers.watch(f.name)
+	r.limiter.watch(f.name)
 	r.mu.Lock()
-	delete(r.reserved, name)
-	r.filters[name] = f
+	delete(r.reserved, f.name)
+	r.filters[f.name] = f
 	r.mu.Unlock()
-	return f, nil
+	return f
 }
 
 // filterDir returns a filter's directory under the data dir. Filter names
@@ -314,11 +320,8 @@ func (r *Registry) filterDir(name string) string {
 func (r *Registry) reserve(name string, bits uint64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, taken := r.filters[name]; taken {
-		return fmt.Errorf("%w: %q", ErrFilterExists, name)
-	}
-	if _, taken := r.reserved[name]; taken {
-		return fmt.Errorf("%w: %q", ErrFilterExists, name)
+	if err := r.takenLocked(name); err != nil {
+		return err
 	}
 	if n := len(r.filters) + len(r.reserved); n >= MaxFilters {
 		return fmt.Errorf("%w (%d registered)", ErrRegistryFull, n)
@@ -327,6 +330,16 @@ func (r *Registry) reserve(name string, bits uint64) error {
 		return err
 	}
 	r.reserved[name] = bits
+	return nil
+}
+
+// takenLocked refuses a name held by a live or reserved filter. The caller
+// holds r.mu.
+func (r *Registry) takenLocked(name string) error {
+	_, live := r.filters[name]
+	if _, reserved := r.reserved[name]; live || reserved {
+		return fmt.Errorf("%w: %q", ErrFilterExists, name)
+	}
 	return nil
 }
 
@@ -370,52 +383,31 @@ func (r *Registry) Adopt(name string, store *Sharded) (*Filter, error) {
 	if !ValidFilterName(name) {
 		return nil, fmt.Errorf("service: invalid filter name %q (want %s)", name, filterName)
 	}
-	// Reserve the name (with no budget charge: Adopt's charge below is
-	// unconditional) before any durable side effect, so a taken or racing
-	// name is turned away while nothing exists to roll back — the same
-	// order Create uses, and what keeps the rollback paths from ever
-	// touching a live filter's directory.
-	r.mu.Lock()
-	if _, taken := r.filters[name]; taken {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrFilterExists, name)
-	}
-	if _, taken := r.reserved[name]; taken {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrFilterExists, name)
-	}
-	r.reserved[name] = 0
-	r.mu.Unlock()
-
+	// Reserve the name, charging the budget unconditionally, before any
+	// durable side effect, so a taken or racing name is turned away while
+	// nothing exists to roll back — the same order Create uses, and what
+	// keeps the rollback paths from ever touching a live filter's directory.
 	bits := store.storageBits()
-	f := &Filter{name: name, store: store, bits: bits}
+	r.mu.Lock()
+	err := r.takenLocked(name)
+	if err == nil {
+		r.reserved[name] = bits
+		r.bits += bits
+	}
+	r.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	var snap []byte
 	if r.dataDir != "" {
 		// The adopted store may already hold state (an operator pre-warms
 		// it before serving), so its current snapshot seeds generation 0.
-		snap, err := store.Snapshot()
-		if err != nil {
-			r.unreserve(name, 0)
+		if snap, err = store.Snapshot(); err != nil {
+			r.unreserve(name, bits)
 			return nil, err
 		}
-		p, err := createPersister(r.filterDir(name), store.config(), r.sync, snap)
-		if err != nil {
-			if !errors.Is(err, errDirInitialized) {
-				os.RemoveAll(r.filterDir(name)) //nolint:errcheck // best-effort rollback
-			}
-			r.unreserve(name, 0)
-			return nil, err
-		}
-		store.SetJournal(p)
-		f.persist = p
 	}
-	r.peers.watch(name) // before publish: the reservation shields the race with Delete
-	r.limiter.watch(name)
-	r.mu.Lock()
-	delete(r.reserved, name)
-	r.bits += bits
-	r.filters[name] = f
-	r.mu.Unlock()
-	return f, nil
+	return r.createReserved(name, store, bits, snap)
 }
 
 // Get returns the filter registered under name.
@@ -530,13 +522,7 @@ func (r *Registry) loadPersisted(name string) error {
 		return err
 	}
 	store.SetJournal(p)
-	f := &Filter{name: name, store: store, bits: bits, persist: p}
-	r.peers.watch(name) // before publish: the reservation shields the race with Delete
-	r.limiter.watch(name)
-	r.mu.Lock()
-	delete(r.reserved, name)
-	r.filters[name] = f
-	r.mu.Unlock()
+	r.publish(&Filter{name: name, store: store, bits: bits, persist: p})
 	return nil
 }
 

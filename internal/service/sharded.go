@@ -382,12 +382,6 @@ func (s *Sharded) Test(item []byte) bool {
 // Removable reports whether the store's backends support deletion.
 func (s *Sharded) Removable() bool { return s.shards[0].remover != nil }
 
-// Snapshotable reports whether the store's backends support snapshots.
-func (s *Sharded) Snapshotable() bool {
-	_, ok := s.shards[0].backend.(Snapshotter)
-	return ok
-}
-
 // Remove deletes item if the filter currently believes it present,
 // reporting whether a removal happened. The membership check and the
 // decrements run under one shard lock, so a concurrent storm of removals

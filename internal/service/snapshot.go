@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 
 	"evilbloom/internal/cachedigest"
 	"evilbloom/internal/core"
@@ -115,6 +116,7 @@ func (s *Sharded) headerFor() snapshotHeader {
 	if s.mode == ModeNaive && h.layout == hashes.LayoutV1 {
 		copy(h.routeKey[:], s.cfg.RouteKey)
 	}
+	h.payloadLen, _ = h.expectedPayloadLen() // a live store's variant is known
 	return h
 }
 
@@ -246,7 +248,7 @@ func (s *Sharded) match(h snapshotHeader) error {
 		return fmt.Errorf("%w: snapshot overflow policy %v, filter uses %v", ErrSnapshotMismatch, h.overflow, mine.overflow)
 	case mine.mode == ModeNaive && h.seed != mine.seed:
 		return fmt.Errorf("%w: snapshot seed %d, filter uses %d", ErrSnapshotMismatch, h.seed, mine.seed)
-	case mine.mode == ModeNaive && h.routeKey != mine.routeKey:
+	case mine.mode == ModeNaive && mine.layout == hashes.LayoutV1 && h.routeKey != mine.routeKey:
 		return fmt.Errorf("%w: snapshot shard-routing key differs from the filter's", ErrSnapshotMismatch)
 	}
 	return nil
@@ -261,81 +263,88 @@ func (s *Sharded) Snapshot() ([]byte, error) {
 	return s.snapshot(true)
 }
 
-// snapshotLocked is Snapshot for callers already holding every shard's write
-// lock (compaction): the result is a true atomic cut.
-func (s *Sharded) snapshotLocked() ([]byte, error) {
-	return s.snapshot(false)
-}
-
+// snapshot allocates the envelope once, at its final size, and appends each
+// shard's state straight from its words. Without lock the caller holds
+// every shard's write lock (compaction), and the result is an atomic cut.
 func (s *Sharded) snapshot(lock bool) ([]byte, error) {
 	h := s.headerFor()
-	payloadLen, err := h.expectedPayloadLen()
-	if err != nil {
-		return nil, err
-	}
-	out := snapshotFrame.Start(uint16(h.layout), int(payloadLen))
+	blobLen, _ := h.shardBlobLen()
+	out := snapshotFrame.Start(uint16(h.layout), int(h.payloadLen))
+	h.encode(out)
 	for i := range s.shards {
 		sh := &s.shards[i]
-		snap, ok := sh.backend.(Snapshotter)
-		if !ok {
-			return nil, fmt.Errorf("service: %v backend of shard %d cannot snapshot", s.variant, i)
-		}
+		out = binary.LittleEndian.AppendUint64(out, blobLen)
 		if lock {
 			sh.mu.RLock()
 		}
-		blob, err := snap.Snapshot()
+		out = sh.backend.AppendBinary(out)
 		if lock {
 			sh.mu.RUnlock()
 		}
-		if err != nil {
-			return nil, fmt.Errorf("service: snapshotting shard %d: %w", i, err)
-		}
-		out = append(binary.LittleEndian.AppendUint64(out, uint64(len(blob))), blob...)
 	}
-	h.payloadLen = uint64(len(out) - snapshotFrame.HeaderLen)
-	if h.payloadLen != payloadLen {
-		return nil, fmt.Errorf("service: snapshot payload is %d bytes, geometry implies %d", h.payloadLen, payloadLen)
+	if n := uint64(len(out) - snapshotFrame.HeaderLen); n != h.payloadLen {
+		return nil, fmt.Errorf("service: snapshot payload is %d bytes, geometry implies %d", n, h.payloadLen)
 	}
-	h.encode(out)
 	return snapshotFrame.Finish(out), nil
 }
 
 // Restore overwrites the store's occupancy state from an envelope written by
-// Snapshot on a store of identical configuration. The envelope is fully
-// validated (structure, checksum, geometry) before any shard is touched;
-// after a mid-restore backend failure — reachable only through a blob whose
-// inner framing contradicts its own envelope — the store is half-written and
-// must be discarded, which is what every caller does. Incremental shard
-// weights are recomputed from the restored backends, so stats stay exact.
+// Snapshot on a store of identical configuration. It is restorer over an
+// in-memory envelope, so a failed Restore may leave the store half-written.
 func (s *Sharded) Restore(data []byte) error {
-	hdr, payload, err := snapshotFrame.Open(data)
-	if err != nil {
-		return err
-	}
-	h, _ := decodeSnapshotHeader(hdr) // Open validated it through Size
+	_, _, err := cachedigest.ReadFrame(bytes.NewReader(data), false, s.restorer, snapshotFrame)
+	return err
+}
+
+// restorer is the ReadFrame admit hook that restores an envelope into s as
+// it streams in. A header of another configuration is ErrSnapshotMismatch;
+// one the store would not write byte for byte is ErrSnapshotCorrupt. The
+// payload's consumer reads each shard's [length][blob] through one 64 KiB
+// buffer into the words the shard owns, under every shard's write lock, and
+// recomputes its weight. The CRC is checked only after every shard is
+// written, so after any failure the store is half-written and its caller
+// discards or resets it.
+func (s *Sharded) restorer(hdr []byte) (func(io.Reader) error, error) {
+	h, _ := decodeSnapshotHeader(hdr) // the frame's Size validated it
 	if err := s.match(h); err != nil {
-		return err
+		return nil, err
 	}
-	// match pinned the geometry, so the payload is one fixed-size
-	// [8-byte length][blob] chunk per shard.
+	mine := s.headerFor()
+	canonical := snapshotFrame.Start(uint16(mine.layout), 0)
+	if mine.encode(canonical); !bytes.Equal(hdr, canonical) {
+		return nil, fmt.Errorf("%w: header is not the canonical encoding of its configuration", ErrSnapshotCorrupt)
+	}
 	blobLen, _ := h.shardBlobLen()
+	return func(r io.Reader) error {
+		s.lockAll()
+		defer s.unlockAll()
+		buf := make([]byte, 64<<10)
+		for i := range s.shards {
+			if _, err := io.ReadFull(r, buf[:8]); err != nil {
+				return fmt.Errorf("%w: shard %d: %v", ErrSnapshotCorrupt, i, err)
+			}
+			if n := binary.LittleEndian.Uint64(buf); n != blobLen {
+				return fmt.Errorf("%w: shard %d blob claims %d bytes, geometry implies %d", ErrSnapshotCorrupt, i, n, blobLen)
+			}
+			sh := &s.shards[i]
+			if err := sh.backend.Load(r, buf); err != nil {
+				return fmt.Errorf("%w: shard %d: %v", ErrSnapshotCorrupt, i, err)
+			}
+			sh.weight = sh.backend.Weight()
+			sh.muts++ // a restore is a mutation: digests of this store are stale now
+		}
+		return nil
+	}, nil
+}
+
+// reset empties every shard: words, counts and weight.
+func (s *Sharded) reset() {
 	s.lockAll()
 	defer s.unlockAll()
 	for i := range s.shards {
-		chunk := payload[i*(8+int(blobLen)):][:8+blobLen]
-		if n := binary.LittleEndian.Uint64(chunk); n != blobLen {
-			return fmt.Errorf("%w: shard %d blob claims %d bytes, geometry implies %d", ErrSnapshotCorrupt, i, n, blobLen)
-		}
 		sh := &s.shards[i]
-		snap, ok := sh.backend.(Snapshotter)
-		if !ok {
-			return fmt.Errorf("service: %v backend of shard %d cannot restore", s.variant, i)
-		}
-		if err := snap.Restore(chunk[8:]); err != nil {
-			return fmt.Errorf("%w: shard %d: %v", ErrSnapshotCorrupt, i, err)
-		}
-		sh.weight = sh.backend.Weight()
-		sh.muts++ // a restore is a mutation: digests of this store are stale now
+		sh.backend.Reset()
+		sh.weight = 0
+		sh.muts++
 	}
-	return nil
 }

@@ -137,6 +137,27 @@ BLK_SNAP_BEFORE="$(dirname "$BIN")/blk-snap-before.evb"
 curl -sf -o "$BLK_SNAP_BEFORE" "$BASE/v2/filters/blk/snapshot" && [[ -s "$BLK_SNAP_BEFORE" ]] \
   || fail "blocked snapshot export failed"
 
+say "uploading the blocked filter's naive snapshot as a new durable filter (PUT /v2/filters/blk-copy)"
+UP_CODE=$(curl -s -o /dev/null -w '%{http_code}' -X PUT -H 'Content-Type: application/octet-stream' \
+  --data-binary @"$BLK_SNAP_BEFORE" "$BASE/v2/filters/blk-copy")
+[[ "$UP_CODE" == "201" ]] || fail "snapshot upload answered $UP_CODE, want 201"
+UP_SNAP="$(dirname "$BIN")/blk-copy-before.evb"
+curl -sf -o "$UP_SNAP" "$BASE/v2/filters/blk-copy/snapshot" || fail "uploaded filter's snapshot export failed"
+cmp -s "$BLK_SNAP_BEFORE" "$UP_SNAP" || fail "uploaded filter does not snapshot back to the upload"
+
+say "an upload with one payload byte flipped must answer 400 and leave no filter behind"
+BAD_SNAP="$(dirname "$BIN")/blk-bad.evb"
+cp "$BLK_SNAP_BEFORE" "$BAD_SNAP"
+BYTE=$(od -An -tu1 -j100 -N1 "$BAD_SNAP" | tr -d ' ')
+printf "\\$(printf '%03o' $((BYTE ^ 1)))" | dd of="$BAD_SNAP" bs=1 seek=100 conv=notrunc status=none
+cmp -s "$BLK_SNAP_BEFORE" "$BAD_SNAP" && fail "payload byte was not flipped"
+BAD_CODE=$(curl -s -o /dev/null -w '%{http_code}' -X PUT -H 'Content-Type: application/octet-stream' \
+  --data-binary @"$BAD_SNAP" "$BASE/v2/filters/blk-bad")
+[[ "$BAD_CODE" == "400" ]] || fail "corrupt snapshot upload answered $BAD_CODE, want 400"
+BAD_GET=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v2/filters/blk-bad")
+[[ "$BAD_GET" == "404" ]] || fail "the failed upload's filter answers $BAD_GET, want 404"
+[[ ! -e "$DATA/blk-bad" ]] || fail "the failed upload left $DATA/blk-bad behind"
+
 say "compacting the smoke filter (snapshot + log rotation)"
 curl -sf -X POST "$BASE/v2/filters/smoke/compact" | grep -q '"compacted":true' || fail "compact failed"
 say "adding one post-compact item so the restart replays snapshot + log"
@@ -156,7 +177,7 @@ say "restarting from $DATA"
 "$BIN" serve -addr "$ADDR" -data-dir "$DATA" >"$LOG" 2>&1 &
 SERVER_PID=$!
 wait_ready
-grep -q "recovered 3 filter(s)" "$LOG" || fail "restart did not recover all three filters"
+grep -q "recovered 4 filter(s)" "$LOG" || fail "restart did not recover all four filters"
 
 say "verifying stats survived the restart byte-identically"
 STATS_AFTER=$(filter_stats)
@@ -191,6 +212,10 @@ for i in 1 60 120; do
   curl -sf -X POST "$BASE/v2/filters/blk/test" -d "{\"item\":\"http://pollute.example/$i\"}" \
     | grep -q '"present":true' || fail "blocked filter lost polluting item $i across restart"
 done
+say "verifying the uploaded filter survived the restart byte for byte"
+UP_SNAP_AFTER="$(dirname "$BIN")/blk-copy-after.evb"
+curl -sf -o "$UP_SNAP_AFTER" "$BASE/v2/filters/blk-copy/snapshot" || fail "uploaded filter's snapshot re-export failed"
+cmp -s "$BLK_SNAP_BEFORE" "$UP_SNAP_AFTER" || fail "uploaded filter changed across restart"
 
 # ---------------------------------------------------------------------------
 # Two-server cache-digest exchange (§7 live): a second evilbloom process
