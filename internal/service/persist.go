@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -42,8 +44,10 @@ import (
 //	[4-byte LE length of op+item] [1-byte op] [item bytes] [4-byte IEEE CRC of op+item]
 //
 // A record that is short, oversized, or fails its CRC marks the torn tail
-// of a crashed writer: replay truncates the segment at the record boundary
-// and recovers the longest valid prefix.
+// of a crashed writer: replay truncates the newest segment at the record
+// boundary and recovers the longest valid prefix. Replay streams each
+// segment (readRecords), so a boot holds no more of the log than one
+// record and one read buffer.
 const (
 	metaFileName    = "meta.json"
 	snapPrefix      = "snap-"
@@ -57,6 +61,8 @@ const (
 	// still round-trip, while a corrupt length field cannot drive a
 	// gigabyte allocation.
 	walMaxRecord = 1 << 20
+	// walReadBuffer is the one buffer replay streams a segment through.
+	walReadBuffer = 64 << 10
 	// flushInterval paces the background writer under SyncInterval and
 	// SyncNever.
 	flushInterval = 100 * time.Millisecond
@@ -290,8 +296,10 @@ func openPersister(dir string, policy SyncPolicy) (*Persister, Config, error) {
 
 // Replay rebuilds s from the directory: restore the newest valid snapshot
 // (falling back generation by generation when one is corrupt), replay every
-// surviving log segment from that generation upward, truncate any torn
-// tail, and leave the journal positioned at the end of the newest segment.
+// surviving log segment from that generation upward, truncate a torn tail
+// of the newest segment, and leave the journal positioned at its end. A
+// read error, or a bad record in any earlier segment, fails the boot and
+// truncates nothing.
 // The caller attaches the journal (SetJournal) only after Replay so
 // replayed operations are not re-journaled.
 func (p *Persister) Replay(s *Sharded) error {
@@ -335,13 +343,24 @@ func (p *Persister) Replay(s *Sharded) error {
 		if gen != last && gen != last+1 {
 			return fmt.Errorf("service: log chain gap: segment %d follows %d", gen, last)
 		}
-		complete, err := p.replaySegment(s, gen)
+		valid, torn, err := p.replaySegment(s, gen)
 		if err != nil {
 			return err
 		}
 		last = gen
-		if !complete {
-			break // torn tail truncated; later segments cannot exist honestly
+		if !torn {
+			continue
+		}
+		// Compact syncs a segment before it opens the next, so only the
+		// newest segment can end in a crashed write. A bad record anywhere
+		// else is corruption: truncating there and journaling on would
+		// replay the later segments after the new operations next boot.
+		if gen != wals[len(wals)-1] {
+			return fmt.Errorf("service: log segment %s has a bad record at offset %d but later segments follow; refusing to recover", walName(gen), valid)
+		}
+		// Torn tail: keep the longest valid prefix of the crashed write.
+		if err := os.Truncate(filepath.Join(p.dir, walName(gen)), valid); err != nil {
+			return fmt.Errorf("service: truncating torn log tail: %w", err)
 		}
 	}
 	p.gen = last
@@ -352,68 +371,118 @@ func (p *Persister) Replay(s *Sharded) error {
 	return nil
 }
 
-// replaySegment applies one log segment to s, truncating at the first
-// invalid record. It reports whether the segment was fully valid.
-func (p *Persister) replaySegment(s *Sharded, gen uint64) (complete bool, err error) {
-	path := filepath.Join(p.dir, walName(gen))
-	data, err := os.ReadFile(path)
+// replaySegment applies one log segment to s. It reports the byte length
+// of the segment's valid prefix and whether a bad record ends it there; an
+// I/O error or a refused replay is returned as err.
+func (p *Persister) replaySegment(s *Sharded, gen uint64) (valid int64, torn bool, err error) {
+	f, err := os.Open(filepath.Join(p.dir, walName(gen)))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return true, nil
+			return 0, false, nil
 		}
-		return false, err
+		return 0, false, err
 	}
-	off := 0
-	for off < len(data) {
-		rec, n := decodeRecord(data[off:])
-		if n == 0 {
-			// Torn tail: keep the longest valid prefix of the crashed write.
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return false, fmt.Errorf("service: truncating torn log tail: %w", err)
-			}
-			return false, nil
+	defer f.Close() //nolint:errcheck // read-only
+	return readRecords(f, func(op byte, item []byte) error {
+		if op == walRecordAdd {
+			s.Add(item)
+			return nil
 		}
-		switch rec[0] {
-		case walRecordAdd:
-			s.Add(rec[1:])
-		case walRecordRemove:
-			// A removal was journaled only after the live filter accepted
-			// it, and replay walks the identical state sequence, so it is
-			// re-accepted here; a refusal means the chain is inconsistent.
-			if ok, err := s.Remove(rec[1:]); err != nil || !ok {
-				return false, fmt.Errorf("service: log replay: removal of %q refused (err=%v) — log disagrees with state", rec[1:], err)
-			}
-		default:
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return false, fmt.Errorf("service: truncating torn log tail: %w", err)
-			}
-			return false, nil
+		// A removal was journaled only after the live filter accepted it,
+		// and replay walks the identical state sequence, so it is
+		// re-accepted here; a refusal means the chain is inconsistent.
+		if ok, err := s.Remove(item); err != nil || !ok {
+			return fmt.Errorf("service: log replay: removal of %q refused (err=%v) — log disagrees with state", item, err)
 		}
-		off += n
-	}
-	return true, nil
+		return nil
+	})
 }
 
-// decodeRecord parses one framed record from the head of data, returning
-// the op+item bytes and the total framed length, or (nil, 0) when the head
-// is not a valid complete record.
-func decodeRecord(data []byte) ([]byte, int) {
-	if len(data) < 4 {
-		return nil, 0
+// readRecords streams log records from r through one walReadBuffer-sized
+// buffer and calls apply with each valid record's op and item; item is a
+// view that is valid only during the call. It returns the byte length of
+// the valid prefix, and torn when a bad record — a short header, a length
+// of 0 or over walMaxRecord, a short body or CRC, a CRC mismatch or an
+// unknown op — ends the stream there. Only io.EOF and io.ErrUnexpectedEOF
+// read as a torn tail: any other read error, and any error from apply, is
+// returned with torn unset, because a failing disk is not a crashed writer.
+func readRecords(r io.Reader, apply func(op byte, item []byte) error) (valid int64, torn bool, err error) {
+	br := bufio.NewReaderSize(r, walReadBuffer)
+	var large []byte // op, item and CRC of a record longer than the buffer
+	for {
+		hdr, err := br.Peek(4)
+		if err == io.EOF && len(hdr) == 0 {
+			return valid, false, nil // the stream ends on a record boundary
+		}
+		if err != nil {
+			return readStopped(valid, err)
+		}
+		n := int(binary.LittleEndian.Uint32(hdr))
+		if n < 1 || n > walMaxRecord {
+			return valid, true, nil
+		}
+		total := 4 + n + 4
+		inPlace := total <= br.Size()
+		var rec []byte // op, item and CRC
+		if inPlace {
+			// A peeked record stays in the buffer until it is discarded,
+			// after apply returns.
+			if rec, err = br.Peek(total); err != nil {
+				return readStopped(valid, err)
+			}
+			rec = rec[4:]
+		} else {
+			br.Discard(4) //nolint:errcheck // peeked above
+			if large, err = readBody(br, large, n+4); err != nil {
+				return readStopped(valid, err)
+			}
+			rec = large
+		}
+		body := rec[:n]
+		if binary.LittleEndian.Uint32(rec[n:]) != crc32.ChecksumIEEE(body) ||
+			(body[0] != walRecordAdd && body[0] != walRecordRemove) {
+			return valid, true, nil
+		}
+		if err := apply(body[0], body[1:]); err != nil {
+			return valid, false, err
+		}
+		if inPlace {
+			br.Discard(total) //nolint:errcheck // peeked above
+		}
+		valid += int64(total)
 	}
-	n := binary.LittleEndian.Uint32(data)
-	if n < 1 || n > walMaxRecord {
-		return nil, 0
+}
+
+// readBody reads a record of n bytes longer than the read buffer into
+// buf's storage and returns it. buf grows to the largest such record seen,
+// never past n and at most one buffer's worth ahead of the bytes that
+// arrived, so a corrupt length the file does not back costs only what was
+// read.
+func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		chunk := min(n-len(buf), walReadBuffer)
+		if cap(buf)-len(buf) < chunk {
+			grown := make([]byte, len(buf), min(n, max(2*cap(buf), len(buf)+chunk)))
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := io.ReadFull(r, buf[len(buf):len(buf)+chunk])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
 	}
-	total := 4 + int(n) + 4
-	if len(data) < total {
-		return nil, 0
+	return buf, nil
+}
+
+// readStopped ends readRecords at valid on a read error: the end-of-stream
+// errors mark a torn tail, every other one is returned.
+func readStopped(valid int64, err error) (int64, bool, error) {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return valid, true, nil
 	}
-	body := data[4 : 4+n]
-	if binary.LittleEndian.Uint32(data[4+n:]) != crc32.ChecksumIEEE(body) {
-		return nil, 0
-	}
-	return body, total
+	return valid, false, err
 }
 
 // JournalAdd implements Journal.
