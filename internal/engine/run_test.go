@@ -68,8 +68,8 @@ func TestExecuteRunAddAnswersPerItem(t *testing.T) {
 	if want := []bool{true, false, true, false}; !slices.Equal(run.Bools, want) {
 		t.Fatalf("chunks [x] [x y] [y] answered %v, want %v", run.Bools, want)
 	}
-	if n := ref.f.Store().Count(); n != 4 {
-		t.Errorf("Count = %d, want 4: every add is journaled and counted, new or not", n)
+	if n := ref.f.Store().Count(); n != 2 {
+		t.Errorf("Count = %d, want 2: only the adds that changed the filter are journaled and counted", n)
 	}
 
 	// A test run reads what the add run left.

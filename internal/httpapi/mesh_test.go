@@ -126,6 +126,36 @@ func TestDigestETagAcrossDeltaPath(t *testing.T) {
 	}
 }
 
+// An add that changes no bit leaves the digest's ETag where it was: a
+// repeat add-batch keeps earning 304s, and only a novel add moves the ETag.
+func TestDigestETagHoldsUnderRepeatAdds(t *testing.T) {
+	ts, _ := newRegistryTestServer(t)
+	doJSON(t, "PUT", ts.URL+"/v2/filters/d", naiveSpec(1), nil)
+	batch := map[string][]string{"items": {"a", "b", "c"}}
+	if code := doJSON(t, "POST", ts.URL+"/v2/filters/d/add-batch", batch, nil); code != http.StatusOK {
+		t.Fatalf("add-batch: status %d", code)
+	}
+	_, e1, code := getDigest(t, ts.URL, "d", "")
+	if code != http.StatusOK || e1 == "" {
+		t.Fatalf("first fetch: status %d etag %q", code, e1)
+	}
+
+	if code := doJSON(t, "POST", ts.URL+"/v2/filters/d/add-batch", batch, nil); code != http.StatusOK {
+		t.Fatalf("repeat add-batch: status %d", code)
+	}
+	if _, _, code := getDigest(t, ts.URL, "d", e1); code != http.StatusNotModified {
+		t.Fatalf("fetch after repeat adds: status %d, want 304", code)
+	}
+
+	if code := doJSON(t, "POST", ts.URL+"/v2/filters/d/add", map[string]string{"item": "novel"}, nil); code != http.StatusOK {
+		t.Fatalf("novel add: status %d", code)
+	}
+	_, e2, code := getDigest(t, ts.URL, "d", e1)
+	if code != http.StatusOK || e2 == "" || e2 == e1 {
+		t.Fatalf("fetch after a novel add: status %d etag %q (was %q), want 200 and a new etag", code, e2, e1)
+	}
+}
+
 // pushDigestAs pushes env with an optional mesh credential header.
 func pushDigestAs(t *testing.T, base, name, peer, token string, env []byte) (int, string) {
 	t.Helper()

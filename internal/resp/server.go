@@ -24,12 +24,14 @@ const (
 	// before replies are flushed, bounding reply latency and per-connection
 	// memory under an endless pipelined stream.
 	maxPipelineBatch = 512
-	// idleTimeout is the per-command read deadline; a connection silent for
-	// this long is closed.
-	idleTimeout = 5 * time.Minute
 	// serverVersion is reported by HELLO.
 	serverVersion = "1.0"
 )
+
+// idleTimeout is the per-batch deadline on reading a command and flushing
+// the replies: a connection silent for this long, or one that does not read
+// its replies, is closed. A variable so tests can shorten it.
+var idleTimeout = 5 * time.Minute
 
 // Server serves the RESP plane as a codec over the command engine: it
 // decodes commands, stages pipelined runs, and renders engine results and
@@ -193,7 +195,7 @@ func (s *Server) newConnHandler(conn net.Conn) *connHandler {
 // or a malformed one — is left for the next call, after the whole ones in
 // front of it have been answered.
 func (h *connHandler) readBatch() (int, error) {
-	h.conn.SetReadDeadline(time.Now().Add(idleTimeout))
+	h.conn.SetDeadline(time.Now().Add(idleTimeout))
 	if h.srv.inShutdown.Load() {
 		// Shutdown's wake-up may have landed before the deadline above
 		// replaced it; from here on it cannot.

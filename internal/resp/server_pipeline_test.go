@@ -3,9 +3,11 @@ package resp
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -175,24 +177,28 @@ func TestConnBufferBounded(t *testing.T) {
 	t.Logf("buffer peaked at %d bytes, back at %d", peak, len(h.r.buf))
 }
 
-// parkedConn holds its first SetReadDeadline call — the connection loop
-// arming its idle timeout — until released, and reports every later one.
+// parkedConn holds its first SetDeadline call — the connection loop arming
+// its idle timeout — until released, and reports every SetReadDeadline call,
+// Shutdown's wake-up.
 type parkedConn struct {
 	net.Conn
 	once    sync.Once
-	parked  chan struct{} // closed when the first call has arrived
+	parked  chan struct{} // closed when the first SetDeadline has arrived
 	release chan struct{} // closed to let it through
-	later   chan struct{} // one token per later call, once it has been applied
+	later   chan struct{} // one token per SetReadDeadline, once it has been applied
 }
 
-func (c *parkedConn) SetReadDeadline(t time.Time) error {
+func (c *parkedConn) SetDeadline(t time.Time) error {
 	first := false
 	c.once.Do(func() { first = true })
 	if first {
 		close(c.parked)
 		<-c.release
-		return c.Conn.SetReadDeadline(t)
 	}
+	return c.Conn.SetDeadline(t)
+}
+
+func (c *parkedConn) SetReadDeadline(t time.Time) error {
 	err := c.Conn.SetReadDeadline(t)
 	c.later <- struct{}{}
 	return err
@@ -245,6 +251,80 @@ func TestShutdownWakeupNotLost(t *testing.T) {
 	}
 	if err := <-serveErr; err != ErrServerClosed {
 		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+	}
+}
+
+// A client that pipelines and never reads its replies fills the socket
+// buffers until the server's flush blocks. The per-batch deadline drops it:
+// its server goroutine exits, and an honest client on another connection
+// keeps answering meanwhile.
+func TestNeverReadingPipelinerIsDropped(t *testing.T) {
+	saved := idleTimeout
+	t.Cleanup(func() { idleTimeout = saved }) // runs after the server is down
+	idleTimeout = 300 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(newTestRegistry(t))
+	go srv.Serve(ln) //nolint:errcheck // ErrServerClosed at Shutdown
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	})
+	conns := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.conns)
+	}
+
+	honest := dialTest(t, ln.Addr().String())
+	if r := do(t, honest, "PING"); r.Str != "PONG" {
+		t.Fatalf("PING = %+v", r)
+	}
+	hostile, err := net.DialTimeout("tcp", ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hostile.Close()
+	hostile.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	payload := strings.Repeat("x", 4096)
+	chunk := strings.Repeat(fmt.Sprintf("*2\r\n$4\r\nECHO\r\n$%d\r\n%s\r\n", len(payload), payload), 64)
+	dropped := make(chan error, 1)
+	go func() {
+		for {
+			if _, err := io.WriteString(hostile, chunk); err != nil {
+				dropped <- err
+				return
+			}
+		}
+	}()
+
+	for {
+		// The honest client keeps being answered while the hostile
+		// connection's flush is stuck, and after it is dropped.
+		if r := do(t, honest, "PING"); r.Str != "PONG" {
+			t.Fatalf("honest PING = %+v", r)
+		}
+		select {
+		case err := <-dropped:
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatal("the server never dropped the client that does not read")
+			}
+			for deadline := time.Now().Add(5 * time.Second); conns() != 1; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d connections still served, want only the honest one", conns())
+				}
+			}
+			if r := do(t, honest, "PING"); r.Str != "PONG" {
+				t.Fatalf("honest PING after the drop = %+v", r)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }
 

@@ -29,7 +29,11 @@ type Backend interface {
 	// every mutation publishes its words with atomic stores. A test racing a
 	// mutation answers from some state the shard passed through.
 	TestIndexes(idx []uint64) bool
-	// Count returns the net number of insertions.
+	// Count returns the net number of insertions the shard applied. Bloom
+	// and blocked shards are never handed an item whose positions are all
+	// set, so theirs counts the adds that changed the filter — the adds a
+	// BF.ADD answers 1 to. A counting shard applies every add, repeats
+	// included, and subtracts accepted removals.
 	Count() uint64
 	// Weight returns the number of occupied positions (O(m); the shard layer
 	// tracks weight incrementally and uses this only for verification).

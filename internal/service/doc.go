@@ -72,10 +72,12 @@
 // its full configuration (meta.json, secrets included — the data dir is the
 // server's trusted storage), versioned + checksummed snapshot envelopes
 // written via temp-file + rename, and an append-only operation log with
-// length-prefixed, per-record-CRC framing. Mutations are journaled from
-// inside the shard critical section into a buffered, batched writer whose
-// durability is the -fsync policy: always (fsync per mutation), interval
-// (flush+fsync every ~100ms, the default) or never (the OS decides).
+// length-prefixed, per-record-CRC framing. Mutations that change the filter
+// (a bloom or blocked add of an item already present is not one) are
+// journaled from inside the shard critical section into a buffered, batched
+// writer whose durability is the -fsync policy: always (fsync per
+// mutation), interval (flush+fsync every ~100ms, the default) or never (the
+// OS decides).
 // Restart restores the newest restorable snapshot — a corrupt one falls
 // back a generation — and replays the log chain on top, truncating a torn
 // tail to the longest valid record prefix, so a recovered filter is

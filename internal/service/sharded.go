@@ -225,10 +225,12 @@ type shard struct {
 	// from the fresh/zeroed deltas AddIndexes and RemoveIndexes report, so
 	// Stats is O(shards) instead of an O(m) scan under the lock.
 	weight uint64
-	// muts counts effective mutations (adds, accepted removals, restores),
-	// maintained under the write lock the mutation already holds. The sum
-	// across shards is the store's Generation — the cheap monotone version
-	// number the digest exchange uses for its ETag short-circuit.
+	// muts counts effective mutations (adds that changed the shard,
+	// accepted removals, restores), maintained under the write lock the
+	// mutation already holds: a bloom or blocked add of an item already
+	// present changes no bit and is not one. The sum across shards is the
+	// store's Generation — the cheap monotone version number the digest
+	// exchange uses for its ETag short-circuit.
 	muts uint64
 }
 
@@ -352,17 +354,33 @@ func (s *Sharded) place1(item []byte) (*shard, *grouping) {
 }
 
 // Add implements core.Filter. Placement happens outside the shard lock; only
-// the position writes are serialized.
+// the position writes are serialized. An add that changes nothing — on a
+// bloom or blocked shard, an item whose positions are all set already — is
+// not applied, counted or journaled (see addLocked).
 func (s *Sharded) Add(item []byte) {
 	sh, g := s.place1(item)
 	sh.mu.Lock()
-	sh.weight = applyDelta(sh.weight, sh.backend.AddIndexes(g.idx))
-	sh.muts++
-	if s.journal != nil {
+	if _, applied := sh.addLocked(g.idx); applied && s.journal != nil {
 		s.journal.JournalAdd(item)
 	}
 	sh.mu.Unlock()
 	s.ungroup(g)
+}
+
+// addLocked test-and-adds one index set; the caller holds the shard's write
+// lock and journals the add when it was applied. novel reports whether the
+// item was not believed present just before. A bloom or blocked shard that
+// believes it present already holds every bit it would set, so nothing is
+// applied: no write, no count, no generation. A counting shard always
+// applies, because every add moves its counters.
+func (sh *shard) addLocked(idx []uint64) (novel, applied bool) {
+	novel = !sh.backend.TestIndexes(idx)
+	if !novel && sh.remover == nil {
+		return false, false
+	}
+	sh.weight = applyDelta(sh.weight, sh.backend.AddIndexes(idx))
+	sh.muts++
+	return novel, true
 }
 
 // applyDelta shifts an unsigned weight by a signed occupancy change (wrap
@@ -401,11 +419,8 @@ func (s *Sharded) Remove(item []byte) (bool, error) {
 	sh, g := s.place1(item)
 	sh.mu.Lock()
 	removed, err := sh.removeLocked(g.idx)
-	if removed {
-		sh.muts++
-		if s.journal != nil {
-			s.journal.JournalRemove(item)
-		}
+	if removed && s.journal != nil {
+		s.journal.JournalRemove(item)
 	}
 	sh.mu.Unlock()
 	s.ungroup(g)
@@ -413,16 +428,17 @@ func (s *Sharded) Remove(item []byte) (bool, error) {
 }
 
 // removeLocked test-and-removes one index set; the caller holds the shard's
-// write lock. The membership check refuses items the filter believes
-// absent; the CanRemoveIndexes check additionally refuses crafted
-// duplicate-position items that would underflow mid-removal, so the
-// partial-removal footprint is unreachable through the service.
+// write lock and journals an accepted removal. The membership check refuses
+// items the filter believes absent; the CanRemoveIndexes check additionally
+// refuses crafted duplicate-position items that would underflow mid-removal,
+// so the partial-removal footprint is unreachable through the service.
 func (sh *shard) removeLocked(idx []uint64) (bool, error) {
 	if !sh.backend.TestIndexes(idx) || !sh.remover.CanRemoveIndexes(idx) {
 		return false, nil
 	}
 	zeroed, err := sh.remover.RemoveIndexes(idx)
 	sh.weight -= uint64(zeroed)
+	sh.muts++
 	if err != nil {
 		// Unreachable while the lock pairs both checks with the decrements,
 		// but a future backend could fail differently; surface it.
@@ -454,11 +470,8 @@ func (s *Sharded) RemoveBatch(items [][]byte) ([]bool, error) {
 				sh.mu.Unlock()
 				return removed, err
 			}
-			if ok {
-				sh.muts++
-				if s.journal != nil {
-					s.journal.JournalRemove(items[ii])
-				}
+			if ok && s.journal != nil {
+				s.journal.JournalRemove(items[ii])
 			}
 			removed[ii] = ok
 		}
@@ -497,13 +510,11 @@ func (s *Sharded) addBatch(novel []bool, items [][]byte) {
 		idx := s.derive(g, items, si, run)
 		sh.mu.Lock()
 		for j, ii := range run {
-			ix := idx[j*s.k : (j+1)*s.k]
+			isNew, applied := sh.addLocked(idx[j*s.k : (j+1)*s.k])
 			if novel != nil {
-				novel[ii] = !sh.backend.TestIndexes(ix)
+				novel[ii] = isNew
 			}
-			sh.weight = applyDelta(sh.weight, sh.backend.AddIndexes(ix))
-			sh.muts++
-			if s.journal != nil {
+			if applied && s.journal != nil {
 				s.journal.JournalAdd(items[ii])
 			}
 		}
@@ -665,13 +676,13 @@ func (s *Sharded) ungroup(g *grouping) {
 }
 
 // Generation returns the store's mutation counter: the sum of effective
-// adds, accepted removals and restores across shards. It is monotone under
-// serving traffic, so equal generations mean an unchanged filter — the
-// digest endpoint's ETag basis, letting peers skip refetching an unchanged
-// digest. It resets on restart (a recovered store recounts from its
-// replay), which is why the ETag folds in the per-boot etagSalt. (Shards
-// are read one at a time, so a racing mutation may or may not be counted;
-// either answer is a generation the store passed through.)
+// adds (those addLocked applied), accepted removals and restores across
+// shards. It is monotone under serving traffic, so equal generations mean
+// an unchanged filter — the digest endpoint's ETag basis, letting peers skip
+// refetching an unchanged digest. It resets on restart (a recovered store
+// recounts from its replay), which is why the ETag folds in the per-boot
+// etagSalt. (Shards are read one at a time, so a racing mutation may or may
+// not be counted; either answer is a generation the store passed through.)
 func (s *Sharded) Generation() uint64 {
 	var g uint64
 	for i := range s.shards {
@@ -683,7 +694,8 @@ func (s *Sharded) Generation() uint64 {
 	return g
 }
 
-// Count implements core.Filter: net insertions across shards.
+// Count implements core.Filter: net insertions across shards, as
+// Backend.Count defines them per variant.
 func (s *Sharded) Count() uint64 {
 	var n uint64
 	for i := range s.shards {
