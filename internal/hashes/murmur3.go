@@ -78,11 +78,10 @@ func fmix64(h uint64) uint64 {
 // Kirsch–Mitzenmacher derivation ("less hashing, same performance").
 func Murmur128(data []byte, seed uint64) (uint64, uint64) {
 	h1, h2 := seed, seed
-	n := uint64(len(data))
-	for len(data) >= 16 {
-		k1 := binary.LittleEndian.Uint64(data)
-		k2 := binary.LittleEndian.Uint64(data[8:])
-		data = data[16:]
+	n := len(data)
+	for p := data; len(p) >= 16; p = p[16:] {
+		k1 := binary.LittleEndian.Uint64(p)
+		k2 := binary.LittleEndian.Uint64(p[8:])
 
 		k1 *= murmur64C1
 		k1 = bits.RotateLeft64(k1, 31)
@@ -101,64 +100,33 @@ func Murmur128(data []byte, seed uint64) (uint64, uint64) {
 		h2 = h2*5 + 0x38495ab5
 	}
 
+	// The tail: the r = 0–15 bytes past the last whole block, the first
+	// eight little-endian in k1, the rest in k2. From eight bytes of input on
+	// each is one load of the word that ends at its last byte, shifted right
+	// past the bytes before it (a shift by 64 leaves zero). A zero k mixes to
+	// zero, so both are mixed unconditionally: the reference skips exactly
+	// those.
 	var k1, k2 uint64
-	switch len(data) & 15 {
-	case 15:
-		k2 ^= uint64(data[14]) << 48
-		fallthrough
-	case 14:
-		k2 ^= uint64(data[13]) << 40
-		fallthrough
-	case 13:
-		k2 ^= uint64(data[12]) << 32
-		fallthrough
-	case 12:
-		k2 ^= uint64(data[11]) << 24
-		fallthrough
-	case 11:
-		k2 ^= uint64(data[10]) << 16
-		fallthrough
-	case 10:
-		k2 ^= uint64(data[9]) << 8
-		fallthrough
-	case 9:
-		k2 ^= uint64(data[8])
-		k2 *= murmur64C2
-		k2 = bits.RotateLeft64(k2, 33)
-		k2 *= murmur64C1
-		h2 ^= k2
-		fallthrough
-	case 8:
-		k1 ^= uint64(data[7]) << 56
-		fallthrough
-	case 7:
-		k1 ^= uint64(data[6]) << 48
-		fallthrough
-	case 6:
-		k1 ^= uint64(data[5]) << 40
-		fallthrough
-	case 5:
-		k1 ^= uint64(data[4]) << 32
-		fallthrough
-	case 4:
-		k1 ^= uint64(data[3]) << 24
-		fallthrough
-	case 3:
-		k1 ^= uint64(data[2]) << 16
-		fallthrough
-	case 2:
-		k1 ^= uint64(data[1]) << 8
-		fallthrough
-	case 1:
-		k1 ^= uint64(data[0])
-		k1 *= murmur64C1
-		k1 = bits.RotateLeft64(k1, 31)
-		k1 *= murmur64C2
-		h1 ^= k1
+	if r := uint(n & 15); n >= 8 {
+		r1 := min(r, 8)
+		k1 = binary.LittleEndian.Uint64(data[n-int(r-r1)-8:]) >> (64 - 8*r1)
+		k2 = binary.LittleEndian.Uint64(data[n-8:]) >> (64 - 8*(r-r1))
+	} else {
+		for i, b := range data {
+			k1 |= uint64(b) << (8 * uint(i))
+		}
 	}
+	k2 *= murmur64C2
+	k2 = bits.RotateLeft64(k2, 33)
+	k2 *= murmur64C1
+	h2 ^= k2
+	k1 *= murmur64C1
+	k1 = bits.RotateLeft64(k1, 31)
+	k1 *= murmur64C2
+	h1 ^= k1
 
-	h1 ^= n
-	h2 ^= n
+	h1 ^= uint64(n)
+	h2 ^= uint64(n)
 	h1 += h2
 	h2 += h1
 	h1 = fmix64(h1)

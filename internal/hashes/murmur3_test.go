@@ -1,6 +1,7 @@
 package hashes
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -131,5 +132,38 @@ func TestMurmur32DistributionSmoke(t *testing.T) {
 	}
 	if chi2 > 1023+5*45.2 {
 		t.Errorf("chi-squared = %.1f, too far from uniform", chi2)
+	}
+}
+
+// smhasherVerification is SMHasher's VerificationTest: hash keys {}, {0},
+// {0,1}, … {0..254} with seed 256−i, hash the concatenated outputs with seed
+// 0, and read the first four bytes little-endian. It reaches every tail
+// length and 256 seeds in one number.
+func smhasherVerification(width int, hash func(key []byte, seed uint32) []byte) uint32 {
+	key := make([]byte, 256)
+	out := make([]byte, 0, width*256)
+	for i := 0; i < 256; i++ {
+		key[i] = byte(i)
+		out = append(out, hash(key[:i], uint32(256-i))...)
+	}
+	return binary.LittleEndian.Uint32(hash(out, 0))
+}
+
+// SMHasher's published verification values pin both variants bit for bit:
+// naive placement, the murmur-double digest family and the §5 preimage
+// attack all read Murmur128.
+func TestMurmurSMHasherVerification(t *testing.T) {
+	x64 := smhasherVerification(16, func(key []byte, seed uint32) []byte {
+		h1, h2 := Murmur128(key, uint64(seed))
+		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, h1), h2)
+	})
+	if x64 != 0x6384BA69 {
+		t.Errorf("MurmurHash3_x64_128 verification = %#08x, want 0x6384BA69", x64)
+	}
+	x86 := smhasherVerification(4, func(key []byte, seed uint32) []byte {
+		return binary.LittleEndian.AppendUint32(nil, Murmur32(key, seed))
+	})
+	if x86 != 0xB0F57EE3 {
+		t.Errorf("MurmurHash3_x86_32 verification = %#08x, want 0xB0F57EE3", x86)
 	}
 }

@@ -52,8 +52,10 @@ type PlacementSpec struct {
 }
 
 // PlacementDigest is what Route learned about an item beyond its shard, for
-// Indexes to finish from: under v2 the item's first digest, under v1 nothing.
-type PlacementDigest struct{ w0, w1 uint64 }
+// Indexes to finish from: under v2 the item's first digest (w0, w1) and, when
+// keyed indexes read past it, the second (x0, x1), computed in the same pass;
+// under v1 nothing.
+type PlacementDigest struct{ w0, w1, x0, x1 uint64 }
 
 // A Placement turns items into (shard, k indexes) under one spec. It is
 // immutable, safe for concurrent use, and the only implementation of the rule:
@@ -70,9 +72,11 @@ type Placement struct {
 	// restN is how many whole indexes one digest of a keyed item yields (v1:
 	// 64 bits each; v2: 128) and firstN the same for a v2 item's first
 	// digest, which is short of its routing bits; firstBoth reports whether
-	// that first digest is read past its first 64 bits.
-	firstN, restN int
-	firstBoth     bool
+	// that first digest is read past its first 64 bits. paired reports
+	// whether the indexes read on into the second digest, which Route then
+	// computes with the first, and secondBoth whether past its first word.
+	firstN, restN                 int
+	firstBoth, paired, secondBoth bool
 }
 
 // NewPlacement validates spec and precomputes its keys.
@@ -117,6 +121,8 @@ func NewPlacement(spec PlacementSpec) (*Placement, error) {
 			p.keys = []SipKey{sipKey(h.Sum(nil))}
 			p.firstN, p.restN = int((128-p.routeBits)/p.bitsPer), int(128/p.bitsPer)
 			p.firstBoth = p.routeBits+uint(min(spec.K, p.firstN))*p.bitsPer > 64
+			p.paired = spec.K > p.firstN
+			p.secondBoth = p.paired && uint(min(spec.K-p.firstN, p.restN))*p.bitsPer > 64
 		}
 	default:
 		return nil, fmt.Errorf("hashes: unknown placement layout %d", spec.Layout)
@@ -140,12 +146,15 @@ func (p *Placement) Route(item []byte) (int, PlacementDigest) {
 			return 0, PlacementDigest{}
 		}
 		return int(SipHash24(p.route, item) & uint64(p.spec.Shards-1)), PlacementDigest{}
+	case p.paired:
+		w0, w1, x0, x1 := sipHash128Pair(p.keys[0], 0, item, p.secondBoth)
+		return int(w0 >> (64 - p.routeBits)), PlacementDigest{w0, w1, x0, x1}
 	case p.spec.Keyed:
 		w0, w1 := sipHash128(p.keys[0], item, p.firstBoth)
-		return int(w0 >> (64 - p.routeBits)), PlacementDigest{w0, w1}
+		return int(w0 >> (64 - p.routeBits)), PlacementDigest{w0: w0, w1: w1}
 	default:
 		h1, h2 := Murmur128(item, p.spec.Seed)
-		return int(h1 >> (64 - p.routeBits)), PlacementDigest{h1, h2}
+		return int(h1 >> (64 - p.routeBits)), PlacementDigest{w0: h1, w1: h2}
 	}
 }
 
@@ -177,23 +186,33 @@ func (p *Placement) Indexes(dst []uint64, item []byte, shard int, d PlacementDig
 		for left, salt := p.spec.K, uint64(0); left > 0; salt++ {
 			n := min(left, p.restN)
 			left -= n
-			dst = p.slice(dst, SipHash24(SipKey{key.K0, key.K1 ^ salt}, item), 0, n)
+			dst = p.cut(dst, SipHash24(SipKey{key.K0, key.K1 ^ salt}, item), 0, 0, n)
 		}
 		return dst
 	default:
 		// The v2 bit stream: digest 0 minus its routing bits, then digests
-		// 1, 2, … in full, each giving whole indexes only. A last digest
-		// read no further than its first word is computed no further.
-		key := p.keys[0]
-		w0, w1 := d.w0<<p.routeBits|d.w1>>(64-p.routeBits), d.w1<<p.routeBits
-		n := min(p.spec.K, p.firstN)
-		for left, salt := p.spec.K, uint64(1); ; salt++ {
-			dst = p.slice(dst, w0, w1, n)
+		// 1, 2, … in full, each giving whole indexes only. Route computed
+		// digests 0 and 1; the rest come two to a pass and a last one alone.
+		// A digest read no further than its first word is computed no
+		// further.
+		key, w0, w1, x0, x1 := p.keys[0], d.w0, d.w1, d.x0, d.x1
+		at, per := p.routeBits, p.firstN
+		for left, salt := p.spec.K, uint64(2); ; salt += 2 {
+			n := min(left, per)
+			dst = p.cut(dst, w0, w1, at, n)
 			if left -= n; left == 0 {
 				return dst
 			}
 			n = min(left, p.restN)
-			w0, w1 = sipHash128(SipKey{key.K0, key.K1 ^ salt}, item, uint(n)*p.bitsPer > 64)
+			dst = p.cut(dst, x0, x1, 0, n)
+			if left -= n; left == 0 {
+				return dst
+			}
+			if at, per = 0, p.restN; left <= p.restN {
+				w0, w1 = sipHash128(SipKey{key.K0, key.K1 ^ salt}, item, uint(left)*p.bitsPer > 64)
+			} else {
+				w0, w1, x0, x1 = sipHash128Pair(key, salt, item, uint(min(left-p.restN, p.restN))*p.bitsPer > 64)
+			}
 		}
 	}
 }
@@ -217,16 +236,28 @@ func (p *Placement) mod(h uint64) uint64 {
 	return r
 }
 
-// slice appends the n leading bitsPer-bit groups of the 128-bit register
-// w0:w1, most significant first, each reduced into [0, m) as Recycling.slice
-// reduces them.
-func (p *Placement) slice(dst []uint64, w0, w1 uint64, n int) []uint64 {
-	// b is 1 … 64: shifting right by 64−b and left by b−1 then 1 keeps every
-	// count below 64, which spares the shifts their range check.
-	down, up, m := (64-p.bitsPer)&63, (p.bitsPer-1)&63, p.spec.M
-	for ; n > 0; n-- {
-		v := w0 >> down
-		w0, w1 = w0<<up<<1|w1>>down, w1<<up<<1
+// cut appends n bitsPer-bit groups of the 128-bit register w0:w1, the first
+// starting at bit at and each next one bitsPer further on, counted from the
+// most significant end, each reduced into [0, m) as Recycling.slice reduces
+// them. Every group is cut at its own offset o, none waiting on another: one
+// loop takes the groups that start in w0 (the 64 bits from o are w0's from o
+// and w1's before 64 − o), one those that start in w1. Every shift count is
+// masked below 64, which spares it the range check and changes nothing:
+// o < 64 in the first loop, 64 ≤ o < 128 in the second.
+func (p *Placement) cut(dst []uint64, w0, w1 uint64, at uint, n int) []uint64 {
+	b, m := p.bitsPer, p.spec.M
+	down := (64 - b) & 63
+	o := at
+	for ; n > 0 && o < 64; n, o = n-1, o+b {
+		// w1 >> 1 >> (63 − o) is w1 >> (64 − o), 0 at o = 0.
+		v := (w0<<(o&63) | w1>>1>>((63-o)&63)) >> down
+		if v >= m {
+			v -= m
+		}
+		dst = append(dst, v)
+	}
+	for ; n > 0; n, o = n-1, o+b {
+		v := w1 << ((o - 64) & 63) >> down
 		if v >= m {
 			v -= m
 		}

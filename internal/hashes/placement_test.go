@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/rand"
 	"testing"
 )
 
@@ -38,6 +39,20 @@ func TestSipHash128Vectors(t *testing.T) {
 
 func placementItem(i int) []byte {
 	return []byte(fmt.Sprintf("http://h%03x.ex.org/u/a%010x%x", i*2654435761%4096, i, i*i))
+}
+
+// benchShapedItems returns n URL-shaped keys whose lengths are uniform over
+// 32–47 bytes, drawn from a PRNG seeded with seed — the shape the bench's
+// generator sends. A length that climbs slowly (as placementItem's does)
+// lets the branch predictor learn the hash tails; these do not.
+func benchShapedItems(n int, seed int64) [][]byte {
+	rng := rand.New(rand.NewSource(seed))
+	items := make([][]byte, n)
+	for i := range items {
+		item := fmt.Appendf(nil, "http://h%03x.ex.org/u/a%010x%016x", rng.Intn(4096), i, rng.Uint64())
+		items[i] = item[:32+rng.Intn(16)]
+	}
+	return items
 }
 
 var (
@@ -276,30 +291,98 @@ func TestPlacementV2Uniformity(t *testing.T) {
 	}
 }
 
+// placementV2M maps two fuzz bytes onto a filter size: 2^b − 1, 2^b or
+// 2^b + 1, or one of the sizes the service meets (1, the bench's small and
+// large shards, the largest).
+func placementV2M(sel, b uint8) uint64 {
+	p := uint64(1) << (b % 64)
+	switch sel % 4 {
+	case 0:
+		return max(p-1, 1)
+	case 1:
+		return p
+	case 2:
+		return p + 1
+	default:
+		return []uint64{1, 1917012, 57510352, 1<<64 - 1}[b%4]
+	}
+}
+
+// FuzzPlacementV2MatchesDefinition holds layout 2 — what every new filter
+// gets — to its written rule over fuzzed items of 0–300 bytes and fuzzed
+// geometry: shards a power of two up to 65 536, k 1–40 (one digest, a pair,
+// a pair and a lone digest, several pairs), m 1 or near a power of two.
+// Keyed, that rule is specV2Hardened; unkeyed, DoubleHashing's indexes and
+// the top bits of h1 for the shard.
+func FuzzPlacementV2MatchesDefinition(f *testing.F) {
+	for i, item := range append(benchShapedItems(4, 1), placementItem(0), placementItem(1), nil) {
+		f.Add(item, i%2 == 0, uint8(3), uint8(6), uint8(3), uint8(1), uint64(3), uint64(1), uint64(2))
+	}
+	f.Add(placementItem(2), true, uint8(3), uint8(9), uint8(3), uint8(2), uint64(0), uint64(5), uint64(7))
+	f.Add(placementItem(3), true, uint8(16), uint8(39), uint8(0), uint8(33), uint64(0), uint64(1<<63), uint64(0))
+	f.Add(placementItem(4), false, uint8(16), uint8(39), uint8(2), uint8(63), uint64(1<<63), uint64(0), uint64(9))
+	f.Fuzz(func(t *testing.T, item []byte, keyed bool, shardsLog, kRaw, mSel, mBits uint8, seed, key, route uint64) {
+		item = item[:min(len(item), 300)]
+		shards, k, m := 1<<(shardsLog%17), int(kRaw%40)+1, placementV2M(mSel, mBits)
+		p := mustPlacement(t, PlacementSpec{
+			Layout: LayoutV2, Keyed: keyed, Shards: shards, K: k, M: m, Seed: seed,
+			Key:      binary.LittleEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, key), ^key),
+			RouteKey: binary.LittleEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, route), ^route),
+		})
+		var wantShard int
+		var want []uint64
+		if keyed {
+			wantShard, want = specV2Hardened(p.keys[0], shards, k, m, item)
+		} else {
+			fam, err := NewDoubleHashing(k, m, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h1, _ := Murmur128(item, seed)
+			wantShard, want = int(h1>>(64-uint(shardsLog%17))), fam.Indexes(nil, item)
+		}
+		what := fmt.Sprintf("keyed=%v shards=%d k=%d m=%d item=%x", keyed, shards, k, m, item)
+		shard, got := p.Place(nil, item)
+		if shard != wantShard || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: placed (%d, %v), definition says (%d, %v)", what, shard, got, wantShard, want)
+		}
+		if again := p.Family(int(seed)&(shards-1)).Indexes(nil, item); fmt.Sprint(again) != fmt.Sprint(want) {
+			t.Fatalf("%s: Family view gives %v, want %v", what, again, want)
+		}
+	})
+}
+
 var placementSink uint64
 
 // BenchmarkPlacement prices one key's whole placement — route and k indexes —
-// per layout and mode at the bench geometry (8 shards, k = 7, m = 1 917 012,
-// URL-shaped keys of 32–47 bytes).
+// per layout and mode at the bench geometry (8 shards, k = 7, m = 1 917 012),
+// over bench-shaped keys (URL-shaped, lengths uniform over 32–47 bytes).
+// v2-hardened-k10 is k = 10 at the large filter's shard size (m = 57 510 352,
+// 26-bit indexes): a paired pass and one lone digest.
 func BenchmarkPlacement(b *testing.B) {
-	items := make([][]byte, 1024)
-	for i := range items {
-		items[i] = placementItem(i)
-	}
+	items := benchShapedItems(1024, 1)
 	for _, bc := range []struct {
 		name   string
 		layout Layout
 		keyed  bool
-	}{{"v1-naive", LayoutV1, false}, {"v1-hardened", LayoutV1, true}, {"v2-naive", LayoutV2, false}, {"v2-hardened", LayoutV2, true}} {
+		k      int
+		m      uint64
+	}{
+		{"v1-naive", LayoutV1, false, 7, 1917012},
+		{"v1-hardened", LayoutV1, true, 7, 1917012},
+		{"v2-naive", LayoutV2, false, 7, 1917012},
+		{"v2-hardened", LayoutV2, true, 7, 1917012},
+		{"v2-hardened-k10", LayoutV2, true, 10, 57510352},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
-			p := mustPlacement(b, PlacementSpec{Layout: bc.layout, Keyed: bc.keyed, Shards: 8, K: 7, M: 1917012, Seed: 3, Key: placementKey, RouteKey: placementRoute})
-			idx := make([]uint64, 0, 7)
+			p := mustPlacement(b, PlacementSpec{Layout: bc.layout, Keyed: bc.keyed, Shards: 8, K: bc.k, M: bc.m, Seed: 3, Key: placementKey, RouteKey: placementRoute})
+			idx := make([]uint64, 0, bc.k)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var s int
 				s, idx = p.Place(idx[:0], items[i&1023])
-				placementSink += uint64(s) + idx[6]
+				placementSink += uint64(s) + idx[bc.k-1]
 			}
 		})
 	}

@@ -10,7 +10,9 @@ import (
 // MurmurHash and full HMAC constructions. Implemented from the reference
 // specification; 128-bit key, 64-bit output, and the specification's 128-bit
 // output variant for the placement layouts that draw route and indexes from
-// one call.
+// one call — computed two keys to a pass where a layout reads consecutive
+// digests. kernel_oracle_test.go keeps the one-state, byte-loop original the
+// kernels are held to.
 
 // SipKey is a 128-bit SipHash key.
 type SipKey struct {
@@ -57,35 +59,97 @@ func sipHash128(key SipKey, data []byte, both bool) (w0, w1 uint64) {
 	return w0, v0 ^ v1 ^ v2 ^ v3
 }
 
-// sipAbsorb is SipHash-2-4's keyed initialization and compression of data:
-// the state the finalization starts from. tweak is XORed into v1 after
-// keying — zero for the 64-bit output, 0xee for the 128-bit one.
-func sipAbsorb(key SipKey, tweak uint64, data []byte) (v0, v1, v2, v3 uint64) {
-	v0 = key.K0 ^ 0x736f6d6570736575
-	v1 = key.K1 ^ 0x646f72616e646f6d ^ tweak
-	v2 = key.K0 ^ 0x6c7967656e657261
-	v3 = key.K1 ^ 0x7465646279746573
+// sipHash128Pair computes sipHash128(K0, K1 ⊕ j) in full and
+// sipHash128(K0, K1 ⊕ (j+1)) to the words both asks for — digests j and j+1
+// of the keyed placement stream — in one pass over data: the two states take
+// every message word together, so their round chains overlap instead of
+// running one after the other.
+func sipHash128Pair(key SipKey, j uint64, data []byte, both bool) (a0, a1, b0, b1 uint64) {
+	v0, v1, v2, v3 := sipInit(SipKey{key.K0, key.K1 ^ j}, 0xee)
+	u0, u1, u2, u3 := sipInit(SipKey{key.K0, key.K1 ^ (j + 1)}, 0xee)
+	for p := data; len(p) >= 8; p = p[8:] {
+		m := binary.LittleEndian.Uint64(p)
+		v3 ^= m
+		u3 ^= m
+		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+		u0, u1, u2, u3 = sipRound(u0, u1, u2, u3)
+		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+		u0, u1, u2, u3 = sipRound(u0, u1, u2, u3)
+		v0 ^= m
+		u0 ^= m
+	}
+	last := sipLastBlock(data)
+	v3 ^= last
+	u3 ^= last
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	u0, u1, u2, u3 = sipRound(u0, u1, u2, u3)
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	u0, u1, u2, u3 = sipRound(u0, u1, u2, u3)
+	v0 ^= last
+	u0 ^= last
+	v2 ^= 0xee
+	u2 ^= 0xee
+	for i := 0; i < 4; i++ {
+		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+		u0, u1, u2, u3 = sipRound(u0, u1, u2, u3)
+	}
+	a0, b0 = v0^v1^v2^v3, u0^u1^u2^u3
+	v1 ^= 0xdd
+	if !both {
+		for i := 0; i < 4; i++ {
+			v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+		}
+		return a0, v0 ^ v1 ^ v2 ^ v3, b0, 0
+	}
+	u1 ^= 0xdd
+	for i := 0; i < 4; i++ {
+		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+		u0, u1, u2, u3 = sipRound(u0, u1, u2, u3)
+	}
+	return a0, v0 ^ v1 ^ v2 ^ v3, b0, u0 ^ u1 ^ u2 ^ u3
+}
 
-	n := len(data)
-	for len(data) >= 8 {
-		m := binary.LittleEndian.Uint64(data)
-		data = data[8:]
+// sipInit is SipHash-2-4's keyed initialization. tweak is XORed into v1 —
+// zero for the 64-bit output, 0xee for the 128-bit one.
+func sipInit(key SipKey, tweak uint64) (v0, v1, v2, v3 uint64) {
+	return key.K0 ^ 0x736f6d6570736575, key.K1 ^ 0x646f72616e646f6d ^ tweak,
+		key.K0 ^ 0x6c7967656e657261, key.K1 ^ 0x7465646279746573
+}
+
+// sipAbsorb is SipHash-2-4's keyed initialization and compression of data:
+// the state the finalization starts from.
+func sipAbsorb(key SipKey, tweak uint64, data []byte) (v0, v1, v2, v3 uint64) {
+	v0, v1, v2, v3 = sipInit(key, tweak)
+	for p := data; len(p) >= 8; p = p[8:] {
+		m := binary.LittleEndian.Uint64(p)
 		v3 ^= m
 		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
 		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
 		v0 ^= m
 	}
+	last := sipLastBlock(data)
+	v3 ^= last
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0 ^= last
+	return v0, v1, v2, v3
+}
 
-	// Final block: remaining bytes, zero padding, length in the top byte.
+// sipLastBlock is the final message word: data's 0–7 bytes past its last
+// whole word, zero padding, the length in the top byte. From eight bytes on
+// it is one load of the word that ends at the last byte, shifted right past
+// the bytes the whole words already took (all of them when the length is a
+// multiple of 8: a shift by 64 leaves zero); shorter data keeps the byte loop.
+func sipLastBlock(data []byte) uint64 {
+	n := len(data)
 	m := uint64(n) << 56
+	if n >= 8 {
+		return m | binary.LittleEndian.Uint64(data[n-8:])>>(64-8*uint(n&7))
+	}
 	for i, b := range data {
 		m |= uint64(b) << (8 * uint(i))
 	}
-	v3 ^= m
-	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
-	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
-	v0 ^= m
-	return v0, v1, v2, v3
+	return m
 }
 
 func sipRound(v0, v1, v2, v3 uint64) (uint64, uint64, uint64, uint64) {
