@@ -158,9 +158,9 @@ func oracleMurmur128(data []byte, seed uint64) (uint64, uint64) {
 }
 
 // checkKernels compares every kernel with the oracle on msg: SipHash24,
-// sipHash128 and the paired pass for salts j and j+1, each in both output
-// lengths, and Murmur128.
-func checkKernels(t *testing.T, key SipKey, j, seed uint64, msg []byte) {
+// sipHash128 and the paired pass (digests 0 and 1 under key), each in both
+// output lengths, and Murmur128.
+func checkKernels(t *testing.T, key SipKey, seed uint64, msg []byte) {
 	t.Helper()
 	if got, want := SipHash24(key, msg), oracleSipHash24(key, msg); got != want {
 		t.Fatalf("len %d: SipHash24 = %#x, oracle %#x", len(msg), got, want)
@@ -172,13 +172,12 @@ func checkKernels(t *testing.T, key SipKey, j, seed uint64, msg []byte) {
 	if g0, g1 := sipHash128(key, msg, false); g0 != w0 || g1 != 0 {
 		t.Fatalf("len %d: first word alone = %#x %#x, want %#x 0", len(msg), g0, g1, w0)
 	}
-	x0, x1 := oracleSipHash128(SipKey{key.K0, key.K1 ^ j}, msg)
-	y0, y1 := oracleSipHash128(SipKey{key.K0, key.K1 ^ (j + 1)}, msg)
-	if a0, a1, b0, b1 := sipHash128Pair(key, j, msg, true); a0 != x0 || a1 != x1 || b0 != y0 || b1 != y1 {
-		t.Fatalf("len %d salts %d, %d: pair = %#x %#x %#x %#x, one-lane oracle %#x %#x %#x %#x", len(msg), j, j+1, a0, a1, b0, b1, x0, x1, y0, y1)
+	y0, y1 := oracleSipHash128(SipKey{key.K0, key.K1 ^ 1}, msg)
+	if a0, a1, b0, b1 := sipHash128Pair(key, msg, true); a0 != w0 || a1 != w1 || b0 != y0 || b1 != y1 {
+		t.Fatalf("len %d: pair = %#x %#x %#x %#x, one-lane oracle %#x %#x %#x %#x", len(msg), a0, a1, b0, b1, w0, w1, y0, y1)
 	}
-	if a0, a1, b0, b1 := sipHash128Pair(key, j, msg, false); a0 != x0 || a1 != x1 || b0 != y0 || b1 != 0 {
-		t.Fatalf("len %d salts %d, %d: pair, second digest's first word only = %#x %#x %#x %#x, want %#x %#x %#x 0", len(msg), j, j+1, a0, a1, b0, b1, x0, x1, y0)
+	if a0, a1, b0, b1 := sipHash128Pair(key, msg, false); a0 != w0 || a1 != w1 || b0 != y0 || b1 != 0 {
+		t.Fatalf("len %d: pair, second digest's first word only = %#x %#x %#x %#x, want %#x %#x %#x 0", len(msg), a0, a1, b0, b1, w0, w1, y0)
 	}
 	h1, h2 := Murmur128(msg, seed)
 	if o1, o2 := oracleMurmur128(msg, seed); h1 != o1 || h2 != o2 {
@@ -203,8 +202,8 @@ func placedAt(msg []byte, off int, filler byte) (inside, exact []byte) {
 }
 
 // TestKernelsMatchOracle runs every length 0–256 at every start offset 0–7,
-// inside a larger buffer and on an exact-capacity copy, with every salt pair
-// a keyed placement of k ≤ 512 can ask for.
+// inside a larger buffer and on an exact-capacity copy, under a key and a
+// Murmur seed that change with both.
 func TestKernelsMatchOracle(t *testing.T) {
 	var kb [16]byte
 	for i := range kb {
@@ -218,20 +217,20 @@ func TestKernelsMatchOracle(t *testing.T) {
 	for n := 0; n <= 256; n++ {
 		for off := 0; off < 8; off++ {
 			inside, exact := placedAt(msg[:n], off, 0xa5)
-			j := uint64(n+off) % 512
-			checkKernels(t, key, j, uint64(n*off), inside)
-			checkKernels(t, key, j, uint64(n*off), exact)
+			k := SipKey{key.K0, key.K1 ^ uint64(n<<3|off)}
+			checkKernels(t, k, uint64(n*off), inside)
+			checkKernels(t, k, uint64(n*off), exact)
 		}
 	}
 }
 
 func FuzzKernelsMatchOracle(f *testing.F) {
-	f.Add([]byte("http://h123.ex.org/u/a0000012345abcdef"), uint8(0), uint64(1), uint64(2), uint64(0), uint64(3))
-	f.Add([]byte{}, uint8(7), uint64(0), uint64(0), uint64(1<<63), uint64(0))
-	f.Add([]byte("0123456789abcde"), uint8(3), uint64(1<<63), uint64(5), uint64(2), uint64(1<<64-1))
-	f.Fuzz(func(t *testing.T, msg []byte, off uint8, k0, k1, j, seed uint64) {
+	f.Add([]byte("http://h123.ex.org/u/a0000012345abcdef"), uint8(0), uint64(1), uint64(2), uint64(3))
+	f.Add([]byte{}, uint8(7), uint64(0), uint64(1<<63), uint64(0))
+	f.Add([]byte("0123456789abcde"), uint8(3), uint64(1<<63), uint64(5), uint64(1<<64-1))
+	f.Fuzz(func(t *testing.T, msg []byte, off uint8, k0, k1, seed uint64) {
 		inside, exact := placedAt(msg, int(off%8), byte(k0))
-		checkKernels(t, SipKey{k0, k1}, j, seed, inside)
-		checkKernels(t, SipKey{k0, k1}, j, seed, exact)
+		checkKernels(t, SipKey{k0, k1}, seed, inside)
+		checkKernels(t, SipKey{k0, k1}, seed, exact)
 	})
 }

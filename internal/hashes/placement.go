@@ -147,7 +147,7 @@ func (p *Placement) Route(item []byte) (int, PlacementDigest) {
 		}
 		return int(SipHash24(p.route, item) & uint64(p.spec.Shards-1)), PlacementDigest{}
 	case p.paired:
-		w0, w1, x0, x1 := sipHash128Pair(p.keys[0], 0, item, p.secondBoth)
+		w0, w1, x0, x1 := sipHash128Pair(p.keys[0], item, p.secondBoth)
 		return int(w0 >> (64 - p.routeBits)), PlacementDigest{w0, w1, x0, x1}
 	case p.spec.Keyed:
 		w0, w1 := sipHash128(p.keys[0], item, p.firstBoth)
@@ -192,28 +192,24 @@ func (p *Placement) Indexes(dst []uint64, item []byte, shard int, d PlacementDig
 	default:
 		// The v2 bit stream: digest 0 minus its routing bits, then digests
 		// 1, 2, … in full, each giving whole indexes only. Route computed
-		// digests 0 and 1; the rest come two to a pass and a last one alone.
-		// A digest read no further than its first word is computed no
-		// further.
-		key, w0, w1, x0, x1 := p.keys[0], d.w0, d.w1, d.x0, d.x1
-		at, per := p.routeBits, p.firstN
-		for left, salt := p.spec.K, uint64(2); ; salt += 2 {
-			n := min(left, per)
-			dst = p.cut(dst, w0, w1, at, n)
-			if left -= n; left == 0 {
-				return dst
-			}
-			n = min(left, p.restN)
-			dst = p.cut(dst, x0, x1, 0, n)
-			if left -= n; left == 0 {
-				return dst
-			}
-			if at, per = 0, p.restN; left <= p.restN {
-				w0, w1 = sipHash128(SipKey{key.K0, key.K1 ^ salt}, item, uint(left)*p.bitsPer > 64)
-			} else {
-				w0, w1, x0, x1 = sipHash128Pair(key, salt, item, uint(min(left-p.restN, p.restN))*p.bitsPer > 64)
-			}
+		// digests 0 and 1; the rest come one to a call. A digest read no
+		// further than its first word is computed no further.
+		n := min(p.spec.K, p.firstN)
+		dst = p.cut(dst, d.w0, d.w1, p.routeBits, n)
+		left := p.spec.K - n
+		if left == 0 {
+			return dst
 		}
+		n = min(left, p.restN)
+		dst = p.cut(dst, d.x0, d.x1, 0, n)
+		key := p.keys[0]
+		for left, salt := left-n, uint64(2); left > 0; salt++ {
+			n = min(left, p.restN)
+			left -= n
+			w0, w1 := sipHash128(SipKey{key.K0, key.K1 ^ salt}, item, uint(n)*p.bitsPer > 64)
+			dst = p.cut(dst, w0, w1, 0, n)
+		}
+		return dst
 	}
 }
 

@@ -310,8 +310,9 @@ func placementV2M(sel, b uint8) uint64 {
 
 // FuzzPlacementV2MatchesDefinition holds layout 2 — what every new filter
 // gets — to its written rule over fuzzed items of 0–300 bytes and fuzzed
-// geometry: shards a power of two up to 65 536, k 1–40 (one digest, a pair,
-// a pair and a lone digest, several pairs), m 1 or near a power of two.
+// geometry: shards a power of two up to 65 536, k 1–40 (one digest, the
+// pair, the pair and one or more one-lane digests), m 1 or near a power of
+// two.
 // Keyed, that rule is specV2Hardened; unkeyed, DoubleHashing's indexes and
 // the top bits of h1 for the shard.
 func FuzzPlacementV2MatchesDefinition(f *testing.F) {
@@ -358,7 +359,7 @@ var placementSink uint64
 // per layout and mode at the bench geometry (8 shards, k = 7, m = 1 917 012),
 // over bench-shaped keys (URL-shaped, lengths uniform over 32–47 bytes).
 // v2-hardened-k10 is k = 10 at the large filter's shard size (m = 57 510 352,
-// 26-bit indexes): a paired pass and one lone digest.
+// 26-bit indexes): the paired pass and one one-lane digest.
 func BenchmarkPlacement(b *testing.B) {
 	items := benchShapedItems(1024, 1)
 	for _, bc := range []struct {

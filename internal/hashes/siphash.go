@@ -10,8 +10,8 @@ import (
 // MurmurHash and full HMAC constructions. Implemented from the reference
 // specification; 128-bit key, 64-bit output, and the specification's 128-bit
 // output variant for the placement layouts that draw route and indexes from
-// one call — computed two keys to a pass where a layout reads consecutive
-// digests. kernel_oracle_test.go keeps the one-state, byte-loop original the
+// one call — its first two digests computed in one pass where a layout reads
+// both. kernel_oracle_test.go keeps the one-state, byte-loop original the
 // kernels are held to.
 
 // SipKey is a 128-bit SipHash key.
@@ -59,14 +59,14 @@ func sipHash128(key SipKey, data []byte, both bool) (w0, w1 uint64) {
 	return w0, v0 ^ v1 ^ v2 ^ v3
 }
 
-// sipHash128Pair computes sipHash128(K0, K1 ⊕ j) in full and
-// sipHash128(K0, K1 ⊕ (j+1)) to the words both asks for — digests j and j+1
-// of the keyed placement stream — in one pass over data: the two states take
-// every message word together, so their round chains overlap instead of
-// running one after the other.
-func sipHash128Pair(key SipKey, j uint64, data []byte, both bool) (a0, a1, b0, b1 uint64) {
-	v0, v1, v2, v3 := sipInit(SipKey{key.K0, key.K1 ^ j}, 0xee)
-	u0, u1, u2, u3 := sipInit(SipKey{key.K0, key.K1 ^ (j + 1)}, 0xee)
+// sipHash128Pair computes sipHash128(K0, K1) in full and
+// sipHash128(K0, K1 ⊕ 1) to the words both asks for — digests 0 and 1 of the
+// keyed placement stream — in one pass over data: the two states take every
+// message word together, so their round chains overlap instead of running one
+// after the other.
+func sipHash128Pair(key SipKey, data []byte, both bool) (a0, a1, b0, b1 uint64) {
+	v0, v1, v2, v3 := sipInit(key, 0xee)
+	u0, u1, u2, u3 := sipInit(SipKey{key.K0, key.K1 ^ 1}, 0xee)
 	for p := data; len(p) >= 8; p = p[8:] {
 		m := binary.LittleEndian.Uint64(p)
 		v3 ^= m
