@@ -202,8 +202,9 @@ func (p *Placement) Indexes(dst []uint64, item []byte, shard int, d PlacementDig
 		}
 		n = min(left, p.restN)
 		dst = p.cut(dst, d.x0, d.x1, 0, n)
+		left -= n
 		key := p.keys[0]
-		for left, salt := left-n, uint64(2); left > 0; salt++ {
+		for salt := uint64(2); left > 0; salt++ {
 			n = min(left, p.restN)
 			left -= n
 			w0, w1 := sipHash128(SipKey{key.K0, key.K1 ^ salt}, item, uint(n)*p.bitsPer > 64)
