@@ -30,7 +30,6 @@ import (
 
 	"evilbloom/internal/analysis"
 	"evilbloom/internal/attack"
-	"evilbloom/internal/cachedigest"
 	"evilbloom/internal/core"
 	"evilbloom/internal/hashes"
 	"evilbloom/internal/probcount"
@@ -351,7 +350,7 @@ func cmdSquid(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := cachedigest.DefaultExperimentConfig()
+	cfg := analysis.DefaultExperimentConfig()
 	cfg.Seed = *seed
 	fmt.Printf("§7 — Squid cache-digest pollution (%d clean + %d extra URLs, %d probes, RTT %v)\n\n",
 		cfg.CleanURLs, cfg.ExtraURLs, cfg.Probes, cfg.RTT)

@@ -17,6 +17,7 @@ import (
 	"evilbloom/internal/core"
 	"evilbloom/internal/engine"
 	"evilbloom/internal/httpapi"
+	"evilbloom/internal/mesh"
 	"evilbloom/internal/resp"
 	"evilbloom/internal/service"
 )
@@ -43,6 +44,7 @@ type serveFlags struct {
 	authTokens   stringList
 	peerRefresh  *time.Duration
 	topology     *string
+	topo         mesh.Topology // parsed from topology by config
 	self         *string
 	routeQuorum  *int
 	rateMut      *float64
@@ -82,13 +84,13 @@ func newServeFlagSet() (*flag.FlagSet, *serveFlags) {
 		overflow:     fs.String("overflow", "saturate", "counter overflow policy (counting variant only): saturate pins a full counter; wrap rolls it over to zero, as dablooms does, so an item added 2^counter-width times is erased"),
 		dataDir:      fs.String("data-dir", "", "directory for durable filter state (snapshots + operation logs); empty serves from memory only"),
 		fsync:        fs.String("fsync", "interval", "operation-log durability: always, interval or never (needs -data-dir)"),
-		peerRefresh:  fs.Duration("peer-refresh", service.DefaultPeerRefresh, "digest refresh interval for -peer siblings"),
+		peerRefresh:  fs.Duration("peer-refresh", mesh.DefaultPeerRefresh, "digest refresh interval for -peer siblings"),
 		topology:     fs.String("topology", "", "mesh fetch topology over the -peer roster: pairs (default), ring or hub; ring and hub need -self"),
 		self:         fs.String("self", "", "this node's own base URL within the -peer roster (required for -topology ring or hub)"),
 		routeQuorum:  fs.Int("route-quorum", 0, "sibling digest claims a route verdict needs before answering \"peer\" (default 1, the first-claiming-peer rule)"),
 		rateMut:      fs.Float64("rate-mutations", 0, "per-client mutation budget in items/second across add/remove/digest-push (batches charge per item; 0 serves unthrottled, accounting only)"),
 		rateBurst:    fs.Float64("rate-burst", 0, "mutation burst each client may spend at once (needs -rate-mutations; default one second of budget, floor 1)"),
-		rateClients:  fs.Int("rate-clients-max", service.DefaultRateClientsMax, "per-filter client accounting-table cap; least-recently-seen identities are evicted beyond it"),
+		rateClients:  fs.Int("rate-clients-max", engine.DefaultRateClientsMax, "per-filter client accounting-table cap; least-recently-seen identities are evicted beyond it"),
 		trustProxy:   fs.Bool("trust-proxy", false, "trust X-Evilbloom-Client, then the rightmost X-Forwarded-For entry, for client identity (only behind a proxy tier that sets or sanitizes them)"),
 	}
 	fs.Var(&v.peers, "peer", "sibling evilbloomd base URL for cache-digest exchange (repeatable)")
@@ -161,12 +163,11 @@ func (v *serveFlags) config(fs *flag.FlagSet) (service.Config, error) {
 	if set["self"] && len(v.peers) == 0 {
 		return service.Config{}, fmt.Errorf("-self needs -peer; it names this node's entry in the roster")
 	}
-	topo, err := service.ParseTopology(*v.topology)
-	if err != nil {
+	if v.topo, err = mesh.ParseTopology(*v.topology); err != nil {
 		return service.Config{}, err
 	}
-	if (topo == service.TopologyRing || topo == service.TopologyHub) && *v.self == "" {
-		return service.Config{}, fmt.Errorf("-topology %s needs -self: roster order decides the fetch edges, so the node must know which entry is its own", topo)
+	if (v.topo == mesh.TopologyRing || v.topo == mesh.TopologyHub) && *v.self == "" {
+		return service.Config{}, fmt.Errorf("-topology %s needs -self: roster order decides the fetch edges, so the node must know which entry is its own", v.topo)
 	}
 	if set["route-quorum"] && *v.routeQuorum < 1 {
 		return service.Config{}, fmt.Errorf("-route-quorum must be at least 1, got %d", *v.routeQuorum)
@@ -211,6 +212,19 @@ func (v *serveFlags) config(fs *flag.FlagSet) (service.Config, error) {
 	return cfg, nil
 }
 
+// meshConfig assembles the mesh configuration from flags config has
+// validated.
+func (v *serveFlags) meshConfig() mesh.PeerConfig {
+	return mesh.PeerConfig{
+		Peers:       v.peers,
+		Topology:    v.topo,
+		Self:        *v.self,
+		RouteQuorum: *v.routeQuorum,
+		Refresh:     *v.peerRefresh,
+		Tokens:      v.peerTokens,
+	}
+}
+
 // cmdServe runs the multi-filter service (evilbloomd): a registry of named
 // filters behind the /v2 API, with the flag-configured filter installed as
 // "default" (also served on the /v1 shim) — the paper's §8 naive-vs-hardened
@@ -227,59 +241,42 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
+	meshCfg := values.meshConfig()
+	// One command engine fronts both wire planes: HTTP and RESP are codecs
+	// over the same validation, identity, rate-limit, and dispatch pipeline,
+	// so a command costs the same no matter which protocol carries it. Its
+	// budgets and mesh are configured before any filter exists, so every
+	// filter — flag default, recovered, or created over the wire — is
+	// accounted and exchanges digests from its first moment.
 	reg := service.NewRegistry()
-	rateCfg := service.RateLimitConfig{
+	eng := engine.New(reg)
+	rateCfg := engine.RateLimitConfig{
 		MutationsPerSec: *values.rateMut,
 		Burst:           *values.rateBurst,
 		MaxClients:      *values.rateClients,
 		TrustProxy:      *values.trustProxy,
 	}
-	if err := reg.ConfigureRateLimit(rateCfg); err != nil {
+	if err := eng.ConfigureRateLimit(rateCfg); err != nil {
 		return err
 	}
 	if rateCfg.MutationsPerSec > 0 {
 		fmt.Fprintf(os.Stderr, "evilbloom serve: per-client mutation budget %.3g/s (burst %.3g, table cap %d) on add/remove/digest-push; exhausted budgets answer 429\n",
 			rateCfg.MutationsPerSec, rateCfg.EffectiveBurst(), rateCfg.MaxClients)
 	}
-	// One command engine fronts both wire planes: HTTP and RESP are codecs
-	// over the same validation, identity, rate-limit, and dispatch pipeline,
-	// so a command costs the same no matter which protocol carries it. Built
-	// before the mesh joins so the credential roster is the peer subsystem's
-	// authority from the very first refresh.
-	eng := engine.New(reg)
-	if len(values.peerTokens) > 0 {
-		if err := eng.ConfigurePeerAuth(values.peerTokens); err != nil {
-			return err
-		}
-		selfName, _, _ := strings.Cut(values.peerTokens[0], ":")
-		fmt.Fprintf(os.Stderr, "evilbloom serve: mesh roster of %d credential(s); digests sealed as %q, unauthenticated pushes refused\n",
-			len(values.peerTokens), selfName)
-	}
-	topo, err := service.ParseTopology(*values.topology)
-	if err != nil {
+	if err := eng.ConfigureMesh(meshCfg); err != nil {
 		return err
 	}
-	if len(values.peers) > 0 {
-		// Join the mesh before any filter exists so every filter — flag
-		// default, recovered, or created over HTTP — exchanges digests.
-		if err := reg.ConfigurePeers(service.PeerConfig{
-			Peers:       values.peers,
-			Topology:    topo,
-			Self:        *values.self,
-			RouteQuorum: *values.routeQuorum,
-			Refresh:     *values.peerRefresh,
-		}); err != nil {
-			return err
-		}
+	if len(meshCfg.Tokens) > 0 {
+		selfName, _, _ := strings.Cut(meshCfg.Tokens[0], ":")
+		fmt.Fprintf(os.Stderr, "evilbloom serve: mesh roster of %d credential(s); digests sealed as %q, unauthenticated pushes refused\n",
+			len(meshCfg.Tokens), selfName)
+	}
+	quorum := max(meshCfg.RouteQuorum, 1)
+	if len(meshCfg.Peers) > 0 {
 		fmt.Fprintf(os.Stderr, "evilbloom serve: exchanging cache digests with %d roster member(s) every %v under %s topology (route quorum %d): %s\n",
-			len(values.peers), *values.peerRefresh, topo, reg.Peers().Quorum(), strings.Join(values.peers, ", "))
-	} else if *values.routeQuorum > 0 {
-		// A push-only mesh member: no fetch loops, but pushed digests still
-		// feed route verdicts, and those verdicts honor the quorum.
-		if err := reg.Peers().SetRouteQuorum(*values.routeQuorum); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "evilbloom serve: route verdicts need %d sibling claim(s)\n", *values.routeQuorum)
+			len(meshCfg.Peers), meshCfg.Refresh, meshCfg.Topology, quorum, strings.Join(meshCfg.Peers, ", "))
+	} else if meshCfg.RouteQuorum > 0 {
+		fmt.Fprintf(os.Stderr, "evilbloom serve: route verdicts need %d sibling claim(s)\n", quorum)
 	}
 	if *values.dataDir != "" {
 		policy, err := service.ParseSyncPolicy(*values.fsync)

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"evilbloom/internal/cachedigest"
 	"evilbloom/internal/hashes"
 )
 
@@ -336,7 +335,7 @@ func TestRunSquid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forging campaign")
 	}
-	cfg := cachedigest.DefaultExperimentConfig()
+	cfg := DefaultExperimentConfig()
 	res, err := RunSquid(cfg)
 	if err != nil {
 		t.Fatal(err)

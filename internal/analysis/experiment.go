@@ -1,14 +1,16 @@
-package cachedigest
+package analysis
 
 import (
 	"fmt"
 	"time"
 
 	"evilbloom/internal/attack"
+	"evilbloom/internal/cachedigest"
 	"evilbloom/internal/urlgen"
 )
 
-// ExperimentConfig mirrors the paper's §7 testbed: two sibling proxies, a
+// ExperimentConfig mirrors the paper's §7 testbed, run in process over
+// cachedigest's Squid model: two sibling proxies, a
 // clean cache of 51 URLs, 100 attacker-supplied URLs, 100 probe queries
 // against the second proxy, and a 10 ms RTT between the proxies.
 type ExperimentConfig struct {
@@ -64,13 +66,13 @@ type ExperimentResult struct {
 // RunExperiment executes the §7 scenario once.
 func RunExperiment(cfg ExperimentConfig, polluted bool) (*ExperimentResult, error) {
 	if cfg.CleanURLs < 0 || cfg.ExtraURLs < 0 || cfg.Probes <= 0 {
-		return nil, fmt.Errorf("cachedigest: invalid experiment config %+v", cfg)
+		return nil, fmt.Errorf("analysis: invalid experiment config %+v", cfg)
 	}
-	net := &Network{RTT: cfg.RTT}
-	origin := &Origin{}
-	p1 := NewProxy("proxy1", net, origin)
-	p2 := NewProxy("proxy2", net, origin)
-	Peer(p1, p2)
+	net := &cachedigest.Network{RTT: cfg.RTT}
+	origin := &cachedigest.Origin{}
+	p1 := cachedigest.NewProxy("proxy1", net, origin)
+	p2 := cachedigest.NewProxy("proxy2", net, origin)
+	cachedigest.Peer(p1, p2)
 
 	// Warm proxy1 with the clean cache.
 	cleanGen := urlgen.New(cfg.Seed)
@@ -87,7 +89,7 @@ func RunExperiment(cfg ExperimentConfig, polluted bool) (*ExperimentResult, erro
 		// observe them; the paper grants state knowledge to the §4.2/§4.1
 		// adversaries).
 		capacity := uint64(cfg.CleanURLs + cfg.ExtraURLs)
-		model, err := NewDigest(capacity)
+		model, err := cachedigest.NewDigest(capacity)
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +101,7 @@ func RunExperiment(cfg ExperimentConfig, polluted bool) (*ExperimentResult, erro
 		for i := 0; i < cfg.ExtraURLs; i++ {
 			item, _, err := forger.ForgePolluting(cfg.PerItemBudget)
 			if err != nil {
-				return nil, fmt.Errorf("cachedigest: forging URL %d: %w", i, err)
+				return nil, fmt.Errorf("analysis: forging URL %d: %w", i, err)
 			}
 			url := urlFromKey(item)
 			model.Add("GET", url)
@@ -113,10 +115,10 @@ func RunExperiment(cfg ExperimentConfig, polluted bool) (*ExperimentResult, erro
 		}
 	}
 
-	if err := ExchangeDigests(p1, p2); err != nil {
+	if err := cachedigest.ExchangeDigests(p1, p2); err != nil {
 		return nil, err
 	}
-	digest := p2.digests[p1]
+	digest := p2.SiblingDigest(p1)
 
 	// Probe proxy2 with URLs cached nowhere: every sibling probe is a
 	// digest false positive.
@@ -142,7 +144,7 @@ func RunExperiment(cfg ExperimentConfig, polluted bool) (*ExperimentResult, erro
 func keyedURLGenerator(seed int64) attack.Generator {
 	gen := urlgen.New(seed)
 	return attack.GeneratorFunc(func() []byte {
-		return Key("GET", gen.URL())
+		return cachedigest.Key("GET", gen.URL())
 	})
 }
 

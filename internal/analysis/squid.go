@@ -1,25 +1,21 @@
 package analysis
 
-import (
-	"fmt"
-
-	"evilbloom/internal/cachedigest"
-)
+import "fmt"
 
 // SquidResult pairs the clean control with the polluted attack run of the
 // §7 experiment.
 type SquidResult struct {
-	Clean    *cachedigest.ExperimentResult
-	Polluted *cachedigest.ExperimentResult
+	Clean    *ExperimentResult
+	Polluted *ExperimentResult
 }
 
 // RunSquid executes both runs of the §7 cache-digest experiment.
-func RunSquid(cfg cachedigest.ExperimentConfig) (*SquidResult, error) {
-	clean, err := cachedigest.RunExperiment(cfg, false)
+func RunSquid(cfg ExperimentConfig) (*SquidResult, error) {
+	clean, err := RunExperiment(cfg, false)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: clean squid run: %w", err)
 	}
-	polluted, err := cachedigest.RunExperiment(cfg, true)
+	polluted, err := RunExperiment(cfg, true)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: polluted squid run: %w", err)
 	}

@@ -6,9 +6,11 @@ import (
 	"time"
 
 	"evilbloom/internal/attack"
+	"evilbloom/internal/engine"
 	"evilbloom/internal/httpapi"
+	"evilbloom/internal/mesh"
+	"evilbloom/internal/mesh/meshtest"
 	"evilbloom/internal/service"
-	"evilbloom/internal/service/meshtest"
 	"evilbloom/internal/urlgen"
 )
 
@@ -38,15 +40,16 @@ func digestPair(t *testing.T) (proxy, peer *attack.RemoteClient) {
 	t.Cleanup(tsA.Close)
 
 	regB := service.NewRegistry()
+	engB := engine.New(regB)
 	// A long interval: the test drives the exchange via RefreshPeers for
 	// determinism, like the in-process experiment calls ExchangeDigests.
-	if err := regB.ConfigurePeers(service.PeerConfig{Peers: []string{tsA.URL}, Refresh: time.Hour}); err != nil {
+	if err := engB.ConfigureMesh(mesh.PeerConfig{Peers: []string{tsA.URL}, Refresh: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := regB.Create("cache", digestGeometry()); err != nil {
 		t.Fatal(err)
 	}
-	tsB := httptest.NewServer(httpapi.NewRegistryServer(regB))
+	tsB := httptest.NewServer(httpapi.NewEngineServer(engB))
 	t.Cleanup(tsB.Close)
 	t.Cleanup(func() { regB.Close(); regA.Close() }) //nolint:errcheck // teardown
 

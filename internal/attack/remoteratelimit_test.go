@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"evilbloom/internal/attack"
+	"evilbloom/internal/engine"
 	"evilbloom/internal/httpapi"
 	"evilbloom/internal/service"
 	"evilbloom/internal/urlgen"
@@ -27,18 +28,19 @@ func saturableGeometry() service.Config {
 
 // startCampaignServer boots a registry server holding one "cache" filter,
 // optionally behind a mutation rate limit.
-func startCampaignServer(t *testing.T, rate *service.RateLimitConfig) *attack.RemoteClient {
+func startCampaignServer(t *testing.T, rate *engine.RateLimitConfig) *attack.RemoteClient {
 	t.Helper()
 	reg := service.NewRegistry()
+	eng := engine.New(reg)
 	if rate != nil {
-		if err := reg.ConfigureRateLimit(*rate); err != nil {
+		if err := eng.ConfigureRateLimit(*rate); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := reg.Create("cache", saturableGeometry()); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(httpapi.NewRegistryServer(reg))
+	ts := httptest.NewServer(httpapi.NewEngineServer(eng))
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { reg.Close() }) //nolint:errcheck // memory-only
 	return attack.NewRemoteClient(ts.URL, "cache", nil)
@@ -57,7 +59,7 @@ func TestRemoteThrottledPollutionBluntsCampaign(t *testing.T) {
 	)
 	// The throttled server refills at one mutation per hour: within the
 	// seconds this test runs, the budget is exactly the burst.
-	throttledCfg := &service.RateLimitConfig{
+	throttledCfg := &engine.RateLimitConfig{
 		MutationsPerSec: 1.0 / 3600,
 		Burst:           burst,
 		MaxClients:      16,
@@ -155,7 +157,7 @@ func TestRemoteThrottledPollutionBluntsCampaign(t *testing.T) {
 // An insertion has three outcomes on the wire: accepted, throttled — a
 // *ThrottledError carrying Retry-After, nothing landed — and hard errors.
 func TestThrottledAddOutcomes(t *testing.T) {
-	client := startCampaignServer(t, &service.RateLimitConfig{
+	client := startCampaignServer(t, &engine.RateLimitConfig{
 		MutationsPerSec: 1.0 / 3600,
 		Burst:           1,
 	})

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"evilbloom/internal/attack"
+	"evilbloom/internal/engine"
 	"evilbloom/internal/hashes"
 	"evilbloom/internal/httpapi"
 	"evilbloom/internal/resp"
@@ -18,7 +19,7 @@ import (
 
 // startRESP provisions a registry with one filter under cfg and a RESP
 // listener over it, returning the address and the registry.
-func startRESP(t *testing.T, filter string, cfg service.Config) (string, *service.Registry) {
+func startRESP(t *testing.T, filter string, cfg service.Config) (string, *service.Registry, *engine.Engine) {
 	t.Helper()
 	reg := service.NewRegistry()
 	t.Cleanup(func() { reg.Close() }) //nolint:errcheck // memory-only
@@ -40,7 +41,7 @@ func startRESP(t *testing.T, filter string, cfg service.Config) (string, *servic
 		}
 		<-serveErr
 	})
-	return ln.Addr().String(), reg
+	return ln.Addr().String(), reg, srv.Engine()
 }
 
 // dialRESP opens a client on addr and adapts filter to attack.Target.
@@ -57,7 +58,7 @@ func dialRESP(t *testing.T, addr, filter string) *resp.Target {
 // respTarget is startRESP followed by dialRESP.
 func respTarget(t *testing.T, filter string, cfg service.Config) (*resp.Target, *service.Registry) {
 	t.Helper()
-	addr, reg := startRESP(t, filter, cfg)
+	addr, reg, _ := startRESP(t, filter, cfg)
 	return dialRESP(t, addr, filter), reg
 }
 
@@ -118,8 +119,8 @@ func TestPollutionSaturatesNaiveTarget(t *testing.T) {
 // mitigation holds on the binary plane too. The attacker sees every refusal,
 // so her shadow keeps exactly what landed — no more than the server holds.
 func TestPollutionThrottledByRateLimit(t *testing.T) {
-	addr, reg := startRESP(t, "web", paperGeometry)
-	if err := reg.ConfigureRateLimit(service.RateLimitConfig{MutationsPerSec: 0.1, Burst: 32}); err != nil {
+	addr, _, eng := startRESP(t, "web", paperGeometry)
+	if err := eng.ConfigureRateLimit(engine.RateLimitConfig{MutationsPerSec: 0.1, Burst: 32}); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := (&attack.RemotePollution{
@@ -267,7 +268,7 @@ func TestDeletionCampaignNaiveVsHardened(t *testing.T) {
 // would bring the whole store to ½ / shards.
 func TestForgedItemsChooseShardAndIndexesOverRESP(t *testing.T) {
 	const shards, victim, n = 8, 5, 400
-	addr, reg := startRESP(t, "web", service.Config{Shards: shards, ShardBits: 3200, HashCount: 4, Seed: 42})
+	addr, reg, _ := startRESP(t, "web", service.Config{Shards: shards, ShardBits: 3200, HashCount: 4, Seed: 42})
 	forger, info := forgerFromInfo(t, dialRESP(t, addr, "web"))
 	if info.Shards != shards {
 		t.Fatalf("BF.INFO: shards %d", info.Shards)

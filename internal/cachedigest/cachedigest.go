@@ -208,6 +208,10 @@ func ExchangeDigests(a, b *Proxy) error {
 	return nil
 }
 
+// SiblingDigest returns the digest p last received from sib (nil before
+// the first exchange).
+func (p *Proxy) SiblingDigest(sib *Proxy) *Digest { return p.digests[sib] }
+
 // Fetch resolves url for a client: local cache, then siblings whose digest
 // claims the object (each probe costs a round trip; false positives waste
 // it), then the origin.

@@ -17,10 +17,11 @@
 // such density), which the paper calls out: for n = 200 the false-positive
 // probability is ≈0.09 instead of the optimal 0.03.
 //
-// RunExperiment stages the full two-proxy scenario — an attacker who
-// populates a sibling's cache with chosen URLs before the digest exchange —
-// and measures the wasted-RTT budget; `evilbloom squid` prints it next to
-// the paper's 79%-vs-40% false-hit numbers.
+// analysis.RunExperiment stages the full two-proxy scenario over these
+// types — an attacker who populates a sibling's cache with chosen URLs
+// before the digest exchange — and measures the wasted-RTT budget;
+// `evilbloom squid` prints it next to the paper's 79%-vs-40% false-hit
+// numbers.
 //
 // # The digest envelope
 //
@@ -46,7 +47,6 @@
 //
 // The exchange is exactly where §7's trust boundary sits: a peer's digest
 // is taken at face value, so polluting one node's filter (§4.1) poisons
-// every sibling's routing. Package service's peer subsystem serves the
-// deployment side; attack.RemoteDigestPollution runs the §7 campaign
+// every sibling's routing. Package mesh serves the deployment side; attack.RemoteDigestPollution runs the §7 campaign
 // across real servers, polluting over either wire plane.
 package cachedigest

@@ -16,41 +16,129 @@
 // with the charge taken after validation (malformed requests cost
 // nothing) and before any state changes, and refunded only where
 // validation can only happen inside the mutated subsystem (digest push).
+//
+// # Rate limiting and pollution accounting
+//
+// Every engine carries a limiter charging each mutation — add,
+// add-batch, remove, remove-batch, digest push — against a token bucket
+// keyed by (filter, principal); batch operations charge per item, because
+// adversarial damage scales with insertions, not requests. The limiter is
+// unexported, so no package but this one can charge or refund a budget.
+// With a budget configured (ConfigureRateLimit, `evilbloom serve
+// -rate-mutations`/`-rate-burst`), exhaustion answers 429 (HTTP) or -BUSY
+// (RESP) with the exact refill time and applies nothing; the /v1 shim
+// spends from the default filter's buckets, so the legacy surface is no
+// side door. Client identity is the transport peer address unless
+// -trust-proxy makes the X-Evilbloom-Client and X-Forwarded-For headers
+// count, or the client authenticates. Reads are never charged.
+//
+// Accounting runs even unthrottled: GET /v2/filters/{name}/clients is the
+// O(clients) attribution table (worst offenders first) and the stats
+// document carries the aggregate, so "who polluted this filter" has an
+// answer on every server. The table is bounded per filter
+// (-rate-clients-max, default DefaultRateClientsMax) with LRU eviction
+// folding evicted identities' counts into preserved aggregates — identity
+// churn (trivial for a spoofing client behind -trust-proxy) cannot
+// memory-exhaust the server through its own defense.
+//
+// Why it matters for the paper: §8 names restricting who may update the
+// filter as the operational mitigation below keyed hashing, and Naor–Yogev
+// formalize adversarial power as a query/insertion budget. Rate limiting
+// implements exactly that budget: attack.RemotePollution runs the same
+// chosen-insertion campaign against an unthrottled server (saturation) and
+// a rate-limited one (damage capped at the burst, attacker named),
+// completing the naive → rate-limited → hardened mitigation ladder the
+// registry can A/B per filter.
 package engine
 
 import (
+	"fmt"
 	"io"
 	"math"
+	"strings"
 	"sync"
 	"time"
 
 	"evilbloom/internal/cachedigest"
+	"evilbloom/internal/mesh"
 	"evilbloom/internal/service"
 )
 
 // Engine executes typed commands against a registry on behalf of
 // principals. One engine is shared by every wire plane of a process, so
-// budgets, accounting and auth state are plane-independent.
+// budgets, accounting, auth state and the digest mesh are
+// plane-independent.
 type Engine struct {
-	reg *service.Registry
+	reg  *service.Registry
+	lim  *limiter
+	mesh *mesh.Peers
 
 	authMu         sync.RWMutex
 	authConfigured bool
 	tokens         map[string]string
-
-	// peers is the mesh credential roster (-peer-token); see peerauth.go.
-	peers peerAuth
 }
 
-// New wraps reg in a command engine.
+// New wraps reg in a command engine and installs the registry's lifecycle
+// hook, so every filter — published before or after this call — gets an
+// accounting table and a place in the mesh, and loses both on delete. One
+// engine per registry: the registry has room for one hook.
 func New(reg *service.Registry) *Engine {
-	return &Engine{reg: reg, tokens: map[string]string{}}
+	e := &Engine{reg: reg, lim: newLimiter(), mesh: mesh.New(), tokens: map[string]string{}}
+	reg.SetLifecycle(e.lifecycle)
+	return e
+}
+
+// lifecycle is the registry's hook: live is true when a filter is about to
+// be published, false once it has been deleted (or the registry closes).
+func (e *Engine) lifecycle(name string, live bool) {
+	if live {
+		e.mesh.Watch(name)
+		e.lim.watch(name)
+		return
+	}
+	e.mesh.Unwatch(name)
+	e.lim.drop(name)
 }
 
 // Registry exposes the underlying registry for lifecycle wiring (data
-// dirs, peer and rate-limit configuration) — not for item operations,
-// which must go through engine commands.
+// dirs, filter adoption) — not for item operations, which must go through
+// engine commands.
 func (e *Engine) Registry() *service.Registry { return e.reg }
+
+// ConfigureRateLimit installs per-client mutation budgets (and accounting
+// bounds) for every filter. One-shot; call before serving traffic.
+func (e *Engine) ConfigureRateLimit(cfg RateLimitConfig) error { return e.lim.configure(cfg) }
+
+// ConfigureMesh joins the node to a digest-exchange mesh: its fetch
+// roster, topology, route quorum and credential roster in one one-shot
+// configuration, before traffic. Peer names become principals ("peer:"
+// plus the name), so they follow the client-identity rule.
+func (e *Engine) ConfigureMesh(cfg mesh.PeerConfig) error {
+	for _, entry := range cfg.Tokens {
+		if name, _, _ := strings.Cut(entry, ":"); !validTokenName(name) {
+			return fmt.Errorf("engine: peer token name %q: want printable ASCII without whitespace or ':', at most %d bytes",
+				name, MaxClientIdentity)
+		}
+	}
+	return e.mesh.Configure(cfg)
+}
+
+// RevokePeerToken removes one peer's mesh credential and scrubs every
+// digest it authenticated, across all filters. Returns how many digests
+// were evicted and whether the name was on the roster at all.
+func (e *Engine) RevokePeerToken(name string) (evicted int, found bool) {
+	return e.mesh.Revoke(name)
+}
+
+// peerLogin authenticates a combined "name:secret" mesh credential and
+// returns the peer principal, whose bucket is its own.
+func (e *Engine) peerLogin(token string) (Principal, error) {
+	name, err := e.mesh.Login(token)
+	if err != nil {
+		return Principal{}, wrap(KindUnauthorized, err)
+	}
+	return Principal{ID: peerBucketPrefix + name, Name: name}, nil
+}
 
 // FilterRef is a resolved filter handle. Opaque: codecs route every store
 // access through engine commands, so holding a ref grants no direct item
@@ -116,7 +204,7 @@ func ValidateItems(items [][]byte) error {
 // charge spends n mutations from p's bucket on ref's filter, converting a
 // refusal into a BusyError carrying the retry hint both codecs serve.
 func (e *Engine) charge(p Principal, ref FilterRef, n int) error {
-	ok, retry := e.reg.Limiter().Allow(ref.f.Name(), p.ID, n)
+	ok, retry := e.lim.allow(ref.f.Name(), p.ID, n)
 	if !ok {
 		return &BusyError{Filter: ref.f.Name(), N: n, RetrySecs: retrySecs(retry)}
 	}
@@ -252,20 +340,20 @@ func (e *Engine) RemoveBatch(p Principal, ref FilterRef, items [][]byte) (Remove
 // allowed to do it.
 type StatsResult struct {
 	Stats     service.Stats
-	RateLimit service.RateLimitStats
+	RateLimit RateLimitStats
 }
 
 // Stats snapshots one filter.
 func (e *Engine) Stats(ref FilterRef) StatsResult {
 	return StatsResult{
 		Stats:     ref.f.Store().Stats(),
-		RateLimit: e.reg.Limiter().FilterStats(ref.f.Name()),
+		RateLimit: e.lim.filterStats(ref.f.Name()),
 	}
 }
 
 // Clients reports one filter's per-client mutation accounting.
-func (e *Engine) Clients(ref FilterRef) service.ClientsReport {
-	return e.reg.Limiter().Clients(ref.f.Name())
+func (e *Engine) Clients(ref FilterRef) ClientsReport {
+	return e.lim.clients(ref.f.Name())
 }
 
 // FilterDescription is a filter's public self-description: parameters plus
@@ -446,14 +534,14 @@ type DigestExchangeResult struct {
 func (e *Engine) DigestExchange(ref FilterRef, haveETag string, deltaOK bool, peerToken string) (DigestExchangeResult, error) {
 	sealer, sealSecret := "", ""
 	if peerToken != "" {
-		if !e.PeerAuthEnabled() {
+		if !e.mesh.Sealed() {
 			return DigestExchangeResult{}, errf(KindUnauthorized,
 				"peer credentials presented, but this node has no mesh roster (-peer-token)")
 		}
-		if _, err := e.PeerLogin(peerToken); err != nil {
+		if _, err := e.peerLogin(peerToken); err != nil {
 			return DigestExchangeResult{}, err
 		}
-		name, secret, ok := e.selfCred()
+		name, secret, ok := e.mesh.SelfCredential()
 		if !ok {
 			return DigestExchangeResult{}, errf(KindUnauthorized,
 				"this node's own mesh credential was revoked; it can no longer seal digests")
@@ -486,34 +574,34 @@ func (e *Engine) DigestExchange(ref FilterRef, haveETag string, deltaOK bool, pe
 // peer principal's bucket, not the transport identity's. Presenting a
 // token to a node with no roster is refused too: credentials must never
 // silently degrade.
-func (e *Engine) DigestPush(p Principal, ref FilterRef, label string, rd io.Reader, peerToken string) (service.PeerStatus, error) {
+func (e *Engine) DigestPush(p Principal, ref FilterRef, label string, rd io.Reader, peerToken string) (mesh.PeerStatus, error) {
 	if !service.ValidFilterName(label) {
-		return service.PeerStatus{}, errf(KindInvalid,
+		return mesh.PeerStatus{}, errf(KindInvalid,
 			"invalid peer label %q: labels follow the filter-name rule (%s)", label, service.FilterNamePattern())
 	}
 	sealer := ""
 	sealed := false
-	if e.PeerAuthEnabled() {
+	if e.mesh.Sealed() {
 		if peerToken == "" {
-			return service.PeerStatus{}, errf(KindUnauthorized,
-				"this mesh requires a peer credential to push digests (%s)", service.HeaderPeerToken)
+			return mesh.PeerStatus{}, errf(KindUnauthorized,
+				"this mesh requires a peer credential to push digests (%s)", mesh.HeaderPeerToken)
 		}
-		pp, err := e.PeerLogin(peerToken)
+		pp, err := e.peerLogin(peerToken)
 		if err != nil {
-			return service.PeerStatus{}, err
+			return mesh.PeerStatus{}, err
 		}
 		p, sealer, sealed = pp, pp.Name, true
 	} else if peerToken != "" {
-		return service.PeerStatus{}, errf(KindUnauthorized,
+		return mesh.PeerStatus{}, errf(KindUnauthorized,
 			"peer credentials presented, but this node has no mesh roster (-peer-token)")
 	}
 	if err := e.charge(p, ref, 1); err != nil {
-		return service.PeerStatus{}, err
+		return mesh.PeerStatus{}, err
 	}
-	status, err := e.reg.Peers().Push(ref.f.Name(), label, rd, sealer, sealed)
+	status, err := e.mesh.Push(ref.f.Name(), label, rd, sealer, sealed)
 	if err != nil {
-		e.reg.Limiter().Refund(ref.f.Name(), p.ID, 1)
-		return service.PeerStatus{}, pushErr(err)
+		e.lim.refund(ref.f.Name(), p.ID, 1)
+		return mesh.PeerStatus{}, pushErr(err)
 	}
 	return status, nil
 }
@@ -541,7 +629,7 @@ type RouteResult struct {
 	// Peer names the first claiming sibling when Verdict is "peer".
 	Peer string
 	// Claims holds every sibling's individual answer, in peer order.
-	Claims []service.PeerClaim
+	Claims []mesh.PeerClaim
 	// ClaimCount is how many siblings claim the item; Quorum is how many
 	// it takes for a "peer" verdict. With quorum 1 this is PR 4's
 	// first-claiming-peer rule; with quorum ≥ 2 a single poisoned digest
@@ -558,13 +646,13 @@ func (e *Engine) Route(ref FilterRef, item []byte) (RouteResult, error) {
 	}
 	res := RouteResult{
 		Local:  ref.f.Store().Test(item),
-		Claims: e.reg.Peers().Claims(ref.f.Name(), item),
-		Quorum: e.reg.Peers().Quorum(),
+		Claims: e.mesh.Claims(ref.f.Name(), item),
+		Quorum: e.mesh.Quorum(),
 	}
 	if res.Claims == nil {
-		res.Claims = []service.PeerClaim{}
+		res.Claims = []mesh.PeerClaim{}
 	}
-	claiming, quorumMet := service.QuorumVerdict(res.Claims, res.Quorum)
+	claiming, quorumMet := mesh.QuorumVerdict(res.Claims, res.Quorum)
 	res.ClaimCount = claiming
 	switch {
 	case res.Local:
@@ -586,13 +674,13 @@ func (e *Engine) Route(ref FilterRef, item []byte) (RouteResult, error) {
 }
 
 // PeerStatus reports one filter's per-peer digest accounting.
-func (e *Engine) PeerStatus(ref FilterRef) ([]service.PeerStatus, error) {
-	return e.reg.Peers().Status(ref.f.Name())
+func (e *Engine) PeerStatus(ref FilterRef) ([]mesh.PeerStatus, error) {
+	return e.mesh.Status(ref.f.Name())
 }
 
 // RefreshPeers synchronously fetches every configured peer's digest for
 // one filter — the deterministic alternative to waiting out the jittered
 // refresh interval. No configured peers classifies as KindConflict.
-func (e *Engine) RefreshPeers(ref FilterRef) ([]service.PeerStatus, error) {
-	return e.reg.Peers().RefreshNow(ref.f.Name())
+func (e *Engine) RefreshPeers(ref FilterRef) ([]mesh.PeerStatus, error) {
+	return e.mesh.RefreshNow(ref.f.Name())
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"evilbloom/internal/cachedigest"
+	"evilbloom/internal/mesh"
 	"evilbloom/internal/service"
 )
 
@@ -105,7 +106,7 @@ var ErrEmptyBatch = &Error{kind: KindInvalid, err: errors.New("empty batch")}
 var ErrNotInFilter = &Error{kind: KindConflict, err: errors.New("item not in filter; removal refused")}
 
 // Classify maps any error a command can return to its Kind. Engine-typed
-// errors carry their kind; service and cachedigest sentinels are mapped
+// errors carry their kind; service, mesh and cachedigest sentinels are mapped
 // here — the one table both codecs consult, replacing the per-plane
 // errors.Is ladders that used to live in each handler.
 func Classify(err error) Kind {
@@ -143,8 +144,8 @@ func Classify(err error) Kind {
 		errors.Is(err, service.ErrSnapshotMismatch),
 		errors.Is(err, service.ErrNotDurable),
 		errors.Is(err, service.ErrDigestUnexportable),
-		errors.Is(err, service.ErrPushedDigestLimit),
-		errors.Is(err, service.ErrNoPeers),
+		errors.Is(err, mesh.ErrPushedDigestLimit),
+		errors.Is(err, mesh.ErrNoPeers),
 		errors.Is(err, cachedigest.ErrEnvelopeUnusable):
 		return KindConflict
 	case errors.Is(err, cachedigest.ErrEnvelopeCorrupt):

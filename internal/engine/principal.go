@@ -4,10 +4,9 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"strings"
-
-	"evilbloom/internal/service"
 )
 
 // Principal is the identity a command runs as: the key its mutations are
@@ -36,10 +35,46 @@ func (p Principal) Authenticated() bool { return p.Name != "" }
 // or be stolen by — a transport address or header claim.
 const authBucketPrefix = "auth:"
 
+// peerBucketPrefix namespaces mesh peer principals the same way: a
+// sibling's mesh credential spends its own bucket, never a client's.
+const peerBucketPrefix = "peer:"
+
+// ClientIdentityHeader is the header a client may use to self-identify for
+// rate limiting and accounting. It is honored only when the server runs
+// with -trust-proxy: identity headers are claims, and only a trusted proxy
+// tier makes them worth believing.
+const ClientIdentityHeader = "X-Evilbloom-Client"
+
+// MaxClientIdentity bounds claimed client identities (header-supplied or
+// token names): they become map keys and JSON strings echoed back on the
+// clients endpoint.
+const MaxClientIdentity = 128
+
+// ValidClientIdentity bounds claimed identities: non-empty, at most
+// MaxClientIdentity bytes, printable ASCII with no whitespace.
+func ValidClientIdentity(id string) bool {
+	if id == "" || len(id) > MaxClientIdentity {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if id[i] <= 0x20 || id[i] >= 0x7f {
+			return false
+		}
+	}
+	return true
+}
+
 // AnonymousFromRemoteAddr resolves the unauthenticated principal for a raw
-// transport connection: the peer host, one bucket per NAT.
+// transport connection: the host part of a listener-reported remote
+// address, one bucket per NAT. Every wire plane charges it when no trusted
+// proxy claim applies, so a client exhausting its budget over HTTP is
+// equally exhausted over RESP — one bucket per peer host, not per plane.
 func AnonymousFromRemoteAddr(remoteAddr string) Principal {
-	return Principal{ID: service.IdentityFromRemoteAddr(remoteAddr)}
+	host, _, err := net.SplitHostPort(remoteAddr)
+	if err != nil || host == "" {
+		return Principal{ID: remoteAddr}
+	}
+	return Principal{ID: host}
 }
 
 // errBadCredentials deliberately does not say whether the name or the
@@ -49,7 +84,7 @@ var errBadCredentials = &Error{kind: KindUnauthorized,
 
 // ConfigureAuth installs the token table from "name:secret" entries (the
 // -auth-token flag, repeatable). One-shot, before traffic, like the
-// registry's rate-limit and peer configuration. Names follow the
+// rate-limit and mesh configuration. Names follow the
 // client-identity rule (printable ASCII, bounded) and cannot contain ':';
 // secrets must be non-empty.
 func (e *Engine) ConfigureAuth(entries []string) error {
@@ -64,9 +99,9 @@ func (e *Engine) ConfigureAuth(entries []string) error {
 		if !ok || secret == "" {
 			return fmt.Errorf("engine: auth token %q: want name:secret with a non-empty secret", entry)
 		}
-		if !service.ValidClientIdentity(name) || strings.Contains(name, ":") {
+		if !validTokenName(name) {
 			return fmt.Errorf("engine: auth token name %q: want printable ASCII without whitespace or ':', at most %d bytes",
-				name, service.MaxClientIdentity)
+				name, MaxClientIdentity)
 		}
 		if _, dup := tokens[name]; dup {
 			return fmt.Errorf("engine: duplicate auth token name %q", name)
@@ -136,7 +171,7 @@ func (e *Engine) HTTPPrincipal(r *http.Request) (Principal, error) {
 
 // httpIdentity resolves the anonymous identity a request's mutations are
 // charged to. By default that is the transport peer address — unforgeable
-// at this layer. With the registry's trust-proxy setting, a well-formed
+// at this layer. With the trust-proxy setting, a well-formed
 // X-Evilbloom-Client claim wins, then the *rightmost* entry of
 // X-Forwarded-For: an appending proxy tier vouches only for the hop it
 // appended (the last one); the leftmost entries arrive verbatim from the
@@ -145,8 +180,8 @@ func (e *Engine) HTTPPrincipal(r *http.Request) (Principal, error) {
 // through rather than erroring, so a garbage header cannot dodge
 // accounting altogether.
 func (e *Engine) httpIdentity(r *http.Request) string {
-	if e.reg.Limiter().TrustProxy() {
-		if id := r.Header.Get(service.ClientIdentityHeader); validClaim(id) {
+	if e.lim.trustsProxy() {
+		if id := r.Header.Get(ClientIdentityHeader); validClaim(id) {
 			return id
 		}
 		if xff := r.Header.Get("X-Forwarded-For"); xff != "" {
@@ -159,7 +194,7 @@ func (e *Engine) httpIdentity(r *http.Request) string {
 			}
 		}
 	}
-	return service.IdentityFromRemoteAddr(r.RemoteAddr)
+	return AnonymousFromRemoteAddr(r.RemoteAddr).ID
 }
 
 // validClaim bounds header-claimed identities and keeps them out of the
@@ -167,7 +202,13 @@ func (e *Engine) httpIdentity(r *http.Request) string {
 // claim "auth:alice" (or "peer:nodeB") and spend that bucket without the
 // secret.
 func validClaim(id string) bool {
-	return service.ValidClientIdentity(id) &&
+	return ValidClientIdentity(id) &&
 		!strings.HasPrefix(id, authBucketPrefix) &&
 		!strings.HasPrefix(id, peerBucketPrefix)
+}
+
+// validTokenName is the rule for auth and peer token names: a client
+// identity that cannot contain the ':' separating name from secret.
+func validTokenName(name string) bool {
+	return ValidClientIdentity(name) && !strings.Contains(name, ":")
 }

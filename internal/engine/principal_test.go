@@ -14,15 +14,16 @@ import (
 func testEngine(t *testing.T, trustProxy bool) *Engine {
 	t.Helper()
 	reg := service.NewRegistry()
+	e := New(reg)
 	if trustProxy {
-		if err := reg.ConfigureRateLimit(service.RateLimitConfig{
+		if err := e.ConfigureRateLimit(RateLimitConfig{
 			MutationsPerSec: 1000, Burst: 1000, TrustProxy: true,
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	t.Cleanup(func() { reg.Close() }) //nolint:errcheck // memory-only
-	return New(reg)
+	return e
 }
 
 // Identity resolution: the transport address by default; header claims only
@@ -44,14 +45,14 @@ func TestClientIdentityResolution(t *testing.T) {
 		want       string
 	}{
 		{"remote addr", mk("10.1.2.3:555", nil), false, "10.1.2.3"},
-		{"headers ignored untrusted", mk("10.1.2.3:555", map[string]string{service.ClientIdentityHeader: "mallory"}), false, "10.1.2.3"},
-		{"client header trusted", mk("10.1.2.3:555", map[string]string{service.ClientIdentityHeader: "mallory"}), true, "mallory"},
-		{"client header beats xff", mk("10.1.2.3:555", map[string]string{service.ClientIdentityHeader: "m", "X-Forwarded-For": "9.9.9.9"}), true, "m"},
+		{"headers ignored untrusted", mk("10.1.2.3:555", map[string]string{ClientIdentityHeader: "mallory"}), false, "10.1.2.3"},
+		{"client header trusted", mk("10.1.2.3:555", map[string]string{ClientIdentityHeader: "mallory"}), true, "mallory"},
+		{"client header beats xff", mk("10.1.2.3:555", map[string]string{ClientIdentityHeader: "m", "X-Forwarded-For": "9.9.9.9"}), true, "m"},
 		{"xff rightmost (nearest-proxy) hop", mk("10.1.2.3:555", map[string]string{"X-Forwarded-For": "evil-claim, 8.8.8.8"}), true, "8.8.8.8"},
 		{"xff single hop", mk("10.1.2.3:555", map[string]string{"X-Forwarded-For": "9.9.9.9"}), true, "9.9.9.9"},
-		{"control chars fall through", mk("10.1.2.3:555", map[string]string{service.ClientIdentityHeader: "a\x01b"}), true, "10.1.2.3"},
-		{"oversized falls through", mk("10.1.2.3:555", map[string]string{service.ClientIdentityHeader: strings.Repeat("x", 300)}), true, "10.1.2.3"},
-		{"auth-namespace claim falls through", mk("10.1.2.3:555", map[string]string{service.ClientIdentityHeader: "auth:alice"}), true, "10.1.2.3"},
+		{"control chars fall through", mk("10.1.2.3:555", map[string]string{ClientIdentityHeader: "a\x01b"}), true, "10.1.2.3"},
+		{"oversized falls through", mk("10.1.2.3:555", map[string]string{ClientIdentityHeader: strings.Repeat("x", 300)}), true, "10.1.2.3"},
+		{"auth-namespace claim falls through", mk("10.1.2.3:555", map[string]string{ClientIdentityHeader: "auth:alice"}), true, "10.1.2.3"},
 		{"auth-namespace xff falls through", mk("10.1.2.3:555", map[string]string{"X-Forwarded-For": "auth:alice"}), true, "10.1.2.3"},
 		{"ipv6 remote", mk("[::1]:555", nil), true, "::1"},
 	}

@@ -1,50 +1,19 @@
-package service
+package engine
 
 import (
 	"container/list"
 	"fmt"
 	"math"
-	"net"
 	"sort"
 	"sync"
 	"time"
 )
 
-// Rate-limit subsystem: per-client mutation budgets on the v2 mutation
-// plane, the paper's own suggested operational defense against
-// chosen-insertion pollution (§8) made concrete. Every mutation — add,
-// add-batch, remove, remove-batch, digest push — is charged against a
-// token bucket keyed by (filter, client identity); batch operations charge
-// per item, because the damage an adversary does scales with insertions,
-// not with HTTP round trips. Exhausted budgets answer 429 with Retry-After.
-//
-// The same table doubles as pollution accounting: even with throttling
-// disabled (the default) every mutation is attributed to a client identity,
-// so GET /v2/filters/{name}/clients names who filled a filter — the
-// forensic half of the defense. The table itself is bounded: at most
-// MaxClients identities per filter, least-recently-seen evicted first with
-// their counts folded into aggregate totals, so identity churn (trivial for
-// a spoofing client behind -trust-proxy) cannot memory-exhaust the server
-// through its own defense.
-//
-// Rate limiting is the deployable mitigation tier below keyed hashing: a
-// naive filter stays attackable in principle, but the attacker's insertion
-// budget — and with it the reachable FPR — is capped. The registry can A/B
-// the full ladder per filter: naive unthrottled, naive rate-limited,
-// hardened keyed. attack.RemotePollution measures the middle tier, over
-// either wire plane.
-
-// Rate-limit defaults; RateLimitConfig fields override them.
-// DefaultRateClientsMax bounds each filter's client accounting table.
+// DefaultRateClientsMax bounds each filter's client accounting table;
+// RateLimitConfig.MaxClients overrides it.
 const DefaultRateClientsMax = 1024
 
-// ClientIdentityHeader is the header a client may use to self-identify for
-// rate limiting and accounting. It is honored only when the server runs
-// with -trust-proxy: identity headers are claims, and only a trusted proxy
-// tier makes them worth believing.
-const ClientIdentityHeader = "X-Evilbloom-Client"
-
-// RateLimitConfig tunes the registry's mutation rate limiting.
+// RateLimitConfig tunes the engine's mutation rate limiting.
 type RateLimitConfig struct {
 	// MutationsPerSec is each client's sustained per-filter mutation budget
 	// (items per second, not requests: batches charge per item). Zero
@@ -77,18 +46,18 @@ func (c RateLimitConfig) EffectiveBurst() float64 {
 	return math.Max(c.MutationsPerSec, 1)
 }
 
-// Limiter charges mutations against per-(filter, client) token buckets and
-// keeps the per-client accounting table. The zero-configuration Limiter
-// (every registry has one) throttles nothing but still accounts, so
+// limiter charges mutations against per-(filter, client) token buckets and
+// keeps the per-client accounting table. The zero-configuration limiter
+// (every engine has one) throttles nothing but still accounts, so
 // pollution attribution works on every server.
-type Limiter struct {
+type limiter struct {
 	mu         sync.RWMutex
 	rate       float64 // tokens (mutations) per second; 0 = no throttling
 	burst      float64
 	maxClients int
 	trustProxy bool
 	configured bool
-	// now is the clock, swappable so tests pin token arithmetic exactly.
+	// now is the clock; tests swap it to pin token arithmetic exactly.
 	now     func() time.Time
 	filters map[string]*filterClients
 }
@@ -122,8 +91,8 @@ type clientEntry struct {
 }
 
 // newLimiter builds the accounting-only default.
-func newLimiter() *Limiter {
-	return &Limiter{
+func newLimiter() *limiter {
+	return &limiter{
 		maxClients: DefaultRateClientsMax,
 		now:        time.Now,
 		filters:    make(map[string]*filterClients),
@@ -132,23 +101,23 @@ func newLimiter() *Limiter {
 
 // configure installs the rate-limit configuration. One-shot, before
 // traffic, like the peer mesh.
-func (l *Limiter) configure(cfg RateLimitConfig) error {
+func (l *limiter) configure(cfg RateLimitConfig) error {
 	if cfg.MutationsPerSec < 0 || math.IsNaN(cfg.MutationsPerSec) || math.IsInf(cfg.MutationsPerSec, 0) {
-		return fmt.Errorf("service: mutation rate %v must be a finite non-negative number", cfg.MutationsPerSec)
+		return fmt.Errorf("engine: mutation rate %v must be a finite non-negative number", cfg.MutationsPerSec)
 	}
 	if cfg.Burst < 0 || math.IsNaN(cfg.Burst) || math.IsInf(cfg.Burst, 0) {
-		return fmt.Errorf("service: mutation burst %v must be a finite non-negative number", cfg.Burst)
+		return fmt.Errorf("engine: mutation burst %v must be a finite non-negative number", cfg.Burst)
 	}
 	if cfg.Burst > 0 && cfg.MutationsPerSec == 0 {
-		return fmt.Errorf("service: a mutation burst needs a mutation rate; burst alone throttles nothing")
+		return fmt.Errorf("engine: a mutation burst needs a mutation rate; burst alone throttles nothing")
 	}
 	if cfg.MaxClients < 0 {
-		return fmt.Errorf("service: max clients %d must be non-negative", cfg.MaxClients)
+		return fmt.Errorf("engine: max clients %d must be non-negative", cfg.MaxClients)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.configured {
-		return fmt.Errorf("service: rate limiting already configured")
+		return fmt.Errorf("engine: rate limiting already configured")
 	}
 	l.configured = true
 	l.rate = cfg.MutationsPerSec
@@ -162,16 +131,8 @@ func (l *Limiter) configure(cfg RateLimitConfig) error {
 	return nil
 }
 
-// Enabled reports whether mutation throttling is active (accounting always
-// is).
-func (l *Limiter) Enabled() bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.rate > 0
-}
-
-// TrustProxy reports whether client-identity headers are honored.
-func (l *Limiter) TrustProxy() bool {
+// trustsProxy reports whether client-identity headers are honored.
+func (l *limiter) trustsProxy() bool {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.trustProxy
@@ -183,7 +144,7 @@ func (l *Limiter) TrustProxy() bool {
 // is effectively never refilling anyway.
 const maxRetrySeconds = float64(1 << 31)
 
-// Allow charges n mutations on filter to client. When the client's bucket
+// allow charges n mutations on filter to client. When the client's bucket
 // covers the charge (or throttling is disabled) it records the mutations as
 // allowed and returns true; otherwise nothing is consumed, the mutations
 // are recorded as throttled, and retry says how long until the bucket
@@ -196,7 +157,7 @@ const maxRetrySeconds = float64(1 << 31)
 // allowed without recording, so an in-flight request racing Delete cannot
 // resurrect the dropped accounting and leak it into a successor filter of
 // the same name.
-func (l *Limiter) Allow(filter, client string, n int) (ok bool, retry time.Duration) {
+func (l *limiter) allow(filter, client string, n int) (ok bool, retry time.Duration) {
 	if n <= 0 {
 		return true, 0
 	}
@@ -237,13 +198,13 @@ func (l *Limiter) Allow(filter, client string, n int) (ok bool, retry time.Durat
 	return true, 0
 }
 
-// Refund hands n mutations back to client's bucket on filter and reverses
+// refund hands n mutations back to client's bucket on filter and reverses
 // their accounting — for the write paths whose validation happens inside
 // the subsystem they mutate (digest push): the charge is taken before the
 // envelope is parsed, and if nothing was applied the client must not have
 // paid. Refunding an identity the table no longer holds (evicted, filter
 // dropped) is a no-op: the charge is already aggregate history.
-func (l *Limiter) Refund(filter, client string, n int) {
+func (l *limiter) refund(filter, client string, n int) {
 	if n <= 0 {
 		return
 	}
@@ -271,10 +232,10 @@ func (l *Limiter) Refund(filter, client string, n int) {
 }
 
 // watch provisions a filter's accounting table at publish time — the same
-// moment peers.watch runs, and for the same reason: state is created
+// moment the mesh watches it, and for the same reason: state is created
 // before traffic can reach the filter and torn down exactly once by
 // Delete, never resurrected by stragglers.
-func (l *Limiter) watch(filter string) {
+func (l *limiter) watch(filter string) {
 	l.filterClients(filter)
 }
 
@@ -304,7 +265,7 @@ func (fc *filterClients) evictFor(n, max int) {
 }
 
 // filterClients returns (creating if needed) one filter's table.
-func (l *Limiter) filterClients(filter string) *filterClients {
+func (l *limiter) filterClients(filter string) *filterClients {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	fc := l.filters[filter]
@@ -316,7 +277,7 @@ func (l *Limiter) filterClients(filter string) *filterClients {
 }
 
 // drop discards a deleted filter's accounting.
-func (l *Limiter) drop(filter string) {
+func (l *limiter) drop(filter string) {
 	l.mu.Lock()
 	delete(l.filters, filter)
 	l.mu.Unlock()
@@ -357,8 +318,8 @@ type ClientsReport struct {
 	EvictedThrottled uint64 `json:"evicted_throttled,omitempty"`
 }
 
-// Clients snapshots one filter's accounting table in O(clients).
-func (l *Limiter) Clients(filter string) ClientsReport {
+// clients snapshots one filter's accounting table in O(clients).
+func (l *limiter) clients(filter string) ClientsReport {
 	l.mu.RLock()
 	rate, burst, maxClients, now := l.rate, l.burst, l.maxClients, l.now()
 	fc := l.filters[filter]
@@ -421,8 +382,8 @@ type RateLimitStats struct {
 	ThrottledMutations uint64 `json:"throttled_mutations"`
 }
 
-// FilterStats aggregates one filter's accounting in O(clients).
-func (l *Limiter) FilterStats(filter string) RateLimitStats {
+// filterStats aggregates one filter's accounting in O(clients).
+func (l *limiter) filterStats(filter string) RateLimitStats {
 	l.mu.RLock()
 	rate, burst := l.rate, l.burst
 	fc := l.filters[filter]
@@ -445,48 +406,4 @@ func (l *Limiter) FilterStats(filter string) RateLimitStats {
 		st.ThrottledMutations += e.throttled
 	}
 	return st
-}
-
-// IdentityFromRemoteAddr resolves the transport-peer identity every wire
-// plane charges mutations to when no trusted proxy claim applies: the host
-// part of a listener-reported remote address. The RESP plane uses it
-// directly (no headers exist there to trust), so a client exhausting its
-// budget over HTTP is equally exhausted over RESP — one bucket per peer
-// host, not per plane. (Header-claimed and authenticated identities are
-// resolved a layer up, in internal/engine, which owns the Principal
-// abstraction; the limiter itself only ever sees opaque bucket keys.)
-func IdentityFromRemoteAddr(remoteAddr string) string {
-	host, _, err := net.SplitHostPort(remoteAddr)
-	if err != nil || host == "" {
-		return remoteAddr
-	}
-	return host
-}
-
-// MaxClientIdentity bounds claimed client identities (header-supplied or
-// token names): they become map keys and JSON strings echoed back on the
-// clients endpoint.
-const MaxClientIdentity = 128
-
-// ValidClientIdentity bounds claimed identities: non-empty, at most
-// MaxClientIdentity bytes, printable ASCII with no whitespace.
-func ValidClientIdentity(id string) bool {
-	if id == "" || len(id) > MaxClientIdentity {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		if id[i] <= 0x20 || id[i] >= 0x7f {
-			return false
-		}
-	}
-	return true
-}
-
-// SetNow swaps the limiter's clock — a test hook, so token arithmetic can
-// be pinned exactly from packages that drive the limiter through a wire
-// plane rather than in-process.
-func (l *Limiter) SetNow(now func() time.Time) {
-	l.mu.Lock()
-	l.now = now
-	l.mu.Unlock()
 }

@@ -1,4 +1,4 @@
-package service
+package engine
 
 import (
 	"fmt"
@@ -31,7 +31,7 @@ func (c *manualClock) advance(d time.Duration) {
 }
 
 // newTestLimiter builds a configured limiter on a manual clock.
-func newTestLimiter(t *testing.T, cfg RateLimitConfig) (*Limiter, *manualClock) {
+func newTestLimiter(t *testing.T, cfg RateLimitConfig) (*limiter, *manualClock) {
 	t.Helper()
 	l := newLimiter()
 	clock := newManualClock()
@@ -53,51 +53,51 @@ func TestLimiterTokenBucketExact(t *testing.T) {
 	l, clock := newTestLimiter(t, RateLimitConfig{MutationsPerSec: 2, Burst: 4})
 
 	for i := 0; i < 4; i++ {
-		if ok, _ := l.Allow("f", "alice", 1); !ok {
+		if ok, _ := l.allow("f", "alice", 1); !ok {
 			t.Fatalf("allow %d within burst refused", i)
 		}
 	}
-	ok, retry := l.Allow("f", "alice", 1)
+	ok, retry := l.allow("f", "alice", 1)
 	if ok || retry != 500*time.Millisecond {
 		t.Fatalf("spent bucket: ok=%v retry=%v, want refused in 500ms", ok, retry)
 	}
 
 	// 1s at 2/s refills 2 tokens: a 2-item batch fits, 3 do not.
 	clock.advance(time.Second)
-	if ok, _ := l.Allow("f", "alice", 2); !ok {
+	if ok, _ := l.allow("f", "alice", 2); !ok {
 		t.Fatal("refilled tokens not granted")
 	}
-	if ok, retry := l.Allow("f", "alice", 3); ok || retry != 1500*time.Millisecond {
+	if ok, retry := l.allow("f", "alice", 3); ok || retry != 1500*time.Millisecond {
 		t.Fatalf("3-item batch on empty bucket: ok=%v retry=%v, want refused in 1.5s", ok, retry)
 	}
 
 	// Refill caps at burst: a long idle stretch earns burst, not rate×dt.
 	clock.advance(time.Hour)
-	if ok, _ := l.Allow("f", "alice", 4); !ok {
+	if ok, _ := l.allow("f", "alice", 4); !ok {
 		t.Fatal("full burst after long idle refused")
 	}
-	if ok, _ := l.Allow("f", "alice", 1); ok {
+	if ok, _ := l.allow("f", "alice", 1); ok {
 		t.Fatal("tokens beyond burst were accumulated")
 	}
 
 	// A charge larger than the burst can never succeed; the retry answer
 	// still names the full deficit's refill time.
 	clock.advance(time.Hour)
-	if ok, retry := l.Allow("f", "alice", 10); ok || retry != 3*time.Second {
+	if ok, retry := l.allow("f", "alice", 10); ok || retry != 3*time.Second {
 		t.Fatalf("over-burst batch: ok=%v retry=%v, want refused in 3s", ok, retry)
 	}
 
 	// Throttled charges consume nothing: the burst is still intact.
-	if ok, _ := l.Allow("f", "alice", 4); !ok {
+	if ok, _ := l.allow("f", "alice", 4); !ok {
 		t.Fatal("refused charge consumed tokens")
 	}
 
 	// Budgets are per client and per filter: fresh identities and fresh
 	// filters start with a full burst.
-	if ok, _ := l.Allow("f", "bob", 4); !ok {
+	if ok, _ := l.allow("f", "bob", 4); !ok {
 		t.Fatal("second client shares the first client's bucket")
 	}
-	if ok, _ := l.Allow("g", "alice", 4); !ok {
+	if ok, _ := l.allow("g", "alice", 4); !ok {
 		t.Fatal("second filter shares the first filter's bucket")
 	}
 }
@@ -120,10 +120,10 @@ func TestLimiterConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Burst defaults to one second of budget...
-	if ok, _ := l.Allow("f", "c", 5); !ok {
+	if ok, _ := l.allow("f", "c", 5); !ok {
 		t.Error("default burst below one second of budget")
 	}
-	if ok, _ := l.Allow("f", "c", 1); ok {
+	if ok, _ := l.allow("f", "c", 1); ok {
 		t.Error("default burst above one second of budget")
 	}
 	// ...and configuration is one-shot.
@@ -138,18 +138,18 @@ func TestLimiterAccountingOnly(t *testing.T) {
 	l := newLimiter()
 	l.watch("f")
 	for i := 0; i < 100; i++ {
-		if ok, _ := l.Allow("f", "bulk", 10); !ok {
+		if ok, _ := l.allow("f", "bulk", 10); !ok {
 			t.Fatal("accounting-only limiter refused a mutation")
 		}
 	}
-	rep := l.Clients("f")
+	rep := l.clients("f")
 	if rep.Enabled {
 		t.Error("unconfigured limiter reports throttling enabled")
 	}
 	if len(rep.Clients) != 1 || rep.Clients[0].Client != "bulk" || rep.Clients[0].Allowed != 1000 {
 		t.Errorf("accounting table: %+v", rep.Clients)
 	}
-	st := l.FilterStats("f")
+	st := l.filterStats("f")
 	if st.AllowedMutations != 1000 || st.ThrottledMutations != 0 || st.Clients != 1 {
 		t.Errorf("aggregate: %+v", st)
 	}
@@ -161,11 +161,11 @@ func TestLimiterAccountingOnly(t *testing.T) {
 func TestLimiterLRUEviction(t *testing.T) {
 	l, _ := newTestLimiter(t, RateLimitConfig{MutationsPerSec: 1, Burst: 2, MaxClients: 3})
 	for i := 0; i < 3; i++ {
-		l.Allow("f", fmt.Sprintf("c%d", i), 1)
+		l.allow("f", fmt.Sprintf("c%d", i), 1)
 	}
-	l.Allow("f", "c0", 1) // touch c0: c1 becomes least recent
-	l.Allow("f", "c3", 1) // evicts c1
-	rep := l.Clients("f")
+	l.allow("f", "c0", 1) // touch c0: c1 becomes least recent
+	l.allow("f", "c3", 1) // evicts c1
+	rep := l.clients("f")
 	if len(rep.Clients) != 3 {
 		t.Fatalf("table holds %d clients, want 3", len(rep.Clients))
 	}
@@ -178,16 +178,16 @@ func TestLimiterLRUEviction(t *testing.T) {
 		t.Errorf("eviction accounting: %+v", rep)
 	}
 	// The aggregate still totals every mutation ever allowed (5 singles).
-	if st := l.FilterStats("f"); st.AllowedMutations != 5 || st.EvictedClients != 1 {
+	if st := l.filterStats("f"); st.AllowedMutations != 5 || st.EvictedClients != 1 {
 		t.Errorf("aggregate after eviction: %+v", st)
 	}
 
 	// Churning many identities through the table keeps it at the cap and
 	// preserves the exact total.
 	for i := 0; i < 500; i++ {
-		l.Allow("f", fmt.Sprintf("spoof-%d", i), 1)
+		l.allow("f", fmt.Sprintf("spoof-%d", i), 1)
 	}
-	rep = l.Clients("f")
+	rep = l.clients("f")
 	if len(rep.Clients) != 3 {
 		t.Fatalf("churned table holds %d clients, want 3", len(rep.Clients))
 	}
@@ -223,10 +223,10 @@ func TestLimiterConcurrentAccounting(t *testing.T) {
 				if i%5 == 0 {
 					id = fmt.Sprintf("churn-%d-%d", g, i)
 				}
-				l.Allow(filter, id, 1+i%3)
+				l.allow(filter, id, 1+i%3)
 				if i%50 == 0 {
-					l.Clients(filter)
-					l.FilterStats(filter)
+					l.clients(filter)
+					l.filterStats(filter)
 				}
 			}
 		}(g)
@@ -239,7 +239,7 @@ func TestLimiterConcurrentAccounting(t *testing.T) {
 	want *= goroutines
 	var got uint64
 	for _, f := range filters {
-		st := l.FilterStats(f)
+		st := l.filterStats(f)
 		got += st.AllowedMutations + st.ThrottledMutations
 	}
 	if got != want {
@@ -251,10 +251,10 @@ func TestLimiterConcurrentAccounting(t *testing.T) {
 // instead of overflowing time.Duration into nonsense.
 func TestRetryAfterClampedForTinyRates(t *testing.T) {
 	l, _ := newTestLimiter(t, RateLimitConfig{MutationsPerSec: 1e-12, Burst: 1})
-	if ok, _ := l.Allow("f", "c", 1); !ok {
+	if ok, _ := l.allow("f", "c", 1); !ok {
 		t.Fatal("burst refused")
 	}
-	ok, retry := l.Allow("f", "c", 1)
+	ok, retry := l.allow("f", "c", 1)
 	if ok {
 		t.Fatal("second charge allowed")
 	}

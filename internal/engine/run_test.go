@@ -10,19 +10,19 @@ import (
 )
 
 // runFixture is an engine over one fresh filter named "f".
-func runFixture(t testing.TB, rate service.RateLimitConfig, cfg service.Config) (*Engine, FilterRef) {
+func runFixture(t testing.TB, rate RateLimitConfig, cfg service.Config) (*Engine, FilterRef) {
 	t.Helper()
 	reg := service.NewRegistry()
 	t.Cleanup(func() { reg.Close() }) //nolint:errcheck // memory-only
+	e := New(reg)
 	if rate.MutationsPerSec > 0 {
-		if err := reg.ConfigureRateLimit(rate); err != nil {
+		if err := e.ConfigureRateLimit(rate); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := reg.Create("f", cfg); err != nil {
 		t.Fatal(err)
 	}
-	e := New(reg)
 	ref, err := e.Lookup("f")
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func allowed(e *Engine, ref FilterRef) (ok, throttled uint64) {
 // only the first time, whether the repeat is in the same command or a later
 // one of the same run.
 func TestExecuteRunAddAnswersPerItem(t *testing.T) {
-	e, ref := runFixture(t, service.RateLimitConfig{}, service.Config{Shards: 8})
+	e, ref := runFixture(t, RateLimitConfig{}, service.Config{Shards: 8})
 	var run Run
 	stage(&run, RunAdd, []string{"x"}, []string{"x", "y"}, []string{"y"})
 	e.ExecuteRun(tester, ref, &run)
@@ -85,7 +85,7 @@ func TestExecuteRunAddAnswersPerItem(t *testing.T) {
 // slowly to matter; a refusal spends nothing, so the middle chunk needs two
 // items to be refused while the last, of one, is admitted.
 func TestExecuteRunRefusedChunkInsertsNothing(t *testing.T) {
-	e, ref := runFixture(t, service.RateLimitConfig{MutationsPerSec: 1e-6, Burst: 2}, service.Config{Shards: 8})
+	e, ref := runFixture(t, RateLimitConfig{MutationsPerSec: 1e-6, Burst: 2}, service.Config{Shards: 8})
 	var run Run
 	stage(&run, RunAdd, []string{"a"}, []string{"b", "b"}, []string{"b"})
 	e.ExecuteRun(tester, ref, &run)
@@ -114,7 +114,7 @@ func TestExecuteRunRefusedChunkInsertsNothing(t *testing.T) {
 // charges stand: the commands were well-formed and the filter did the work
 // of refusing them.
 func TestExecuteRunRemoveOnBloomKeepsCharges(t *testing.T) {
-	e, ref := runFixture(t, service.RateLimitConfig{}, service.Config{Shards: 8})
+	e, ref := runFixture(t, RateLimitConfig{}, service.Config{Shards: 8})
 	var run Run
 	stage(&run, RunRemove, []string{"a"}, []string{"b", "c"})
 	e.ExecuteRun(tester, ref, &run)
@@ -143,7 +143,7 @@ func BenchmarkExecuteRun(b *testing.B) {
 	}{{"add", RunAdd}, {"test", RunTest}} {
 		for _, mode := range []service.Mode{service.ModeNaive, service.ModeHardened} {
 			b.Run(fmt.Sprintf("%s/%v", kind.name, mode), func(b *testing.B) {
-				e, ref := runFixture(b, service.RateLimitConfig{}, service.Config{Mode: mode})
+				e, ref := runFixture(b, RateLimitConfig{}, service.Config{Mode: mode})
 				var run Run
 				b.ReportAllocs()
 				b.ResetTimer()

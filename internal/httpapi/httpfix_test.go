@@ -3,8 +3,12 @@ package httpapi
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"evilbloom/internal/engine"
+	"evilbloom/internal/service"
 )
 
 // The HTTP-layer bugfix sweep's regression tests: RFC 9110 If-None-Match
@@ -86,7 +90,10 @@ func TestDigestConditionalRequestForms(t *testing.T) {
 // so they must obey the filter-name rule; anything else is 400 before any
 // state is touched.
 func TestDigestPushLabelValidation(t *testing.T) {
-	ts, reg := newRegistryTestServer(t)
+	reg := service.NewRegistry()
+	eng := engine.New(reg)
+	ts := httptest.NewServer(NewEngineServer(eng))
+	t.Cleanup(ts.Close)
 	doJSON(t, "PUT", ts.URL+"/v2/filters/d", naiveSpec(1), nil)
 	f, err := reg.Get("d")
 	if err != nil {
@@ -114,7 +121,11 @@ func TestDigestPushLabelValidation(t *testing.T) {
 		}
 	}
 	// The registry never stored any of them.
-	status, err := reg.Peers().Status("d")
+	ref, err := eng.Lookup("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, err := eng.PeerStatus(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +137,7 @@ func TestDigestPushLabelValidation(t *testing.T) {
 		t.Errorf("valid label refused: %d (%s)", code, body)
 	}
 	// Direct (non-HTTP) pushes enforce the same rule.
-	if _, err := reg.Peers().Push("d", "bad label", nil, "", false); err == nil {
+	if _, err := eng.DigestPush(engine.AnonymousFromRemoteAddr("192.0.2.1:1"), ref, "bad label", nil, ""); err == nil {
 		t.Error("Push accepted an invalid label")
 	}
 }

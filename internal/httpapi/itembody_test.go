@@ -119,10 +119,10 @@ func newItemFixture(t testing.TB) *Server {
 	t.Helper()
 	reg := service.NewRegistry()
 	t.Cleanup(func() { reg.Close() }) //nolint:errcheck // memory-only
-	if err := reg.ConfigureRateLimit(service.RateLimitConfig{MutationsPerSec: 0.001, Burst: 8}); err != nil {
+	s := NewRegistryServer(reg)
+	if err := s.Engine().ConfigureRateLimit(engine.RateLimitConfig{MutationsPerSec: 0.001, Burst: 8}); err != nil {
 		t.Fatal(err)
 	}
-	s := NewRegistryServer(reg)
 	seeder := engine.AnonymousFromRemoteAddr("203.0.113.9:1")
 	preload := [][]byte{[]byte("a"), []byte("b"), []byte("café&x")}
 	for name, variant := range map[string]service.Variant{

@@ -9,6 +9,7 @@ import (
 
 	"evilbloom/internal/cachedigest"
 	"evilbloom/internal/engine"
+	"evilbloom/internal/mesh"
 	"evilbloom/internal/service"
 )
 
@@ -51,9 +52,9 @@ func TestDigestETagAcrossDeltaPath(t *testing.T) {
 	f.Store().Add([]byte("first"))
 
 	// Delta-capable first fetch: full frame (nothing to diff against).
-	body, hdr, code := getDigestMesh(t, ts.URL, "d", map[string]string{service.HeaderDigestDelta: "1"})
-	if code != http.StatusOK || hdr.Get(service.HeaderDigestFrame) != "full" {
-		t.Fatalf("first fetch: status %d frame %q, want 200 full", code, hdr.Get(service.HeaderDigestFrame))
+	body, hdr, code := getDigestMesh(t, ts.URL, "d", map[string]string{mesh.HeaderDigestDelta: "1"})
+	if code != http.StatusOK || hdr.Get(mesh.HeaderDigestFrame) != "full" {
+		t.Fatalf("first fetch: status %d frame %q, want 200 full", code, hdr.Get(mesh.HeaderDigestFrame))
 	}
 	e1 := hdr.Get("ETag")
 	if e1 == "" || !bytes.HasPrefix(body, []byte("EVBDIGE1")) {
@@ -63,9 +64,9 @@ func TestDigestETagAcrossDeltaPath(t *testing.T) {
 	// Unchanged filter, matching If-None-Match: 304 wins over everything —
 	// the delta capability must not break the short-circuit.
 	_, _, code = getDigestMesh(t, ts.URL, "d", map[string]string{
-		"If-None-Match":           e1,
-		service.HeaderDigestDelta: "1",
-		service.HeaderDigestHave:  e1,
+		"If-None-Match":        e1,
+		mesh.HeaderDigestDelta: "1",
+		mesh.HeaderDigestHave:  e1,
 	})
 	if code != http.StatusNotModified {
 		t.Fatalf("unchanged conditional fetch: status %d, want 304", code)
@@ -75,12 +76,12 @@ func TestDigestETagAcrossDeltaPath(t *testing.T) {
 	// full envelope.
 	f.Store().Add([]byte("second"))
 	body, hdr, code = getDigestMesh(t, ts.URL, "d", map[string]string{
-		"If-None-Match":           e1,
-		service.HeaderDigestDelta: "1",
-		service.HeaderDigestHave:  e1,
+		"If-None-Match":        e1,
+		mesh.HeaderDigestDelta: "1",
+		mesh.HeaderDigestHave:  e1,
 	})
-	if code != http.StatusOK || hdr.Get(service.HeaderDigestFrame) != "delta" {
-		t.Fatalf("post-mutation fetch: status %d frame %q, want 200 delta", code, hdr.Get(service.HeaderDigestFrame))
+	if code != http.StatusOK || hdr.Get(mesh.HeaderDigestFrame) != "delta" {
+		t.Fatalf("post-mutation fetch: status %d frame %q, want 200 delta", code, hdr.Get(mesh.HeaderDigestFrame))
 	}
 	if !bytes.HasPrefix(body, []byte(cachedigest.DeltaFrame.Magic)) {
 		t.Fatal("delta-framed response does not carry the delta magic")
@@ -95,8 +96,8 @@ func TestDigestETagAcrossDeltaPath(t *testing.T) {
 	// manufacture a 304 — the peer never revalidated, it only named a
 	// delta base.
 	body, hdr, code = getDigestMesh(t, ts.URL, "d", map[string]string{
-		service.HeaderDigestDelta: "1",
-		service.HeaderDigestHave:  e2,
+		mesh.HeaderDigestDelta: "1",
+		mesh.HeaderDigestHave:  e2,
 	})
 	if code != http.StatusNotModified {
 		// expected branch: fall through to the 200 assertions below
@@ -110,11 +111,11 @@ func TestDigestETagAcrossDeltaPath(t *testing.T) {
 	// A Have the server never served as a baseline falls back to a full
 	// envelope — never an error, never a bogus delta.
 	body, hdr, code = getDigestMesh(t, ts.URL, "d", map[string]string{
-		service.HeaderDigestDelta: "1",
-		service.HeaderDigestHave:  `"bogus"`,
+		mesh.HeaderDigestDelta: "1",
+		mesh.HeaderDigestHave:  `"bogus"`,
 	})
-	if code != http.StatusOK || hdr.Get(service.HeaderDigestFrame) != "full" {
-		t.Fatalf("unknown-base fetch: status %d frame %q, want 200 full", code, hdr.Get(service.HeaderDigestFrame))
+	if code != http.StatusOK || hdr.Get(mesh.HeaderDigestFrame) != "full" {
+		t.Fatalf("unknown-base fetch: status %d frame %q, want 200 full", code, hdr.Get(mesh.HeaderDigestFrame))
 	}
 	if !bytes.HasPrefix(body, []byte("EVBDIGE1")) {
 		t.Fatal("unknown-base fallback is not a full envelope")
@@ -165,7 +166,7 @@ func pushDigestAs(t *testing.T, base, name, peer, token string, env []byte) (int
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	if token != "" {
-		req.Header.Set(service.HeaderPeerToken, token)
+		req.Header.Set(mesh.HeaderPeerToken, token)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -182,7 +183,7 @@ func pushDigestAs(t *testing.T, base, name, peer, token string, env []byte) (int
 func TestSealedDigestPushRefusesTrailingBytes(t *testing.T) {
 	reg := service.NewRegistry()
 	eng := engine.New(reg)
-	if err := eng.ConfigurePeerAuth([]string{"nodeB:secret-b"}); err != nil {
+	if err := eng.ConfigureMesh(mesh.PeerConfig{Tokens: []string{"nodeB:secret-b"}}); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(NewEngineServer(eng))
@@ -205,14 +206,18 @@ func TestSealedDigestPushRefusesTrailingBytes(t *testing.T) {
 	if code, body := pushDigestAs(t, ts.URL, "d", "nodeB", "nodeB:secret-b", trailing); code != http.StatusBadRequest {
 		t.Fatalf("sealed push with trailing bytes: status %d (%s), want 400", code, body)
 	}
-	peers, err := reg.Peers().Status("d")
+	ref, err := eng.Lookup("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers, err := eng.PeerStatus(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(peers) != 0 {
 		t.Errorf("refused push stored a digest: %+v", peers)
 	}
-	if st := reg.Limiter().FilterStats("d"); st.AllowedMutations != 0 {
+	if st := eng.Stats(ref).RateLimit; st.AllowedMutations != 0 {
 		t.Errorf("refused push kept its charge: %d allowed mutations, want 0", st.AllowedMutations)
 	}
 
@@ -220,7 +225,7 @@ func TestSealedDigestPushRefusesTrailingBytes(t *testing.T) {
 	if code, body := pushDigestAs(t, ts.URL, "d", "nodeB", "nodeB:secret-b", sealed); code != http.StatusOK {
 		t.Fatalf("sealed push: status %d (%s), want 200", code, body)
 	}
-	if st := reg.Limiter().FilterStats("d"); st.AllowedMutations != 1 {
+	if st := eng.Stats(ref).RateLimit; st.AllowedMutations != 1 {
 		t.Errorf("accepted push: %d allowed mutations, want 1", st.AllowedMutations)
 	}
 }
@@ -231,7 +236,7 @@ func TestSealedDigestPushRefusesTrailingBytes(t *testing.T) {
 func TestDigestPushAuthentication(t *testing.T) {
 	reg := service.NewRegistry()
 	eng := engine.New(reg)
-	if err := eng.ConfigurePeerAuth([]string{"nodeA:secret-a", "nodeB:secret-b"}); err != nil {
+	if err := eng.ConfigureMesh(mesh.PeerConfig{Tokens: []string{"nodeA:secret-a", "nodeB:secret-b"}}); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(NewEngineServer(eng))

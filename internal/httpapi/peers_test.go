@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"evilbloom/internal/cachedigest"
+	"evilbloom/internal/engine"
+	"evilbloom/internal/mesh"
 	"evilbloom/internal/service"
 	"evilbloom/internal/urlgen"
 )
@@ -195,11 +197,9 @@ func TestDigestPushStatusTable(t *testing.T) {
 	if code, _ := pushDigest(t, ts.URL, "nope", "p", env); code != http.StatusNotFound {
 		t.Errorf("push to unknown filter: want 404")
 	}
-	peers, err := reg.Peers().Status("d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ps := range peers {
+	var peers peersResponse
+	doJSON(t, "GET", ts.URL+"/v2/filters/d/peers", nil, &peers)
+	for _, ps := range peers.Peers {
 		if ps.Peer == "trailing" {
 			t.Errorf("a push with trailing bytes stored a digest: %+v", ps)
 		}
@@ -230,9 +230,10 @@ func twoServers(t *testing.T, name string, refresh time.Duration) (a, b *httptes
 	a = httptest.NewServer(NewRegistryServer(regA))
 	t.Cleanup(a.Close)
 	regB = service.NewRegistry()
-	b = httptest.NewServer(NewRegistryServer(regB))
+	engB := engine.New(regB)
+	b = httptest.NewServer(NewEngineServer(engB))
 	t.Cleanup(b.Close)
-	if err := regB.ConfigurePeers(service.PeerConfig{Peers: []string{a.URL}, Refresh: refresh}); err != nil {
+	if err := engB.ConfigureMesh(mesh.PeerConfig{Peers: []string{a.URL}, Refresh: refresh}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { regB.Close(); regA.Close() }) //nolint:errcheck // test teardown
@@ -306,9 +307,10 @@ func TestPeerFailureAccounting(t *testing.T) {
 	dead.Close()
 
 	reg := service.NewRegistry()
-	ts := httptest.NewServer(NewRegistryServer(reg))
+	eng := engine.New(reg)
+	ts := httptest.NewServer(NewEngineServer(eng))
 	t.Cleanup(ts.Close)
-	if err := reg.ConfigurePeers(service.PeerConfig{Peers: []string{deadURL}, Refresh: time.Hour}); err != nil {
+	if err := eng.ConfigureMesh(mesh.PeerConfig{Peers: []string{deadURL}, Refresh: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { reg.Close() }) //nolint:errcheck // test teardown
@@ -378,7 +380,7 @@ func TestDeleteAndCloseStopPeerRefresh(t *testing.T) {
 	a := httptest.NewServer(NewRegistryServer(service.NewRegistry()))
 	t.Cleanup(a.Close)
 	reg := service.NewRegistry()
-	if err := reg.ConfigurePeers(service.PeerConfig{Peers: []string{a.URL}, Refresh: 10 * time.Millisecond}); err != nil {
+	if err := engine.New(reg).ConfigureMesh(mesh.PeerConfig{Peers: []string{a.URL}, Refresh: 10 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -444,15 +446,15 @@ func TestDigestPushBudget(t *testing.T) {
 		t.Errorf("oversized push error does not name the budget: %s", body)
 	}
 
-	// Label cap: service.MaxPushedPeers distinct labels fit, the next is refused;
+	// Label cap: mesh.MaxPushedPeers distinct labels fit, the next is refused;
 	// re-pushing an existing label is a replacement, not a new entry.
-	for i := 0; i < service.MaxPushedPeers; i++ {
+	for i := 0; i < mesh.MaxPushedPeers; i++ {
 		if code, body := pushDigest(t, ts.URL, "d", fmt.Sprintf("sib-%d", i), env); code != http.StatusOK {
 			t.Fatalf("push %d: status %d (%s)", i, code, body)
 		}
 	}
 	if code, _ := pushDigest(t, ts.URL, "d", "one-too-many", env); code != http.StatusConflict {
-		t.Errorf("push beyond service.MaxPushedPeers: status %d, want 409", code)
+		t.Errorf("push beyond mesh.MaxPushedPeers: status %d, want 409", code)
 	}
 	if code, _ := pushDigest(t, ts.URL, "d", "sib-0", env); code != http.StatusOK {
 		t.Errorf("replacing an existing label refused at the cap")

@@ -17,6 +17,7 @@ import (
 	"evilbloom/internal/cachedigest"
 	"evilbloom/internal/core"
 	"evilbloom/internal/engine"
+	"evilbloom/internal/mesh"
 	"evilbloom/internal/service"
 )
 
@@ -57,7 +58,7 @@ type RouteResponse struct {
 	// Peer names the first claiming sibling when Verdict is "peer".
 	Peer string `json:"peer,omitempty"`
 	// Peers holds every sibling's individual answer, in peer order.
-	Peers []service.PeerClaim `json:"peers"`
+	Peers []mesh.PeerClaim `json:"peers"`
 	// Claiming is how many siblings claim the item; Quorum is how many it
 	// takes for a "peer" verdict (-route-quorum, default 1).
 	Claiming int `json:"claiming"`
@@ -66,13 +67,13 @@ type RouteResponse struct {
 
 // peersResponse answers GET /v2/.../peers and POST /v2/.../peers/refresh.
 type peersResponse struct {
-	Peers []service.PeerStatus `json:"peers"`
+	Peers []mesh.PeerStatus `json:"peers"`
 }
 
 // digestPushResponse answers POST /v2/.../digest with the stored peer entry.
 type digestPushResponse struct {
-	Imported bool               `json:"imported"`
-	Peer     service.PeerStatus `json:"peer"`
+	Imported bool            `json:"imported"`
+	Peer     mesh.PeerStatus `json:"peer"`
 }
 
 // peerTokenRevokeResponse answers DELETE /v2/peer-tokens/{name}.
@@ -274,7 +275,7 @@ func filterInfo(d engine.FilterDescription) FilterInfo {
 //
 // Every mutation (add, add-batch, remove, remove-batch, digest push) is
 // charged to the requesting principal's per-filter budget; batches charge
-// per item. With rate limiting configured (Registry.ConfigureRateLimit,
+// per item. With rate limiting configured (Engine.ConfigureRateLimit,
 // `evilbloom serve -rate-mutations`) an exhausted budget answers 429 with a
 // Retry-After header and nothing is applied. Accounting runs even without a
 // budget, so the clients endpoint attributes pollution on every server; the
@@ -518,7 +519,7 @@ func (s *Server) handleFilterOp(w http.ResponseWriter, r *http.Request) {
 		res := s.eng.Stats(ref)
 		writeJSON(w, http.StatusOK, struct {
 			service.Stats
-			RateLimit service.RateLimitStats `json:"rate_limit"`
+			RateLimit engine.RateLimitStats `json:"rate_limit"`
 		}{res.Stats, res.RateLimit})
 	case "clients":
 		if r.Method != http.MethodGet {
@@ -684,9 +685,9 @@ func (s *Server) handleDigestGet(w http.ResponseWriter, r *http.Request, ref eng
 		}
 	}
 	res, err := s.eng.DigestExchange(ref,
-		r.Header.Get(service.HeaderDigestHave),
-		r.Header.Get(service.HeaderDigestDelta) == "1",
-		r.Header.Get(service.HeaderPeerToken))
+		r.Header.Get(mesh.HeaderDigestHave),
+		r.Header.Get(mesh.HeaderDigestDelta) == "1",
+		r.Header.Get(mesh.HeaderPeerToken))
 	if err != nil {
 		writeEngineError(w, err)
 		return
@@ -698,9 +699,9 @@ func (s *Server) handleDigestGet(w http.ResponseWriter, r *http.Request, ref eng
 	if res.Delta {
 		frame = "delta"
 	}
-	w.Header().Set(service.HeaderDigestFrame, frame)
+	w.Header().Set(mesh.HeaderDigestFrame, frame)
 	if res.Sealer != "" {
-		w.Header().Set(service.HeaderPeer, res.Sealer)
+		w.Header().Set(mesh.HeaderPeer, res.Sealer)
 	}
 	w.WriteHeader(http.StatusOK)
 	w.Write(res.Blob) //nolint:errcheck // client gone; nothing to do
@@ -718,7 +719,7 @@ func (s *Server) handleDigestPush(w http.ResponseWriter, r *http.Request, ref en
 	}
 	status, err := s.eng.DigestPush(p, ref, label,
 		http.MaxBytesReader(w, r.Body, int64(service.MaxSnapshotBytes)),
-		r.Header.Get(service.HeaderPeerToken))
+		r.Header.Get(mesh.HeaderPeerToken))
 	if err != nil {
 		writeEngineError(w, err)
 		return
@@ -780,7 +781,7 @@ func (s *Server) handlePeers(w http.ResponseWriter, r *http.Request, ref engine.
 		return
 	}
 	if status == nil {
-		status = []service.PeerStatus{}
+		status = []mesh.PeerStatus{}
 	}
 	writeJSON(w, http.StatusOK, peersResponse{Peers: status})
 }

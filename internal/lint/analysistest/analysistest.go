@@ -5,7 +5,7 @@
 // keyed to those paths run against fixtures unchanged. Expectations are
 // written in the fixtures themselves:
 //
-//	reg.Limiter() // want "must not reach"
+//	reg.Get("f") // want "must not reach"
 //
 // Each `// want "regexp"` demands exactly one unsuppressed diagnostic on
 // its line whose message matches the regexp; any diagnostic without a

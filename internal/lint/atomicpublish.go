@@ -24,12 +24,13 @@ import (
 //     documented plain-write twins (BitSet.Set and friends, callable only
 //     under full external serialization with no lock-free readers) carry
 //     //lint:allow annotations that double as their contract;
-//  3. inside internal/service — the one package that orchestrates
-//     lock-free reads against live stores — any call to an outside
-//     function that (transitively) performs plain writes to an atomic
-//     field is reported too, so wiring a backend adapter to a plain writer
-//     (bitset.Set instead of SetAtomic) fails the build even though the
-//     racy write itself lives two packages away.
+//  3. inside internal/service — the package that orchestrates lock-free
+//     reads against live stores — and internal/mesh, which holds digests
+//     that route lookups read while refreshes replace them, any call to an
+//     outside function that (transitively) performs plain writes to an
+//     atomic field is reported too, so wiring a backend adapter to a plain
+//     writer (bitset.Set instead of SetAtomic) fails the build even though
+//     the racy write itself lives two packages away.
 var AtomicPublish = &analysis.Analyzer{
 	Name: "atomicpublish",
 	Doc: "writers of atomically-read word slices must publish via atomic stores " +
@@ -183,8 +184,8 @@ func runAtomicPublish(pass *analysis.Pass) error {
 			owner+" "+fieldOwnerName(w.field)+"."+w.field.Name())
 	}
 
-	// Rule 3: service-side calls into plain-writing functions.
-	if pass.Pkg.Path != pkgService {
+	// Rule 3: service- and mesh-side calls into plain-writing functions.
+	if pass.Pkg.Path != pkgService && pass.Pkg.Path != pkgMesh {
 		return nil
 	}
 	info := pass.Pkg.Info
@@ -195,7 +196,7 @@ func runAtomicPublish(pass *analysis.Pass) error {
 				return true
 			}
 			fn := calleeOf(info, call)
-			if fn == nil || funcPkg(fn) == pkgService || !facts.plainWriter[fn] {
+			if fn == nil || funcPkg(fn) == pass.Pkg.Path || !facts.plainWriter[fn] {
 				return true
 			}
 			field := facts.witness[fn]

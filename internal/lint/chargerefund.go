@@ -21,11 +21,12 @@ import (
 // drains a victim principal's budget at zero cost to the outcome.
 //
 // The analysis is a conservative walk of each function in
-// internal/engine: a "charge" is a call to (*Engine).charge or to
-// (*service.Limiter).Allow; the guard that checks the charge's own
-// failure (err != nil, or !ok on Allow's boolean) is exempt; past the
+// internal/engine: a "charge" is a call to (*Engine).charge or to the
+// engine's own limiter's allow; the guard that checks the charge's own
+// failure (err != nil, or !ok on allow's boolean) is exempt; past the
 // guard, any return whose final result is a non-nil error without a
-// refund call (or deferred refund) on the path is reported.
+// refund call (or deferred refund) on the path is reported. The limiter is
+// unexported, so only the engine can charge or refund at all.
 var ChargeRefund = &analysis.Analyzer{
 	Name: "chargerefund",
 	Doc: "in internal/engine, every error return after a successful bucket charge " +
@@ -67,30 +68,21 @@ type crWalker struct {
 }
 
 // isChargeCall matches (*Engine).charge-style internal charges and
-// (*service.Limiter).Allow.
+// (*limiter).allow.
 func (w *crWalker) isChargeCall(call *ast.CallExpr) bool {
 	fn := calleeOf(w.info, call)
-	if fn == nil {
+	if fn == nil || funcPkg(fn) != pkgEngine {
 		return false
 	}
-	if recvPkg, _ := recvOf(fn); recvPkg == pkgService && fn.Name() == "Allow" {
-		_, typeName := recvOf(fn)
-		return typeName == "Limiter"
-	}
-	return funcPkg(fn) == pkgEngine && fn.Name() == "charge"
+	_, typeName := recvOf(fn)
+	return fn.Name() == "charge" || (typeName == "limiter" && fn.Name() == "allow")
 }
 
-// isRefundCall matches (*service.Limiter).Refund and engine-internal
-// refund helpers.
+// isRefundCall matches (*limiter).refund and engine-internal refund
+// helpers.
 func (w *crWalker) isRefundCall(call *ast.CallExpr) bool {
 	fn := calleeOf(w.info, call)
-	if fn == nil {
-		return false
-	}
-	if recvPkg, typeName := recvOf(fn); recvPkg == pkgService && typeName == "Limiter" && fn.Name() == "Refund" {
-		return true
-	}
-	return funcPkg(fn) == pkgEngine && (fn.Name() == "refund" || fn.Name() == "Refund")
+	return fn != nil && funcPkg(fn) == pkgEngine && fn.Name() == "refund"
 }
 
 // containsCall reports whether expr contains a call matched by pred, and

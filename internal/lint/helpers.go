@@ -13,6 +13,7 @@ import (
 const (
 	pkgEngine  = "evilbloom/internal/engine"
 	pkgService = "evilbloom/internal/service"
+	pkgMesh    = "evilbloom/internal/mesh"
 	pkgHTTPAPI = "evilbloom/internal/httpapi"
 	pkgRESP    = "evilbloom/internal/resp"
 )

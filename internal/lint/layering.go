@@ -12,34 +12,26 @@ import (
 // the only place that validates, resolves identity, charges/refunds
 // rate-limit buckets and dispatches to the store; the wire codecs
 // (internal/httpapi, internal/resp) are pure framing. The grep enforced
-// that by scanning codec sources for the tokens ".Limiter()", ".Allow(",
-// ".Refund(" and ".Store()" — which an innocent rename, an import alias,
-// or a method value (f := lim.Allow; f(...)) would dodge without anyone
-// noticing. This analyzer resolves selector *objects* instead, so any
-// reference to the forbidden methods is caught however it is spelled:
-//
-//   - anywhere outside internal/engine and internal/service, referencing
-//     (*service.Limiter).Allow or .Refund is a violation: only the engine
-//     charges or refunds mutation budgets;
-//   - inside the codec packages, additionally referencing
-//     (*service.Registry).Limiter, (*service.Registry).Get or
-//     (*service.Filter).Store is a violation: a codec holding a limiter
-//     or a raw store handle is a second enforcement pipeline growing
-//     back, the exact almost-identical-paths gap the engine closed.
+// that by scanning codec sources for tokens such as ".Store()" — which an
+// innocent rename, an import alias, or a method value (f := reg.Get;
+// f(...)) would dodge without anyone noticing. This analyzer resolves
+// selector *objects* instead, so any reference to the forbidden methods is
+// caught however it is spelled: inside the codec packages, referencing
+// (*service.Registry).Get or (*service.Filter).Store is a violation — a
+// codec holding a raw store handle is a second enforcement pipeline
+// growing back, the exact almost-identical-paths gap the engine closed.
+// (Charging needs no rule: the limiter is unexported from the engine.)
 var Layering = &analysis.Analyzer{
 	Name: "layering",
-	Doc: "codecs and everything else must route limiter and store access " +
-		"through internal/engine (type-resolved; aliasing and method values cannot dodge it)",
+	Doc: "codecs must route store access through internal/engine " +
+		"(type-resolved; aliasing and method values cannot dodge it)",
 	Run: runLayering,
 }
 
 func runLayering(pass *analysis.Pass) error {
-	path := pass.Pkg.Path
-	if path == pkgEngine || path == pkgService {
-		return nil // the engine charges; the service owns the types
+	if path := pass.Pkg.Path; path != pkgHTTPAPI && path != pkgRESP {
+		return nil
 	}
-	isCodec := path == pkgHTTPAPI || path == pkgRESP
-
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -55,15 +47,11 @@ func runLayering(pass *analysis.Pass) error {
 				return true
 			}
 			switch {
-			case recvType == "Limiter" && (fn.Name() == "Allow" || fn.Name() == "Refund"):
-				pass.Reportf(sel.Sel.Pos(),
-					"reference to (*service.Limiter).%s outside internal/engine: only the engine charges or refunds rate-limit buckets",
-					fn.Name())
-			case isCodec && recvType == "Registry" && (fn.Name() == "Limiter" || fn.Name() == "Get"):
+			case recvType == "Registry" && fn.Name() == "Get":
 				pass.Reportf(sel.Sel.Pos(),
 					"codec package must not reach (*service.Registry).%s: decode frames into engine commands instead",
 					fn.Name())
-			case isCodec && recvType == "Filter" && fn.Name() == "Store":
+			case recvType == "Filter" && fn.Name() == "Store":
 				pass.Reportf(sel.Sel.Pos(),
 					"codec package must not hold a raw store handle via (*service.Filter).Store: every item operation goes through engine commands")
 			}

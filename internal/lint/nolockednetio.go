@@ -13,8 +13,11 @@ import (
 // reads, so any syscall performed while one is held stretches the
 // critical section from nanoseconds to milliseconds — and hands an
 // adversary with a slow disk or a stalled peer connection a convoying
-// primitive against every other principal on the shard. The analyzer
-// walks each function in internal/service tracking mutex depth
+// primitive against every other principal on the shard. The digest mesh
+// has the same exposure from the other side: its refresh, push and evict
+// paths hold watch and roster mutexes next to HTTP exchanges with peers.
+// The analyzer walks each function in internal/service and internal/mesh
+// tracking mutex depth
 // (including the lockAll/unlockAll helpers, which carry a net lock
 // delta) and reports any call made while a lock is held that reaches —
 // directly or transitively through module code — the network or file
@@ -29,8 +32,8 @@ import (
 // Any NEW I/O under a lock still fails the build.
 var NoLockedNetIO = &analysis.Analyzer{
 	Name: "nolockednetio",
-	Doc: "no network or file I/O may be reachable while a shard or registry mutex " +
-		"is held in internal/service (WAL flush is the annotated exception)",
+	Doc: "no network or file I/O may be reachable while a mutex is held in " +
+		"internal/service or internal/mesh (WAL flush is the annotated exception)",
 	Run: runNoLockedNetIO,
 }
 
@@ -181,7 +184,7 @@ func lockedIOFacts(prog *analysis.Program) *nlFacts {
 }
 
 func runNoLockedNetIO(pass *analysis.Pass) error {
-	if pass.Pkg.Path != pkgService {
+	if pass.Pkg.Path != pkgService && pass.Pkg.Path != pkgMesh {
 		return nil
 	}
 	facts := lockedIOFacts(pass.Program)

@@ -7,6 +7,6 @@ import "evilbloom/internal/service"
 
 func twice(r *service.Registry) {
 	//lint:allow layering fixture: the annotated violation must be suppressed
-	r.Limiter()
-	r.Limiter() // want "codec package must not reach"
+	r.Get("f")
+	r.Get("f") // want "codec package must not reach"
 }

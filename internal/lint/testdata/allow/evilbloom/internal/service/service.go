@@ -1,8 +1,8 @@
 // Package service is the minimal stub for the allow-scoping fixture.
 package service
 
-type Registry struct{ lim Limiter }
+type Registry struct{}
 
-func (r *Registry) Limiter() *Limiter { return &r.lim }
+func (r *Registry) Get(name string) *Filter { return &Filter{} }
 
-type Limiter struct{}
+type Filter struct{}

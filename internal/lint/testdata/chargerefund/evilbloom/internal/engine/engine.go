@@ -3,13 +3,15 @@
 // an unrefunded error return after a successful charge is the finding.
 package engine
 
-import (
-	"errors"
+import "errors"
 
-	"evilbloom/internal/service"
-)
+// limiter is the fixture twin of the engine's unexported limiter.
+type limiter struct{}
 
-type Engine struct{ lim *service.Limiter }
+func (l *limiter) allow(filter, principal string, n int) error { return nil }
+func (l *limiter) refund(filter, principal string, n int)      {}
+
+type Engine struct{ lim *limiter }
 
 type Result struct{}
 
@@ -18,7 +20,7 @@ var errStore = errors.New("store failed")
 func store() error { return errStore }
 
 func (e *Engine) charge(p string, n int) error {
-	return e.lim.Allow("f", p, n)
+	return e.lim.allow("f", p, n)
 }
 
 // AddGood: the error return inside the charge's own guard needs no refund.
@@ -35,7 +37,7 @@ func (e *Engine) PushGood(p string) (Result, error) {
 		return Result{}, err
 	}
 	if err := store(); err != nil {
-		e.lim.Refund("f", p, 1)
+		e.lim.refund("f", p, 1)
 		return Result{}, err
 	}
 	return Result{}, nil
@@ -46,7 +48,7 @@ func (e *Engine) DeferGood(p string) (Result, error) {
 	if err := e.charge(p, 1); err != nil {
 		return Result{}, err
 	}
-	defer e.lim.Refund("f", p, 1)
+	defer e.lim.refund("f", p, 1)
 	if err := store(); err != nil {
 		return Result{}, err
 	}
@@ -67,7 +69,7 @@ func (e *Engine) RemoveBad(p string) (Result, error) {
 // DirectBad: same leak through the separate-assign charge shape, calling
 // the limiter without the charge helper.
 func (e *Engine) DirectBad(p string) (Result, error) {
-	err := e.lim.Allow("f", p, 1)
+	err := e.lim.allow("f", p, 1)
 	if err != nil {
 		return Result{}, err
 	}

@@ -1,18 +1,10 @@
-// Package engine is the one place allowed to charge, refund, and reach
-// stores; nothing here may be reported.
+// Package engine is the one place allowed to reach stores; nothing here
+// may be reported.
 package engine
 
 import "evilbloom/internal/service"
 
 type Engine struct{ reg *service.Registry }
-
-func (e *Engine) charge(filter, principal string, n int) error {
-	return e.reg.Limiter().Allow(filter, principal, n)
-}
-
-func (e *Engine) refund(filter, principal string, n int) {
-	e.reg.Limiter().Refund(filter, principal, n)
-}
 
 func (e *Engine) store(name string) *service.Store {
 	return e.reg.Get(name).Store()

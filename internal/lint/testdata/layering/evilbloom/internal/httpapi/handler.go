@@ -7,14 +7,9 @@ import svc "evilbloom/internal/service"
 
 type server struct{ reg *svc.Registry }
 
-func (s *server) handle() error {
-	lim := s.reg.Limiter() // want "codec package must not reach"
-	allow := lim.Allow     // want "only the engine charges or refunds"
-	if err := allow("f", "p", 1); err != nil {
-		return err
-	}
-	lim.Refund("f", "p", 1) // want "only the engine charges or refunds"
-	f := s.reg.Get("f")     // want "codec package must not reach"
-	_ = f.Store()           // want "must not hold a raw store handle"
-	return nil
+func (s *server) handle() {
+	get := s.reg.Get // want "codec package must not reach"
+	f := get("f")
+	_ = f.Store()      // want "must not hold a raw store handle"
+	_ = s.reg.Get("g") // want "codec package must not reach"
 }

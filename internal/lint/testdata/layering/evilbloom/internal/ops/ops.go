@@ -1,10 +1,9 @@
-// Package ops is the passing fixture: a non-codec package may hold a
-// registry and even its limiter — it just may not charge or refund.
+// Package ops is the passing fixture: a non-codec package may reach a
+// registry's filters and stores.
 package ops
 
 import "evilbloom/internal/service"
 
-func poke(r *service.Registry) *service.Limiter {
-	_ = r.Get("f")
-	return r.Limiter()
+func poke(r *service.Registry) *service.Store {
+	return r.Get("f").Store()
 }

@@ -3,15 +3,9 @@
 // methods by type.
 package service
 
-type Registry struct{ lim Limiter }
+type Registry struct{}
 
-func (r *Registry) Limiter() *Limiter       { return &r.lim }
 func (r *Registry) Get(name string) *Filter { return &Filter{} }
-
-type Limiter struct{}
-
-func (l *Limiter) Allow(filter, principal string, n int) error { return nil }
-func (l *Limiter) Refund(filter, principal string, n int)      {}
 
 type Filter struct{}
 

@@ -1,4 +1,4 @@
-package service
+package mesh
 
 import (
 	"context"
@@ -36,16 +36,16 @@ func TestPeerFetchReusesConnectionOnFailure(t *testing.T) {
 	}
 	t.Cleanup(transport.CloseIdleConnections)
 
-	p := newPeers()
-	if err := p.configure(PeerConfig{
+	p := New()
+	if err := p.Configure(PeerConfig{
 		Peers:   []string{peer.URL},
 		Refresh: time.Hour, // the loop's first immediate fetch, then nothing
 		Client:  &http.Client{Transport: transport, Timeout: 5 * time.Second},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(p.Close)
-	p.watch("f")
+	t.Cleanup(func() { p.Unwatch("f") })
+	p.Watch("f")
 
 	// Wait out the loop's immediate first fetch so later RefreshNow calls
 	// are the only traffic.

@@ -2,9 +2,10 @@
 // tests. Each node is the full production stack — a service.Registry
 // wrapped by an engine.Engine behind an httpapi server on an httptest
 // listener — wired into a digest-exchange mesh exactly the way
-// cmd/evilbloom serve would wire it: peer credentials first (the node's
-// own entry leading its -peer-token list), then the roster topology, then
-// the filters whose refresh loops join the mesh.
+// cmd/evilbloom serve would wire it: one mesh configuration holding the
+// roster topology and the peer credentials (the node's own entry leading
+// its -peer-token list), then the filters whose refresh loops join the
+// mesh.
 //
 // The harness owns teardown: servers close, registries close, and the
 // cleanup asserts every peer-refresh goroutine the mesh started has
@@ -21,6 +22,7 @@ import (
 
 	"evilbloom/internal/engine"
 	"evilbloom/internal/httpapi"
+	"evilbloom/internal/mesh"
 	"evilbloom/internal/service"
 )
 
@@ -29,7 +31,7 @@ import (
 type Opts struct {
 	// Topology picks which roster members each node fetches (default
 	// pairs: everyone fetches everyone else).
-	Topology service.Topology
+	Topology mesh.Topology
 	// Auth, when set, installs mesh credentials on every node: node i's
 	// roster leads with its own "node<i>" entry, mirroring how each real
 	// server's -peer-token list leads with its own credential. Digests are
@@ -102,10 +104,10 @@ func PeerToken(i int) string {
 }
 
 // StartMesh boots an n-node mesh (n ≥ 2) and registers teardown on t.
-// Boot order mirrors cmd/evilbloom serve: stack and listener up, peer
-// credentials installed (when Auth), roster configured with the node's
-// own URL as Self, then the shared filter created on every node — which
-// starts the refresh loops that join the mesh.
+// Boot order mirrors cmd/evilbloom serve: stack and listener up, mesh
+// configured with the node's own URL as Self (and its credentials first,
+// when Auth), then the shared filter created on every node — which starts
+// the refresh loops that join the mesh.
 func StartMesh(t testing.TB, n int, opts Opts) *Mesh {
 	t.Helper()
 	if n < 2 {
@@ -144,26 +146,22 @@ func StartMesh(t testing.TB, n int, opts Opts) *Mesh {
 		waitRefreshLoops(t, baseline)
 	})
 
-	if opts.Auth {
-		for i, nd := range nodes {
-			entries := make([]string, 0, n)
+	for i, nd := range nodes {
+		var entries []string
+		if opts.Auth {
 			for j := 0; j < n; j++ {
 				entries = append(entries, PeerToken((i+j)%n))
 			}
 			nd.PeerName = PeerName(i)
 			nd.Token = entries[0]
-			if err := nd.Engine.ConfigurePeerAuth(entries); err != nil {
-				t.Fatalf("meshtest: node %d peer auth: %v", i, err)
-			}
 		}
-	}
-	for i, nd := range nodes {
-		err := nd.Registry.ConfigurePeers(service.PeerConfig{
+		err := nd.Engine.ConfigureMesh(mesh.PeerConfig{
 			Peers:       urls,
 			Topology:    opts.Topology,
 			Self:        urls[i],
 			RouteQuorum: opts.RouteQuorum,
 			Refresh:     refresh,
+			Tokens:      entries,
 		})
 		if err != nil {
 			t.Fatalf("meshtest: node %d peers: %v", i, err)
@@ -180,7 +178,7 @@ func StartMesh(t testing.TB, n int, opts Opts) *Mesh {
 // Refresh forces one node to fetch every configured sibling's digest for
 // the named filter now — the deterministic stand-in for the refresh
 // interval elapsing.
-func (nd *Node) Refresh(t testing.TB, filter string) []service.PeerStatus {
+func (nd *Node) Refresh(t testing.TB, filter string) []mesh.PeerStatus {
 	t.Helper()
 	ref, err := nd.Engine.Lookup(filter)
 	if err != nil {
@@ -195,7 +193,7 @@ func (nd *Node) Refresh(t testing.TB, filter string) []service.PeerStatus {
 
 // Status snapshots one node's peer accounting for the named filter
 // without driving an exchange.
-func (nd *Node) Status(t testing.TB, filter string) []service.PeerStatus {
+func (nd *Node) Status(t testing.TB, filter string) []mesh.PeerStatus {
 	t.Helper()
 	ref, err := nd.Engine.Lookup(filter)
 	if err != nil {

@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"testing"
 
+	"evilbloom/internal/mesh"
+	"evilbloom/internal/mesh/meshtest"
 	"evilbloom/internal/service"
-	"evilbloom/internal/service/meshtest"
 )
 
 // statusFor finds the fetched-peer row for the given base URL.
-func statusFor(t *testing.T, sts []service.PeerStatus, peer string) service.PeerStatus {
+func statusFor(t *testing.T, sts []mesh.PeerStatus, peer string) mesh.PeerStatus {
 	t.Helper()
 	for _, st := range sts {
 		if st.Peer == peer && st.Source == "fetched" {
@@ -17,11 +18,11 @@ func statusFor(t *testing.T, sts []service.PeerStatus, peer string) service.Peer
 		}
 	}
 	t.Fatalf("no fetched row for peer %s in %+v", peer, sts)
-	return service.PeerStatus{}
+	return mesh.PeerStatus{}
 }
 
 // fetchTargets lists the base URLs a node's refresh loop watches.
-func fetchTargets(sts []service.PeerStatus) []string {
+func fetchTargets(sts []mesh.PeerStatus) []string {
 	var out []string
 	for _, st := range sts {
 		if st.Source == "fetched" {
@@ -179,7 +180,7 @@ func TestMeshTopologyShapes(t *testing.T) {
 	}
 
 	t.Run("ring", func(t *testing.T) {
-		m := meshtest.StartMesh(t, 3, meshtest.Opts{Topology: service.TopologyRing})
+		m := meshtest.StartMesh(t, 3, meshtest.Opts{Topology: mesh.TopologyRing})
 		seed(m)
 		m.RefreshAll(t)
 		for i, nd := range m.Nodes {
@@ -196,7 +197,7 @@ func TestMeshTopologyShapes(t *testing.T) {
 	})
 
 	t.Run("hub", func(t *testing.T) {
-		m := meshtest.StartMesh(t, 3, meshtest.Opts{Topology: service.TopologyHub})
+		m := meshtest.StartMesh(t, 3, meshtest.Opts{Topology: mesh.TopologyHub})
 		seed(m)
 		m.RefreshAll(t)
 		if got := watches(m.Nodes[0]); len(got) != 2 {

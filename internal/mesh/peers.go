@@ -1,6 +1,7 @@
-package service
+package mesh
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"io"
@@ -13,36 +14,17 @@ import (
 	"time"
 
 	"evilbloom/internal/cachedigest"
+	"evilbloom/internal/service"
 )
 
-// Peer subsystem: the §7 cache-digest exchange between evilbloom nodes.
-//
-// Squid siblings periodically ship each other Bloom-filter summaries of
-// their caches and use them to decide where to route a miss. Here every
-// filter in a registry can take part: a node configured with peer URLs runs
-// one refresh loop per local filter, fetching each peer's same-named
-// filter's digest (GET /v2/filters/{name}/digest) on a jittered interval
-// with an ETag/generation short-circuit, and answers routing queries
-// (POST /v2/filters/{name}/route) from the digests it holds. Digests can
-// also be pushed (POST .../digest?peer=...) for meshes where only one side
-// can dial.
-//
-// The exchange crosses a trust boundary, and that is the point of serving
-// it: a peer's digest is taken at face value, so an adversary who pollutes
-// one node's filter (§4.1) poisons every sibling's routing — the §7 attack,
-// run live by attack.RemoteDigestPollution (pollution over either wire
-// plane, the victim's routing read over HTTP). The digests themselves are
-// integrity-checked (CRC, size-bounded before buffering) so a corrupt peer
-// can waste round trips but not crash the receiver.
-
-// Peer-exchange defaults; PeerConfig fields override them.
+// Mesh defaults and bounds; PeerConfig fields override the defaults.
 const (
 	// DefaultPeerRefresh is the digest refresh interval (Squid rebuilds
 	// hourly; a serving deployment wants staleness bounded in seconds).
 	DefaultPeerRefresh = 15 * time.Second
-	// DefaultPeerJitter is the refresh jitter fraction: each sleep is drawn
+	// refreshJitter is the refresh jitter fraction: each sleep is drawn
 	// from Refresh × [1−j, 1+j] so a mesh's fetches do not synchronize.
-	DefaultPeerJitter = 0.2
+	refreshJitter = 0.2
 	// staleFactor × Refresh with no successful update marks a digest stale.
 	staleFactor = 3
 	// MaxPushedPeers caps how many pushed digests one filter retains. Push
@@ -56,13 +38,21 @@ const (
 	MaxPushedDigestBits = uint64(1) << 30
 )
 
-// ErrNoPeers answers refresh requests on a registry with no configured peer
-// URLs — a no-op refresh would read as a healthy exchange that isn't there.
-var ErrNoPeers = errors.New("service: no peers configured (start the server with -peer)")
+// ErrNoPeers answers refresh requests on a node with no fetch targets — a
+// no-op refresh would read as a healthy exchange that isn't there.
+var ErrNoPeers = errors.New("mesh: no peers configured (start the server with -peer)")
 
 // ErrPushedDigestLimit answers digest pushes beyond MaxPushedPeers labels
 // or MaxPushedDigestBits of retained digest storage per filter.
-var ErrPushedDigestLimit = errors.New("service: pushed-digest budget exhausted; delete the filter or push smaller digests")
+var ErrPushedDigestLimit = errors.New("mesh: pushed-digest budget exhausted; delete the filter or push smaller digests")
+
+// Credential failures; Login's callers classify both as unauthorized.
+var (
+	errMalformedCredential = errors.New("malformed peer credentials; want name:secret")
+	// errBadCredential deliberately does not say whether the name or the
+	// secret was wrong.
+	errBadCredential = errors.New("invalid credentials: unknown principal or wrong secret")
+)
 
 // Mesh exchange headers. The fetch side advertises its identity and delta
 // capability; the serve side names who sealed the frame and what kind of
@@ -85,7 +75,9 @@ const (
 	HeaderDigestFrame = "X-Evilbloom-Digest-Frame"
 )
 
-// PeerConfig wires a registry into a digest-exchange mesh.
+// PeerConfig joins a node to a digest-exchange mesh. Every field is
+// optional: with no Peers the node fetches nothing, yet its quorum and
+// roster still govern pushed digests and route verdicts.
 type PeerConfig struct {
 	// Peers lists the mesh roster's base URLs (e.g. "http://10.0.0.2:8379").
 	// Under the default pairs topology with no Self this is PR 4's "every
@@ -101,83 +93,57 @@ type PeerConfig struct {
 	RouteQuorum int
 	// Refresh is the fetch interval (DefaultPeerRefresh when zero).
 	Refresh time.Duration
-	// Jitter is the refresh jitter fraction in [0,1) (DefaultPeerJitter
-	// when zero).
-	Jitter float64
-	// StaleAfter marks a peer digest stale when no successful update
-	// happened within it (staleFactor × Refresh when zero).
-	StaleAfter time.Duration
+	// Tokens is the credential roster, "name:secret" entries with this
+	// node's own first (the -peer-token list). With it, digests travel
+	// HMAC-sealed, fetches present this node's credential, and pushes must
+	// be sealed by a live roster member.
+	Tokens []string
 	// Client performs the fetches (a 5-second-timeout client when nil).
 	Client *http.Client
 }
 
 // Peers manages every filter's sibling digests: one refresh loop per local
-// filter (started when the filter is created, stopped when it is deleted),
-// plus push-imported digests. A zero-URL Peers runs no loops but still
-// accepts pushes, so the route endpoint works on every registry.
+// filter (started by Watch, stopped by Unwatch), plus push-imported
+// digests, plus the credential roster that authenticates both. A node with
+// no fetch targets runs no loops but still accepts pushes, so the route
+// endpoint works everywhere.
 type Peers struct {
 	mu         sync.Mutex
+	configured bool
 	urls       []string // resolved fetch targets, not the full roster
 	refresh    time.Duration
-	jitter     float64
-	staleAfter time.Duration
+	quorum     int // route verdict threshold, at least 1
 	client     *http.Client
 	watches    map[string]*peerWatch
-	closed     bool
 
-	// quorum is the route verdict threshold (atomic-free: written under mu
-	// at configure time or via SetRouteQuorum before traffic, read under mu).
-	quorum int
-
-	// authority, when set, supplies mesh credentials: the token to present
-	// on fetches, MAC verification for sealed frames, and the live
-	// revocation check. Guarded by authMu; nil means an unauthenticated
-	// mesh (the PR 4 exchange).
-	authMu    sync.RWMutex
-	authority PeerAuthority
+	// self and secrets are the credential roster: this node's own
+	// principal name and each principal's MAC secret. nil on an
+	// unauthenticated mesh (the PR 4 exchange); Revoke deletes entries.
+	self    string
+	secrets map[string]string
 }
 
-// SetAuthority installs the engine-side credential store. Called once at
-// startup, before the mesh serves traffic.
-func (p *Peers) SetAuthority(a PeerAuthority) {
-	p.authMu.Lock()
-	p.authority = a
-	p.authMu.Unlock()
-}
-
-func (p *Peers) getAuthority() PeerAuthority {
-	p.authMu.RLock()
-	defer p.authMu.RUnlock()
-	return p.authority
-}
-
-// SetRouteQuorum sets the route verdict threshold independently of
-// configure — a node with no fetch targets (push-only mesh membership)
-// still votes with a quorum.
-func (p *Peers) SetRouteQuorum(q int) error {
-	if q < 1 {
-		return fmt.Errorf("service: route quorum %d, want ≥ 1", q)
+// New returns an unconfigured mesh member: pushes work, no loops run.
+func New() *Peers {
+	return &Peers{
+		refresh: DefaultPeerRefresh,
+		quorum:  1,
+		client:  &http.Client{Timeout: 5 * time.Second},
+		watches: make(map[string]*peerWatch),
 	}
-	p.mu.Lock()
-	p.quorum = q
-	p.mu.Unlock()
-	return nil
 }
 
 // Quorum returns the route verdict threshold (at least 1).
 func (p *Peers) Quorum() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.quorum < 1 {
-		return 1
-	}
 	return p.quorum
 }
 
 // peerWatch is one local filter's view of the mesh.
 type peerWatch struct {
 	name string
-	stop chan struct{} // closed by unwatch; nil when no loop runs
+	stop chan struct{} // closed by Unwatch; nil when no loop runs
 	done chan struct{} // closed by the loop on exit
 
 	mu      sync.RWMutex
@@ -188,8 +154,8 @@ type peerWatch struct {
 	pushedBits uint64
 }
 
-// peerDigest is the per-peer state the ISSUE calls staleness and failure
-// accounting: the last good digest plus everything needed to judge it.
+// peerDigest is one peer's staleness and failure accounting: the last
+// good digest plus everything needed to judge it.
 type peerDigest struct {
 	peer   string // base URL (fetched) or label (pushed)
 	pushed bool
@@ -207,85 +173,185 @@ type peerDigest struct {
 	lastUpdate  time.Time // last 200, 304 or push
 }
 
-// newPeers builds an unconfigured subsystem (pushes work, no loops run).
-func newPeers() *Peers {
-	return &Peers{
-		refresh:    DefaultPeerRefresh,
-		jitter:     DefaultPeerJitter,
-		staleAfter: staleFactor * DefaultPeerRefresh,
-		client:     &http.Client{Timeout: 5 * time.Second},
-		watches:    make(map[string]*peerWatch),
-	}
-}
-
-// configure installs the mesh configuration and starts refresh loops for
-// every filter already watched. It is one-shot: reconfiguring a live mesh
-// would have to restart every loop for little operational value.
-func (p *Peers) configure(cfg PeerConfig) error {
+// Configure installs the mesh configuration and starts refresh loops for
+// every filter already watched. It is one-shot, before traffic:
+// reconfiguring a live mesh would have to restart every loop for little
+// operational value.
+func (p *Peers) Configure(cfg PeerConfig) error {
 	for _, raw := range cfg.Peers {
 		u, err := url.Parse(raw)
 		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			return fmt.Errorf("service: peer URL %q is not an absolute http(s) URL", raw)
+			return fmt.Errorf("mesh: peer URL %q is not an absolute http(s) URL", raw)
 		}
 	}
-	if cfg.Refresh < 0 || cfg.Jitter < 0 || cfg.Jitter >= 1 || cfg.StaleAfter < 0 {
-		return fmt.Errorf("service: invalid peer config (refresh=%v jitter=%v stale=%v)",
-			cfg.Refresh, cfg.Jitter, cfg.StaleAfter)
+	if cfg.Refresh < 0 {
+		return fmt.Errorf("mesh: refresh interval %v, want ≥ 0", cfg.Refresh)
 	}
 	if cfg.RouteQuorum < 0 {
-		return fmt.Errorf("service: route quorum %d, want ≥ 1", cfg.RouteQuorum)
+		return fmt.Errorf("mesh: route quorum %d, want ≥ 1", cfg.RouteQuorum)
 	}
-	topo := cfg.Topology
-	if topo == "" {
-		topo = TopologyPairs
+	var targets []string
+	if len(cfg.Peers) > 0 {
+		topo := cfg.Topology
+		if topo == "" {
+			topo = TopologyPairs
+		}
+		var err error
+		if targets, err = resolveTargets(cfg.Peers, topo, cfg.Self); err != nil {
+			return err
+		}
+		if len(targets) == 0 {
+			return fmt.Errorf("%w: the roster resolves to no fetch targets under %s topology", ErrNoPeers, topo)
+		}
 	}
-	if len(cfg.Peers) == 0 {
-		return ErrNoPeers
-	}
-	targets, err := resolveTargets(cfg.Peers, topo, cfg.Self)
+	self, secrets, err := parseRoster(cfg.Tokens)
 	if err != nil {
 		return err
 	}
-	if len(targets) == 0 {
-		return fmt.Errorf("%w: the roster resolves to no fetch targets under %s topology", ErrNoPeers, topo)
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return errors.New("service: peer subsystem closed")
+	if p.configured {
+		return errors.New("mesh: already configured")
 	}
-	if len(p.urls) > 0 {
-		return errors.New("service: peers already configured")
-	}
+	p.configured = true
+	p.urls = targets
 	if cfg.RouteQuorum > 0 {
 		p.quorum = cfg.RouteQuorum
 	}
-	p.urls = targets
 	if cfg.Refresh > 0 {
 		p.refresh = cfg.Refresh
-	}
-	if cfg.Jitter > 0 {
-		p.jitter = cfg.Jitter
-	}
-	p.staleAfter = cfg.StaleAfter
-	if p.staleAfter == 0 {
-		p.staleAfter = staleFactor * p.refresh
 	}
 	if cfg.Client != nil {
 		p.client = cfg.Client
 	}
+	p.self, p.secrets = self, secrets
 	for _, w := range p.watches {
 		p.startLocked(w)
 	}
 	return nil
 }
 
-// watch registers a local filter with the mesh, starting its refresh loop
-// when peer URLs are configured. Idempotent.
-func (p *Peers) watch(name string) {
+// parseRoster reads "name:secret" credential entries, this node's own
+// first. No entries is an unauthenticated mesh.
+func parseRoster(entries []string) (self string, secrets map[string]string, err error) {
+	if len(entries) == 0 {
+		return "", nil, nil
+	}
+	secrets = make(map[string]string, len(entries))
+	for _, entry := range entries {
+		name, secret, ok := strings.Cut(entry, ":")
+		if !ok || secret == "" {
+			return "", nil, fmt.Errorf("mesh: peer token %q: want name:secret with a non-empty secret", entry)
+		}
+		if _, dup := secrets[name]; dup {
+			return "", nil, fmt.Errorf("mesh: duplicate peer token name %q", name)
+		}
+		secrets[name] = secret
+	}
+	self, _, _ = strings.Cut(entries[0], ":")
+	return self, secrets, nil
+}
+
+// Sealed reports whether a credential roster is in force: digests then
+// travel sealed and pushes must be.
+func (p *Peers) Sealed() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed || p.watches[name] != nil {
+	return len(p.secrets) > 0
+}
+
+// credential returns the named principal's live secret.
+func (p *Peers) credential(name string) (string, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	secret, ok := p.secrets[name]
+	return secret, ok
+}
+
+// authorized reports whether the named peer's credential is live.
+func (p *Peers) authorized(name string) bool {
+	_, ok := p.credential(name)
+	return ok
+}
+
+// SelfCredential returns this node's own name and secret — false when no
+// roster is installed or the node's own credential was revoked.
+func (p *Peers) SelfCredential() (name, secret string, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.self == "" {
+		return "", "", false
+	}
+	secret, ok = p.secrets[p.self]
+	return p.self, secret, ok
+}
+
+// Login authenticates a combined "name:secret" mesh credential and returns
+// the peer's name. The comparison is constant-time, and the failure does
+// not reveal whether the name exists.
+func (p *Peers) Login(token string) (string, error) {
+	name, secret, ok := strings.Cut(token, ":")
+	if !ok {
+		return "", errMalformedCredential
+	}
+	want, known := p.credential(name)
+	if !known {
+		// Burn comparable time for unknown names so timing does not
+		// enumerate the roster.
+		subtle.ConstantTimeCompare([]byte(secret), []byte(secret))
+		return "", errBadCredential
+	}
+	if subtle.ConstantTimeCompare([]byte(secret), []byte(want)) != 1 {
+		return "", errBadCredential
+	}
+	return name, nil
+}
+
+// unseal verifies data's MAC trailer against the named peer's live
+// credential and returns the bare frame. An unknown or revoked sealer fails
+// exactly like a bad MAC: the frame is not authenticated by a live
+// credential.
+func (p *Peers) unseal(name string, data []byte) ([]byte, error) {
+	p.mu.Lock()
+	secret, ok := p.secrets[name]
+	rostered := p.secrets != nil
+	p.mu.Unlock()
+	switch {
+	case !rostered:
+		return nil, fmt.Errorf("%w: peer sealed its digest as %q, but this node holds no mesh credentials",
+			cachedigest.ErrEnvelopeUnauthenticated, name)
+	case !ok:
+		return nil, fmt.Errorf("%w: no live credential for peer %q", cachedigest.ErrEnvelopeUnauthenticated, name)
+	}
+	return cachedigest.Unseal(data, []byte(secret))
+}
+
+// Revoke removes one peer's credential and scrubs every digest it
+// authenticated, across all filters. It returns how many digests were
+// evicted and whether the name was on the roster at all. Revoking is
+// deliberately not one-shot: ejecting an evil sibling mid-campaign is the
+// whole point.
+func (p *Peers) Revoke(name string) (evicted int, found bool) {
+	p.mu.Lock()
+	_, found = p.secrets[name]
+	delete(p.secrets, name)
+	p.mu.Unlock()
+	if !found {
+		return 0, false
+	}
+	// Evict AFTER the credential is gone: record and Push re-check the
+	// credential inside the watch lock, so an in-flight digest either fails
+	// that check or is stored before evict scrubs it — no interleaving lets
+	// a revoked peer's digest survive.
+	return p.evict(name), true
+}
+
+// Watch registers a local filter with the mesh, starting its refresh loop
+// when fetch targets are configured. Idempotent.
+func (p *Peers) Watch(name string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.watches[name] != nil {
 		return
 	}
 	w := &peerWatch{name: name, pushed: make(map[string]*peerDigest)}
@@ -308,10 +374,10 @@ func (p *Peers) startLocked(w *peerWatch) {
 	go p.refreshLoop(w)
 }
 
-// unwatch stops a filter's refresh loop and waits for it to exit — the
-// Delete path's leak guarantee: when Delete returns, no goroutine still
-// works for the filter.
-func (p *Peers) unwatch(name string) {
+// Unwatch forgets a filter's digests, stops its refresh loop and waits for
+// it to exit — the delete path's leak guarantee: when Unwatch returns, no
+// goroutine still works for the filter.
+func (p *Peers) Unwatch(name string) {
 	p.mu.Lock()
 	w := p.watches[name]
 	delete(p.watches, name)
@@ -321,28 +387,6 @@ func (p *Peers) unwatch(name string) {
 	}
 	close(w.stop)
 	<-w.done
-}
-
-// Close stops every refresh loop and refuses further watches. Idempotent.
-func (p *Peers) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	watches := make([]*peerWatch, 0, len(p.watches))
-	for _, w := range p.watches {
-		watches = append(watches, w)
-	}
-	p.watches = make(map[string]*peerWatch)
-	p.mu.Unlock()
-	for _, w := range watches {
-		if w.stop != nil {
-			close(w.stop)
-			<-w.done
-		}
-	}
 }
 
 // refreshLoop fetches w's peers immediately (a fresh filter should learn
@@ -365,7 +409,7 @@ func (p *Peers) refreshLoop(w *peerWatch) {
 
 // jittered draws one refresh sleep from Refresh × [1−j, 1+j].
 func (p *Peers) jittered() time.Duration {
-	j := 1 + p.jitter*(2*rand.Float64()-1) //nolint:gosec // scheduling jitter, not crypto
+	j := 1 + refreshJitter*(2*rand.Float64()-1) //nolint:gosec // scheduling jitter, not crypto
 	return time.Duration(float64(p.refresh) * j)
 }
 
@@ -404,13 +448,9 @@ func (p *Peers) exchangeOne(w *peerWatch, st *peerDigest, allowDelta bool) error
 	if etag != "" {
 		req.Header.Set("If-None-Match", etag)
 	}
-	auth := p.getAuthority()
-	sealedMesh := false
-	if auth != nil {
-		if tok, ok := auth.SelfToken(); ok {
-			sealedMesh = true
-			req.Header.Set(HeaderPeerToken, tok)
-		}
+	self, secret, sealedMesh := p.SelfCredential()
+	if sealedMesh {
+		req.Header.Set(HeaderPeerToken, self+":"+secret)
 	}
 	if allowDelta {
 		req.Header.Set(HeaderDigestDelta, "1")
@@ -433,7 +473,7 @@ func (p *Peers) exchangeOne(w *peerWatch, st *peerDigest, allowDelta bool) error
 		w.mu.Unlock()
 		return nil
 	case http.StatusOK:
-		res := readDigestResponse(resp, held, sealedMesh, auth)
+		res := p.readDigestResponse(resp, held, sealedMesh)
 		if res.err != nil {
 			// A decode failure can leave unread payload behind; drain it
 			// (bounded) so the keep-alive connection survives the error.
@@ -466,14 +506,11 @@ type fetchResult struct {
 // unsealed answer is refused outright — a downgrade must read as a failure,
 // not quietly import unauthenticated bits. held is the digest a delta would
 // be applied to.
-func readDigestResponse(resp *http.Response, held *cachedigest.PeerDigest, sealedMesh bool, auth PeerAuthority) fetchResult {
+func (p *Peers) readDigestResponse(resp *http.Response, held *cachedigest.PeerDigest, sealedMesh bool) fetchResult {
 	sealer := resp.Header.Get(HeaderPeer)
 	sealed := sealer != ""
 	if sealedMesh && !sealed {
 		return fetchResult{err: errors.New("authenticated mesh, but the peer answered an unsealed digest")}
-	}
-	if sealed && auth == nil {
-		return fetchResult{err: fmt.Errorf("peer sealed its digest as %q, but this node holds no mesh credentials", sealer)}
 	}
 	frame, format, err := cachedigest.ReadFrame(resp.Body, sealed, nil, cachedigest.DeltaFrame, cachedigest.EnvelopeFrame)
 	if err != nil {
@@ -481,7 +518,7 @@ func readDigestResponse(resp *http.Response, held *cachedigest.PeerDigest, seale
 	}
 	n := uint64(len(frame))
 	if sealed {
-		if frame, err = auth.Unseal(sealer, frame); err != nil {
+		if frame, err = p.unseal(sealer, frame); err != nil {
 			return fetchResult{err: err}
 		}
 	}
@@ -522,17 +559,16 @@ func drainBody(rd io.Reader) {
 
 // record folds a completed (non-304) exchange into a peer's accounting and
 // returns the exchange's effective error. For sealed exchanges the
-// authority's Authorized check is re-run here, INSIDE w.mu, at the moment
-// the digest would land: Evict scrubs under the same lock after the
+// sealer's credential is re-checked here, INSIDE w.mu, at the moment the
+// digest would land: evict scrubs under the same lock after the
 // credential is removed, so a peer revoked mid-fetch either fails this
 // check or is scrubbed right after storing — its in-flight digest never
 // outlives the revocation.
 func (p *Peers) record(w *peerWatch, st *peerDigest, res fetchResult) error {
-	auth := p.getAuthority()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	st.bytesIn += res.bytes
-	if res.err == nil && res.sealedBy != "" && auth != nil && !auth.Authorized(res.sealedBy) {
+	if res.err == nil && res.sealedBy != "" && !p.authorized(res.sealedBy) {
 		res.err = fmt.Errorf("peer %q's mesh credential was revoked mid-exchange", res.sealedBy)
 	}
 	if res.err != nil {
@@ -564,7 +600,7 @@ func (p *Peers) RefreshNow(name string) ([]PeerStatus, error) {
 	urls := len(p.urls)
 	p.mu.Unlock()
 	if w == nil {
-		return nil, fmt.Errorf("%w: %q", ErrFilterNotFound, name)
+		return nil, fmt.Errorf("%w: %q", service.ErrFilterNotFound, name)
 	}
 	if urls == 0 {
 		return nil, ErrNoPeers
@@ -583,7 +619,7 @@ func (p *Peers) RefreshNow(name string) ([]PeerStatus, error) {
 //
 // sealer is the authenticated mesh principal behind the push ("" on an
 // unauthenticated mesh; the engine enforces that an authenticated mesh
-// never passes ""), retained for attribution and scrubbed by Evict. When
+// never passes ""), retained for attribution and scrubbed by Revoke. When
 // sealed is true the body carries a MAC trailer keyed by sealer's
 // credential and is verified before the envelope is opened.
 func (p *Peers) Push(name, label string, rd io.Reader, sealer string, sealed bool) (PeerStatus, error) {
@@ -591,14 +627,14 @@ func (p *Peers) Push(name, label string, rd io.Reader, sealer string, sealed boo
 	// they follow the filter-name rule (bounded length, no control or
 	// separator characters). The HTTP layer rejects bad labels with 400
 	// before reaching here; this guards direct callers.
-	if !ValidFilterName(label) {
-		return PeerStatus{}, fmt.Errorf("service: invalid peer label %q (want %s)", label, filterName)
+	if !service.ValidFilterName(label) {
+		return PeerStatus{}, fmt.Errorf("mesh: invalid peer label %q (want %s)", label, service.FilterNamePattern())
 	}
 	p.mu.Lock()
 	w := p.watches[name]
 	p.mu.Unlock()
 	if w == nil {
-		return PeerStatus{}, fmt.Errorf("%w: %q", ErrFilterNotFound, name)
+		return PeerStatus{}, fmt.Errorf("%w: %q", service.ErrFilterNotFound, name)
 	}
 	var bits uint64 // reserved; never 0 once the header is admitted
 	env, _, err := cachedigest.ReadFrame(rd, sealed, func(hdr []byte) (func(io.Reader) error, error) {
@@ -613,13 +649,8 @@ func (p *Peers) Push(name, label string, rd io.Reader, sealer string, sealed boo
 		bits = b
 		return nil, nil
 	}, cachedigest.EnvelopeFrame)
-	auth := p.getAuthority()
 	if err == nil && sealed {
-		if auth == nil {
-			err = fmt.Errorf("%w: sealed push, but this node holds no mesh credentials", cachedigest.ErrEnvelopeUnauthenticated)
-		} else {
-			env, err = auth.Unseal(sealer, env)
-		}
+		env, err = p.unseal(sealer, env)
 	}
 	var d *cachedigest.PeerDigest
 	if err == nil {
@@ -629,7 +660,7 @@ func (p *Peers) Push(name, label string, rd io.Reader, sealer string, sealed boo
 	defer w.mu.Unlock()
 	// Same revoked-mid-flight discipline as record: the principal must
 	// still be authorized at the moment the digest lands.
-	if err == nil && sealer != "" && auth != nil && !auth.Authorized(sealer) {
+	if err == nil && sealer != "" && !p.authorized(sealer) {
 		err = fmt.Errorf("peer %q's mesh credential was revoked mid-push", sealer)
 	}
 	if err != nil {
@@ -653,13 +684,13 @@ func (p *Peers) Push(name, label string, rd io.Reader, sealer string, sealed boo
 	return p.statusOf(st), nil
 }
 
-// Evict scrubs every digest attributed to the named peer principal across
+// evict scrubs every digest attributed to the named peer principal across
 // all filters — the teeth behind credential revocation. Fetched entries
 // lose their digest (the refresh loop keeps polling and keeps failing
 // while the peer's frames verify against a revoked credential); pushed
 // entries are dropped entirely and their budget charge released. Returns
 // how many digests were scrubbed.
-func (p *Peers) Evict(peer string) int {
+func (p *Peers) evict(peer string) int {
 	p.mu.Lock()
 	watches := make([]*peerWatch, 0, len(p.watches))
 	for _, w := range p.watches {
@@ -750,6 +781,10 @@ type PeerStatus struct {
 	BytesFetched uint64 `json:"bytes_fetched,omitempty"`
 }
 
+// stale reports whether a digest last updated age ago is past the
+// staleness bound.
+func (p *Peers) stale(age time.Duration) bool { return age > staleFactor*p.refresh }
+
 // statusOf snapshots one peer's accounting. The caller holds w.mu.
 func (p *Peers) statusOf(st *peerDigest) PeerStatus {
 	out := PeerStatus{
@@ -776,7 +811,7 @@ func (p *Peers) statusOf(st *peerDigest) PeerStatus {
 	if !st.lastUpdate.IsZero() {
 		age := time.Since(st.lastUpdate)
 		out.AgeSeconds = age.Seconds()
-		out.Stale = age > p.staleAfter
+		out.Stale = p.stale(age)
 	}
 	return out
 }
@@ -788,7 +823,7 @@ func (p *Peers) Status(name string) ([]PeerStatus, error) {
 	w := p.watches[name]
 	p.mu.Unlock()
 	if w == nil {
-		return nil, fmt.Errorf("%w: %q", ErrFilterNotFound, name)
+		return nil, fmt.Errorf("%w: %q", service.ErrFilterNotFound, name)
 	}
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -855,7 +890,7 @@ func (p *Peers) Claims(name string, item []byte) []PeerClaim {
 		if !st.lastUpdate.IsZero() {
 			age := time.Since(st.lastUpdate)
 			h.claim.AgeSeconds = age.Seconds()
-			h.claim.Stale = age > p.staleAfter
+			h.claim.Stale = p.stale(age)
 		}
 		snapshot[i] = h
 	}

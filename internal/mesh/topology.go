@@ -1,4 +1,4 @@
-package service
+package mesh
 
 import "fmt"
 
@@ -47,7 +47,7 @@ func ParseTopology(s string) (Topology, error) {
 	case TopologyHub:
 		return TopologyHub, nil
 	default:
-		return "", fmt.Errorf("service: unknown topology %q (want pairs, ring or hub)", s)
+		return "", fmt.Errorf("mesh: unknown topology %q (want pairs, ring or hub)", s)
 	}
 }
 
@@ -74,25 +74,25 @@ func resolveTargets(roster []string, topo Topology, self string) ([]string, erro
 		return out, nil
 	case TopologyRing:
 		if selfAt < 0 {
-			return nil, fmt.Errorf("service: ring topology needs -self to name this node's own roster entry")
+			return nil, fmt.Errorf("mesh: ring topology needs -self to name this node's own roster entry")
 		}
 		if len(roster) < 2 {
-			return nil, fmt.Errorf("service: ring topology needs at least 2 roster members, have %d", len(roster))
+			return nil, fmt.Errorf("mesh: ring topology needs at least 2 roster members, have %d", len(roster))
 		}
 		return []string{roster[(selfAt+1)%len(roster)]}, nil
 	case TopologyHub:
 		if self == "" {
-			return nil, fmt.Errorf("service: hub topology needs -self (the hub is the roster's first member)")
+			return nil, fmt.Errorf("mesh: hub topology needs -self (the hub is the roster's first member)")
 		}
 		if len(roster) < 2 {
-			return nil, fmt.Errorf("service: hub topology needs at least 2 roster members, have %d", len(roster))
+			return nil, fmt.Errorf("mesh: hub topology needs at least 2 roster members, have %d", len(roster))
 		}
 		if selfAt == 0 {
 			return append([]string(nil), roster[1:]...), nil
 		}
 		return []string{roster[0]}, nil
 	default:
-		return nil, fmt.Errorf("service: unknown topology %q", topo)
+		return nil, fmt.Errorf("mesh: unknown topology %q", topo)
 	}
 }
 
@@ -110,21 +110,4 @@ func QuorumVerdict(claims []PeerClaim, quorum int) (claiming int, peer bool) {
 		quorum = 1
 	}
 	return claiming, claiming >= quorum
-}
-
-// PeerAuthority is the engine-side credential store the peer subsystem
-// consults during exchanges. The indirection keeps the layering one-way
-// (engine imports service, never the reverse): the engine owns the mesh
-// credentials and registers itself here via Peers.SetAuthority.
-type PeerAuthority interface {
-	// SelfToken returns this node's own mesh credential ("name:secret") to
-	// present when fetching, and whether peer auth is configured at all.
-	SelfToken() (string, bool)
-	// Unseal verifies data's MAC trailer against the named peer's secret
-	// and returns the bare frame. Unknown or revoked names fail.
-	Unseal(name string, data []byte) ([]byte, error)
-	// Authorized reports whether the named peer's credential is currently
-	// valid — re-checked at digest store time, so a peer revoked mid-fetch
-	// never lands its in-flight digest.
-	Authorized(name string) bool
 }

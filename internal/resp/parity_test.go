@@ -50,16 +50,16 @@ type parityFixture struct {
 	addr string // RESP
 }
 
-func newParityFixture(t *testing.T, rate service.RateLimitConfig) *parityFixture {
+func newParityFixture(t *testing.T, rate engine.RateLimitConfig) *parityFixture {
 	t.Helper()
 	reg := service.NewRegistry()
 	t.Cleanup(func() { reg.Close() }) //nolint:errcheck // memory-only
+	eng := engine.New(reg)
 	if rate.MutationsPerSec > 0 {
-		if err := reg.ConfigureRateLimit(rate); err != nil {
+		if err := eng.ConfigureRateLimit(rate); err != nil {
 			t.Fatal(err)
 		}
 	}
-	eng := engine.New(reg)
 	ts := httptest.NewServer(httpapi.NewEngineServer(eng))
 	t.Cleanup(ts.Close)
 	return &parityFixture{eng: eng, ts: ts, addr: startEngineServer(t, eng)}
@@ -127,7 +127,7 @@ func (f *parityFixture) respClient(t *testing.T) *Client {
 // vocabulary — the refactor's core claim that no enforcement gap exists
 // between the planes for an adversary to pick at.
 func TestCrossPlaneParity(t *testing.T) {
-	f := newParityFixture(t, service.RateLimitConfig{MutationsPerSec: 0.001, Burst: 8})
+	f := newParityFixture(t, engine.RateLimitConfig{MutationsPerSec: 0.001, Burst: 8})
 	f.createFilter(t, "cnt", service.VariantCounting)
 	f.createFilter(t, "web", service.VariantBloom)
 	f.createFilter(t, "thr-http", service.VariantCounting)
@@ -241,7 +241,7 @@ func TestCrossPlaneParity(t *testing.T) {
 // escapes in place in its request buffer, so this pins that what reaches
 // the filter is the decoded bytes and nothing of the spelling.
 func TestCrossEncodingCrossPlane(t *testing.T) {
-	f := newParityFixture(t, service.RateLimitConfig{})
+	f := newParityFixture(t, engine.RateLimitConfig{})
 	f.createFilter(t, "web", service.VariantBloom)
 	cli := f.respClient(t)
 	post := func(op, body string) string {
@@ -283,7 +283,7 @@ func TestCrossEncodingCrossPlane(t *testing.T) {
 // An authenticated principal's budget follows the credential: one bucket
 // spent from both planes, distinct from the NAT host's anonymous bucket.
 func TestAuthBucketSharedAcrossPlanes(t *testing.T) {
-	f := newParityFixture(t, service.RateLimitConfig{MutationsPerSec: 0.001, Burst: 2})
+	f := newParityFixture(t, engine.RateLimitConfig{MutationsPerSec: 0.001, Burst: 2})
 	if err := f.eng.ConfigureAuth([]string{"alice:s3cret"}); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"evilbloom/internal/core"
+	"evilbloom/internal/engine"
 	"evilbloom/internal/httpapi"
 	"evilbloom/internal/service"
 )
@@ -417,12 +418,13 @@ func TestCrossPlaneRateLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	const burst = 5
-	if err := reg.ConfigureRateLimit(service.RateLimitConfig{MutationsPerSec: 0.1, Burst: burst}); err != nil {
+	eng := engine.New(reg)
+	if err := eng.ConfigureRateLimit(engine.RateLimitConfig{MutationsPerSec: 0.1, Burst: burst}); err != nil {
 		t.Fatal(err)
 	}
-	httpSrv := httptest.NewServer(httpapi.NewRegistryServer(reg))
+	httpSrv := httptest.NewServer(httpapi.NewEngineServer(eng))
 	defer httpSrv.Close()
-	respAddr := startServer(t, reg)
+	respAddr := startEngineServer(t, eng)
 	cli := dialTest(t, respAddr)
 
 	// Spend the whole burst over HTTP.
@@ -473,12 +475,13 @@ func TestCrossPlaneRateLimitRESPFirst(t *testing.T) {
 	if _, err := reg.Create(service.DefaultFilterName, service.Config{Shards: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.ConfigureRateLimit(service.RateLimitConfig{MutationsPerSec: 0.1, Burst: 4}); err != nil {
+	eng := engine.New(reg)
+	if err := eng.ConfigureRateLimit(engine.RateLimitConfig{MutationsPerSec: 0.1, Burst: 4}); err != nil {
 		t.Fatal(err)
 	}
-	httpSrv := httptest.NewServer(httpapi.NewRegistryServer(reg))
+	httpSrv := httptest.NewServer(httpapi.NewEngineServer(eng))
 	defer httpSrv.Close()
-	respAddr := startServer(t, reg)
+	respAddr := startEngineServer(t, eng)
 	cli := dialTest(t, respAddr)
 
 	// One 4-item BF.MADD spends the whole burst in a single charge.

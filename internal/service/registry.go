@@ -122,17 +122,9 @@ type Registry struct {
 	dataDir string
 	// sync is the durable registry's fsync policy.
 	sync SyncPolicy
-	// peers is the §7 digest-exchange subsystem. Always present so pushed
-	// digests and the route endpoint work on every registry; refresh loops
-	// run only once ConfigurePeers installs peer URLs. Each filter's
-	// refresh work starts when the filter is published and stops inside
-	// Delete (and Close), so no goroutine outlives its filter.
-	peers *Peers
-	// limiter is the per-client mutation rate-limit and accounting
-	// subsystem. Always present — accounting runs on every registry so
-	// pollution can be attributed; throttling engages only once
-	// ConfigureRateLimit installs a budget.
-	limiter *Limiter
+	// hook is told when a filter is published and when it is gone; see
+	// SetLifecycle. Guarded by mu.
+	hook func(name string, live bool)
 }
 
 // NewRegistry returns an empty registry.
@@ -140,26 +132,30 @@ func NewRegistry() *Registry {
 	return &Registry{
 		filters:  make(map[string]*Filter),
 		reserved: make(map[string]uint64),
-		peers:    newPeers(),
-		limiter:  newLimiter(),
 	}
 }
 
-// Peers returns the digest-exchange subsystem.
-func (r *Registry) Peers() *Peers { return r.peers }
-
-// ConfigurePeers joins the registry to a digest-exchange mesh: every
-// current and future filter periodically fetches each peer's same-named
-// filter's digest. One-shot; call before serving traffic.
-func (r *Registry) ConfigurePeers(cfg PeerConfig) error { return r.peers.configure(cfg) }
-
-// Limiter returns the mutation rate-limit and accounting subsystem.
-func (r *Registry) Limiter() *Limiter { return r.limiter }
-
-// ConfigureRateLimit installs per-client mutation budgets (and accounting
-// bounds) for every filter in the registry. One-shot; call before serving
-// traffic.
-func (r *Registry) ConfigureRateLimit(cfg RateLimitConfig) error { return r.limiter.configure(cfg) }
+// SetLifecycle installs the registry's one lifecycle hook and calls
+// hook(name, true) for every filter already published. From then on
+// hook(name, true) runs as each filter is published, while its name is
+// still reserved and before it becomes visible, and hook(name, false) runs
+// after Delete removes a filter, and for every filter when Close begins;
+// Delete and Close return only once the hook has. hook(name, true) runs
+// under the registry lock, so that installing the hook and publishing a
+// filter cannot interleave: it must not block or call back into the
+// registry. A second hook panics: state keyed by filter (the engine's
+// budgets and digest mesh) has exactly one owner.
+func (r *Registry) SetLifecycle(hook func(name string, live bool)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.hook != nil {
+		panic("service: registry already has a lifecycle hook")
+	}
+	r.hook = hook
+	for name := range r.filters {
+		hook(name, true)
+	}
+}
 
 // storageBits resolves a defaulted Config's total filter storage in bits
 // (shards × shard_bits × counter width), rejecting any geometry over
@@ -295,13 +291,15 @@ func (r *Registry) createReserved(name string, store *Sharded, bits uint64, snap
 	return r.publish(f), nil
 }
 
-// publish makes a reserved filter visible. It watches first: the name is
-// still reserved, so no Delete can race in between and orphan a
-// just-started refresh loop (or a just-provisioned accounting table).
+// publish makes a reserved filter visible. The hook runs first, under the
+// lock: the name is still reserved, so no Delete can race in between and
+// orphan a just-started refresh loop (or a just-provisioned accounting
+// table), and SetLifecycle sees each filter exactly once.
 func (r *Registry) publish(f *Filter) *Filter {
-	r.peers.watch(f.name)
-	r.limiter.watch(f.name)
 	r.mu.Lock()
+	if r.hook != nil {
+		r.hook(f.name, true)
+	}
 	delete(r.reserved, f.name)
 	r.filters[f.name] = f
 	r.mu.Unlock()
@@ -422,11 +420,12 @@ func (r *Registry) Get(name string) (*Filter, error) {
 }
 
 // Delete removes the filter registered under name, refunds its storage
-// budget, stops its peer-refresh loop (waiting for it to exit — no
-// goroutine works for a deleted filter once Delete returns) and deletes its
-// durable directory. In-flight operations on the filter finish against the
-// orphaned store (a closed journal drops their records — the state they
-// mutate is condemned); its memory is reclaimed when they drain.
+// budget, runs the lifecycle hook (which stops the filter's peer-refresh
+// loop and waits for it to exit — no goroutine works for a deleted filter
+// once Delete returns) and deletes its durable directory. In-flight
+// operations on the filter finish against the orphaned store (a closed
+// journal drops their records — the state they mutate is condemned); its
+// memory is reclaimed when they drain.
 func (r *Registry) Delete(name string) error {
 	r.mu.Lock()
 	f, ok := r.filters[name]
@@ -443,9 +442,11 @@ func (r *Registry) Delete(name string) error {
 		// until the teardown finishes).
 		r.reserved[name] = 0
 	}
+	hook := r.hook
 	r.mu.Unlock()
-	r.peers.unwatch(name)
-	r.limiter.drop(name)
+	if hook != nil {
+		hook(name, false)
+	}
 	if f.persist != nil {
 		f.persist.Close() //nolint:errcheck // directory is removed next
 		err := f.persist.remove()
@@ -526,18 +527,25 @@ func (r *Registry) loadPersisted(name string) error {
 	return nil
 }
 
-// Close stops every peer-refresh loop (waiting for each to exit), then
-// flushes and closes every filter's durable store — the graceful-shutdown
-// tail, after the HTTP server has drained. The registry stays readable but
+// Close runs the lifecycle hook for every filter and uninstalls it — so
+// every peer-refresh loop has exited before any journal closes — then
+// flushes and closes every filter's durable store: the graceful-shutdown
+// tail, after the wire planes have drained. The registry stays readable but
 // journals no further mutations. It returns the first error.
 func (r *Registry) Close() error {
-	r.peers.Close()
-	r.mu.RLock()
+	r.mu.Lock()
+	hook := r.hook
+	r.hook = nil
 	filters := make([]*Filter, 0, len(r.filters))
 	for _, f := range r.filters {
 		filters = append(filters, f)
 	}
-	r.mu.RUnlock()
+	r.mu.Unlock()
+	if hook != nil {
+		for _, f := range filters {
+			hook(f.name, false)
+		}
+	}
 	var first error
 	for _, f := range filters {
 		if f.persist == nil {

@@ -6,7 +6,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-harness='^evilbloom/internal/(service/meshtest|lint/analysistest)$'
+harness='^evilbloom/internal/(mesh/meshtest|lint/analysistest)$'
 unreached=$(comm -23 <(go list ./internal/... | sort) <(go list -deps ./cmd/... ./bench/... | sort) | grep -Ev "$harness" || true)
 testonly=$(go list -f '{{if not .GoFiles}}{{.ImportPath}}{{end}}' ./...)
 if [[ -n "$unreached$testonly" ]]; then
