@@ -630,9 +630,7 @@ func (p *Peers) Push(name, label string, rd io.Reader, sealer string, sealed boo
 	if !service.ValidFilterName(label) {
 		return PeerStatus{}, fmt.Errorf("mesh: invalid peer label %q (want %s)", label, service.FilterNamePattern())
 	}
-	p.mu.Lock()
-	w := p.watches[name]
-	p.mu.Unlock()
+	w := p.lookup(name)
 	if w == nil {
 		return PeerStatus{}, fmt.Errorf("%w: %q", service.ErrFilterNotFound, name)
 	}
@@ -819,27 +817,41 @@ func (p *Peers) statusOf(st *peerDigest) PeerStatus {
 // Status snapshots every peer of one filter: configured peers in their
 // configured order, then pushed peers sorted by label.
 func (p *Peers) Status(name string) ([]PeerStatus, error) {
-	p.mu.Lock()
-	w := p.watches[name]
-	p.mu.Unlock()
+	w := p.lookup(name)
 	if w == nil {
 		return nil, fmt.Errorf("%w: %q", service.ErrFilterNotFound, name)
 	}
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	out := make([]PeerStatus, 0, len(w.fetched)+len(w.pushed))
-	for _, st := range w.fetched {
-		out = append(out, p.statusOf(st))
+	states := w.orderedLocked()
+	out := make([]PeerStatus, len(states))
+	for i, st := range states {
+		out[i] = p.statusOf(st)
 	}
+	return out, nil
+}
+
+// lookup returns the named filter's watch, nil when it is not watched.
+func (p *Peers) lookup(name string) *peerWatch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.watches[name]
+}
+
+// orderedLocked lists w's peers in status order: fetched peers in
+// configured order, then pushed peers by label. The caller holds w.mu.
+func (w *peerWatch) orderedLocked() []*peerDigest {
+	out := make([]*peerDigest, 0, len(w.fetched)+len(w.pushed))
+	out = append(out, w.fetched...)
 	labels := make([]string, 0, len(w.pushed))
 	for l := range w.pushed {
 		labels = append(labels, l)
 	}
 	sort.Strings(labels)
 	for _, l := range labels {
-		out = append(out, p.statusOf(w.pushed[l]))
+		out = append(out, w.pushed[l])
 	}
-	return out, nil
+	return out
 }
 
 // PeerClaim is one peer's answer inside a routing verdict.
@@ -860,23 +872,12 @@ type PeerClaim struct {
 // Claims answers one item against every held digest of one filter, in
 // status order. Peers holding no digest claim nothing.
 func (p *Peers) Claims(name string, item []byte) []PeerClaim {
-	p.mu.Lock()
-	w := p.watches[name]
-	p.mu.Unlock()
+	w := p.lookup(name)
 	if w == nil {
 		return nil
 	}
 	w.mu.RLock()
-	states := make([]*peerDigest, 0, len(w.fetched)+len(w.pushed))
-	states = append(states, w.fetched...)
-	labels := make([]string, 0, len(w.pushed))
-	for l := range w.pushed {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		states = append(states, w.pushed[l])
-	}
+	states := w.orderedLocked()
 	type held struct {
 		claim  PeerClaim
 		digest *cachedigest.PeerDigest
