@@ -3,7 +3,7 @@
 // sharded striped-lock store (Sharded) over a pluggable per-shard backend
 // (Backend), durable across restarts when given a data directory
 // (Persister), and able to summarize itself as a cache digest for package
-// mesh to exchange. It knows nothing of wire formats, peers or budgets: the
+// mesh to exchange. It knows nothing of HTTP, RESP, peers or budgets: the
 // command engine (internal/engine) validates, charges and dispatches, and
 // learns of each filter's arrival and departure through the registry's one
 // lifecycle hook.
