@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"evilbloom/internal/attack"
+	"evilbloom/internal/core"
 	"evilbloom/internal/hashes"
 	"evilbloom/internal/service"
+	"evilbloom/internal/urlgen"
 )
 
 // serverStats reads the server's own per-shard ground truth.
@@ -192,5 +194,54 @@ func TestForgedItemsScatterOnHardenedStore(t *testing.T) {
 	}
 	if moved < n*3/4 { // 7/8 expected
 		t.Errorf("only %d of %d items changed shard under another key", moved, n)
+	}
+}
+
+// The §4.2 query-only adversary, in process, against the hardened store a
+// filter gets today: she knows every inserted item but not the key, so she
+// shadows the store under the public dablooms family and forges items her
+// shadow calls false positives. Against the naive store of that family every
+// forged item hits; against the keyed one they are random queries, hitting
+// at the store's own false-positive rate (≈ 0.024 here), not at 1.
+func TestQueryOnlyAgainstHardenedStore(t *testing.T) {
+	const n, forged = 400, 200
+	guess, err := hashes.NewDoubleHashing(4, 3200, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := core.NewBloom(guess)
+	stores := map[service.Mode]*service.Sharded{}
+	for _, mode := range []service.Mode{service.ModeNaive, service.ModeHardened} {
+		if stores[mode], err = service.NewSharded(fig3Geometry(mode, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen := urlgen.New(10)
+	for i := 0; i < n; i++ {
+		it := gen.Next()
+		shadow.Add(it)
+		for _, s := range stores {
+			s.Add(it)
+		}
+	}
+	fps, err := attack.NewQueryOnly(attack.NewBloomView(shadow), urlgen.New(11)).FalsePositives(forged, 1<<22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := map[service.Mode]int{}
+	for _, fp := range fps {
+		for mode, s := range stores {
+			if s.Test(fp) {
+				hits[mode]++
+			}
+		}
+	}
+	rate := core.FPR(3200, n, 4)
+	t.Logf("%d forged false positives: naive store hits %d, hardened %d (its own FPR ≈ %.3f)", forged, hits[service.ModeNaive], hits[service.ModeHardened], rate)
+	if hits[service.ModeNaive] != forged {
+		t.Errorf("the naive store answered %d of %d forged items present, want all", hits[service.ModeNaive], forged)
+	}
+	if h := hits[service.ModeHardened]; float64(h) > 4*rate*forged {
+		t.Errorf("the hardened store answered %d of %d forged items present; random queries hit ≈ %.1f", h, forged, rate*forged)
 	}
 }

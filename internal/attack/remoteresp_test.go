@@ -164,7 +164,9 @@ func TestPollutionNeedsPublishedSeed(t *testing.T) {
 
 // countingGeometry is the paper's Fig 3 geometry (m=3200, k=4) as one
 // counting shard — the single-filter setting of §4.3. Only the naive target
-// takes a seed; a hardened filter's keys are server-side.
+// takes a seed; a hardened filter's keys are server-side. Both of them are
+// pinned: hardened placement folds the route key into its one PRF key, so a
+// drawn route key would make every run a different filter.
 func countingGeometry(mode service.Mode) service.Config {
 	cfg := service.Config{
 		Variant:   service.VariantCounting,
@@ -177,6 +179,7 @@ func countingGeometry(mode service.Mode) service.Config {
 		cfg.Seed = 7
 	} else {
 		cfg.Key = []byte("0123456789abcdef")
+		cfg.RouteKey = []byte("fedcba9876543210")
 	}
 	return cfg
 }
@@ -201,7 +204,9 @@ func countPresent(t *testing.T, target attack.Target, items [][]byte) int {
 // counting server the adversary evicts an honest victim through BF.MADD
 // covers and CF.DEL removals; the hardened server under the identical
 // campaign refuses every crafted removal — 100% — and keeps the victim
-// present.
+// present. A crafted removal that happened to hit k occupied counters of the
+// keyed filter would be accepted, so "100%" is a property of the keys; with
+// both keys pinned (countingGeometry) the outcome is fixed, not likely.
 func TestDeletionCampaignNaiveVsHardened(t *testing.T) {
 	victim := []byte("http://honest.example.com/blocked-page")
 

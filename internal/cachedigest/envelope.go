@@ -24,8 +24,9 @@ import (
 //
 //	offset  size  field
 //	0       8     magic "EVBDIGE1"
-//	8       2     version: the exporter's placement layout, 1 or 2
-//	              (hashes.Layout); same framing under both
+//	8       2     version: the exporter's placement layout, 1, 2 or 3
+//	              (hashes.Layout; 3 is keyed only, so no digest a peer can
+//	              open says 3); same framing under each
 //	10      1     index family (1 murmur3 double hashing, 2 MD5-split)
 //	11      1     source variant (0 bloom, 1 counting, 2 blocked)
 //	12      4     reserved (zero)

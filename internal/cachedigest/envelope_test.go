@@ -261,3 +261,16 @@ func TestDecodeEnvelopeInfoSizeChecks(t *testing.T) {
 		t.Errorf("oversized shard count accepted: %v", err)
 	}
 }
+
+// Layout 3 has no unkeyed rule, so a murmur-double digest that says 3
+// describes no placement a peer could evaluate: it is refused as corrupt.
+func TestEnvelopeLayoutV3IsCorrupt(t *testing.T) {
+	info := EnvelopeInfo{Layout: hashes.LayoutV3, Family: FamilyMurmurDouble, Seed: 9, Shards: 1, ShardBits: 256, K: 3}
+	env, err := EncodeEnvelope(info, []*bitset.BitSet{bitset.New(256)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenEnvelope(env); !errors.Is(err, ErrEnvelopeCorrupt) {
+		t.Errorf("opening a murmur-double digest of layout 3: %v, want ErrEnvelopeCorrupt", err)
+	}
+}

@@ -33,7 +33,8 @@
 // sharded store and for a peer evaluating an exported digest alike. Layout 1
 // is a routing SipHash plus DoubleHashing or per-shard Recycling; layout 2
 // draws route and indexes from one hash — one Murmur-128 call, or SipHash-2-4
-// with 128-bit output read as a §8.2 bit stream under one key: "as few
-// base-hash calls per item as the bits allow", shard number included. A layout
-// is a storage format; placement_oracle_test.go freezes layout 1.
+// with 128-bit output read as a §8.2 bit stream under one key; layout 3,
+// keyed only, draws them from one SipHash-2-4-128 digest by double hashing,
+// whatever k and m. A layout is a storage format; placement_oracle_test.go
+// freezes layout 1.
 package hashes

@@ -7,8 +7,7 @@ import (
 )
 
 // SipHash-2-4 and MurmurHash3 x64-128 as they stood before their tails were
-// read with word loads and keyed placement digests were computed in pairs:
-// one SipHash state, a byte loop for SipHash's last block and a 16-way
+// read with word loads: a byte loop for SipHash's last block and a 16-way
 // switch for Murmur's tail. Every placement layout, digest family and
 // attack reads these functions' bits, so the kernels must keep them exactly.
 // This is reference code: do not tidy it. FuzzKernelsMatchOracle (a CI step)
@@ -158,8 +157,7 @@ func oracleMurmur128(data []byte, seed uint64) (uint64, uint64) {
 }
 
 // checkKernels compares every kernel with the oracle on msg: SipHash24,
-// sipHash128 and the paired pass (digests 0 and 1 under key), each in both
-// output lengths, and Murmur128.
+// sipHash128 in both output lengths, and Murmur128.
 func checkKernels(t *testing.T, key SipKey, seed uint64, msg []byte) {
 	t.Helper()
 	if got, want := SipHash24(key, msg), oracleSipHash24(key, msg); got != want {
@@ -171,13 +169,6 @@ func checkKernels(t *testing.T, key SipKey, seed uint64, msg []byte) {
 	}
 	if g0, g1 := sipHash128(key, msg, false); g0 != w0 || g1 != 0 {
 		t.Fatalf("len %d: first word alone = %#x %#x, want %#x 0", len(msg), g0, g1, w0)
-	}
-	y0, y1 := oracleSipHash128(SipKey{key.K0, key.K1 ^ 1}, msg)
-	if a0, a1, b0, b1 := sipHash128Pair(key, msg, true); a0 != w0 || a1 != w1 || b0 != y0 || b1 != y1 {
-		t.Fatalf("len %d: pair = %#x %#x %#x %#x, one-lane oracle %#x %#x %#x %#x", len(msg), a0, a1, b0, b1, w0, w1, y0, y1)
-	}
-	if a0, a1, b0, b1 := sipHash128Pair(key, msg, false); a0 != w0 || a1 != w1 || b0 != y0 || b1 != 0 {
-		t.Fatalf("len %d: pair, second digest's first word only = %#x %#x %#x %#x, want %#x %#x %#x 0", len(msg), a0, a1, b0, b1, w0, w1, y0)
 	}
 	h1, h2 := Murmur128(msg, seed)
 	if o1, o2 := oracleMurmur128(msg, seed); h1 != o1 || h2 != o2 {

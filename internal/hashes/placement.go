@@ -27,11 +27,21 @@ const (
 	// salted with j, read as one bit stream — log₂(shards) bits route, then
 	// k groups of ⌈log₂ m⌉ bits index; no bit is used twice.
 	LayoutV2 Layout = 2
+	// LayoutV3 is keyed only: one SipHash-2-4-128 digest (h1, h2) per item
+	// under one store-wide key. The shard is the top log₂(shards) bits of h1,
+	// the indexes g_i = (h1 mod m + i·step) mod m with
+	// step = 1 + (h2 mod (m − 1)), never 0 (m = 1: every index is 0).
+	LayoutV3 Layout = 3
 )
 
 // Known reports whether this build can place under l — what a decoder asks of
 // a version field before trusting the bits behind it.
-func (l Layout) Known() bool { return l == LayoutV1 || l == LayoutV2 }
+func (l Layout) Known() bool { return l >= LayoutV1 && l <= LayoutV3 }
+
+// Places reports whether l has a rule for keyed (hardened) or unkeyed
+// placement: every known layout has a keyed one, and all but v3 an unkeyed
+// one.
+func (l Layout) Places(keyed bool) bool { return l.Known() && (keyed || l != LayoutV3) }
 
 // PlacementSpec is everything a placement rule is a function of.
 type PlacementSpec struct {
@@ -47,15 +57,15 @@ type PlacementSpec struct {
 	// Key is the 16-byte index secret of the keyed rules.
 	Key []byte
 	// RouteKey is the 16-byte routing secret: v1's routing hash is keyed
-	// with it, keyed v2 folds it into its one key, unkeyed v2 ignores it.
+	// with it, keyed v2 and v3 fold it into their one key, unkeyed v2
+	// ignores it.
 	RouteKey []byte
 }
 
 // PlacementDigest is what Route learned about an item beyond its shard, for
-// Indexes to finish from: under v2 the item's first digest (w0, w1) and, when
-// keyed indexes read past it, the second (x0, x1), computed in the same pass;
+// Indexes to finish from: under v2 and v3 the item's first digest (w0, w1),
 // under v1 nothing.
-type PlacementDigest struct{ w0, w1, x0, x1 uint64 }
+type PlacementDigest struct{ w0, w1 uint64 }
 
 // A Placement turns items into (shard, k indexes) under one spec. It is
 // immutable, safe for concurrent use, and the only implementation of the rule:
@@ -64,19 +74,19 @@ type Placement struct {
 	spec      PlacementSpec
 	routeBits uint   // log₂(shards)
 	recip     uint64 // ⌊(2⁶⁴−1)/m⌋, for mod
-	route     SipKey // v1
+	// stepM is v3's step modulus max(m − 1, 1) and stepRecip its reciprocal.
+	stepM, stepRecip uint64
+	route            SipKey // v1
 	// keys holds the keyed rules' SipHash keys: one per shard under v1, a
-	// single one under v2.
+	// single one under v2 and v3.
 	keys    []SipKey
 	bitsPer uint
 	// restN is how many whole indexes one digest of a keyed item yields (v1:
 	// 64 bits each; v2: 128) and firstN the same for a v2 item's first
 	// digest, which is short of its routing bits; firstBoth reports whether
-	// that first digest is read past its first 64 bits. paired reports
-	// whether the indexes read on into the second digest, which Route then
-	// computes with the first, and secondBoth whether past its first word.
-	firstN, restN                 int
-	firstBoth, paired, secondBoth bool
+	// a keyed item's first digest is read past its first 64 bits.
+	firstN, restN int
+	firstBoth     bool
 }
 
 // NewPlacement validates spec and precomputes its keys.
@@ -96,6 +106,12 @@ func NewPlacement(spec PlacementSpec) (*Placement, error) {
 	if spec.Keyed && len(spec.Key) != 16 {
 		return nil, fmt.Errorf("hashes: keyed placement needs a 16-byte key, got %d", len(spec.Key))
 	}
+	if !spec.Layout.Known() {
+		return nil, fmt.Errorf("hashes: unknown placement layout %d", spec.Layout)
+	}
+	if !spec.Layout.Places(spec.Keyed) {
+		return nil, fmt.Errorf("hashes: layout v%d is keyed only", spec.Layout)
+	}
 	switch spec.Layout {
 	case LayoutV1:
 		if spec.Shards > 1 && len(spec.RouteKey) != 16 {
@@ -112,20 +128,23 @@ func NewPlacement(spec PlacementSpec) (*Placement, error) {
 				p.keys[i] = sipKey(h.Sum(nil))
 			}
 		}
-	case LayoutV2:
-		if spec.Keyed {
-			h := sha256.New()
-			h.Write([]byte("evilbloom placement v2")) //nolint:errcheck // hash writes never fail
-			h.Write(spec.Key)                         //nolint:errcheck
-			h.Write(spec.RouteKey)                    //nolint:errcheck
-			p.keys = []SipKey{sipKey(h.Sum(nil))}
-			p.firstN, p.restN = int((128-p.routeBits)/p.bitsPer), int(128/p.bitsPer)
-			p.firstBoth = p.routeBits+uint(min(spec.K, p.firstN))*p.bitsPer > 64
-			p.paired = spec.K > p.firstN
-			p.secondBoth = p.paired && uint(min(spec.K-p.firstN, p.restN))*p.bitsPer > 64
+	default: // v2, v3
+		if !spec.Keyed {
+			break
 		}
-	default:
-		return nil, fmt.Errorf("hashes: unknown placement layout %d", spec.Layout)
+		h := sha256.New()
+		fmt.Fprintf(h, "evilbloom placement v%d", spec.Layout) //nolint:errcheck // hash writes never fail
+		h.Write(spec.Key)                                      //nolint:errcheck
+		h.Write(spec.RouteKey)                                 //nolint:errcheck
+		p.keys = []SipKey{sipKey(h.Sum(nil))}
+		if spec.Layout == LayoutV3 {
+			p.firstBoth = true
+			p.stepM = max(spec.M-1, 1)
+			p.stepRecip = math.MaxUint64 / p.stepM
+			break
+		}
+		p.firstN, p.restN = int((128-p.routeBits)/p.bitsPer), int(128/p.bitsPer)
+		p.firstBoth = p.routeBits+uint(min(spec.K, p.firstN))*p.bitsPer > 64
 	}
 	return p, nil
 }
@@ -146,15 +165,12 @@ func (p *Placement) Route(item []byte) (int, PlacementDigest) {
 			return 0, PlacementDigest{}
 		}
 		return int(SipHash24(p.route, item) & uint64(p.spec.Shards-1)), PlacementDigest{}
-	case p.paired:
-		w0, w1, x0, x1 := sipHash128Pair(p.keys[0], item, p.secondBoth)
-		return int(w0 >> (64 - p.routeBits)), PlacementDigest{w0, w1, x0, x1}
 	case p.spec.Keyed:
 		w0, w1 := sipHash128(p.keys[0], item, p.firstBoth)
-		return int(w0 >> (64 - p.routeBits)), PlacementDigest{w0: w0, w1: w1}
+		return int(w0 >> (64 - p.routeBits)), PlacementDigest{w0, w1}
 	default:
 		h1, h2 := Murmur128(item, p.spec.Seed)
-		return int(h1 >> (64 - p.routeBits)), PlacementDigest{w0: h1, w1: h2}
+		return int(h1 >> (64 - p.routeBits)), PlacementDigest{h1, h2}
 	}
 }
 
@@ -189,22 +205,29 @@ func (p *Placement) Indexes(dst []uint64, item []byte, shard int, d PlacementDig
 			dst = p.cut(dst, SipHash24(SipKey{key.K0, key.K1 ^ salt}, item), 0, 0, n)
 		}
 		return dst
+	case p.spec.Layout == LayoutV3:
+		// The keyed progression, accumulated in reduced space: g + step is
+		// taken as g − (m − step) once it would reach m, so no sum wraps
+		// even above m = 2⁶³.
+		g, step := p.mod(d.w0), 1+modRecip(d.w1, p.stepM, p.stepRecip)
+		back := p.spec.M - step
+		for i := 0; i < p.spec.K; i++ {
+			dst = append(dst, g)
+			next := g + step
+			if g >= back {
+				next = g - back
+			}
+			g = next
+		}
+		return dst
 	default:
 		// The v2 bit stream: digest 0 minus its routing bits, then digests
-		// 1, 2, … in full, each giving whole indexes only. Route computed
-		// digests 0 and 1; the rest come one to a call. A digest read no
+		// 1, 2, … in full, each giving whole indexes only. A digest read no
 		// further than its first word is computed no further.
 		n := min(p.spec.K, p.firstN)
 		dst = p.cut(dst, d.w0, d.w1, p.routeBits, n)
-		left := p.spec.K - n
-		if left == 0 {
-			return dst
-		}
-		n = min(left, p.restN)
-		dst = p.cut(dst, d.x0, d.x1, 0, n)
-		left -= n
 		key := p.keys[0]
-		for salt := uint64(2); left > 0; salt++ {
+		for left, salt := p.spec.K-n, uint64(1); left > 0; salt++ {
 			n = min(left, p.restN)
 			left -= n
 			w0, w1 := sipHash128(SipKey{key.K0, key.K1 ^ salt}, item, uint(n)*p.bitsPer > 64)
@@ -220,15 +243,18 @@ func (p *Placement) Place(dst []uint64, item []byte) (int, []uint64) {
 	return shard, p.Indexes(dst, item, shard, d)
 }
 
-// mod returns h mod m without dividing: the quotient estimate from the
-// precomputed reciprocal is exact or one short (recip ≥ 2⁶⁴/m − 1 and
-// h < 2⁶⁴), so the remainder estimate lies in [0, 2m) and one
-// compare-and-subtract finishes it.
-func (p *Placement) mod(h uint64) uint64 {
-	q, _ := bits.Mul64(h, p.recip)
-	r := h - q*p.spec.M
-	if r >= p.spec.M {
-		r -= p.spec.M
+// mod returns h mod m.
+func (p *Placement) mod(h uint64) uint64 { return modRecip(h, p.spec.M, p.recip) }
+
+// modRecip returns h mod d without dividing, given recip = ⌊(2⁶⁴−1)/d⌋: the
+// quotient estimate is exact or one short (recip ≥ 2⁶⁴/d − 1 and h < 2⁶⁴),
+// so the remainder estimate lies in [0, 2d) and one compare-and-subtract
+// finishes it.
+func modRecip(h, d, recip uint64) uint64 {
+	q, _ := bits.Mul64(h, recip)
+	r := h - q*d
+	if r >= d {
+		r -= d
 	}
 	return r
 }

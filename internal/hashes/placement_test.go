@@ -1,10 +1,12 @@
 package hashes
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/big"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -76,7 +78,8 @@ func TestNewPlacementValidates(t *testing.T) {
 	}
 	for name, mutate := range map[string]func(*PlacementSpec){
 		"layout 0":     func(s *PlacementSpec) { s.Layout = 0 },
-		"layout 3":     func(s *PlacementSpec) { s.Layout = 3 },
+		"layout 4":     func(s *PlacementSpec) { s.Layout = 4 },
+		"unkeyed v3":   func(s *PlacementSpec) { s.Layout, s.Keyed = LayoutV3, false },
 		"3 shards":     func(s *PlacementSpec) { s.Shards = 3 },
 		"0 shards":     func(s *PlacementSpec) { s.Shards = 0 },
 		"k 0":          func(s *PlacementSpec) { s.K = 0 },
@@ -162,6 +165,55 @@ func TestPlacementV2HardenedMatchesItsDefinition(t *testing.T) {
 	}
 }
 
+// specV3Hardened reads the keyed v3 rule the slow way, from its written
+// definition, with the byte-loop SipHash oracle and math/big: the key is
+// SHA-256("evilbloom placement v3" ‖ key ‖ route)[:16] read as (K0, K1);
+// (h1, h2) is SipHash-2-4-128 of item under it; the shard is h1's top
+// log₂(shards) bits; index i is (h1 mod m + i·(1 + h2 mod (m − 1))) mod m,
+// and every index is 0 when m = 1.
+func specV3Hardened(key, route []byte, shards, k int, m uint64, item []byte) (int, []uint64) {
+	sum := sha256.Sum256(append(append([]byte("evilbloom placement v3"), key...), route...))
+	h1, h2 := oracleSipHash128(SipKeyFromBytes([16]byte(sum[:16])), item)
+	shard := 0
+	if shards > 1 {
+		shard = int(h1 >> (64 - bits.TrailingZeros(uint(shards))))
+	}
+	idx := make([]uint64, k)
+	if m == 1 {
+		return shard, idx
+	}
+	bm := new(big.Int).SetUint64(m)
+	g := new(big.Int).Mod(new(big.Int).SetUint64(h1), bm)
+	step := new(big.Int).Mod(new(big.Int).SetUint64(h2), new(big.Int).SetUint64(m-1))
+	step.Add(step, big.NewInt(1))
+	for i := range idx {
+		v := new(big.Int).Mul(step, big.NewInt(int64(i)))
+		idx[i] = v.Add(v, g).Mod(v, bm).Uint64()
+	}
+	return shard, idx
+}
+
+func TestPlacementV3HardenedMatchesItsDefinition(t *testing.T) {
+	for _, m := range []uint64{1, 2, 3, 3200, 9586, 1917012, 1 << 21, 1<<21 + 1, 1 << 33, 1<<63 + 5, 1<<64 - 1} {
+		for _, shards := range []int{1, 2, 8, 65536} {
+			for _, k := range []int{1, 2, 7, 10, 64, 512} {
+				p := mustPlacement(t, PlacementSpec{Layout: LayoutV3, Keyed: true, Shards: shards, K: k, M: m, Key: placementKey, RouteKey: placementRoute})
+				for i := 0; i < 8; i++ {
+					item := placementItem(i)
+					wantShard, want := specV3Hardened(placementKey, placementRoute, shards, k, m, item)
+					shard, got := p.Place(nil, item)
+					if shard != wantShard || fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("m=%d shards=%d k=%d: placed (%d, %v), definition says (%d, %v)", m, shards, k, shard, got, wantShard, want)
+					}
+					if again := p.Family(3%shards).Indexes(nil, item); fmt.Sprint(again) != fmt.Sprint(want) {
+						t.Fatalf("m=%d shards=%d k=%d: Family view gives %v, want %v", m, shards, k, again, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // The bench geometry's keyed placement is two PRF calls: 3 routing bits and
 // five 21-bit indexes from digest 0, two more from the first word of digest 1.
 func TestPlacementV2HardenedCallsAtBenchGeometry(t *testing.T) {
@@ -182,8 +234,9 @@ func TestPlacementV2HardenedCallsAtBenchGeometry(t *testing.T) {
 	}
 }
 
-// Which secrets move a key: both under keyed v2 (the route key is folded
-// into the one PRF key), neither under unkeyed v2, whose whole rule is public.
+// Which secrets move a key: both under keyed v2 and v3 (the route key is
+// folded into the one PRF key), neither under unkeyed v2, whose whole rule is
+// public.
 func TestPlacementV2KeyDependence(t *testing.T) {
 	moved := func(a, b *Placement) (shardMoved, indexMoved int) {
 		for i := 0; i < 2000; i++ {
@@ -198,19 +251,22 @@ func TestPlacementV2KeyDependence(t *testing.T) {
 		}
 		return
 	}
-	base := PlacementSpec{Layout: LayoutV2, Keyed: true, Shards: 8, K: 7, M: 1917012, Key: placementKey, RouteKey: placementRoute}
-	otherKey, otherRoute := base, base
-	otherKey.Key = []byte("another-16b-key!")
-	otherRoute.RouteKey = []byte("another-route-k!")
-	for name, spec := range map[string]PlacementSpec{"key": otherKey, "route key": otherRoute} {
-		s, i := moved(mustPlacement(t, base), mustPlacement(t, spec))
-		if s < 1600 || i != 2000 {
-			t.Errorf("hardened v2, other %s: %d/2000 shards and %d/2000 index sets moved, want ≈ 1750 and 2000", name, s, i)
+	anotherRoute := []byte("another-route-k!")
+	for _, layout := range []Layout{LayoutV2, LayoutV3} {
+		base := PlacementSpec{Layout: layout, Keyed: true, Shards: 8, K: 7, M: 1917012, Key: placementKey, RouteKey: placementRoute}
+		otherKey, otherRoute := base, base
+		otherKey.Key = []byte("another-16b-key!")
+		otherRoute.RouteKey = anotherRoute
+		for name, spec := range map[string]PlacementSpec{"key": otherKey, "route key": otherRoute} {
+			s, i := moved(mustPlacement(t, base), mustPlacement(t, spec))
+			if s < 1600 || i != 2000 {
+				t.Errorf("hardened v%d, other %s: %d/2000 shards and %d/2000 index sets moved, want ≈ 1750 and 2000", layout, name, s, i)
+			}
 		}
 	}
 	naive := PlacementSpec{Layout: LayoutV2, Shards: 8, K: 7, M: 1917012, Seed: 3, RouteKey: placementRoute}
 	naiveOther := naive
-	naiveOther.RouteKey = otherRoute.RouteKey
+	naiveOther.RouteKey = anotherRoute
 	if s, i := moved(mustPlacement(t, naive), mustPlacement(t, naiveOther)); s != 0 || i != 0 {
 		t.Errorf("naive v2 under another route key: %d shards, %d index sets moved, want none", s, i)
 	}
@@ -241,21 +297,36 @@ func chi2(counts []int) float64 {
 func chi2Limit(df int) float64 { return float64(df) + 10*math.Sqrt(2*float64(df)) }
 
 // A rule that takes the shard from digest bits must not let the shard say
-// anything about the indexes inside it. (Taking the shard from the LOW bits
+// anything about the indexes inside it — keyed v3's first index is h1 mod m,
+// the same word its shard is cut from. (Taking the shard from the LOW bits
 // of h1 while indexing with h1 mod m fails the first-index check on even m:
 // inside shard s every first index would be ≡ s modulo gcd(m, shards).)
+// Each index position is checked on its own: across items it is one
+// independent draw. Pooling an item's k indexes is a fair sample only where
+// they are cut from independent bits (keyed v2); a progression's k indexes
+// share g₀ and step, so their pooled residues vary ≈ 3.6× more than χ²
+// assumes (mod 2, even m).
 func TestPlacementV2Uniformity(t *testing.T) {
 	const shards, k, n = 8, 7, 60000
-	for _, keyed := range []bool{false, true} {
+	for _, rule := range []struct {
+		layout Layout
+		keyed  bool
+	}{{LayoutV2, false}, {LayoutV2, true}, {LayoutV3, true}} {
+		pooled := rule.layout == LayoutV2 && rule.keyed
 		for _, m := range []uint64{1917012 /* even */, 1917013 /* odd */, 1 << 21, 1917440 /* block-rounded */} {
-			p := mustPlacement(t, PlacementSpec{Layout: LayoutV2, Keyed: keyed, Shards: shards, K: k, M: m, Seed: 3, Key: placementKey, RouteKey: placementRoute})
+			p := mustPlacement(t, PlacementSpec{Layout: rule.layout, Keyed: rule.keyed, Shards: shards, K: k, M: m, Seed: 3, Key: placementKey, RouteKey: placementRoute})
 			load := make([]int, shards)
 			mods := []int{2, 8, shards}
-			// first[s][j] / all[s][j]: residues of shard s's first / all indexes modulo mods[j].
-			first, all := make([][][]int, shards), make([][][]int, shards)
-			for s := range first {
+			// at[s][i][j] / all[s][j]: residues of shard s's index i / of all
+			// its indexes modulo mods[j].
+			at, all := make([][][][]int, shards), make([][][]int, shards)
+			for s := range at {
+				at[s] = make([][][]int, k)
 				for _, r := range mods {
-					first[s], all[s] = append(first[s], make([]int, r)), append(all[s], make([]int, r))
+					for i := range at[s] {
+						at[s][i] = append(at[s][i], make([]int, r))
+					}
+					all[s] = append(all[s], make([]int, r))
 				}
 			}
 			var idx []uint64
@@ -264,25 +335,27 @@ func TestPlacementV2Uniformity(t *testing.T) {
 				s, idx = p.Place(idx[:0], placementItem(i))
 				load[s]++
 				for j, r := range mods {
-					first[s][j][idx[0]%uint64(r)]++
-					for _, v := range idx {
+					for pos, v := range idx {
 						if v >= m {
 							t.Fatalf("index %d ≥ m=%d", v, m)
 						}
+						at[s][pos][j][v%uint64(r)]++
 						all[s][j][v%uint64(r)]++
 					}
 				}
 			}
-			what := fmt.Sprintf("keyed=%v m=%d", keyed, m)
+			what := fmt.Sprintf("v%d keyed=%v m=%d", rule.layout, rule.keyed, m)
 			if x := chi2(load); x > chi2Limit(shards-1) {
 				t.Errorf("%s: shard load %v, χ²=%.1f > %.1f", what, load, x, chi2Limit(shards-1))
 			}
 			for s := 0; s < shards; s++ {
 				for j, r := range mods {
-					if x := chi2(first[s][j]); x > chi2Limit(r-1) {
-						t.Errorf("%s shard %d: first index mod %d %v, χ²=%.1f > %.1f", what, s, r, first[s][j], x, chi2Limit(r-1))
+					for pos := range at[s] {
+						if x := chi2(at[s][pos][j]); x > chi2Limit(r-1) {
+							t.Errorf("%s shard %d: index %d mod %d %v, χ²=%.1f > %.1f", what, s, pos, r, at[s][pos][j], x, chi2Limit(r-1))
+						}
 					}
-					if x := chi2(all[s][j]); x > chi2Limit(r-1) {
+					if x := chi2(all[s][j]); pooled && x > chi2Limit(r-1) {
 						t.Errorf("%s shard %d: indexes mod %d %v, χ²=%.1f > %.1f", what, s, r, all[s][j], x, chi2Limit(r-1))
 					}
 				}
@@ -353,13 +426,48 @@ func FuzzPlacementV2MatchesDefinition(f *testing.F) {
 	})
 }
 
+// FuzzPlacementV3MatchesDefinition holds layout 3 — what every new hardened
+// filter gets — to specV3Hardened over fuzzed items of 0–300 bytes, fuzzed
+// keys and fuzzed geometry: shards a power of two up to 65 536, k 1–40, m 1
+// or near a power of two (up to 2⁶⁴ − 1, where the progression must not
+// wrap). It also holds the step's purpose: from m = 2 on, an item's first
+// two indexes differ.
+func FuzzPlacementV3MatchesDefinition(f *testing.F) {
+	for i, item := range append(benchShapedItems(4, 1), placementItem(0), placementItem(1), nil) {
+		f.Add(item, uint8(3), uint8(6), uint8(3), uint8(i), uint64(1), uint64(2))
+	}
+	f.Add(placementItem(2), uint8(3), uint8(9), uint8(1), uint8(0), uint64(0), uint64(7))
+	f.Add(placementItem(3), uint8(16), uint8(39), uint8(0), uint8(63), uint64(1<<63), uint64(0))
+	f.Add(placementItem(4), uint8(0), uint8(39), uint8(2), uint8(63), uint64(5), uint64(9))
+	f.Fuzz(func(t *testing.T, item []byte, shardsLog, kRaw, mSel, mBits uint8, key, route uint64) {
+		item = item[:min(len(item), 300)]
+		shards, k, m := 1<<(shardsLog%17), int(kRaw%40)+1, placementV2M(mSel, mBits)
+		keyB := binary.LittleEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, key), ^key)
+		routeB := binary.LittleEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, route), ^route)
+		p := mustPlacement(t, PlacementSpec{Layout: LayoutV3, Keyed: true, Shards: shards, K: k, M: m, Key: keyB, RouteKey: routeB})
+		wantShard, want := specV3Hardened(keyB, routeB, shards, k, m, item)
+		what := fmt.Sprintf("shards=%d k=%d m=%d item=%x", shards, k, m, item)
+		shard, got := p.Place(nil, item)
+		if shard != wantShard || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: placed (%d, %v), definition says (%d, %v)", what, shard, got, wantShard, want)
+		}
+		if again := p.Family(int(route)&(shards-1)).Indexes(nil, item); fmt.Sprint(again) != fmt.Sprint(want) {
+			t.Fatalf("%s: Family view gives %v, want %v", what, again, want)
+		}
+		if m >= 2 && k >= 2 && got[0] == got[1] {
+			t.Fatalf("%s: indexes %v repeat their first position", what, got)
+		}
+	})
+}
+
 var placementSink uint64
 
 // BenchmarkPlacement prices one key's whole placement — route and k indexes —
 // per layout and mode at the bench geometry (8 shards, k = 7, m = 1 917 012),
 // over bench-shaped keys (URL-shaped, lengths uniform over 32–47 bytes).
-// v2-hardened-k10 is k = 10 at the large filter's shard size (m = 57 510 352,
-// 26-bit indexes): the paired pass and one one-lane digest.
+// The -k10 rows are k = 10 at the large filter's shard size
+// (m = 57 510 352, 26-bit indexes): three PRF calls under keyed v2, still
+// one under v3.
 func BenchmarkPlacement(b *testing.B) {
 	items := benchShapedItems(1024, 1)
 	for _, bc := range []struct {
@@ -374,6 +482,8 @@ func BenchmarkPlacement(b *testing.B) {
 		{"v2-naive", LayoutV2, false, 7, 1917012},
 		{"v2-hardened", LayoutV2, true, 7, 1917012},
 		{"v2-hardened-k10", LayoutV2, true, 10, 57510352},
+		{"v3-hardened", LayoutV3, true, 7, 1917012},
+		{"v3-hardened-k10", LayoutV3, true, 10, 57510352},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			p := mustPlacement(b, PlacementSpec{Layout: bc.layout, Keyed: bc.keyed, Shards: 8, K: bc.k, M: bc.m, Seed: 3, Key: placementKey, RouteKey: placementRoute})

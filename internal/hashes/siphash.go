@@ -10,9 +10,8 @@ import (
 // MurmurHash and full HMAC constructions. Implemented from the reference
 // specification; 128-bit key, 64-bit output, and the specification's 128-bit
 // output variant for the placement layouts that draw route and indexes from
-// one call — its first two digests computed in one pass where a layout reads
-// both. kernel_oracle_test.go keeps the one-state, byte-loop original the
-// kernels are held to.
+// one call. kernel_oracle_test.go keeps the byte-loop original the kernels
+// are held to.
 
 // SipKey is a 128-bit SipHash key.
 type SipKey struct {
@@ -59,67 +58,12 @@ func sipHash128(key SipKey, data []byte, both bool) (w0, w1 uint64) {
 	return w0, v0 ^ v1 ^ v2 ^ v3
 }
 
-// sipHash128Pair computes sipHash128(K0, K1) in full and
-// sipHash128(K0, K1 ⊕ 1) to the words both asks for — digests 0 and 1 of the
-// keyed placement stream — in one pass over data: the two states take every
-// message word together, so their round chains overlap instead of running one
-// after the other.
-func sipHash128Pair(key SipKey, data []byte, both bool) (a0, a1, b0, b1 uint64) {
-	v0, v1, v2, v3 := sipInit(key, 0xee)
-	u0, u1, u2, u3 := sipInit(SipKey{key.K0, key.K1 ^ 1}, 0xee)
-	for p := data; len(p) >= 8; p = p[8:] {
-		m := binary.LittleEndian.Uint64(p)
-		v3 ^= m
-		u3 ^= m
-		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
-		u0, u1, u2, u3 = sipRound(u0, u1, u2, u3)
-		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
-		u0, u1, u2, u3 = sipRound(u0, u1, u2, u3)
-		v0 ^= m
-		u0 ^= m
-	}
-	last := sipLastBlock(data)
-	v3 ^= last
-	u3 ^= last
-	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
-	u0, u1, u2, u3 = sipRound(u0, u1, u2, u3)
-	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
-	u0, u1, u2, u3 = sipRound(u0, u1, u2, u3)
-	v0 ^= last
-	u0 ^= last
-	v2 ^= 0xee
-	u2 ^= 0xee
-	for i := 0; i < 4; i++ {
-		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
-		u0, u1, u2, u3 = sipRound(u0, u1, u2, u3)
-	}
-	a0, b0 = v0^v1^v2^v3, u0^u1^u2^u3
-	v1 ^= 0xdd
-	if !both {
-		for i := 0; i < 4; i++ {
-			v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
-		}
-		return a0, v0 ^ v1 ^ v2 ^ v3, b0, 0
-	}
-	u1 ^= 0xdd
-	for i := 0; i < 4; i++ {
-		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
-		u0, u1, u2, u3 = sipRound(u0, u1, u2, u3)
-	}
-	return a0, v0 ^ v1 ^ v2 ^ v3, b0, u0 ^ u1 ^ u2 ^ u3
-}
-
-// sipInit is SipHash-2-4's keyed initialization. tweak is XORed into v1 —
-// zero for the 64-bit output, 0xee for the 128-bit one.
-func sipInit(key SipKey, tweak uint64) (v0, v1, v2, v3 uint64) {
-	return key.K0 ^ 0x736f6d6570736575, key.K1 ^ 0x646f72616e646f6d ^ tweak,
-		key.K0 ^ 0x6c7967656e657261, key.K1 ^ 0x7465646279746573
-}
-
 // sipAbsorb is SipHash-2-4's keyed initialization and compression of data:
-// the state the finalization starts from.
+// the state the finalization starts from. tweak is XORed into v1 — zero for
+// the 64-bit output, 0xee for the 128-bit one.
 func sipAbsorb(key SipKey, tweak uint64, data []byte) (v0, v1, v2, v3 uint64) {
-	v0, v1, v2, v3 = sipInit(key, tweak)
+	v0, v1, v2, v3 = key.K0^0x736f6d6570736575, key.K1^0x646f72616e646f6d^tweak,
+		key.K0^0x6c7967656e657261, key.K1^0x7465646279746573
 	for p := data; len(p) >= 8; p = p[8:] {
 		m := binary.LittleEndian.Uint64(p)
 		v3 ^= m

@@ -53,12 +53,21 @@ type nlFacts struct {
 }
 
 // directIO classifies a callee as part of the I/O surface and names it.
+// Everything in net and net/… counts except the methods of net/http.Header,
+// which are map operations on a header already in memory.
 func directIO(fn *types.Func) (string, bool) {
 	pkg := funcPkg(fn)
+	recvPkg, recvType := recvOf(fn)
 	if pkg == "net" || strings.HasPrefix(pkg, "net/") {
+		switch {
+		case recvPkg == "net/http" && recvType == "Header":
+			return "", false
+		case recvType != "":
+			return "(" + recvPkg + "." + recvType + ")." + fn.Name(), true
+		}
 		return pkg + "." + fn.Name(), true
 	}
-	if recvPkg, recvType := recvOf(fn); recvPkg == "os" && recvType == "File" {
+	if recvPkg == "os" && recvType == "File" {
 		switch fn.Name() {
 		case "Read", "ReadAt", "Write", "WriteAt", "WriteString", "Sync", "Seek", "Truncate", "Close":
 			return "(*os.File)." + fn.Name(), true

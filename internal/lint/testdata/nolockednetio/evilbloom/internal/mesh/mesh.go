@@ -17,7 +17,32 @@ type watch struct {
 func (w *watch) fetchBad(c *http.Client, url string) (*http.Response, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return c.Get(url) // want "called while a mutex is held"
+	return c.Get(url) // want "\\(net/http\\.Client\\)\\.Get called while a mutex is held"
+}
+
+// doBad sends a prepared request under the lock: a method of the client.
+func (w *watch) doBad(c *http.Client, req *http.Request) (*http.Response, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return c.Do(req) // want "\\(net/http\\.Client\\)\\.Do called while a mutex is held"
+}
+
+// getBad dials through the package-level client under the lock.
+func (w *watch) getBad(url string) (*http.Response, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return http.Get(url) // want "^net/http\\.Get called while a mutex is held"
+}
+
+// recordGood copies response headers under the lock: http.Header's methods
+// are map operations, no I/O.
+func (w *watch) recordGood(resp *http.Response) http.Header {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.etag = resp.Header.Get("ETag")
+	resp.Header.Set("X-Seen", w.etag)
+	_ = resp.Header.Values("Vary")
+	return resp.Header.Clone()
 }
 
 // fetchGood reads what it needs under the lock, then dials unlocked.

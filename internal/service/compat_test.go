@@ -110,6 +110,29 @@ func (fx dataDirFixture) check(t *testing.T) {
 	if string(got) != string(want) {
 		t.Error("a fresh filter fed the same items differs bit for bit from the recovered one")
 	}
+
+	// Every snapshot the writer left restores into a filter of the recovered
+	// configuration and snapshots back to the same bytes.
+	snaps, err := filepath.Glob(filepath.Join("testdata", fx.dir, "default", "snap-*.evb"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot files in the fixture (%v)", err)
+	}
+	for _, path := range snaps {
+		env, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSharded(store.config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Restore(env); err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		if again, err := s.Snapshot(); err != nil || !bytes.Equal(again, env) {
+			t.Errorf("%s: restored and snapshotted again, the bytes differ (err %v)", filepath.Base(path), err)
+		}
+	}
 }
 
 var (
@@ -126,12 +149,17 @@ var (
 		[2]ShardStats{{Shard: 0, Count: 265, Weight: 1655}, {Shard: 1, Count: 235, Weight: 1497}}}
 )
 
+// Written by the change that introduced layout 3, for the next one.
+var hardenedV3 = dataDirFixture{"layout-v3/hardened", "v3-fixture", hashes.LayoutV3, 3206,
+	[2]ShardStats{{Shard: 0, Count: 240, Weight: 1542}, {Shard: 1, Count: 260, Weight: 1664}}}
+
 func TestHardenedDataDirFromParentRecovers(t *testing.T) { hardenedPrePR19.check(t) }
 func TestNaiveDataDirFromParentRecovers(t *testing.T)    { naivePrePR22.check(t) }
 func TestLayoutV2DataDirsRecover(t *testing.T) {
 	t.Run("naive", naiveV2.check)
 	t.Run("hardened", hardenedV2.check)
 }
+func TestLayoutV3DataDirRecovers(t *testing.T) { hardenedV3.check(t) }
 
 // Written by commit 4e30ec1, the last binary that packed counters
 // contiguously in memory as well as on disk, whose counting default was

@@ -17,13 +17,15 @@
 // with atomic stores and no counter straddles two words. Where an item goes —
 // its shard and its k indexes inside it — is decided by the store's one
 // hashes.Placement under a versioned layout recorded in meta.json and in the
-// snapshot and digest envelopes. New filters get layout 2, one hash per key:
-// a naive filter takes the shard from the same public Murmur-128 digest it
+// snapshot and digest envelopes. New filters get one hash per key: a naive
+// filter (layout 2) takes the shard from the same public Murmur-128 digest it
 // indexes with (so the attackable mode now also lets the adversary pick the
 // shard — one shard saturates with 1/N of the insertions), a hardened filter
-// reads shard and indexes off one keyed SipHash bit stream. Filters recovered
-// from older data directories or envelopes keep layout 1 (a routing SipHash
-// under its own key, then the index hash) for as long as they live.
+// (layout 3) takes shard and double-hashed indexes from one keyed
+// SipHash-128 digest. Filters recovered from older data directories or
+// envelopes keep the layout they were written under — 1 (a routing SipHash
+// under its own key, then the index hash) or hardened 2 (a keyed SipHash bit
+// stream) — for as long as they live.
 //
 // The shards are variant-generic: the Backend interface carries the
 // index-level operations (AddIndexes/TestIndexes/Count/Weight/M/K) and the
@@ -55,10 +57,9 @@
 //     and against a naive counting filter the §4.3 deletion adversary can
 //     evict targeted honest items — package attack's RemoteView and
 //     RemoteDeletion do exactly that.
-//   - ModeHardened: keyed SipHash-2-4 with digest recycling (§8.2) under a
-//     server secret — two PRF calls for route and seven indexes at the
-//     default geometry. The same campaigns degrade into random insertions
-//     and refused removals.
+//   - ModeHardened: keyed SipHash-2-4 (§8.2) under a server secret — one
+//     PRF call for route and all k indexes. The same campaigns degrade into
+//     random insertions and refused removals.
 //
 // # Filter lifecycle
 //

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,10 +15,18 @@ import (
 	"evilbloom/internal/urlgen"
 )
 
-// A filter created today is layout 2 everywhere a layout is written down —
-// meta.json, the snapshot envelope, the digest envelope — and stays it across
-// compaction and a restart; nothing a caller can pass selects another.
-func TestNewFilterRecordsLayoutV2(t *testing.T) {
+// A naive filter created today is layout 2 everywhere a layout is written
+// down — meta.json, the snapshot envelope, the digest envelope — and stays it
+// across compaction and a restart; nothing a caller can pass selects another.
+func TestNewFilterRecordsLayoutV2(t *testing.T) { checkNewFilterLayout(t, ModeNaive, hashes.LayoutV2) }
+
+// A hardened filter created today is layout 3 in meta.json and its snapshot
+// envelope (it exports no digest), across compaction and a restart.
+func TestNewHardenedFilterRecordsLayoutV3(t *testing.T) {
+	checkNewFilterLayout(t, ModeHardened, hashes.LayoutV3)
+}
+
+func checkNewFilterLayout(t *testing.T, mode Mode, want hashes.Layout) {
 	dir := t.TempDir()
 	open := func() (*Registry, *Filter) {
 		reg := NewRegistry()
@@ -25,17 +35,17 @@ func TestNewFilterRecordsLayoutV2(t *testing.T) {
 		}
 		f, err := reg.Get("f")
 		if err != nil {
-			if f, err = reg.Create("f", testConfig(ModeNaive, 4)); err != nil {
+			if f, err = reg.Create("f", testConfig(mode, 4)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return reg, f
 	}
-	frameVersion := func(frame []byte) uint16 { return binary.LittleEndian.Uint16(frame[8:]) }
+	frameVersion := func(frame []byte) hashes.Layout { return hashes.Layout(binary.LittleEndian.Uint16(frame[8:])) }
 	check := func(when string, f *Filter) {
 		t.Helper()
-		if got := f.Store().config().layout; got != hashes.LayoutV2 {
-			t.Fatalf("%s: store is placement layout %d, want 2", when, got)
+		if got := f.Store().config().layout; got != want {
+			t.Fatalf("%s: store is placement layout %d, want %d", when, got, want)
 		}
 		blob, err := os.ReadFile(filepath.Join(dir, "f", metaFileName))
 		if err != nil {
@@ -45,19 +55,28 @@ func TestNewFilterRecordsLayoutV2(t *testing.T) {
 		if err := json.Unmarshal(blob, &meta); err != nil {
 			t.Fatal(err)
 		}
-		if meta["layout"] != float64(2) {
-			t.Errorf("%s: meta.json layout = %v, want 2", when, meta["layout"])
+		if meta["layout"] != float64(want) {
+			t.Errorf("%s: meta.json layout = %v, want %d", when, meta["layout"], want)
 		}
 		snap, err := f.Store().Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
+		if v := frameVersion(snap); v != want {
+			t.Errorf("%s: snapshot envelope version %d, want %d", when, v, want)
+		}
 		digest, _, err := f.Store().DigestEnvelope()
+		if mode == ModeHardened {
+			if err == nil {
+				t.Errorf("%s: a hardened filter exported a digest", when)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s, d := frameVersion(snap), frameVersion(digest); s != 2 || d != 2 {
-			t.Errorf("%s: snapshot envelope version %d, digest envelope version %d, want 2, 2", when, s, d)
+		if v := frameVersion(digest); v != want {
+			t.Errorf("%s: digest envelope version %d, want %d", when, v, want)
 		}
 	}
 
@@ -136,5 +155,27 @@ func TestDigestParityAcrossLayouts(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// Layout 3 has a keyed rule only, so an envelope claiming a naive layout-3
+// filter describes no placement at all: it is refused as corrupt, at the
+// header, whether uploaded as a new filter or restored into a live one.
+func TestNaiveLayoutV3SnapshotIsCorrupt(t *testing.T) {
+	s, err := NewSharded(testConfig(ModeNaive, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(env[8:], uint16(hashes.LayoutV3))
+	env = snapshotFrame.Finish(env[:len(env)-4])
+	if _, err := NewRegistry().CreateFromSnapshot("clone", bytes.NewReader(env)); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Errorf("uploading a naive layout-3 envelope: %v, want ErrSnapshotCorrupt", err)
+	}
+	if err := s.Restore(env); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Errorf("restoring a naive layout-3 envelope: %v, want ErrSnapshotCorrupt", err)
 	}
 }

@@ -18,8 +18,11 @@ type overflowRow struct {
 
 func overflowRows() []overflowRow {
 	var rows []overflowRow
-	for _, layout := range []hashes.Layout{hashes.LayoutV1, hashes.LayoutV2} {
+	for _, layout := range []hashes.Layout{hashes.LayoutV1, hashes.LayoutV2, hashes.LayoutV3} {
 		for _, mode := range []Mode{ModeNaive, ModeHardened} {
+			if layout == hashes.LayoutV3 && mode == ModeNaive {
+				continue // layout 3 is keyed only
+			}
 			for _, width := range []int{1, 3, 4, 16} {
 				rows = append(rows, overflowRow{layout, mode, width})
 			}

@@ -601,7 +601,7 @@ func TestDurableDeleteRemovesState(t *testing.T) {
 // extended to the create-from-snapshot path.
 func TestCreateFromSnapshotRejectsOversizedHeaderEarly(t *testing.T) {
 	h := snapshotHeader{
-		layout:    currentLayout,
+		layout:    currentLayout(ModeNaive),
 		variant:   VariantBloom,
 		mode:      ModeNaive,
 		seed:      1,

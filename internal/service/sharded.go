@@ -105,13 +105,21 @@ type Config struct {
 	// vanishes. Zero for VariantBloom.
 	Overflow core.OverflowPolicy
 	// layout is the placement layout (hashes.Layout). Zero, all a caller
-	// outside this package can pass, means the current one; recovery from a
-	// data directory or an envelope sets what was recorded.
+	// outside this package can pass, means the mode's current one; recovery
+	// from a data directory or an envelope sets what was recorded.
 	layout hashes.Layout
 }
 
-// currentLayout is the placement layout every newly created store gets.
-const currentLayout = hashes.LayoutV2
+// currentLayout is the placement layout every newly created store of mode m
+// gets: hardened stores take one keyed digest per key (v3); naive stores keep
+// v2, whose public rule attack tooling and peers reproduce, so their
+// snapshots and digests stay what they were.
+func currentLayout(m Mode) hashes.Layout {
+	if m == ModeHardened {
+		return hashes.LayoutV3
+	}
+	return hashes.LayoutV2
+}
 
 // withDefaults fills zero fields and validates the result.
 func (c Config) withDefaults() (Config, error) {
@@ -184,7 +192,7 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("service: unknown variant %v", c.Variant)
 	}
 	if c.layout == 0 {
-		c.layout = currentLayout
+		c.layout = currentLayout(c.Mode)
 	}
 	var err error
 	if c.RouteKey, err = ensureKey(c.RouteKey); err != nil {

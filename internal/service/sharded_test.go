@@ -93,7 +93,8 @@ func TestAddThenTest(t *testing.T) {
 // and mode, and each layout says which secret moves an item to another
 // shard: v1 routes by the route key in both modes; v2 naive routes by the
 // public index digest, so the route key moves nothing (and the seed does);
-// v2 hardened folds the route key into its one PRF key, so it moves items.
+// v2 and v3 hardened fold the route key into their one PRF key, so it moves
+// items.
 func TestShardRouting(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -105,6 +106,7 @@ func TestShardRouting(t *testing.T) {
 		{"v1-hardened", hashes.LayoutV1, ModeHardened, true},
 		{"v2-naive", hashes.LayoutV2, ModeNaive, false},
 		{"v2-hardened", hashes.LayoutV2, ModeHardened, true},
+		{"v3-hardened", hashes.LayoutV3, ModeHardened, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig(tc.mode, 8)
@@ -157,8 +159,8 @@ func TestShardRouting(t *testing.T) {
 			if !tc.routeKeyMoves && movedByRoute != 0 {
 				t.Errorf("%d/%d items moved under a different route key, which this layout does not route by", movedByRoute, n)
 			}
-			// The seed (naive) or index key (hardened) routes only under v2.
-			if wantMoved := tc.layout == hashes.LayoutV2; wantMoved && movedByIndex < n/2 {
+			// The seed (naive) or index key (hardened) routes from v2 on.
+			if wantMoved := tc.layout != hashes.LayoutV1; wantMoved && movedByIndex < n/2 {
 				t.Errorf("only %d/%d items moved under a different seed/key", movedByIndex, n)
 			} else if !wantMoved && movedByIndex != 0 {
 				t.Errorf("%d/%d items moved under a different seed/key; v1 routes by the route key alone", movedByIndex, n)

@@ -26,8 +26,9 @@ import (
 //	offset  size  field
 //	0       8     magic "EVBSNAP1"
 //	8       2     format version (little-endian): the filter's placement
-//	              layout, 1 or 2 (hashes.Layout) — the framing below is the
-//	              same under both; what differs is which keys set these bits
+//	              layout, 1, 2 or 3 (hashes.Layout; 3 is hardened only) —
+//	              the framing below is the same under each; what differs is
+//	              which keys set these bits
 //	10      1     variant (0 bloom, 1 counting, 2 blocked)
 //	11      1     mode (0 naive, 1 hardened)
 //	12      1     counter width in bits (0 for bloom)
@@ -184,6 +185,9 @@ func decodeSnapshotHeader(hdr []byte) (snapshotHeader, error) {
 		payloadLen: binary.LittleEndian.Uint64(hdr[48:]),
 	}
 	copy(h.routeKey[:], hdr[56:72])
+	if !h.layout.Places(h.mode == ModeHardened) {
+		return h, fmt.Errorf("%w: placement layout %d has no %v rule", ErrSnapshotCorrupt, h.layout, h.mode)
+	}
 	if h.shards < 1 || h.shards > MaxShards || h.shardBits == 0 || h.k < 1 || h.k > MaxHashCount {
 		return h, fmt.Errorf("%w: impossible geometry (shards=%d, shard_bits=%d, k=%d)",
 			ErrSnapshotCorrupt, h.shards, h.shardBits, h.k)
