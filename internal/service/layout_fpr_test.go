@@ -87,8 +87,8 @@ func TestLayoutV2FPRMatchesV1(t *testing.T) {
 func meanFPR(t *testing.T, cfg Config, sets, n, probes int) float64 {
 	t.Helper()
 	const batchLen = 4000
-	// fprKeys fills its batch to capacity, so a last, shorter batch gets
-	// less of it.
+	// fprKeys fills its batch to capacity, so each call gets keys capped at
+	// the count still wanted.
 	keys, buf := make([][]byte, 0, batchLen), []byte(nil)
 	var batch [][]byte
 	var verdicts []bool
