@@ -72,18 +72,9 @@ func (f *InstantForger) ItemInShard(shard, shards int, base, stride, variant uin
 }
 
 // positions fills dst with the arithmetic progression for (base, stride),
-// accumulated in reduced space to match DoubleHashing.Indexes.
+// summed as DoubleHashing.Indexes sums it.
 func (f *InstantForger) positions(dst []uint64, base, stride uint64) []uint64 {
-	g := base % f.m
-	step := stride % f.m
-	for i := 0; i < f.k; i++ {
-		dst = append(dst, g)
-		g += step
-		if g >= f.m {
-			g -= f.m
-		}
-	}
-	return dst
+	return hashes.Progression(dst, base%f.m, stride%f.m, f.m, f.k)
 }
 
 // PollutingItem returns an item satisfying condition (6) against view,

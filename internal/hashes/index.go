@@ -92,20 +92,10 @@ func NewDoubleHashing(k int, m uint64, seed uint64) (*DoubleHashing, error) {
 
 // Indexes implements IndexFamily. The digest halves are reduced modulo m
 // first and the progression accumulated in reduced space, so the index set
-// is a true arithmetic progression g_i = (h1 + i·h2) mod m — raw uint64
-// accumulation would wrap modulo 2^64 and break the structure.
+// is a true arithmetic progression g_i = (h1 + i·h2) mod m.
 func (d *DoubleHashing) Indexes(dst []uint64, item []byte) []uint64 {
 	h1, h2 := Murmur128(item, d.seed)
-	g := h1 % d.m
-	step := h2 % d.m
-	for i := 0; i < d.k; i++ {
-		dst = append(dst, g)
-		g += step
-		if g >= d.m {
-			g -= d.m
-		}
-	}
-	return dst
+	return Progression(dst, h1%d.m, h2%d.m, d.m, d.k)
 }
 
 // K implements IndexFamily.

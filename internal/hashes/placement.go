@@ -177,24 +177,14 @@ func (p *Placement) Route(item []byte) (int, PlacementDigest) {
 // Indexes appends the k indexes of item, which Route sent to shard with
 // digest d.
 func (p *Placement) Indexes(dst []uint64, item []byte, shard int, d PlacementDigest) []uint64 {
+	var g, step uint64
 	switch {
 	case !p.spec.Keyed:
 		h1, h2 := d.w0, d.w1
 		if p.spec.Layout == LayoutV1 {
 			h1, h2 = Murmur128(item, p.spec.Seed)
 		}
-		// The progression is accumulated in reduced space, as DoubleHashing
-		// does: g_i = (h1 + i·h2) mod m.
-		m := p.spec.M
-		g, step := p.mod(h1), p.mod(h2)
-		for i := 0; i < p.spec.K; i++ {
-			dst = append(dst, g)
-			g += step
-			if g >= m {
-				g -= m
-			}
-		}
-		return dst
+		g, step = p.mod(h1), p.mod(h2)
 	case p.spec.Layout == LayoutV1:
 		// Recycling over the 64-bit SipHash digests salt 0, 1, …: each
 		// yields ⌊64/b⌋ whole indexes, most significant bits first.
@@ -206,20 +196,7 @@ func (p *Placement) Indexes(dst []uint64, item []byte, shard int, d PlacementDig
 		}
 		return dst
 	case p.spec.Layout == LayoutV3:
-		// The keyed progression, accumulated in reduced space: g + step is
-		// taken as g − (m − step) once it would reach m, so no sum wraps
-		// even above m = 2⁶³.
-		g, step := p.mod(d.w0), 1+modRecip(d.w1, p.stepM, p.stepRecip)
-		back := p.spec.M - step
-		for i := 0; i < p.spec.K; i++ {
-			dst = append(dst, g)
-			next := g + step
-			if g >= back {
-				next = g - back
-			}
-			g = next
-		}
-		return dst
+		g, step = p.mod(d.w0), 1+modRecip(d.w1, p.stepM, p.stepRecip)
 	default:
 		// The v2 bit stream: digest 0 minus its routing bits, then digests
 		// 1, 2, … in full, each giving whole indexes only. A digest read no
@@ -235,6 +212,24 @@ func (p *Placement) Indexes(dst []uint64, item []byte, shard int, d PlacementDig
 		}
 		return dst
 	}
+	return Progression(dst, g, step, p.spec.M, p.spec.K)
+}
+
+// Progression appends the k indexes g, g + step, … mod m, given g < m and
+// step ≤ m. It sums in reduced space, as double hashing needs (raw uint64
+// sums would wrap modulo 2⁶⁴), and takes g + step as g − (m − step) once it
+// would reach m, so no sum wraps even above m = 2⁶³.
+func Progression(dst []uint64, g, step, m uint64, k int) []uint64 {
+	back := m - step
+	for i := 0; i < k; i++ {
+		dst = append(dst, g)
+		next := g + step
+		if g >= back {
+			next = g - back
+		}
+		g = next
+	}
+	return dst
 }
 
 // Place is Route then Indexes: one item's whole placement.

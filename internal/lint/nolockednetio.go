@@ -53,14 +53,16 @@ type nlFacts struct {
 }
 
 // directIO classifies a callee as part of the I/O surface and names it.
-// Everything in net and net/… counts except the methods of net/http.Header,
-// which are map operations on a header already in memory.
+// Everything in net and net/… counts except the methods of net/http.Header
+// other than Write and WriteSubset: the rest are map operations on a header
+// already in memory, while those two write it to an io.Writer, such as a
+// connection.
 func directIO(fn *types.Func) (string, bool) {
 	pkg := funcPkg(fn)
 	recvPkg, recvType := recvOf(fn)
 	if pkg == "net" || strings.HasPrefix(pkg, "net/") {
 		switch {
-		case recvPkg == "net/http" && recvType == "Header":
+		case recvPkg == "net/http" && recvType == "Header" && fn.Name() != "Write" && fn.Name() != "WriteSubset":
 			return "", false
 		case recvType != "":
 			return "(" + recvPkg + "." + recvType + ")." + fn.Name(), true

@@ -4,6 +4,7 @@
 package mesh
 
 import (
+	"io"
 	"net/http"
 	"sync"
 )
@@ -34,8 +35,16 @@ func (w *watch) getBad(url string) (*http.Response, error) {
 	return http.Get(url) // want "^net/http\\.Get called while a mutex is held"
 }
 
-// recordGood copies response headers under the lock: http.Header's methods
-// are map operations, no I/O.
+// writeHeaderBad writes a header to what may be a connection under the
+// lock: Header.Write is the header method that does I/O.
+func (w *watch) writeHeaderBad(resp *http.Response, conn io.Writer) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return resp.Header.Write(conn) // want "\\(net/http\\.Header\\)\\.Write called while a mutex is held"
+}
+
+// recordGood copies response headers under the lock: http.Header's map
+// methods are no I/O.
 func (w *watch) recordGood(resp *http.Response) http.Header {
 	w.mu.Lock()
 	defer w.mu.Unlock()
