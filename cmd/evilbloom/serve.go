@@ -387,10 +387,20 @@ func cmdServe(args []string) error {
 			fmt.Fprintf(os.Stderr, "evilbloom serve: resp drain: %v\n", err)
 		}
 	}
+	gens := map[*service.Filter]uint64{} // a generation Close moves is a compaction
+	for _, f := range reg.List() {
+		gens[f] = f.Generation()
+	}
 	if err := reg.Close(); err != nil {
 		return fmt.Errorf("flushing durable state: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "evilbloom serve: durable state flushed; bye\n")
+	compacted := 0
+	for f, gen := range gens {
+		if f.Generation() != gen {
+			compacted++
+		}
+	}
+	fmt.Fprintf(os.Stderr, "evilbloom serve: durable state flushed, %d filter(s) compacted; bye\n", compacted)
 	return nil
 }
 

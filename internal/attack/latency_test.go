@@ -86,7 +86,9 @@ func TestSaturatedFilterAcceptsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := core.NewBloom(fam)
-	b.Bits().SetAll()
+	for i := 0; i < b.Bits().Words(); i++ {
+		b.Bits().SetWord(i, ^uint64(0))
+	}
 	gen := urlgen.New(4)
 	for i := 0; i < 1000; i++ {
 		if !b.Test(gen.Next()) {

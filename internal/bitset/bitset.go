@@ -88,7 +88,7 @@ func (b *BitSet) SetAtomic(i uint64) bool {
 }
 
 // TestAtomic is Test with an atomic word load — safe to call with no lock
-// held while a serialized writer uses SetAtomic, Load or Reset.
+// held while a serialized writer uses SetAtomic or Reset.
 func (b *BitSet) TestAtomic(i uint64) bool {
 	if i >= b.size {
 		return false
@@ -118,10 +118,10 @@ func (b *BitSet) SetWord(i int, w uint64) {
 	if i < 0 || i >= len(b.words) {
 		return
 	}
-	b.words[i] = w
-	if i == len(b.words)-1 {
-		b.trimTail()
+	if rem := b.size % wordBits; rem != 0 && i == len(b.words)-1 {
+		w &= 1<<rem - 1
 	}
+	b.words[i] = w
 }
 
 // Weight returns the Hamming weight w_H(z): the number of set bits.
@@ -156,31 +156,11 @@ func (b *BitSet) Support() []uint64 {
 	return out
 }
 
-// SetAll sets every bit to 1 (a fully saturated filter).
-//
-//lint:allow atomicpublish plain-write twin: saturation is a test/attack-harness operation on unpublished sets
-func (b *BitSet) SetAll() {
-	for i := range b.words {
-		b.words[i] = ^uint64(0)
-	}
-	b.trimTail()
-}
-
 // Reset clears every bit, one atomic store per word, so lock-free readers
 // may run alongside a serialized writer calling it.
 func (b *BitSet) Reset() {
 	for i := range b.words {
 		atomic.StoreUint64(&b.words[i], 0)
-	}
-}
-
-// trimTail zeroes the unused high bits of the last word so that Weight,
-// Equal and serialization stay canonical.
-//
-//lint:allow atomicpublish internal helper of the plain-write twins; runs only on sets their callers already serialize
-func (b *BitSet) trimTail() {
-	if rem := b.size % wordBits; rem != 0 && len(b.words) > 0 {
-		b.words[len(b.words)-1] &= (1 << rem) - 1
 	}
 }
 
@@ -206,32 +186,6 @@ func (b *BitSet) Equal(o *BitSet) bool {
 	return true
 }
 
-// UnionWith ORs o into b. Both sets must have the same size.
-//
-//lint:allow atomicpublish plain-write twin: digest merges run on unpublished working copies
-func (b *BitSet) UnionWith(o *BitSet) error {
-	if b.size != o.size {
-		return fmt.Errorf("bitset: union of mismatched sizes %d and %d", b.size, o.size)
-	}
-	for i, w := range o.words {
-		b.words[i] |= w
-	}
-	return nil
-}
-
-// IntersectWith ANDs o into b. Both sets must have the same size.
-//
-//lint:allow atomicpublish plain-write twin: digest merges run on unpublished working copies
-func (b *BitSet) IntersectWith(o *BitSet) error {
-	if b.size != o.size {
-		return fmt.Errorf("bitset: intersection of mismatched sizes %d and %d", b.size, o.size)
-	}
-	for i, w := range o.words {
-		b.words[i] &= w
-	}
-	return nil
-}
-
 // AppendBinary appends the set's encoding to dst: an 8-byte little-endian
 // size followed by the packed words — the form cache digests (§7 of the
 // paper) and snapshotted bloom or blocked shards travel in.
@@ -244,10 +198,11 @@ func (b *BitSet) AppendBinary(dst []byte) []byte {
 }
 
 // Load overwrites the set in place from r, which must hold what AppendBinary
-// writes for a set of b's size, reading through buf (≥ 8 bytes) with one
-// atomic store per word: lock-free readers keep a valid view, and no second
-// copy of the words exists. Bits set past Size are refused (not canonical).
-// On error the set is half-written.
+// writes for a set of b's size, decoding each chunk read through buf (≥ 8
+// bytes) straight into the words with plain stores: it runs only before
+// publication, on a restored store or a decoded digest no reader can reach
+// yet. Bits set past Size are refused (not canonical). On error the set is
+// half-written.
 func (b *BitSet) Load(r io.Reader, buf []byte) error {
 	if _, err := io.ReadFull(r, buf[:8]); err != nil {
 		return err
@@ -255,8 +210,7 @@ func (b *BitSet) Load(r io.Reader, buf []byte) error {
 	if size := binary.LittleEndian.Uint64(buf); size != b.size {
 		return fmt.Errorf("bitset: loading %d bits into a %d-bit set", size, b.size)
 	}
-	err := ReadWords(r, buf, len(b.words), func(i int, w uint64) { atomic.StoreUint64(&b.words[i], w) })
-	if err != nil {
+	if err := ReadWords(r, buf, b.words); err != nil {
 		return err
 	}
 	if rem := b.size % wordBits; rem != 0 && b.words[len(b.words)-1]>>rem != 0 {
@@ -265,18 +219,20 @@ func (b *BitSet) Load(r io.Reader, buf []byte) error {
 	return nil
 }
 
-// ReadWords reads n little-endian 64-bit words from r, a chunk of buf
-// (≥ 8 bytes) at a time and never past the n-th, handing each to put.
-func ReadWords(r io.Reader, buf []byte, n int, put func(i int, w uint64)) error {
-	for i := 0; i < n; {
-		chunk := buf[:8*min(n-i, len(buf)/8)]
+// ReadWords fills dst with little-endian 64-bit words read from r, a chunk
+// of buf (≥ 8 bytes) at a time and never past the last word, with plain
+// stores: dst must be memory no reader can see yet.
+func ReadWords(r io.Reader, buf []byte, dst []uint64) error {
+	for len(dst) > 0 {
+		n := min(len(dst), len(buf)/8)
+		chunk := buf[:8*n]
 		if _, err := io.ReadFull(r, chunk); err != nil {
 			return err
 		}
-		for j := 0; j < len(chunk); j += 8 {
-			put(i, binary.LittleEndian.Uint64(chunk[j:]))
-			i++
+		for j := range dst[:n] {
+			dst[j] = binary.LittleEndian.Uint64(chunk[8*j:])
 		}
+		dst = dst[n:]
 	}
 	return nil
 }

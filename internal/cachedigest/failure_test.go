@@ -126,7 +126,9 @@ func TestAllOnesDigestFromUntrustedSibling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged.Bloom().Bits().SetAll()
+	for i, bits := 0, forged.Bloom().Bits(); i < bits.Words(); i++ {
+		bits.SetWord(i, ^uint64(0))
+	}
 	honest.digests[evil] = forged
 
 	gen := urlgen.New(2)

@@ -295,7 +295,8 @@ func (c *Counting) AppendBinary(dst []byte) []byte {
 // Load overwrites the counter state in place from r, which must hold what
 // AppendBinary writes for a filter of the same m and counter width, reading
 // through buf (≥ countingSnapshotHeader bytes); the overflow policy comes
-// from the snapshot. On error the filter is half-written.
+// from the snapshot. Like bitset.Load it stores plainly, before publication.
+// On error the filter is half-written.
 func (c *Counting) Load(r io.Reader, buf []byte) error {
 	hdr := buf[:countingSnapshotHeader]
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -427,47 +428,43 @@ func (p *packedCounters) appendStream(out []byte) []byte {
 }
 
 // load overwrites every counter from the stream in r, read through buf,
-// with one atomic store per in-memory word (lock-free readers may be
-// loading them). Stream bits past the m-th counter must be zero.
+// with plain stores: like bitset.Load it runs only before publication.
+// Stream bits past the m-th counter must be zero.
+//
+//lint:allow atomicpublish loads run before publication: every caller restores a store no lock-free reader can reach yet
 func (p *packedCounters) load(r io.Reader, buf []byte) error {
 	var slack uint64 // stream bits past the last counter
 	if p.contiguous() {
-		if err := bitset.ReadWords(r, buf, len(p.words), func(i int, x uint64) { atomic.StoreUint64(&p.words[i], x) }); err != nil {
+		if err := bitset.ReadWords(r, buf, p.words); err != nil {
 			return err
 		}
 		if rem := p.m % p.per; rem != 0 {
 			slack = p.words[len(p.words)-1] >> (rem * uint64(p.width))
 		}
 	} else {
-		w := uint(p.width)
-		var (
-			i, word, acc uint64 // next counter; the in-memory word being filled; a straddling counter's low bits
-			have         uint   // bits held in acc, always < w
-		)
-		err := bitset.ReadWords(r, buf, p.streamWords(), func(_ int, x uint64) {
-			left := uint(64) // bits of x not yet consumed, at its bottom
-			for have+left >= w {
-				v := (acc | x<<have) & p.max()
-				x >>= w - have
-				left -= w - have
-				acc, have = 0, 0
-				switch slot := i % p.per; {
-				case i >= p.m:
-					slack |= v
-				case slot == p.per-1 || i == p.m-1:
-					atomic.StoreUint64(&p.words[i/p.per], word|v<<(slot*uint64(w)))
-					word = 0
-				default:
-					word |= v << (slot * uint64(w))
-				}
-				i++
-			}
-			acc, have = x, left
-		})
-		if err != nil {
+		// The stream is shorter than the words, so it is read into their
+		// front and spread out from the back: word j is built from stream
+		// words up to j only, none of which the loop has overwritten yet.
+		n := p.streamWords()
+		if err := bitset.ReadWords(r, buf, p.words[:n]); err != nil {
 			return err
 		}
-		slack |= acc
+		if rem := p.m * uint64(p.width) % 64; rem != 0 {
+			slack = p.words[n-1] >> rem
+		}
+		w := uint64(p.width)
+		for j := len(p.words) - 1; j >= 0; j-- {
+			var word uint64
+			for i, first := uint64(j)*p.per, uint64(j)*p.per; i < min(first+p.per, p.m); i++ {
+				at := i * w // the counter's first stream bit
+				v := p.words[at/64] >> (at % 64)
+				if at%64+w > 64 {
+					v |= p.words[at/64+1] << (64 - at%64)
+				}
+				word |= v & p.max() << ((i - first) * w)
+			}
+			p.words[j] = word
+		}
 	}
 	if slack != 0 {
 		return fmt.Errorf("core: counter stream has bits set past its %d counters", p.m)

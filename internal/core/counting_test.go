@@ -208,7 +208,7 @@ func TestCountingAddIndexesReturns(t *testing.T) {
 // Property: packed counters at every width behave like a plain uint array,
 // and the snapshot carries them in the contiguous packing — checked against
 // contiguousStream, an encoder of the reference array written bit by bit —
-// from which Load rebuilds the same counters.
+// from which Load rebuilds the same counters over whatever they held.
 func TestPackedCountersProperty(t *testing.T) {
 	const m = 257 // prime: at most widths the last word is partly filled
 	for width := 1; width <= 16; width++ {
@@ -232,7 +232,12 @@ func TestPackedCountersProperty(t *testing.T) {
 				if !bytes.Equal(blob[countingSnapshotHeader:], contiguousStream(ref, width)) {
 					return false
 				}
+				// Load overwrites in place: a filter full of other counts
+				// must come out holding exactly the blob's.
 				restored := newTestCounting(t, 3, m, width, Wrap)
+				for i := uint64(0); i < m; i++ {
+					restored.counters.setAtomic(i, maxVal-ref[i])
+				}
 				if err := loadBlob(restored, blob); err != nil {
 					return false
 				}

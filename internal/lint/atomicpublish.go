@@ -11,8 +11,10 @@ import (
 // (PR 6). The service skips the striped RLock on membership tests:
 // readers issue bare atomic.LoadUint64 on the backing word slices while
 // writers — still serialized under the shard write lock — must publish
-// every mutation with atomic stores (bitset.SetAtomic, bitset.Load,
-// the core *Atomic index methods). A single plain write to a word that a
+// every mutation with atomic stores (bitset.SetAtomic, bitset.Reset, the
+// core *Atomic index methods). Snapshot loads (bitset.Load, core's counter
+// load) store plainly: they run only on a store or digest nothing has
+// published yet. A single plain write to a word that a
 // lock-free reader loads is a data race the race detector only catches if
 // a test happens to interleave it; this analyzer catches it structurally:
 //
@@ -22,8 +24,11 @@ import (
 //  2. a plain write to such a field — x.words[i] = v, x.words[i] |= m,
 //     copy(x.words, ...), or wholesale reassignment — is reported. The
 //     documented plain-write twins (BitSet.Set and friends, callable only
-//     under full external serialization with no lock-free readers) carry
-//     //lint:allow annotations that double as their contract;
+//     under full external serialization with no lock-free readers) and the
+//     counter load carry //lint:allow annotations that double as their
+//     contract. Writes through a slice passed to a function are not
+//     followed (bitset.ReadWords filling a set's words): Load's doc
+//     carries that contract;
 //  3. inside internal/service — the package that orchestrates lock-free
 //     reads against live stores — and internal/mesh, which holds digests
 //     that route lookups read while refreshes replace them, any call to an

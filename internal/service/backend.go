@@ -46,9 +46,9 @@ type Backend interface {
 	// snapshotHeader.shardBlobLen bytes, no index family (geometry and
 	// secrets travel out of band).
 	AppendBinary(dst []byte) []byte
-	// Load overwrites that state in place from r, reading through buf, and
-	// refuses a blob no AppendBinary of this geometry writes. A failed load
-	// may leave the backend half-written: callers discard or Reset it.
+	// Load overwrites that state in place from r through buf with plain
+	// stores, before publication, refusing a blob no AppendBinary of this
+	// geometry writes; a failed load leaves it half-written (discard or Reset).
 	Load(r io.Reader, buf []byte) error
 	// Reset empties the backend: every position and its counts.
 	Reset()
@@ -193,6 +193,7 @@ func (c countingBackend) RemoveIndexes(idx []uint64) (int, error) {
 	return c.Counting.RemoveIndexesAtomic(idx)
 }
 
+//lint:allow atomicpublish loads run before publication: boot recovery and uploads restore a store no reader can reach yet
 func (c countingBackend) Load(r io.Reader, buf []byte) error {
 	// core restores the overflow policy from the blob; the service pins the
 	// policy at creation, so a blob smuggling a different one (the envelope

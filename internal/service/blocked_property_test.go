@@ -67,7 +67,7 @@ func TestBlockedSnapshotRoundTripAcrossGeometries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Restore(snap); err != nil {
+			if err := b.restore(snap); err != nil {
 				t.Fatal(err)
 			}
 			again, err := b.Snapshot()

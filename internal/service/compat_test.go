@@ -33,8 +33,9 @@ func (fx dataDirFixture) items() [][]byte {
 	return items
 }
 
-// recover opens a copy of the fixture and returns its one filter's store.
-func (fx dataDirFixture) recover(t *testing.T) *Sharded {
+// copyDir copies the fixture's filter directory into a fresh data
+// directory and returns that data directory.
+func (fx dataDirFixture) copyDir(t *testing.T) string {
 	t.Helper()
 	src := filepath.Join("testdata", fx.dir, "default")
 	dir := t.TempDir()
@@ -54,8 +55,14 @@ func (fx dataDirFixture) recover(t *testing.T) *Sharded {
 			t.Fatal(err)
 		}
 	}
+	return dir
+}
+
+// recover opens a copy of the fixture and returns its one filter's store.
+func (fx dataDirFixture) recover(t *testing.T) *Sharded {
+	t.Helper()
 	reg := NewRegistry()
-	if n, err := reg.OpenDataDir(dir, SyncNever); err != nil || n != 1 {
+	if n, err := reg.OpenDataDir(fx.copyDir(t), SyncNever); err != nil || n != 1 {
 		t.Fatalf("OpenDataDir recovered %d filters, err %v; want 1, nil", n, err)
 	}
 	t.Cleanup(func() { reg.Close() }) //nolint:errcheck // test teardown
@@ -126,7 +133,7 @@ func (fx dataDirFixture) check(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Restore(env); err != nil {
+		if err := s.restore(env); err != nil {
 			t.Fatalf("%s: %v", filepath.Base(path), err)
 		}
 		if again, err := s.Snapshot(); err != nil || !bytes.Equal(again, env) {
@@ -247,7 +254,7 @@ func TestSnapshotEnvelopesKeepTheirLayout(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := other.Restore(env); !errors.Is(err, ErrSnapshotMismatch) {
+			if err := other.restore(env); !errors.Is(err, ErrSnapshotMismatch) {
 				t.Fatalf("restoring a layout-%d envelope into a layout-%d filter: %v, want ErrSnapshotMismatch", fx.layout, cfg.layout, err)
 			}
 			if st := other.Stats(); st.Weight != 0 {

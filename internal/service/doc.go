@@ -86,7 +86,9 @@
 // tail to the longest valid record prefix, so a recovered filter is
 // bit-identical to the pre-crash state up to the configured loss window.
 // POST .../compact forces a snapshot and starts a fresh log segment;
-// SIGTERM/SIGINT drain in-flight requests and flush before exit. Restored
+// SIGTERM/SIGINT drain in-flight requests and flush before exit, and
+// compact each filter whose log holds at least as many bytes as its
+// snapshot would, so the restart restores instead of replaying. Restored
 // filters pass through the same MaxTotalBits accounting as fresh creations,
 // with failed restores rolling their reservation back.
 //

@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -46,6 +49,30 @@ func tinyConfig(variant Variant, shards int) Config {
 	return cfg
 }
 
+// checkGroupingOrder requires s.group to visit items in the oracle's order.
+func checkGroupingOrder(t *testing.T, s *Sharded, items [][]byte) {
+	t.Helper()
+	var want [][2]int // (shard, position) in visiting order
+	for si, g := range oracleGroup(s, items) {
+		for _, ii := range g {
+			want = append(want, [2]int{si, ii})
+		}
+	}
+	var got [][2]int
+	g := s.group(items)
+	for lo := 0; lo < len(g.order); {
+		si, run := g.run(lo)
+		lo += len(run)
+		for _, ii := range run {
+			got = append(got, [2]int{si, ii})
+		}
+	}
+	s.ungroup(g)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%d shards, %d items: visiting order\n got %v\nwant %v", len(s.shards), len(items), got, want)
+	}
+}
+
 func TestGroupingVisitsInOracleOrder(t *testing.T) {
 	for _, shards := range []int{1, 2, 8, 256, 512, MaxShards} {
 		s, err := NewSharded(tinyConfig(VariantBloom, shards))
@@ -54,28 +81,41 @@ func TestGroupingVisitsInOracleOrder(t *testing.T) {
 		}
 		// A second round runs on the scratch the first one pooled.
 		for _, n := range []int{0, 1, 2, 64, 1000, 64} {
-			items := benchItems(n)
-			var want [][2]int // (shard, position) in visiting order
-			for si, g := range oracleGroup(s, items) {
-				for _, ii := range g {
-					want = append(want, [2]int{si, ii})
-				}
-			}
-			var got [][2]int
-			g := s.group(items)
-			for lo := 0; lo < len(g.order); {
-				si, run := g.run(lo)
-				lo += len(run)
-				for _, ii := range run {
-					got = append(got, [2]int{si, ii})
-				}
-			}
-			s.ungroup(g)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%d shards, %d items: visiting order\n got %v\nwant %v", shards, n, got, want)
-			}
+			checkGroupingOrder(t, s, benchItems(n))
 		}
 	}
+}
+
+// FuzzGroupingMatchesOracle holds the grouping to the oracle on random
+// batches. The shard count is 2^(shardsLog mod 17), up to MaxShards: above
+// 256 shards group takes its second radix pass. Each two bytes of data pick
+// one of keys keys, so batches repeat items, which must keep their order
+// within a shard.
+func FuzzGroupingMatchesOracle(f *testing.F) {
+	f.Add(uint8(0), uint16(1), []byte{})
+	f.Add(uint8(1), uint16(1), []byte{0, 0, 0, 0, 0, 0})
+	f.Add(uint8(3), uint16(4), []byte{0, 0, 1, 0, 0, 0, 2, 0, 1, 0, 3, 0})
+	f.Add(uint8(8), uint16(300), bytes.Repeat([]byte{7, 1, 3, 9, 200, 0}, 200))
+	f.Add(uint8(9), uint16(1000), bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, 300))
+	f.Add(uint8(16), uint16(5000), bytes.Repeat([]byte{0xff, 0x13, 0x37, 0x01}, 500))
+	stores := map[int]*Sharded{} // built once per shard count per worker
+	f.Fuzz(func(t *testing.T, shardsLog uint8, keys uint16, data []byte) {
+		shards := 1 << (shardsLog % 17)
+		s := stores[shards]
+		if s == nil {
+			var err error
+			if s, err = NewSharded(tinyConfig(VariantBloom, shards)); err != nil {
+				t.Fatal(err)
+			}
+			stores[shards] = s
+		}
+		items := make([][]byte, 0, len(data)/2)
+		for i := 0; i+1 < len(data); i += 2 {
+			k := binary.LittleEndian.Uint16(data[i:]) % max(keys, 1)
+			items = append(items, []byte(fmt.Sprintf("key-%d", k)))
+		}
+		checkGroupingOrder(t, s, items)
+	})
 }
 
 // A batch call must cost O(batch), never O(shards): before PR 19 every call

@@ -175,7 +175,7 @@ func TestNaiveLayoutV3SnapshotIsCorrupt(t *testing.T) {
 	if _, err := NewRegistry().CreateFromSnapshot("clone", bytes.NewReader(env)); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Errorf("uploading a naive layout-3 envelope: %v, want ErrSnapshotCorrupt", err)
 	}
-	if err := s.Restore(env); !errors.Is(err, ErrSnapshotCorrupt) {
+	if err := s.restore(env); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Errorf("restoring a naive layout-3 envelope: %v, want ErrSnapshotCorrupt", err)
 	}
 }

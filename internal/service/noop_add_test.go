@@ -205,7 +205,7 @@ func TestRepeatJournaledAddsRecoverDistinctCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Restore(old); err != nil {
+	if err := st.restore(old); err != nil {
 		t.Fatal(err)
 	}
 	again, err := st.Snapshot()

@@ -37,7 +37,10 @@ import (
 // generation upward — segment g ends at exactly the atomic cut where
 // snapshot g+1 was taken, so the chain always reconstructs the full state.
 // Compaction keeps the previous generation pair around as the fallback and
-// deletes anything older.
+// deletes anything older. A graceful shutdown (Registry.Close) compacts a
+// filter whose live segment holds at least as many bytes as its snapshot
+// would, so the next boot restores a snapshot instead of replaying a log
+// that costs more; a smaller log is left to replay.
 //
 // Log records are length-prefixed and individually checksummed:
 //
@@ -221,10 +224,11 @@ type Persister struct {
 	dir    string
 	policy SyncPolicy
 
-	mu  sync.Mutex
-	buf []byte   // encoded records not yet written to wal
-	wal *os.File // current segment, wal-<gen>
-	gen uint64
+	mu     sync.Mutex
+	buf    []byte   // encoded records not yet written to wal
+	wal    *os.File // current segment, wal-<gen>
+	gen    uint64
+	walLen int64 // wal's length: its valid prefix at boot plus every flush since
 	// err is sticky: after the first I/O failure (or Close) the journal
 	// drops appends — memory state stays correct, durability is degraded —
 	// and the error surfaces on the next Compact/Close.
@@ -347,7 +351,7 @@ func (p *Persister) Replay(s *Sharded) error {
 		if err != nil {
 			return err
 		}
-		last = gen
+		last, p.walLen = gen, valid
 		if !torn {
 			continue
 		}
@@ -535,6 +539,7 @@ func (p *Persister) flushLocked(sync bool) {
 		p.err = err
 		return
 	}
+	p.walLen += int64(len(p.buf))
 	p.buf = p.buf[:0]
 	if sync {
 		if err := p.wal.Sync(); err != nil {
@@ -608,7 +613,7 @@ func (p *Persister) Compact(s *Sharded) error {
 		return err
 	}
 	p.wal.Close() //nolint:errcheck // already flushed and synced above
-	p.wal = wal
+	p.wal, p.walLen = wal, 0
 	oldGen := p.gen
 	p.gen = newGen
 	// Retire generations older than the fallback pair.
@@ -622,6 +627,16 @@ func (p *Persister) Compact(s *Sharded) error {
 		}
 	}
 	return nil
+}
+
+// logOutweighs reports whether the live segment, buffered records included,
+// holds at least as many bytes as a snapshot of s: a log byte costs more to
+// replay than a snapshot byte to restore, so compacting it never slows the
+// next boot. A failed or closed journal never outweighs.
+func (p *Persister) logOutweighs(s *Sharded) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.err == nil && p.walLen+int64(len(p.buf)) >= s.snapshotLen()
 }
 
 // Generation returns the current snapshot generation.

@@ -84,7 +84,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Restore(snap); err != nil {
+			if err := b.restore(snap); err != nil {
 				t.Fatal(err)
 			}
 			again, err := b.Snapshot()
@@ -126,7 +126,7 @@ func TestSnapshotRestoreRejections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dst.Restore(snap)
+		return dst.restore(snap)
 	}
 	bloomCfg := persistCfg(VariantBloom, ModeNaive, 0, 0)
 	if err := restoreInto(bloomCfg); !errors.Is(err, ErrSnapshotMismatch) {
@@ -156,10 +156,10 @@ func TestSnapshotRestoreRejections(t *testing.T) {
 	}
 	bad := bytes.Clone(snap)
 	bad[len(bad)/3] ^= 0x01
-	if err := dst.Restore(bad); !errors.Is(err, ErrSnapshotCorrupt) {
+	if err := dst.restore(bad); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Errorf("bit flip: %v, want ErrSnapshotCorrupt", err)
 	}
-	if err := dst.Restore(snap[:len(snap)-3]); !errors.Is(err, ErrSnapshotCorrupt) {
+	if err := dst.restore(snap[:len(snap)-3]); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Errorf("truncation: %v, want ErrSnapshotCorrupt", err)
 	}
 
@@ -453,9 +453,14 @@ func TestCompactAndCorruptSnapshotFallback(t *testing.T) {
 		t.Fatal("clean reopen diverged from pre-shutdown state")
 	}
 
-	// Corrupt the newest snapshot: recovery must fall back to the log
-	// chain from the previous generation and still reach the same state.
-	snapPath := filepath.Join(dir, "c", snapName(1))
+	// Corrupt the newest snapshot, whichever Close left (its log of 80
+	// adds outweighs the snapshot, so Close compacted it to generation 2):
+	// recovery must fall back to the log chain from the previous generation
+	// and still reach the same state.
+	if g := f.Generation(); g != 2 {
+		t.Fatalf("generation %d after Close, want 2", g)
+	}
+	snapPath := filepath.Join(dir, "c", snapName(2))
 	blob, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)

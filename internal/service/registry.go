@@ -529,9 +529,11 @@ func (r *Registry) loadPersisted(name string) error {
 
 // Close runs the lifecycle hook for every filter and uninstalls it — so
 // every peer-refresh loop has exited before any journal closes — then
-// flushes and closes every filter's durable store: the graceful-shutdown
-// tail, after the wire planes have drained. The registry stays readable but
-// journals no further mutations. It returns the first error.
+// compacts each durable filter whose log outweighs its snapshot
+// (Persister.logOutweighs) and flushes and closes every durable store: the
+// graceful-shutdown tail, after the wire planes have drained. The registry
+// stays readable but journals no further mutations. It returns the first
+// error; a failed compaction leaves the synced log authoritative.
 func (r *Registry) Close() error {
 	r.mu.Lock()
 	hook := r.hook
@@ -550,6 +552,11 @@ func (r *Registry) Close() error {
 	for _, f := range filters {
 		if f.persist == nil {
 			continue
+		}
+		if f.persist.logOutweighs(f.store) {
+			if err := f.persist.Compact(f.store); err != nil && first == nil {
+				first = err
+			}
 		}
 		if err := f.persist.Close(); err != nil && first == nil {
 			first = err

@@ -267,6 +267,12 @@ func (s *Sharded) Snapshot() ([]byte, error) {
 	return s.snapshot(true)
 }
 
+// snapshotLen returns the byte length of the store's snapshot envelope:
+// header, payload and CRC-32, all fixed by the configuration.
+func (s *Sharded) snapshotLen() int64 {
+	return int64(snapshotFrame.HeaderLen) + int64(s.headerFor().payloadLen) + 4
+}
+
 // snapshot allocates the envelope once, at its final size, and appends each
 // shard's state straight from its words. Without lock the caller holds
 // every shard's write lock (compaction), and the result is an atomic cut.
@@ -292,20 +298,14 @@ func (s *Sharded) snapshot(lock bool) ([]byte, error) {
 	return snapshotFrame.Finish(out), nil
 }
 
-// Restore overwrites the store's occupancy state from an envelope written by
-// Snapshot on a store of identical configuration. It is restorer over an
-// in-memory envelope, so a failed Restore may leave the store half-written.
-func (s *Sharded) Restore(data []byte) error {
-	_, _, err := cachedigest.ReadFrame(bytes.NewReader(data), false, s.restorer, snapshotFrame)
-	return err
-}
-
 // restorer is the ReadFrame admit hook that restores an envelope into s as
-// it streams in. A header of another configuration is ErrSnapshotMismatch;
-// one the store would not write byte for byte is ErrSnapshotCorrupt. The
-// payload's consumer reads each shard's [length][blob] through one 64 KiB
-// buffer into the words the shard owns, under every shard's write lock, and
-// recomputes its weight. The CRC is checked only after every shard is
+// it streams in. Its callers, boot recovery and CreateFromSnapshot, hand it
+// a store they have not published: the backends load with plain stores,
+// which lock-free readers must not see. A header of another configuration
+// is ErrSnapshotMismatch; one the store would not write byte for byte is
+// ErrSnapshotCorrupt. The payload's consumer reads each shard's
+// [length][blob] through one 64 KiB buffer into the words the shard owns
+// and recomputes its weight. The CRC is checked only after every shard is
 // written, so after any failure the store is half-written and its caller
 // discards or resets it.
 func (s *Sharded) restorer(hdr []byte) (func(io.Reader) error, error) {
@@ -320,8 +320,6 @@ func (s *Sharded) restorer(hdr []byte) (func(io.Reader) error, error) {
 	}
 	blobLen, _ := h.shardBlobLen()
 	return func(r io.Reader) error {
-		s.lockAll()
-		defer s.unlockAll()
 		buf := make([]byte, 64<<10)
 		for i := range s.shards {
 			if _, err := io.ReadFull(r, buf[:8]); err != nil {
@@ -341,10 +339,9 @@ func (s *Sharded) restorer(hdr []byte) (func(io.Reader) error, error) {
 	}, nil
 }
 
-// reset empties every shard: words, counts and weight.
+// reset empties every shard, words, counts and weight, of a store nothing
+// has published yet: boot recovery's log-only fallback.
 func (s *Sharded) reset() {
-	s.lockAll()
-	defer s.unlockAll()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.backend.Reset()

@@ -37,12 +37,12 @@ func snapshotFixtures(tb testing.TB) [][]byte {
 }
 
 // FuzzSnapshotEnvelope throws arbitrary bytes at the two ways a snapshot
-// envelope enters the server: Sharded.Restore into live stores (the data
-// directory path) and Registry.CreateFromSnapshot (the upload path). The
-// invariants:
+// envelope enters the server: restore into a built, unpublished store (the
+// data directory path) and Registry.CreateFromSnapshot (the upload path).
+// The invariants:
 //
 //   - nothing panics;
-//   - Restore fails only with ErrSnapshotCorrupt or ErrSnapshotMismatch;
+//   - restore fails only with ErrSnapshotCorrupt or ErrSnapshotMismatch;
 //     CreateFromSnapshot also with a registry limit — the error validate
 //     gives for the header's configuration, or a reservation refusal;
 //   - no storage budget outlives a failed upload or a deleted filter;
@@ -85,10 +85,10 @@ func FuzzSnapshotEnvelope(f *testing.F) {
 		}
 
 		for _, s := range stores {
-			err := s.Restore(data)
+			err := s.restore(data)
 			if err != nil {
 				if !errors.Is(err, ErrSnapshotCorrupt) && !errors.Is(err, ErrSnapshotMismatch) {
-					t.Fatalf("Restore: untyped error %v", err)
+					t.Fatalf("restore: untyped error %v", err)
 				}
 				continue
 			}

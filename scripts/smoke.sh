@@ -172,6 +172,15 @@ say "SIGTERM: graceful drain and durable-state flush"
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "server exited non-zero on SIGTERM"
 grep -q "durable state flushed" "$LOG" || fail "graceful shutdown did not flush"
+# Shutdown compacts a filter whose log holds at least as many bytes as its
+# snapshot would. The blocked filter's 120 journaled adds outweigh its
+# 164-byte snapshot, so it leaves generation 1; the smoke filter's log is
+# one add, so it keeps generation 1 and the restart replays snapshot + log.
+grep -q "1 filter(s) compacted" "$LOG" || fail "shutdown did not report compacting exactly one filter"
+[[ -e "$DATA/blk/snap-000001.evb" ]] || fail "the blocked filter's outweighing log was not compacted at shutdown"
+[[ -e "$DATA/smoke/snap-000001.evb" && ! -e "$DATA/smoke/snap-000002.evb" ]] \
+  || fail "the smoke filter's one-record log was compacted at shutdown: $(ls "$DATA/smoke")"
+[[ -s "$DATA/smoke/wal-000001.log" ]] || fail "the smoke filter's post-compact log is gone"
 
 say "restarting from $DATA"
 "$BIN" serve -addr "$ADDR" -data-dir "$DATA" >"$LOG" 2>&1 &
