@@ -227,7 +227,7 @@ func (v *serveFlags) meshConfig() mesh.PeerConfig {
 
 // cmdServe runs the multi-filter service (evilbloomd): a registry of named
 // filters behind the /v2 API, with the flag-configured filter installed as
-// "default" (also served on the /v1 shim) — the paper's §8 naive-vs-hardened
+// "default" — the paper's §8 naive-vs-hardened
 // comparison and the §4.3 deletion scenario as live HTTP endpoints the
 // attack machinery can be pointed at. With -data-dir every filter journals
 // its mutations and the whole registry survives a restart bit-identically;
@@ -323,7 +323,7 @@ func cmdServe(args []string) error {
 	if store.Mode() == service.ModeNaive {
 		fmt.Fprintf(os.Stderr, "evilbloom serve: naive index seed %d is PUBLIC (served on the info endpoints) — this mode is meant to be attacked\n", store.Seed())
 	}
-	fmt.Fprintf(os.Stderr, "evilbloom serve: manage named filters via PUT/GET/DELETE /v2/filters/{name}; /v1/* serves the default filter\n")
+	fmt.Fprintf(os.Stderr, "evilbloom serve: manage named filters via PUT/GET/DELETE /v2/filters/{name}; the flag-configured filter is /v2/filters/default\n")
 
 	if len(values.authTokens) > 0 {
 		if err := eng.ConfigureAuth(values.authTokens); err != nil {

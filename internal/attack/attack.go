@@ -158,7 +158,7 @@ type Forger struct {
 	gen     Generator
 	scratch []uint64
 
-	// Attempts counts candidates examined since construction (or ResetStats).
+	// Attempts counts candidates examined since construction.
 	Attempts uint64
 	// Forged counts successful forgeries.
 	Forged uint64
@@ -168,9 +168,6 @@ type Forger struct {
 func NewForger(view View, gen Generator) *Forger {
 	return &Forger{view: view, gen: gen, scratch: make([]uint64, 0, view.K())}
 }
-
-// ResetStats zeroes the attempt accounting.
-func (f *Forger) ResetStats() { f.Attempts, f.Forged = 0, 0 }
 
 func (f *Forger) search(budget uint64, cond func([]uint64) bool) ([]byte, []uint64, error) {
 	for tried := uint64(0); budget == 0 || tried < budget; tried++ {
@@ -217,55 +214,4 @@ func (f *Forger) ForgeDeletion(victim []uint64, budget uint64) ([]byte, []uint64
 		return nil, nil, fmt.Errorf("attack: empty victim index set")
 	}
 	return f.search(budget, func(idx []uint64) bool { return SharesIndex(f.view, idx, victim) })
-}
-
-// ForgeDecoySet returns items whose combined index sets cover every position
-// of target — the Fig 7 ghost-hiding construction: once the trusted party
-// has inserted (crawled) the decoys, the target item reads as "already
-// seen" although it was never inserted. The greedy cover needs the
-// Θ(k·log k) items the paper predicts via the coupon-collector argument.
-// budget bounds the total candidates examined (0 = unbounded).
-func (f *Forger) ForgeDecoySet(target []uint64, budget uint64) ([][]byte, error) {
-	if len(target) == 0 {
-		return nil, fmt.Errorf("attack: empty target index set")
-	}
-	type pos struct {
-		slot int
-		idx  uint64
-	}
-	remaining := make(map[pos]bool, len(target))
-	for i, x := range target {
-		if f.view.Partitioned() {
-			remaining[pos{i, x}] = true
-		} else {
-			remaining[pos{0, x}] = true
-		}
-	}
-	var decoys [][]byte
-	var tried uint64
-	for len(remaining) > 0 {
-		item := f.gen.Next()
-		f.Attempts++
-		tried++
-		if budget != 0 && tried > budget {
-			return decoys, fmt.Errorf("%w with %d target positions uncovered", ErrBudgetExhausted, len(remaining))
-		}
-		f.scratch = f.view.Indexes(f.scratch[:0], item)
-		covered := false
-		for i, x := range f.scratch {
-			p := pos{0, x}
-			if f.view.Partitioned() {
-				p = pos{i, x}
-			}
-			if remaining[p] {
-				delete(remaining, p)
-				covered = true
-			}
-		}
-		if covered {
-			f.Forged++
-			decoys = append(decoys, item)
-		}
-	}
-	return decoys, nil
 }

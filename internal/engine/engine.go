@@ -26,11 +26,10 @@
 // unexported, so no package but this one can charge or refund a budget.
 // With a budget configured (ConfigureRateLimit, `evilbloom serve
 // -rate-mutations`/`-rate-burst`), exhaustion answers 429 (HTTP) or -BUSY
-// (RESP) with the exact refill time and applies nothing; the /v1 shim
-// spends from the default filter's buckets, so the legacy surface is no
-// side door. Client identity is the transport peer address unless
-// -trust-proxy makes the X-Evilbloom-Client and X-Forwarded-For headers
-// count, or the client authenticates. Reads are never charged.
+// (RESP) with the exact refill time and applies nothing. Client identity
+// is the transport peer address unless -trust-proxy makes the
+// X-Evilbloom-Client and X-Forwarded-For headers count, or the client
+// authenticates. Reads are never charged.
 //
 // Accounting runs even unthrottled: GET /v2/filters/{name}/clients is the
 // O(clients) attribution table (worst offenders first) and the stats
@@ -99,11 +98,6 @@ func (e *Engine) lifecycle(name string, live bool) {
 	e.mesh.Unwatch(name)
 	e.lim.drop(name)
 }
-
-// Registry exposes the underlying registry for lifecycle wiring (data
-// dirs, filter adoption) — not for item operations, which must go through
-// engine commands.
-func (e *Engine) Registry() *service.Registry { return e.reg }
 
 // ConfigureRateLimit installs per-client mutation budgets (and accounting
 // bounds) for every filter. One-shot; call before serving traffic.
@@ -224,25 +218,12 @@ func retrySecs(retry time.Duration) int64 {
 // ---------------------------------------------------------------------------
 // Item commands.
 
-// AddResult answers Add and AddBatch.
+// AddResult answers AddBatch.
 type AddResult struct {
 	// Added is the number of items inserted.
 	Added int
 	// Count is the filter's distinct-insert estimate after the add.
 	Count uint64
-}
-
-// Add inserts one item as p.
-func (e *Engine) Add(p Principal, ref FilterRef, item []byte) (AddResult, error) {
-	if err := ValidateItem(item); err != nil {
-		return AddResult{}, err
-	}
-	if err := e.charge(p, ref, 1); err != nil {
-		return AddResult{}, err
-	}
-	st := ref.f.Store()
-	st.Add(item)
-	return AddResult{Added: 1, Count: st.Count()}, nil
 }
 
 // AddBatch inserts a batch as p, charging per item: the pollution a batch
@@ -260,14 +241,6 @@ func (e *Engine) AddBatch(p Principal, ref FilterRef, items [][]byte) (AddResult
 	return AddResult{Added: len(items), Count: st.Count()}, nil
 }
 
-// Test answers membership for one item. Reads are not charged.
-func (e *Engine) Test(ref FilterRef, item []byte) (bool, error) {
-	if err := ValidateItem(item); err != nil {
-		return false, err
-	}
-	return ref.f.Store().Test(item), nil
-}
-
 // TestBatch answers membership for a batch into dst (reused, like the
 // store API it fronts). Reads are not charged.
 func (e *Engine) TestBatch(ref FilterRef, dst []bool, items [][]byte) ([]bool, error) {
@@ -275,35 +248,6 @@ func (e *Engine) TestBatch(ref FilterRef, dst []bool, items [][]byte) ([]bool, e
 		return nil, err
 	}
 	return ref.f.Store().TestBatch(dst, items), nil
-}
-
-// RemoveResult answers Remove.
-type RemoveResult struct {
-	Removed int
-	Count   uint64
-}
-
-// Remove deletes one item as p. An item the filter believes absent is
-// ErrNotInFilter — and the charge stands, exactly as it always has: the
-// request was well-formed and the filter did the work of refusing it.
-func (e *Engine) Remove(p Principal, ref FilterRef, item []byte) (RemoveResult, error) {
-	if err := ValidateItem(item); err != nil {
-		return RemoveResult{}, err
-	}
-	if err := e.charge(p, ref, 1); err != nil {
-		return RemoveResult{}, err
-	}
-	st := ref.f.Store()
-	removed, err := st.Remove(item)
-	if err != nil {
-		//lint:allow chargerefund charge stands: the request was well-formed; the store did the work of refusing it
-		return RemoveResult{}, err
-	}
-	if !removed {
-		//lint:allow chargerefund charge stands: probing for removable items must not be free (frozen semantics since PR 1)
-		return RemoveResult{}, ErrNotInFilter
-	}
-	return RemoveResult{Removed: 1, Count: st.Count()}, nil
 }
 
 // RemoveBatchResult answers RemoveBatch; Removed is per item in input
@@ -484,30 +428,11 @@ func (e *Engine) Compact(ref FilterRef) (uint64, error) {
 // ---------------------------------------------------------------------------
 // Digest and routing commands (§7 between nodes).
 
-// DigestResult answers Digest.
-type DigestResult struct {
-	// Blob is the cache-digest envelope.
-	Blob []byte
-	// ETag is the entity tag for the generation the blob captures.
-	ETag string
-}
-
 // DigestETag returns the current digest entity tag without serializing
 // anything — the O(shards) read a conditional request costs.
 func (e *Engine) DigestETag(ref FilterRef) string {
 	st := ref.f.Store()
 	return st.DigestETag(st.Generation())
-}
-
-// Digest exports one filter's cache digest. Hardened filters classify as
-// KindConflict (their keyed family never travels).
-func (e *Engine) Digest(ref FilterRef) (DigestResult, error) {
-	st := ref.f.Store()
-	blob, gen, err := st.DigestEnvelope()
-	if err != nil {
-		return DigestResult{}, err
-	}
-	return DigestResult{Blob: blob, ETag: st.DigestETag(gen)}, nil
 }
 
 // DigestExchangeResult answers DigestExchange.

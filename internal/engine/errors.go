@@ -76,8 +76,8 @@ func (e *BusyError) Error() string {
 
 // ItemError reports one invalid item: empty, or over MaxItemLen.
 type ItemError struct {
-	// Index is the item's position within its batch; -1 for single-item
-	// commands.
+	// Index is the item's position within its batch; -1 for a lone item
+	// (ValidateItem).
 	Index int
 	// Len is the offending length; 0 marks an empty item.
 	Len int

@@ -82,7 +82,7 @@ func assertWatched(t *testing.T, eng *engine.Engine, name string) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := eng.Add(engine.Principal{ID: "c"}, ref, []byte("x")); err != nil {
+	if _, err := eng.AddBatch(engine.Principal{ID: "c"}, ref, [][]byte{[]byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 	if st := eng.Stats(ref).RateLimit; st.AllowedMutations != 1 || st.Clients != 1 {
@@ -176,10 +176,10 @@ func TestLifecycleRecreatedNameStartsClean(t *testing.T) {
 	}
 	ref := create()
 	p := engine.Principal{ID: "pusher"}
-	if _, err := eng.Add(p, ref, []byte("x")); err != nil {
+	if _, err := eng.AddBatch(p, ref, [][]byte{[]byte("x")}); err != nil {
 		t.Fatal(err)
 	}
-	env, err := eng.Digest(ref)
+	env, err := eng.DigestExchange(ref, "", false, "")
 	if err != nil {
 		t.Fatal(err)
 	}

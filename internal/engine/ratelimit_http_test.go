@@ -15,18 +15,11 @@ import (
 	"evilbloom/internal/service"
 )
 
-// frozenRateServer serves a registry over HTTP behind a rate limit whose
-// clock never moves, so token arithmetic is exact. A non-nil store is
-// adopted as the default filter, the way `evilbloom serve` installs the
-// store its flags describe.
-func frozenRateServer(t *testing.T, store *service.Sharded, cfg engine.RateLimitConfig) *httptest.Server {
+// frozenRateServer serves an empty registry over HTTP behind a rate limit
+// whose clock never moves, so token arithmetic is exact.
+func frozenRateServer(t *testing.T, cfg engine.RateLimitConfig) *httptest.Server {
 	t.Helper()
 	reg := service.NewRegistry()
-	if store != nil {
-		if _, err := reg.Adopt(service.DefaultFilterName, store); err != nil {
-			t.Fatal(err)
-		}
-	}
 	eng := engine.New(reg)
 	frozen := time.Unix(1_000_000, 0)
 	engine.SetClock(eng, func() time.Time { return frozen })
@@ -86,7 +79,7 @@ func getDigest(t *testing.T, base, name string) []byte {
 // Retry-After, and both the stats aggregate and the clients table attribute
 // the outcome. The clock is frozen, so the arithmetic is deterministic.
 func TestMutationEndpointsChargePerItem(t *testing.T) {
-	ts := frozenRateServer(t, nil, engine.RateLimitConfig{MutationsPerSec: 0.25, Burst: 10})
+	ts := frozenRateServer(t, engine.RateLimitConfig{MutationsPerSec: 0.25, Burst: 10})
 	spec := `{"variant":"counting","shards":1,"shard_bits":256,"hash_count":4,"seed":3}`
 	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v2/filters/f", strings.NewReader(spec))
 	if err != nil {
@@ -177,36 +170,5 @@ func TestMutationEndpointsChargePerItem(t *testing.T) {
 	cs := clients.Clients[0]
 	if cs.Client != "127.0.0.1" || cs.Allowed != 10 || cs.Throttled != 7 {
 		t.Errorf("attribution: %+v, want 127.0.0.1 with 10 allowed / 7 throttled", cs)
-	}
-}
-
-// The /v1 shim's mutations charge the default filter's budgets — the
-// legacy surface is not a side door around rate limiting — and both API
-// generations spend from the same bucket.
-func TestV1ShimSharesDefaultBudget(t *testing.T) {
-	store, err := service.NewSharded(service.Config{Shards: 1, ShardBits: 256, HashCount: 4, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := frozenRateServer(t, store, engine.RateLimitConfig{MutationsPerSec: 0.5, Burst: 2})
-
-	if code, _, _ := postRaw(t, ts.URL+"/v1/add", `{"item":"a"}`); code != http.StatusOK {
-		t.Fatal("v1 add within budget refused")
-	}
-	if code, _, _ := postRaw(t, ts.URL+"/v2/filters/default/add", `{"item":"b"}`); code != http.StatusOK {
-		t.Fatal("v2 default add within budget refused")
-	}
-	code, retry, _ := postRaw(t, ts.URL+"/v1/add", `{"item":"c"}`)
-	if code != http.StatusTooManyRequests || retry != "2" {
-		t.Fatalf("v1 add on a bucket spent across generations: %d retry %q, want 429/2", code, retry)
-	}
-	// Reads on the shim stay free.
-	if code, _, _ := postRaw(t, ts.URL+"/v1/test", `{"item":"a"}`); code != http.StatusOK {
-		t.Error("v1 test charged")
-	}
-	var clients engine.ClientsReport
-	getJSON(t, ts.URL+"/v2/filters/default/clients", &clients)
-	if len(clients.Clients) != 1 || clients.Clients[0].Allowed != 2 || clients.Clients[0].Throttled != 1 {
-		t.Errorf("cross-generation attribution: %+v", clients.Clients)
 	}
 }

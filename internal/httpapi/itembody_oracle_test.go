@@ -28,13 +28,13 @@ type testBatchResponse struct {
 	Present []bool `json:"present"`
 }
 
-// removeResponse answers /v2/.../remove (no v1 equivalent).
+// removeResponse answers remove.
 type removeResponse struct {
 	Removed int    `json:"removed"`
 	Count   uint64 `json:"count"`
 }
 
-// removeBatchResponse answers /v2/.../remove-batch, Removed in input order
+// removeBatchResponse answers remove-batch, Removed in input order
 // (false marks items the filter believed absent and refused to remove).
 type removeBatchResponse struct {
 	Removed []bool `json:"removed"`
@@ -71,33 +71,41 @@ func oracleItemOp(s *Server, w http.ResponseWriter, r *http.Request, ref engine.
 			return
 		}
 	}
+	// A single-item route validates its item (for its own error wording),
+	// then runs as a one-item batch.
+	items := toBytes(many.Items)
+	if !batch {
+		items = [][]byte{[]byte(one.Item)}
+		if err := engine.ValidateItem(items[0]); err != nil {
+			writeEngineError(w, err)
+			return
+		}
+	}
 	var res any
 	var err error
 	switch op {
-	case "add":
+	case "add", "add-batch":
 		var ar engine.AddResult
-		ar, err = s.eng.Add(p, ref, []byte(one.Item))
+		ar, err = s.eng.AddBatch(p, ref, items)
 		res = addResponse{Added: ar.Added, Count: ar.Count}
 	case "test":
-		var present bool
-		present, err = s.eng.Test(ref, []byte(one.Item))
-		res = testResponse{Present: present}
-	case "add-batch":
-		var ar engine.AddResult
-		ar, err = s.eng.AddBatch(p, ref, toBytes(many.Items))
-		res = addResponse{Added: ar.Added, Count: ar.Count}
+		var present []bool
+		if present, err = s.eng.TestBatch(ref, nil, items); err == nil {
+			res = testResponse{Present: present[0]}
+		}
 	case "test-batch":
-		items := toBytes(many.Items)
 		var present []bool
 		present, err = s.eng.TestBatch(ref, make([]bool, 0, len(items)), items)
 		res = testBatchResponse{Present: present}
 	case "remove":
-		var rr engine.RemoveResult
-		rr, err = s.eng.Remove(p, ref, []byte(one.Item))
-		res = removeResponse{Removed: rr.Removed, Count: rr.Count}
+		var rr engine.RemoveBatchResult
+		if rr, err = s.eng.RemoveBatch(p, ref, items); err == nil && !rr.Removed[0] {
+			err = engine.ErrNotInFilter
+		}
+		res = removeResponse{Removed: 1, Count: rr.Count}
 	case "remove-batch":
 		var rr engine.RemoveBatchResult
-		rr, err = s.eng.RemoveBatch(p, ref, toBytes(many.Items))
+		rr, err = s.eng.RemoveBatch(p, ref, items)
 		res = removeBatchResponse{Removed: rr.Removed, Count: rr.Count}
 	}
 	if err != nil {

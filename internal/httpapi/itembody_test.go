@@ -113,8 +113,8 @@ func TestScanItems(t *testing.T) {
 // Differential fuzzing against the pre-scanner handlers.
 
 // newItemFixture returns a server with a counting filter "f" and a bloom
-// "default" (the /v1 target), a few items preloaded into each, and a budget
-// small enough that a modest batch draws a 429.
+// "default", a few items preloaded into each, and a budget small enough that
+// a modest batch draws a 429.
 func newItemFixture(t testing.TB) *Server {
 	t.Helper()
 	reg := service.NewRegistry()
@@ -219,10 +219,11 @@ func FuzzItemBody(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
 		op := itemOps[int(route)%len(itemOps)]
-		filter, path := "f", "/v2/filters/f/"+op
-		if route&0x80 != 0 && !strings.HasPrefix(op, "remove") {
-			filter, path = service.DefaultFilterName, "/v1/"+op
+		filter := "f"
+		if route&0x80 != 0 {
+			filter = service.DefaultFilterName
 		}
+		path := "/v2/filters/" + filter + "/" + op
 		chunked := route&0x40 != 0
 		what := fmt.Sprintf("%s (chunked=%v) %q", path, chunked, body)
 

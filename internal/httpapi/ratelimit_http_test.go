@@ -111,7 +111,7 @@ func TestLimiterDroppedOnDelete(t *testing.T) {
 	// An in-flight charge landing after the drop (a request that resolved
 	// the filter before Delete) is allowed without recording — it must not
 	// re-create the table and leak ghost counts into a successor filter.
-	if _, err := eng.Add(engine.Principal{ID: "straggler"}, ref, []byte("s")); err != nil {
+	if _, err := eng.AddBatch(engine.Principal{ID: "straggler"}, ref, [][]byte{[]byte("s")}); err != nil {
 		t.Error("straggler mutation on a deleted filter throttled")
 	}
 	if st := eng.Stats(ref).RateLimit; st.AllowedMutations != 0 || st.Clients != 0 {

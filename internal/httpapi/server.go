@@ -1,6 +1,6 @@
 // Package httpapi is the HTTP/JSON codec over the command engine: it
 // decodes requests into engine commands, renders typed results as the
-// frozen v1/v2 wire shapes, and maps engine error kinds to status codes.
+// frozen v2 wire shapes, and maps engine error kinds to status codes.
 // No validation, identity resolution, rate-limit charge or store access
 // happens here — that is the engine's pipeline, shared with the RESP
 // plane, so the two surfaces cannot drift apart.
@@ -22,9 +22,9 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Wire structs. The v1 shapes are frozen — /v1/* promises byte-identical
-// responses to the original single-filter API, so these structs must not
-// grow fields. /v2 has its own shapes below.
+// Wire structs. The item routes' bodies are frozen
+// (TestV2ItemWireFormatFrozen), so itemRequest and batchRequest must not
+// grow fields.
 
 // itemRequest is the body of the add, test and remove item endpoints.
 type itemRequest struct {
@@ -80,64 +80,6 @@ type digestPushResponse struct {
 type peerTokenRevokeResponse struct {
 	Revoked        string `json:"revoked"`
 	DigestsEvicted int    `json:"digests_evicted"`
-}
-
-// InfoResponse answers /v1/info: the public parameters of the serving
-// filter. In naive mode that includes the index seed — the paper's threat
-// model ("the implementation of the Bloom filter is public and known") made
-// concrete. In hardened mode Seed is omitted and Algorithm names the keyed
-// scheme; the keys themselves never leave the server. Frozen v1 shape; the
-// v2 equivalent is FilterInfo.
-type InfoResponse struct {
-	Mode      string  `json:"mode"`
-	Shards    int     `json:"shards"`
-	K         int     `json:"k"`
-	ShardBits uint64  `json:"shard_bits"`
-	Algorithm string  `json:"algorithm"`
-	Seed      *uint64 `json:"seed,omitempty"`
-}
-
-// statsV1 and shardStatsV1 freeze the /v1/stats wire shape (no variant or
-// overflow fields, which post-date v1).
-type statsV1 struct {
-	Mode      string         `json:"mode"`
-	Shards    int            `json:"shards"`
-	K         int            `json:"k"`
-	ShardBits uint64         `json:"shard_bits"`
-	Count     uint64         `json:"count"`
-	Weight    uint64         `json:"weight"`
-	Fill      float64        `json:"fill"`
-	FPR       float64        `json:"estimated_fpr"`
-	PerShard  []shardStatsV1 `json:"per_shard"`
-}
-
-type shardStatsV1 struct {
-	Shard  int     `json:"shard"`
-	Count  uint64  `json:"count"`
-	Weight uint64  `json:"weight"`
-	Fill   float64 `json:"fill"`
-	FPR    float64 `json:"estimated_fpr"`
-}
-
-// statsToV1 projects a Stats snapshot onto the frozen v1 shape.
-func statsToV1(st service.Stats) statsV1 {
-	out := statsV1{
-		Mode:      st.Mode,
-		Shards:    st.Shards,
-		K:         st.K,
-		ShardBits: st.ShardBits,
-		Count:     st.Count,
-		Weight:    st.Weight,
-		Fill:      st.Fill,
-		FPR:       st.FPR,
-		PerShard:  make([]shardStatsV1, len(st.PerShard)),
-	}
-	for i, ss := range st.PerShard {
-		out.PerShard[i] = shardStatsV1{
-			Shard: ss.Shard, Count: ss.Count, Weight: ss.Weight, Fill: ss.Fill, FPR: ss.FPR,
-		}
-	}
-	return out
 }
 
 // FilterSpec is the body of PUT /v2/filters/{name}: the per-filter
@@ -298,31 +240,15 @@ func filterInfo(d engine.FilterDescription) FilterInfo {
 // corrupt answers 400, one naming a family no peer can evaluate answers
 // 409. peers/refresh on a registry with no configured peer URLs answers
 // 409.
-//
-// The unversioned-era v1 surface survives as a shim over the registry's
-// "default" filter, byte-identical to the original single-filter server:
-//
-//	POST /v1/add         {"item": s}            -> {"added": 1, "count": n}
-//	POST /v1/test        {"item": s}            -> {"present": bool}
-//	POST /v1/add-batch   {"items": [s...]}      -> {"added": len, "count": n}
-//	POST /v1/test-batch  {"items": [s...]}      -> {"present": [bool...]}
-//	GET  /v1/stats                              -> statsV1
-//	GET  /v1/info                               -> InfoResponse
 type Server struct {
 	eng *engine.Engine
 	mux *http.ServeMux
 }
 
-// NewEngineServer wraps a command engine in the full v1+v2 HTTP API — the
-// constructor a process sharing one engine across planes uses.
+// NewEngineServer wraps a command engine in the HTTP API — the constructor
+// a process sharing one engine across planes uses.
 func NewEngineServer(eng *engine.Engine) *Server {
 	s := &Server{eng: eng, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/v1/add", s.v1(opAdd))
-	s.mux.HandleFunc("/v1/test", s.v1(opTest))
-	s.mux.HandleFunc("/v1/add-batch", s.v1(opAddBatch))
-	s.mux.HandleFunc("/v1/test-batch", s.v1(opTestBatch))
-	s.mux.HandleFunc("/v1/stats", s.handleStatsV1)
-	s.mux.HandleFunc("/v1/info", s.handleInfoV1)
 	s.mux.HandleFunc("/v2/filters", s.handleFilters)
 	s.mux.HandleFunc("/v2/filters/{name}", s.handleFilter)
 	s.mux.HandleFunc("/v2/filters/{name}/{op}", s.handleFilterOp)
@@ -341,9 +267,6 @@ func NewRegistryServer(reg *service.Registry) *Server {
 // Engine returns the command engine this server fronts.
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
-// Registry returns the underlying filter registry.
-func (s *Server) Registry() *service.Registry { return s.eng.Registry() }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
@@ -358,62 +281,6 @@ func (s *Server) principal(w http.ResponseWriter, r *http.Request) (engine.Princ
 		return engine.Principal{}, false
 	}
 	return p, true
-}
-
-// defaultFilter resolves the v1 shim's target, answering the error itself.
-func (s *Server) defaultFilter(w http.ResponseWriter) (engine.FilterRef, bool) {
-	ref, err := s.eng.Lookup(service.DefaultFilterName)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "no default filter registered; use /v2/filters")
-		return engine.FilterRef{}, false
-	}
-	return ref, true
-}
-
-// v1 serves an item route of the /v1 shim. The resolved ref rides along so
-// the shim's mutations charge the same per-client budgets as the default
-// filter's /v2 endpoints — legacy clients get no side door around rate
-// limiting.
-func (s *Server) v1(op itemOp) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ref, ok := s.defaultFilter(w)
-		if !ok {
-			return
-		}
-		s.handleItemOp(w, r, ref, op)
-	}
-}
-
-func (s *Server) handleStatsV1(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	ref, ok := s.defaultFilter(w)
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, statsToV1(s.eng.Stats(ref).Stats))
-}
-
-func (s *Server) handleInfoV1(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	ref, ok := s.defaultFilter(w)
-	if !ok {
-		return
-	}
-	d := s.eng.Describe(ref)
-	writeJSON(w, http.StatusOK, InfoResponse{
-		Mode:      d.Mode,
-		Shards:    d.Shards,
-		K:         d.K,
-		ShardBits: d.ShardBits,
-		Algorithm: d.Algorithm,
-		Seed:      d.Seed,
-	})
 }
 
 // ---------------------------------------------------------------------------
@@ -564,9 +431,9 @@ func (op itemOp) batch() bool   { return op >= opAddBatch }
 func (op itemOp) mutates() bool { return op != opTest && op != opTestBatch }
 
 // handleItemOp serves an item route: decode into a pooled scratch (see
-// itembody.go), run the engine command on the item views, append the frozen
-// answer. The scratch goes back to the pool on return, so nothing here may
-// keep an item past the engine call.
+// itembody.go), run the engine's batch command on the item views, append the
+// frozen answer. The scratch goes back to the pool on return, so nothing here
+// may keep an item past the engine call.
 func (s *Server) handleItemOp(w http.ResponseWriter, r *http.Request, ref engine.FilterRef, op itemOp) {
 	sc := scratchPool.Get().(*scratch)
 	defer putScratch(sc)
@@ -580,43 +447,61 @@ func (s *Server) handleItemOp(w http.ResponseWriter, r *http.Request, ref engine
 			return
 		}
 	}
-	out := sc.out[:0]
-	var err error
-	switch op {
-	case opAdd:
-		var res engine.AddResult
-		res, err = s.eng.Add(p, ref, sc.items[0])
-		out = appendCounted(out, "added", res.Added, res.Count)
-	case opAddBatch:
-		var res engine.AddResult
-		res, err = s.eng.AddBatch(p, ref, sc.items)
-		out = appendCounted(out, "added", res.Added, res.Count)
-	case opTest:
-		var present bool
-		present, err = s.eng.Test(ref, sc.items[0])
-		out = append(appendBool(append(out, `{"present":`...), present), "}\n"...)
-	case opTestBatch:
-		var present []bool
-		if present, err = s.eng.TestBatch(ref, sc.dst[:0], sc.items); err == nil {
-			sc.dst = present
-		}
-		out = append(appendBools(append(out, `{"present":`...), present), "}\n"...)
-	case opRemove:
-		var res engine.RemoveResult
-		res, err = s.eng.Remove(p, ref, sc.items[0])
-		out = appendCounted(out, "removed", res.Removed, res.Count)
-	case opRemoveBatch:
-		var res engine.RemoveBatchResult
-		res, err = s.eng.RemoveBatch(p, ref, sc.items)
-		out = appendBools(append(out, `{"removed":`...), res.Removed)
-		out = append(strconv.AppendUint(append(out, `,"count":`...), res.Count, 10), "}\n"...)
-	}
+	out, err := s.runItemOp(sc, p, ref, op)
 	if err != nil {
 		writeEngineError(w, err)
 		return
 	}
 	sc.out = out
 	sc.reply(w)
+}
+
+// runItemOp runs op on sc.items, which hold one item on the single-item
+// routes: those validate it first, to keep their own error wording ("empty
+// item", not "item 0 empty or …"), then run as a one-item batch.
+func (s *Server) runItemOp(sc *scratch, p engine.Principal, ref engine.FilterRef, op itemOp) ([]byte, error) {
+	if !op.batch() {
+		if err := engine.ValidateItem(sc.items[0]); err != nil {
+			return nil, err
+		}
+	}
+	out := sc.out[:0]
+	switch op {
+	case opAdd, opAddBatch:
+		res, err := s.eng.AddBatch(p, ref, sc.items)
+		if err != nil {
+			return nil, err
+		}
+		return appendCounted(out, "added", res.Added, res.Count), nil
+	case opTest, opTestBatch:
+		present, err := s.eng.TestBatch(ref, sc.dst[:0], sc.items)
+		if err != nil {
+			return nil, err
+		}
+		sc.dst = present
+		out = append(out, `{"present":`...)
+		if op == opTest {
+			out = appendBool(out, present[0])
+		} else {
+			out = appendBools(out, present)
+		}
+		return append(out, "}\n"...), nil
+	default: // opRemove, opRemoveBatch
+		res, err := s.eng.RemoveBatch(p, ref, sc.items)
+		if err != nil {
+			return nil, err
+		}
+		if op == opRemove {
+			// The charge for a refused removal stands: probing for
+			// removable items must not be free.
+			if !res.Removed[0] {
+				return nil, engine.ErrNotInFilter
+			}
+			return appendCounted(out, "removed", 1, res.Count), nil
+		}
+		out = appendBools(append(out, `{"removed":`...), res.Removed)
+		return append(strconv.AppendUint(append(out, `,"count":`...), res.Count, 10), "}\n"...), nil
+	}
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, ref engine.FilterRef) {

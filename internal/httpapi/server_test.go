@@ -65,18 +65,18 @@ func getJSON(t *testing.T, base, path string, out any) int {
 func TestServerAddTestRoundTrip(t *testing.T) {
 	ts, _ := newTestServer(t, service.ModeNaive)
 	var add addResponse
-	if code := postJSON(t, ts.URL, "/v1/add", itemRequest{Item: "http://a.example/1"}, &add); code != 200 {
+	if code := postJSON(t, ts.URL, "/v2/filters/default/add", itemRequest{Item: "http://a.example/1"}, &add); code != 200 {
 		t.Fatalf("add status %d", code)
 	}
 	if add.Added != 1 || add.Count != 1 {
 		t.Errorf("add response %+v", add)
 	}
 	var tr testResponse
-	postJSON(t, ts.URL, "/v1/test", itemRequest{Item: "http://a.example/1"}, &tr)
+	postJSON(t, ts.URL, "/v2/filters/default/test", itemRequest{Item: "http://a.example/1"}, &tr)
 	if !tr.Present {
 		t.Error("inserted item reported absent")
 	}
-	postJSON(t, ts.URL, "/v1/test", itemRequest{Item: "http://a.example/never"}, &tr)
+	postJSON(t, ts.URL, "/v2/filters/default/test", itemRequest{Item: "http://a.example/never"}, &tr)
 	if tr.Present {
 		t.Error("fresh item reported present (possible but wildly unlikely at this fill)")
 	}
@@ -90,7 +90,7 @@ func TestServerBatchEndpoints(t *testing.T) {
 		items[i] = string(gen.Next())
 	}
 	var add addResponse
-	if code := postJSON(t, ts.URL, "/v1/add-batch", batchRequest{Items: items}, &add); code != 200 {
+	if code := postJSON(t, ts.URL, "/v2/filters/default/add-batch", batchRequest{Items: items}, &add); code != 200 {
 		t.Fatalf("add-batch status %d", code)
 	}
 	if add.Added != len(items) || add.Count != uint64(len(items)) {
@@ -101,7 +101,7 @@ func TestServerBatchEndpoints(t *testing.T) {
 		probes = append(probes, string(gen.Next()))
 	}
 	var tb testBatchResponse
-	if code := postJSON(t, ts.URL, "/v1/test-batch", batchRequest{Items: probes}, &tb); code != 200 {
+	if code := postJSON(t, ts.URL, "/v2/filters/default/test-batch", batchRequest{Items: probes}, &tb); code != 200 {
 		t.Fatalf("test-batch status %d", code)
 	}
 	if len(tb.Present) != len(probes) {
@@ -116,16 +116,16 @@ func TestServerBatchEndpoints(t *testing.T) {
 
 func TestServerStatsAndInfo(t *testing.T) {
 	ts, _ := newTestServer(t, service.ModeNaive)
-	postJSON(t, ts.URL, "/v1/add", itemRequest{Item: "x"}, nil)
+	postJSON(t, ts.URL, "/v2/filters/default/add", itemRequest{Item: "x"}, nil)
 	var st service.Stats
-	if code := getJSON(t, ts.URL, "/v1/stats", &st); code != 200 {
+	if code := getJSON(t, ts.URL, "/v2/filters/default/stats", &st); code != 200 {
 		t.Fatalf("stats status %d", code)
 	}
 	if st.Count != 1 || st.Shards != 4 || len(st.PerShard) != 4 {
 		t.Errorf("stats %+v", st)
 	}
-	var info InfoResponse
-	if code := getJSON(t, ts.URL, "/v1/info", &info); code != 200 {
+	var info FilterInfo
+	if code := getJSON(t, ts.URL, "/v2/filters/default/info", &info); code != 200 {
 		t.Fatalf("info status %d", code)
 	}
 	if info.Mode != "naive" || info.Seed == nil || *info.Seed != 3 {
@@ -133,8 +133,8 @@ func TestServerStatsAndInfo(t *testing.T) {
 	}
 
 	hts, _ := newTestServer(t, service.ModeHardened)
-	var hinfo InfoResponse
-	if code := getJSON(t, hts.URL, "/v1/info", &hinfo); code != 200 {
+	var hinfo FilterInfo
+	if code := getJSON(t, hts.URL, "/v2/filters/default/info", &hinfo); code != 200 {
 		t.Fatalf("hardened info status %d", code)
 	}
 	if hinfo.Mode != "hardened" || hinfo.Seed != nil {
@@ -151,22 +151,22 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		name string
 		do   func() int
 	}{
-		{"get on add", func() int { return getJSON(t, ts.URL, "/v1/add", nil) }},
-		{"post on stats", func() int { return postJSON(t, ts.URL, "/v1/stats", itemRequest{Item: "x"}, nil) }},
-		{"empty item", func() int { return postJSON(t, ts.URL, "/v1/add", itemRequest{}, nil) }},
+		{"get on add", func() int { return getJSON(t, ts.URL, "/v2/filters/default/add", nil) }},
+		{"post on stats", func() int { return postJSON(t, ts.URL, "/v2/filters/default/stats", itemRequest{Item: "x"}, nil) }},
+		{"empty item", func() int { return postJSON(t, ts.URL, "/v2/filters/default/add", itemRequest{}, nil) }},
 		{"oversize item", func() int {
-			return postJSON(t, ts.URL, "/v1/add", itemRequest{Item: strings.Repeat("a", service.MaxItemLen+1)}, nil)
+			return postJSON(t, ts.URL, "/v2/filters/default/add", itemRequest{Item: strings.Repeat("a", service.MaxItemLen+1)}, nil)
 		}},
-		{"empty batch", func() int { return postJSON(t, ts.URL, "/v1/add-batch", batchRequest{}, nil) }},
+		{"empty batch", func() int { return postJSON(t, ts.URL, "/v2/filters/default/add-batch", batchRequest{}, nil) }},
 		{"oversize batch", func() int {
 			items := make([]string, service.MaxBatch+1)
 			for i := range items {
 				items[i] = "x"
 			}
-			return postJSON(t, ts.URL, "/v1/add-batch", batchRequest{Items: items}, nil)
+			return postJSON(t, ts.URL, "/v2/filters/default/add-batch", batchRequest{Items: items}, nil)
 		}},
 		{"unknown field", func() int {
-			return postJSON(t, ts.URL, "/v1/test", map[string]any{"item": "x", "evil": true}, nil)
+			return postJSON(t, ts.URL, "/v2/filters/default/test", map[string]any{"item": "x", "evil": true}, nil)
 		}},
 	}
 	for _, tc := range cases {
@@ -186,7 +186,7 @@ func TestServerRejectsOversizeBody(t *testing.T) {
 		items = append(items, item)
 	}
 	var errResp errorResponse
-	code := postJSON(t, ts.URL, "/v1/add-batch", batchRequest{Items: items}, &errResp)
+	code := postJSON(t, ts.URL, "/v2/filters/default/add-batch", batchRequest{Items: items}, &errResp)
 	if code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", code)
 	}
@@ -213,7 +213,7 @@ func TestServerConcurrentBatchTraffic(t *testing.T) {
 					items[i] = string(gen.Next())
 				}
 				body, _ := json.Marshal(batchRequest{Items: items})
-				resp, err := http.Post(ts.URL+"/v1/add-batch", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(ts.URL+"/v2/filters/default/add-batch", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errs <- err
 					return
@@ -223,7 +223,7 @@ func TestServerConcurrentBatchTraffic(t *testing.T) {
 					errs <- fmt.Errorf("add-batch status %d", resp.StatusCode)
 					return
 				}
-				resp, err = http.Post(ts.URL+"/v1/test-batch", "application/json", bytes.NewReader(body))
+				resp, err = http.Post(ts.URL+"/v2/filters/default/test-batch", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errs <- err
 					return

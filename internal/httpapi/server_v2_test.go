@@ -271,33 +271,15 @@ func TestV2Validation(t *testing.T) {
 		{"post on v2 stats", func() int {
 			return doJSON(t, "POST", ts.URL+"/v2/filters/ok/stats", itemRequest{Item: "x"}, nil)
 		}, 405},
+		{"unversioned route, even with a default filter", func() int {
+			doJSON(t, "PUT", ts.URL+"/v2/filters/"+service.DefaultFilterName, FilterSpec{}, nil)
+			return doJSON(t, "POST", ts.URL+"/v1/add", itemRequest{Item: "x"}, nil)
+		}, 404},
 	}
 	for _, tc := range cases {
 		if got := tc.do(); got != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, got, tc.want)
 		}
-	}
-}
-
-// The v1 shim routes to the registry's default filter and 404s when no
-// default exists.
-func TestV1ShimRequiresDefault(t *testing.T) {
-	ts, reg := newRegistryTestServer(t)
-	if code := doJSON(t, "POST", ts.URL+"/v1/add", itemRequest{Item: "x"}, nil); code != http.StatusNotFound {
-		t.Errorf("v1 without default: status %d, want 404", code)
-	}
-	if _, err := reg.Create(service.DefaultFilterName, service.Config{Shards: 1, ShardBits: 4096, HashCount: 4}); err != nil {
-		t.Fatal(err)
-	}
-	var add addResponse
-	if code := doJSON(t, "POST", ts.URL+"/v1/add", itemRequest{Item: "x"}, &add); code != 200 || add.Count != 1 {
-		t.Errorf("v1 with default: code %d resp %+v", code, add)
-	}
-	// The same filter is reachable under its v2 name.
-	var tr testResponse
-	doJSON(t, "POST", ts.URL+"/v2/filters/default/test", itemRequest{Item: "x"}, &tr)
-	if !tr.Present {
-		t.Error("v1 insertion invisible through v2")
 	}
 }
 

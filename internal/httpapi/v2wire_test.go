@@ -8,15 +8,17 @@ import (
 	"strings"
 	"testing"
 
+	"evilbloom/internal/engine"
 	"evilbloom/internal/service"
 )
 
 // TestV2ItemWireFormatFrozen pins the six /v2 item routes byte for byte —
-// body (trailing newline included), Content-Type and Content-Length — the
-// way TestV1WireFormatFrozen pins the shim. The goldens are what the
-// encoding/json handlers answered to this exact sequence before the routes
-// got their own scanner and renderer; if this test breaks, a v2 client
-// broke.
+// status, body (trailing newline included), Content-Type, Content-Length and
+// Retry-After. The 200 goldens are what the encoding/json handlers answered
+// to this exact sequence before the routes got their own scanner and
+// renderer; the refusals' goldens are what the single-item routes answered
+// while they still had engine commands of their own. If this test breaks, a
+// v2 client broke.
 func TestV2ItemWireFormatFrozen(t *testing.T) {
 	reg := service.NewRegistry()
 	t.Cleanup(func() { reg.Close() }) //nolint:errcheck // memory-only
@@ -25,7 +27,16 @@ func TestV2ItemWireFormatFrozen(t *testing.T) {
 	if _, err := reg.Create("g", cfg); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewRegistryServer(reg))
+	if _, err := reg.Create("b", testConfig(service.ModeNaive, 4)); err != nil {
+		t.Fatal(err)
+	}
+	// The burst covers exactly the steps' nine mutations on g. The rate is
+	// so low that the refusal's retry hint is clamped to a fixed value.
+	eng := engine.New(reg)
+	if err := eng.ConfigureRateLimit(engine.RateLimitConfig{MutationsPerSec: 1e-12, Burst: 9}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewEngineServer(eng))
 	t.Cleanup(ts.Close)
 
 	// The steps run in order: later counts depend on earlier mutations.
@@ -58,24 +69,53 @@ func TestV2ItemWireFormatFrozen(t *testing.T) {
 		`{"present":[true` + strings.Repeat(",true", len(long)-1) + "]}\n",
 	})
 
-	for _, st := range steps {
-		resp, err := http.Post(ts.URL+"/v2/filters/g/"+st.op, "application/json", strings.NewReader(st.body))
+	check := func(filter, op, body string, wantStatus int, want, wantRetry string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v2/filters/"+filter+"/"+op, "application/json", strings.NewReader(body))
 		if err != nil {
-			t.Fatalf("%s: %v", st.op, err)
+			t.Fatalf("%s: %v", op, err)
 		}
 		got, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
-			t.Fatalf("%s: reading body: %v", st.op, err)
+			t.Fatalf("%s: reading body: %v", op, err)
 		}
-		if resp.StatusCode != http.StatusOK || string(got) != st.want {
-			t.Errorf("%s %.60s: wire drift from the v2 format\n got: %d %.80q\nwant: 200 %.80q", st.op, st.body, resp.StatusCode, got, st.want)
+		if resp.StatusCode != wantStatus || string(got) != want {
+			t.Errorf("%s %.60s: wire drift from the v2 format\n got: %d %.80q\nwant: %d %.80q", op, body, resp.StatusCode, got, wantStatus, want)
 		}
 		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Errorf("%s: Content-Type %q, want application/json", st.op, ct)
+			t.Errorf("%s: Content-Type %q, want application/json", op, ct)
 		}
-		if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(st.want)) || len(resp.TransferEncoding) != 0 {
-			t.Errorf("%s: Content-Length %q, Transfer-Encoding %q; want an explicit length of %d", st.op, cl, resp.TransferEncoding, len(st.want))
+		if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(want)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %q, Transfer-Encoding %q; want an explicit length of %d", op, cl, resp.TransferEncoding, len(want))
 		}
+		if ra := resp.Header.Get("Retry-After"); ra != wantRetry {
+			t.Errorf("%s %.60s: Retry-After %q, want %q", op, body, ra, wantRetry)
+		}
+	}
+	for _, st := range steps {
+		check("g", st.op, st.body, http.StatusOK, st.want, "")
+	}
+
+	// Refusals of the single-item routes, after the steps above.
+	refusals := []struct {
+		filter, op, body string
+		status           int
+		want, retry      string
+	}{
+		{"g", "add", `{"item":""}`, 400, "{\"error\":\"empty item\"}\n", ""},
+		{"g", "test", `{"item":"` + strings.Repeat("a", service.MaxItemLen+1) + `"}`, 400,
+			"{\"error\":\"item exceeds 4096 bytes\"}\n", ""},
+		// Refused, and charged: the ninth mutation.
+		{"g", "remove", `{"item":"http://a.example/ghost"}`, 409,
+			"{\"error\":\"item not in filter; removal refused\"}\n", ""},
+		{"b", "remove", `{"item":"http://a.example/3"}`, 405,
+			"{\"error\":\"service: filter backend does not support removal (create it with variant=counting)\"}\n", ""},
+		{"g", "add", `{"item":"http://a.example/4"}`, 429,
+			"{\"error\":\"mutation budget exhausted for filter \\\"g\\\" (1 mutation(s) requested); retry after 2147483648s\"}\n",
+			"2147483648"},
+	}
+	for _, st := range refusals {
+		check(st.filter, st.op, st.body, st.status, st.want, st.retry)
 	}
 }

@@ -55,12 +55,6 @@ type Package struct {
 	Target bool
 }
 
-// FuncSource locates a function declaration's AST within the program.
-type FuncSource struct {
-	Decl *ast.FuncDecl
-	Pkg  *Package
-}
-
 // Program is the full analysis universe: every package loaded for one
 // evillint invocation, type-checked against one FileSet so that object
 // identities are comparable across packages.
@@ -70,37 +64,8 @@ type Program struct {
 
 	byPath map[string]*Package
 
-	declOnce sync.Once
-	decls    map[*types.Func]FuncSource
-
 	memoMu sync.Mutex
 	memo   map[string]any
-}
-
-// ByPath returns the loaded package with the given import path, or nil.
-func (p *Program) ByPath(path string) *Package { return p.byPath[path] }
-
-// DeclOf returns the source declaration of fn when fn was loaded as part
-// of this program (std-library and synthetic functions have none).
-func (p *Program) DeclOf(fn *types.Func) (FuncSource, bool) {
-	p.declOnce.Do(func() {
-		p.decls = make(map[*types.Func]FuncSource)
-		for _, pkg := range p.Packages {
-			for _, f := range pkg.Files {
-				for _, d := range f.Decls {
-					fd, ok := d.(*ast.FuncDecl)
-					if !ok {
-						continue
-					}
-					if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-						p.decls[obj] = FuncSource{Decl: fd, Pkg: pkg}
-					}
-				}
-			}
-		}
-	})
-	src, ok := p.decls[fn]
-	return src, ok
 }
 
 // Memo caches a program-wide computation under key, so that analyzers

@@ -105,13 +105,6 @@ func (c *Client) Send(args ...string) {
 	c.pending++
 }
 
-// SendArgs queues one command built from byte-slice arguments; the bytes
-// are written immediately, so callers may reuse them after the call.
-func (c *Client) SendArgs(args [][]byte) {
-	writeCommand(c.bw, args)
-	c.pending++
-}
-
 // SendItems queues "cmd filter item..." without assembling an argument
 // slice — the attack campaigns' hot path.
 func (c *Client) SendItems(cmd, filter string, items [][]byte) {

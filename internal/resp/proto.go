@@ -475,11 +475,3 @@ func writeMapHeader(w *bufio.Writer, pairs int, proto int) {
 	}
 	writeArrayHeader(w, 2*pairs)
 }
-
-// writeCommand serializes a client command: an array of bulk strings.
-func writeCommand(w *bufio.Writer, args [][]byte) {
-	writeArrayHeader(w, len(args))
-	for _, a := range args {
-		writeBulk(w, a)
-	}
-}

@@ -430,7 +430,7 @@ func TestCrossPlaneRateLimit(t *testing.T) {
 	// Spend the whole burst over HTTP.
 	for i := 0; i < burst; i++ {
 		body := fmt.Sprintf(`{"item": "http-%d"}`, i)
-		res, err := http.Post(httpSrv.URL+"/v1/add", "application/json", bytes.NewReader([]byte(body)))
+		res, err := http.Post(httpSrv.URL+"/v2/filters/default/add", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,7 +440,7 @@ func TestCrossPlaneRateLimit(t *testing.T) {
 		}
 	}
 	// The next HTTP mutation is throttled...
-	res, err := http.Post(httpSrv.URL+"/v1/add", "application/json", strings.NewReader(`{"item": "over"}`))
+	res, err := http.Post(httpSrv.URL+"/v2/filters/default/add", "application/json", strings.NewReader(`{"item": "over"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestCrossPlaneRateLimitRESPFirst(t *testing.T) {
 	if r := do(t, cli, "BF.ADD", service.DefaultFilterName, "e"); !r.IsBusy() {
 		t.Fatalf("RESP over-budget = %+v, want -BUSY", r)
 	}
-	res, err := http.Post(httpSrv.URL+"/v1/add", "application/json", strings.NewReader(`{"item": "f"}`))
+	res, err := http.Post(httpSrv.URL+"/v2/filters/default/add", "application/json", strings.NewReader(`{"item": "f"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

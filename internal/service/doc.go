@@ -66,8 +66,7 @@
 // Filters are created under a name (PUT /v2/filters/{name}), are immutable
 // once created, and are deleted by name; to change a filter's
 // configuration, delete and re-create it. The registry entry named
-// "default" backs the unversioned-era /v1/* shim, byte-identical to the
-// original single-filter wire format.
+// "default" is the one `evilbloom serve` builds from its flags.
 //
 // # Durability model
 //

@@ -13,8 +13,8 @@ import (
 	"evilbloom/internal/cachedigest"
 )
 
-// DefaultFilterName is the registry entry the /v1/* back-compat shim routes
-// to; `evilbloom serve` creates it from its command-line flags.
+// DefaultFilterName is the registry entry `evilbloom serve` creates from its
+// command-line flags.
 const DefaultFilterName = "default"
 
 // Control-plane limits. The data plane bounds every request (MaxBatch,

@@ -5,7 +5,7 @@
 # honest item turned false negative by removing crafted "ghost" items the
 # filter wrongly believes present. Then SIGTERM the server (graceful drain +
 # flush), restart it from the same data dir, and verify the filter state —
-# stats, the adversarially induced false negatives, the v1 default filter —
+# stats, the adversarially induced false negatives, the default filter —
 # survived the restart unchanged.
 #
 # Deterministic: the filter is tiny (m=64, k=4) with a fixed public seed, so
@@ -35,11 +35,11 @@ fail() { say "FAIL: $*"; [[ -f "$LOG" ]] && sed 's/^/smoke:   server: /' "$LOG";
 
 wait_ready() {
   for i in $(seq 1 50); do
-    curl -sf "$BASE/v1/info" >/dev/null 2>&1 && return 0
+    curl -sf "$BASE/v2/filters/default/info" >/dev/null 2>&1 && return 0
     kill -0 "$SERVER_PID" 2>/dev/null || fail "server exited during startup"
     sleep 0.1
   done
-  curl -sf "$BASE/v1/info" >/dev/null || fail "server never came up"
+  curl -sf "$BASE/v2/filters/default/info" >/dev/null || fail "server never came up"
 }
 
 say "building evilbloom"
@@ -91,9 +91,9 @@ FN=$(wc -l <"$FN_BEFORE")
 say "$FN/100 honest items driven to false negatives"
 [[ "$FN" -gt 0 ]] || fail "removals induced no false negative"
 
-say "verifying stats and the v1 shim still answer"
+say "verifying stats answer; adding an item to the default filter"
 curl -sf "$BASE/v2/filters/smoke/stats" | grep -q '"variant":"counting"' || fail "stats missing variant"
-curl -sf -X POST "$BASE/v1/add" -d '{"item":"x"}' | grep -q '"added":1' || fail "v1 shim broken"
+curl -sf -X POST "$BASE/v2/filters/default/add" -d '{"item":"x"}' | grep -q '"added":1' || fail "default filter add failed"
 
 # ---------------------------------------------------------------------------
 # Blocked-bloom variant over HTTP: create a cache-line-local filter, run a
@@ -201,8 +201,8 @@ diff -q "$FN_BEFORE" "$FN_AFTER" >/dev/null || fail "false-negative set changed 
 curl -sf -X POST "$BASE/v2/filters/smoke/test" -d '{"item":"post-compact"}' | grep -q '"present":true' \
   || fail "post-compact item lost"
 
-say "verifying the v1 default filter survived too"
-curl -sf -X POST "$BASE/v1/test" -d '{"item":"x"}' | grep -q '"present":true' || fail "default filter state lost"
+say "verifying the default filter survived too"
+curl -sf -X POST "$BASE/v2/filters/default/test" -d '{"item":"x"}' | grep -q '"present":true' || fail "default filter state lost"
 
 say "verifying the polluted blocked filter survived the restart"
 BLK_STATS_AFTER=$(blk_stats)
@@ -252,11 +252,11 @@ say "starting peer server B on $B_ADDR with -peer $BASE"
 "$BIN" serve -addr "$B_ADDR" -peer "$BASE" -peer-refresh 1s >"$LOG_B" 2>&1 &
 SERVER_B_PID=$!
 for i in $(seq 1 50); do
-  curl -sf "$B_BASE/v1/info" >/dev/null 2>&1 && break
+  curl -sf "$B_BASE/v2/filters/default/info" >/dev/null 2>&1 && break
   kill -0 "$SERVER_B_PID" 2>/dev/null || { LOG="$LOG_B" fail "server B exited during startup"; }
   sleep 0.1
 done
-curl -sf "$B_BASE/v1/info" >/dev/null || fail "server B never came up"
+curl -sf "$B_BASE/v2/filters/default/info" >/dev/null || fail "server B never came up"
 curl -sf -X PUT "$B_BASE/v2/filters/mesh" -d "$MESH" >/dev/null || fail "creating mesh on B failed"
 
 say "checking A's digest endpoint and its ETag short-circuit"
@@ -323,11 +323,11 @@ say "starting rate-limited server C on $C_ADDR (-rate-mutations 0.01 -rate-burst
 "$BIN" serve -addr "$C_ADDR" -rate-mutations 0.01 -rate-burst 5 >"$LOG_C" 2>&1 &
 SERVER_C_PID=$!
 for i in $(seq 1 50); do
-  curl -sf "$C_BASE/v1/info" >/dev/null 2>&1 && break
+  curl -sf "$C_BASE/v2/filters/default/info" >/dev/null 2>&1 && break
   kill -0 "$SERVER_C_PID" 2>/dev/null || { LOG="$LOG_C" fail "server C exited during startup"; }
   sleep 0.1
 done
-curl -sf "$C_BASE/v1/info" >/dev/null || fail "server C never came up"
+curl -sf "$C_BASE/v2/filters/default/info" >/dev/null || fail "server C never came up"
 
 say "bursting 12 ghost adds at the default filter"
 OK_COUNT=0
@@ -351,9 +351,9 @@ say "burst outcome: $OK_COUNT accepted, $THROTTLED throttled"
 [[ "$THROTTLED" == "7" ]] || fail "burst throttled $THROTTLED adds, want 7"
 [[ "$RETRY_SEEN" == "yes" ]] || fail "429 answers carried no Retry-After header"
 
-say "the v1 shim shares the same spent budget"
-V1_CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$C_BASE/v1/add" -d '{"item":"v1-ghost"}')
-[[ "$V1_CODE" == "429" ]] || fail "v1 add on a spent budget answered $V1_CODE, want 429"
+say "a spent budget stays spent"
+LATE_CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$C_BASE/v2/filters/default/add" -d '{"item":"late-ghost"}')
+[[ "$LATE_CODE" == "429" ]] || fail "add on a spent budget answered $LATE_CODE, want 429"
 
 say "the accounting endpoint names the offender"
 CLIENTS=$(curl -sf "$C_BASE/v2/filters/default/clients")
@@ -390,11 +390,11 @@ say "starting server D on $D_ADDR with -resp-addr $D_RESP (-rate-mutations 0.01 
 "$BIN" serve -addr "$D_ADDR" -resp-addr "$D_RESP" -rate-mutations 0.01 -rate-burst 105 >"$LOG_D" 2>&1 &
 SERVER_D_PID=$!
 for i in $(seq 1 50); do
-  curl -sf "$D_BASE/v1/info" >/dev/null 2>&1 && break
+  curl -sf "$D_BASE/v2/filters/default/info" >/dev/null 2>&1 && break
   kill -0 "$SERVER_D_PID" 2>/dev/null || { LOG="$LOG_D" fail "server D exited during startup"; }
   sleep 0.1
 done
-curl -sf "$D_BASE/v1/info" >/dev/null || fail "server D never came up"
+curl -sf "$D_BASE/v2/filters/default/info" >/dev/null || fail "server D never came up"
 
 rcli() { "$BIN" resp-cli -addr "$D_RESP" "$@"; }
 
@@ -471,7 +471,7 @@ SERVER_F_PID=$!
 SERVER_G_PID=$!
 mesh_wait() { # name base log pid
   for i in $(seq 1 50); do
-    curl -sf "$2/v1/info" >/dev/null 2>&1 && return 0
+    curl -sf "$2/v2/filters/default/info" >/dev/null 2>&1 && return 0
     kill -0 "$4" 2>/dev/null || { LOG="$3" fail "mesh node $1 exited during startup"; }
     sleep 0.1
   done
