@@ -203,6 +203,8 @@ func (b *BitSet) AppendBinary(dst []byte) []byte {
 // publication, on a restored store or a decoded digest no reader can reach
 // yet. Bits set past Size are refused (not canonical). On error the set is
 // half-written.
+//
+//lint:allow atomicpublish loads run before publication: restores and decoded digests fill a set no reader can reach yet
 func (b *BitSet) Load(r io.Reader, buf []byte) error {
 	if _, err := io.ReadFull(r, buf[:8]); err != nil {
 		return err

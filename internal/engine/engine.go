@@ -276,6 +276,21 @@ func (e *Engine) RemoveBatch(p Principal, ref FilterRef, items [][]byte) (Remove
 	return RemoveBatchResult{Removed: removed, Count: st.Count()}, nil
 }
 
+// Commit is a connection turn's durability wait on a filter it mutated:
+// under -fsync always it returns once every record framed so far — the
+// turn's own among them — is written and fsynced, concurrent turns sharing
+// one fsync, and a failed journal answers KindInternal, so no reply claims
+// a mutation the disk did not take. A codec calls it once per turn and
+// mutated filter, after the turn's commands and before any reply leaves;
+// under the other policies, and on a memory-only filter, it returns at
+// once.
+func (e *Engine) Commit(ref FilterRef) error {
+	if err := ref.f.Commit(); err != nil {
+		return wrap(KindInternal, err)
+	}
+	return nil
+}
+
 // ---------------------------------------------------------------------------
 // Introspection commands.
 

@@ -35,6 +35,6 @@
 // draws route and indexes from one hash — one Murmur-128 call, or SipHash-2-4
 // with 128-bit output read as a §8.2 bit stream under one key; layout 3,
 // keyed only, draws them from one SipHash-2-4-128 digest by double hashing,
-// whatever k and m. A layout is a storage format; placement_oracle_test.go
+// whatever k and m. A layout is a storage format; layout1_oracle_test.go
 // freezes layout 1.
 package hashes

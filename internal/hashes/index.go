@@ -132,7 +132,7 @@ func (d *DoubleHashing) Clone() IndexFamily {
 // bits — so it is fixed: index i of a digest is bits [i·b, (i+1)·b) counted
 // from the most significant end of the digest's big-endian spelling,
 // b = ⌈log₂m⌉; a digest yields ⌊ℓ/b⌋ whole indexes and its remaining bits are
-// dropped; digest j is salted with j. index_oracle_test.go holds the first
+// dropped; digest j is salted with j. layout1_oracle_test.go holds the first
 // implementation and the fuzz target that compares against it.
 type Recycling struct {
 	d         *Digester

@@ -458,7 +458,10 @@ func (s *Server) handleItemOp(w http.ResponseWriter, r *http.Request, ref engine
 
 // runItemOp runs op on sc.items, which hold one item on the single-item
 // routes: those validate it first, to keep their own error wording ("empty
-// item", not "item 0 empty or …"), then run as a one-item batch.
+// item", not "item 0 empty or …"), then run as a one-item batch. A mutation
+// is committed (Engine.Commit) before its answer is shaped: the request is
+// the connection's turn, so under -fsync always no success leaves before
+// its records are on disk, and a failed journal answers 500.
 func (s *Server) runItemOp(sc *scratch, p engine.Principal, ref engine.FilterRef, op itemOp) ([]byte, error) {
 	if !op.batch() {
 		if err := engine.ValidateItem(sc.items[0]); err != nil {
@@ -469,6 +472,9 @@ func (s *Server) runItemOp(sc *scratch, p engine.Principal, ref engine.FilterRef
 	switch op {
 	case opAdd, opAddBatch:
 		res, err := s.eng.AddBatch(p, ref, sc.items)
+		if err == nil {
+			err = s.eng.Commit(ref)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -488,6 +494,9 @@ func (s *Server) runItemOp(sc *scratch, p engine.Principal, ref engine.FilterRef
 		return append(out, "}\n"...), nil
 	default: // opRemove, opRemoveBatch
 		res, err := s.eng.RemoveBatch(p, ref, sc.items)
+		if err == nil {
+			err = s.eng.Commit(ref)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -26,9 +26,10 @@ import (
 //     documented plain-write twins (BitSet.Set and friends, callable only
 //     under full external serialization with no lock-free readers) and the
 //     counter load carry //lint:allow annotations that double as their
-//     contract. Writes through a slice passed to a function are not
-//     followed (bitset.ReadWords filling a set's words): Load's doc
-//     carries that contract;
+//     contract. A plain write through a slice parameter counts at every
+//     call site that passes such a field for it: bitset.ReadWords(r, buf,
+//     b.words) is a plain write to BitSet.words inside Load, followed
+//     through parameters that are passed on, reslicing included;
 //  3. inside internal/service — the package that orchestrates lock-free
 //     reads against live stores — and internal/mesh, which holds digests
 //     that route lookups read while refreshes replace them, any call to an
@@ -97,9 +98,13 @@ func atomicFacts(prog *analysis.Program) *apFacts {
 			}
 		}
 
-		// Pass 2: collect plain writes and per-function direct-writer sets.
+		// Pass 2: collect plain writes and per-function direct-writer sets,
+		// the slice parameters each function writes plainly, and the call
+		// sites that hand a function a field or a parameter of their own.
 		directWrites := make(map[*types.Func][]*types.Var)
 		calls := make(map[*types.Func][]*types.Func)
+		writesParam := make(map[apParam]bool)
+		var passed []apPass
 		for _, pkg := range prog.Packages {
 			info := pkg.Info
 			eachFunc(pkg, func(decl *ast.FuncDecl) {
@@ -110,34 +115,67 @@ func atomicFacts(prog *analysis.Program) *apFacts {
 						directWrites[owner] = append(directWrites[owner], field)
 					}
 				}
+				params := sliceParams(owner)
+				// plain records a plain write to e: a field read with
+				// sync/atomic, or one of owner's slice parameters.
+				plain := func(e ast.Expr) {
+					if field := fieldOfAddr(info, e); field != nil && facts.fields[field] {
+						record(e, field)
+					}
+					if i, ok := params[paramOf(info, e)]; ok {
+						writesParam[apParam{owner, i}] = true
+					}
+				}
 				ast.Inspect(decl.Body, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.AssignStmt:
 						for _, lhs := range n.Lhs {
-							if field := fieldOfAddr(info, lhs); field != nil && facts.fields[field] {
-								record(lhs, field)
+							if _, rebind := ast.Unparen(lhs).(*ast.Ident); !rebind {
+								plain(lhs)
 							}
 						}
 					case *ast.IncDecStmt:
-						if field := fieldOfAddr(info, n.X); field != nil && facts.fields[field] {
-							record(n.X, field)
-						}
+						plain(n.X)
 					case *ast.CallExpr:
 						// copy(x.F, ...) writes through the slice header.
 						if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "copy" {
 							if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && len(n.Args) == 2 {
-								if field := fieldOfAddr(info, n.Args[0]); field != nil && facts.fields[field] {
-									record(n.Args[0], field)
-								}
+								plain(sliceBase(n.Args[0]))
 							}
 						}
-						if callee := calleeOf(info, n); callee != nil && owner != nil {
-							calls[owner] = append(calls[owner], callee)
+						callee := calleeOf(info, n)
+						if callee == nil || owner == nil {
+							return true
+						}
+						calls[owner] = append(calls[owner], callee)
+						for j, arg := range n.Args {
+							arg = sliceBase(arg)
+							if field := fieldOfAddr(info, arg); field != nil && facts.fields[field] {
+								passed = append(passed, apPass{to: apParam{callee, j}, arg: arg, field: field, record: record})
+							} else if i, ok := params[paramOf(info, arg)]; ok {
+								passed = append(passed, apPass{to: apParam{callee, j}, from: apParam{owner, i}})
+							}
 						}
 					}
 					return true
 				})
 			})
+		}
+		// A function writes a parameter it passes on to one its callee
+		// writes; then a field passed for a written parameter is written at
+		// the call site.
+		for changed := true; changed; {
+			changed = false
+			for _, p := range passed {
+				if p.field == nil && writesParam[p.to] && !writesParam[p.from] {
+					writesParam[p.from], changed = true, true
+				}
+			}
+		}
+		for _, p := range passed {
+			if p.field != nil && writesParam[p.to] {
+				p.record(p.arg, p.field)
+			}
 		}
 
 		// Pass 3: close the writer relation over static calls.
@@ -212,6 +250,69 @@ func runAtomicPublish(pass *analysis.Pass) error {
 		})
 	}
 	return nil
+}
+
+// apParam is one parameter of a function, by position.
+type apParam struct {
+	fn *types.Func
+	i  int
+}
+
+// apPass is a call site handing a callee's parameter either a field read
+// with sync/atomic (field set; record reports the write in the caller) or
+// a slice parameter of the caller's own (from).
+type apPass struct {
+	to     apParam
+	from   apParam
+	arg    ast.Expr
+	field  *types.Var
+	record func(ast.Node, *types.Var)
+}
+
+// sliceParams maps fn's slice-typed parameters to their positions.
+func sliceParams(fn *types.Func) map[*types.Var]int {
+	if fn == nil {
+		return nil
+	}
+	sig := fn.Type().(*types.Signature)
+	out := make(map[*types.Var]int)
+	for i := 0; i < sig.Params().Len(); i++ {
+		if v := sig.Params().At(i); isSlice(v.Type()) {
+			out[v] = i
+		}
+	}
+	return out
+}
+
+func isSlice(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Slice)
+	return ok
+}
+
+// paramOf resolves x, x[i] or x[a:b] to the variable x, or nil.
+func paramOf(info *types.Info, e ast.Expr) *types.Var {
+	e = ast.Unparen(e)
+	if idx, ok := e.(*ast.IndexExpr); ok {
+		e = ast.Unparen(idx.X)
+	}
+	id, ok := sliceBase(e).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	v, _ := info.Uses[id].(*types.Var)
+	return v
+}
+
+// sliceBase strips reslicing: x.F[a:b] writes where x.F does.
+func sliceBase(e ast.Expr) ast.Expr {
+	for {
+		e = ast.Unparen(e)
+		sl, ok := e.(*ast.SliceExpr)
+		if !ok {
+			return e
+		}
+		e = sl.X
+	}
 }
 
 // fieldOwnerName best-effort names the struct type declaring field.

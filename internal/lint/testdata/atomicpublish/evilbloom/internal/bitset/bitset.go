@@ -27,3 +27,32 @@ func (b *BitSet) Reset() {
 		b.words[i] = 0
 	}
 }
+
+// fill writes plainly through its slice parameter: the write counts at each
+// call site that passes a field read with sync/atomic.
+func fill(dst []uint64) {
+	for i := range dst {
+		dst[i] = 1
+	}
+}
+
+// relay passes its parameter on, resliced: it writes it too.
+func relay(dst []uint64) {
+	dst = dst[1:]
+	fill(dst)
+}
+
+func (b *BitSet) Load() {
+	fill(b.words) // want "non-atomic write"
+}
+
+func (b *BitSet) LoadTail() {
+	relay(b.words[2:]) // want "non-atomic write"
+}
+
+// fillLocal writes only memory of its own.
+func fillLocal() []uint64 {
+	s := make([]uint64, 4)
+	fill(s)
+	return s
+}

@@ -13,3 +13,7 @@ func (s *shard) addAtomic(i int, v uint64) {
 func (s *shard) addPlain(i int, v uint64) {
 	s.b.Set(i, v) // want "performs non-atomic writes"
 }
+
+func (s *shard) load() {
+	s.b.Load() // want "performs non-atomic writes"
+}

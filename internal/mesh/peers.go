@@ -537,6 +537,7 @@ func (p *Peers) readDigestResponse(resp *http.Response, held *cachedigest.PeerDi
 		res.digest, res.delta = d, true
 		return res
 	}
+	//lint:allow atomicpublish decoding fills a freshly allocated digest, never a published store
 	d, err := cachedigest.OpenEnvelope(frame)
 	if err != nil {
 		res.err = err
@@ -652,6 +653,7 @@ func (p *Peers) Push(name, label string, rd io.Reader, sealer string, sealed boo
 	}
 	var d *cachedigest.PeerDigest
 	if err == nil {
+		//lint:allow atomicpublish decoding fills a freshly allocated digest, never a published store
 		d, err = cachedigest.OpenEnvelope(env)
 	}
 	w.mu.Lock()

@@ -176,16 +176,59 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 func (s *Server) newConnHandler(conn net.Conn) *connHandler {
-	return &connHandler{
+	h := &connHandler{
 		srv:       s,
 		conn:      conn,
 		r:         NewReader(conn),
-		w:         bufio.NewWriterSize(conn, 32<<10),
 		principal: engine.AnonymousFromRemoteAddr(conn.RemoteAddr().String()),
 		proto:     2,
 		id:        s.connID.Add(1),
 		batch:     make([]Command, 1, 16),
 	}
+	h.w = bufio.NewWriterSize(replyWriter{h}, 32<<10)
+	return h
+}
+
+// replyWriter is the socket side of a connection's reply buffer. Every
+// write first settles the commits the turn owes (Engine.Commit, once per
+// mutated filter), so no reply byte reaches the client before the
+// mutations staged ahead of it are durable; a failed commit fails the
+// write, and the connection closes with those replies unsent. A turn whose
+// replies fit the buffer commits once, at its final Flush.
+type replyWriter struct{ h *connHandler }
+
+func (rw replyWriter) Write(b []byte) (int, error) {
+	if err := rw.h.settle(); err != nil {
+		return 0, err
+	}
+	return rw.h.conn.Write(b)
+}
+
+// owe records that the turn changed ref's state, so a commit on it is due
+// before the next reply byte leaves. Memory-only filters owe nothing.
+func (h *connHandler) owe(ref engine.FilterRef) {
+	if !ref.Durable() {
+		return
+	}
+	for _, r := range h.owed {
+		if r == ref {
+			return
+		}
+	}
+	h.owed = append(h.owed, ref)
+}
+
+// settle makes every owed commit, stopping at the first failure.
+func (h *connHandler) settle() error {
+	for len(h.owed) > 0 {
+		ref := h.owed[len(h.owed)-1]
+		h.owed[len(h.owed)-1] = engine.FilterRef{}
+		h.owed = h.owed[:len(h.owed)-1]
+		if err := h.srv.eng.Commit(ref); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // readBatch waits for one command, then takes every command that has
@@ -236,6 +279,7 @@ type connHandler struct {
 
 	batch []Command
 	g     group
+	owed  []engine.FilterRef // mutated filters whose commit the next reply write makes
 }
 
 // pend records one staged command's reply shape: how many of the run's
@@ -339,6 +383,9 @@ func (h *connHandler) flushGroup() {
 		return
 	}
 	h.srv.eng.ExecuteRun(h.principal, g.ref, &g.run)
+	if g.run.Kind != engine.RunTest && len(g.run.Bools) > 0 {
+		h.owe(g.ref)
+	}
 	idx := 0
 	for i, p := range g.pends {
 		if c := g.run.Chunks[i]; c.Busy {

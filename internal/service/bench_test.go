@@ -200,10 +200,10 @@ func BenchmarkParallelMixedMonitored(b *testing.B) {
 // BenchmarkLoggedMixed prices the write-ahead log next to
 // BenchmarkParallelMixed: the identical parallel mixed load on a 16-shard
 // store with no journal (the baseline — must match sharded-16 above within
-// noise), with the buffered journal under each flush policy, and with
-// synchronous per-operation fsync. The buffered policies pay one in-memory
-// record append inside the shard critical section; "always" pays a disk
-// round-trip per mutation and is listed to make that price visible.
+// noise), and with the journal under each flush policy. Every add is a turn
+// of its own: it frames its record inside the shard critical section, then
+// commits (Persister.commit), which waits for the disk only under "always",
+// where concurrent adds share an fsync.
 func BenchmarkLoggedMixed(b *testing.B) {
 	const totalBits, k = 1 << 24, 5
 	items := benchItems(1 << 16)
@@ -220,11 +220,64 @@ func BenchmarkLoggedMixed(b *testing.B) {
 			}
 			defer p.Close() //nolint:errcheck
 			s.SetJournal(p)
-			runMixed(b, s.Add, s.Test, nil, 0, items)
+			add := func(it []byte) {
+				s.Add(it)
+				if err := p.commit(); err != nil {
+					b.Error(err)
+				}
+			}
+			runMixed(b, add, s.Test, nil, 0, items)
 			if err := p.Err(); err != nil {
 				b.Fatalf("journal failed during bench: %v", err)
 			}
 		})
+	}
+}
+
+// BenchmarkCommittedAddBatch prices a durable turn: each of 1 or 2 writers
+// adds batches of 256 items nobody added before and commits each batch, the
+// way a codec commits a connection turn. Under "always" the writers share
+// fsyncs; under "interval" the commit returns at once. ns/item is the wall
+// time per journaled item.
+func BenchmarkCommittedAddBatch(b *testing.B) {
+	const batch = 256
+	for _, policy := range []SyncPolicy{SyncInterval, SyncAlways} {
+		for _, writers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%v/writers=%d", policy, writers), func(b *testing.B) {
+				s := newShardedBench(b, 8, 1<<27, 5, ModeNaive)
+				p, err := createPersister(b.TempDir(), s.config(), policy, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer p.Close() //nolint:errcheck
+				s.SetJournal(p)
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				b.ResetTimer()
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						items := make([][]byte, batch)
+						for i := range items {
+							items[i] = make([]byte, 0, 32)
+						}
+						for n := next.Add(1); n <= int64(b.N); n = next.Add(1) {
+							for i := range items {
+								items[i] = fmt.Appendf(items[i][:0], "fresh-%d-%d", n, i)
+							}
+							s.AddBatch(items)
+							if err := p.commit(); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(w)
+				}
+				wg.Wait()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/item")
+			})
+		}
 	}
 }
 

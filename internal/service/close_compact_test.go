@@ -214,8 +214,8 @@ func TestCloseSkipsFailedJournal(t *testing.T) {
 		t.Run(cfgName(cfg), func(t *testing.T) {
 			sd := closeAfter(t, cfg, 400, func(f *Filter) {
 				p := f.persist
+				p.flush()
 				p.mu.Lock()
-				p.flushLocked(true)
 				p.err = injected
 				p.mu.Unlock()
 			})

@@ -76,10 +76,11 @@
 // written via temp-file + rename, and an append-only operation log with
 // length-prefixed, per-record-CRC framing. Mutations that change the filter
 // (a bloom or blocked add of an item already present is not one) are
-// journaled from inside the shard critical section into a buffered, batched
-// writer whose durability is the -fsync policy: always (fsync per
-// mutation), interval (flush+fsync every ~100ms, the default) or never (the
-// OS decides).
+// framed from inside the shard critical section into fixed-size chunks that
+// one syncer goroutine writes with no lock held (group commit), under the
+// -fsync policy: always (a connection turn waits in Filter.Commit until its
+// records are fsynced, concurrent turns sharing one fsync), interval (write
+// and fsync every ~100ms, the default) or never (the OS decides).
 // Restart restores the newest restorable snapshot — a corrupt one falls
 // back a generation — and replays the log chain on top, truncating a torn
 // tail to the longest valid record prefix, so a recovered filter is

@@ -1,0 +1,403 @@
+package service
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"evilbloom/internal/core"
+	"evilbloom/internal/urlgen"
+)
+
+// flush writes and fsyncs everything framed so far.
+func (p *Persister) flush() {
+	p.claim()
+	p.drain(true, true)
+	p.release()
+}
+
+// failOnce makes the journal's next segment op named op ("write" or
+// "sync") fail with err.
+func (p *Persister) failOnce(op string, err error) {
+	p.claim()
+	p.failNext = func(o string) error {
+		if o != op {
+			return nil
+		}
+		p.failNext = nil
+		return err
+	}
+	p.release()
+}
+
+// segmentOps drives a counting store journaling into dir through a fixed
+// operation sequence — batches spanning several chunks, a record longer
+// than a chunk, accepted and refused removals, a compaction, single adds
+// and removes — and closes the journal.
+func segmentOps(t *testing.T, dir string, policy SyncPolicy) {
+	t.Helper()
+	s, err := NewSharded(persistCfg(VariantCounting, ModeNaive, 4, core.Saturate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := createPersister(dir, s.config(), policy, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetJournal(p)
+	gen := urlgen.New(5)
+	items := make([][]byte, 4000)
+	for i := range items {
+		items[i] = gen.Next()
+	}
+	s.AddBatch(items[:3000])
+	s.Add(bytes.Repeat([]byte("evil"), 25<<10))
+	if _, err := s.RemoveBatch(append(items[:500:500], []byte("absent-1"), []byte("absent-2"))); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		s.Add(bytes.Repeat([]byte{byte('a' + i)}, 4096))
+	}
+	if err := p.Compact(s); err != nil {
+		t.Fatal(err)
+	}
+	s.AddBatch(items[3000:])
+	for _, it := range items[3000:3100] {
+		s.Remove(it) //nolint:errcheck // refusals are part of the sequence
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Group commit changes when records reach the segment, never which bytes:
+// under every policy, segmentOps writes exactly the segments the
+// write-through journal before it wrote (length and SHA-256 captured from
+// that journal).
+func TestSegmentBytesMatchGolden(t *testing.T) {
+	golden := map[string]string{
+		walName(0): "386435 3f22712823624a6a9296dcaa6d36093d875a3d75aacc060afa22ded2fc123870",
+		walName(1): "64324 6d57d20a56c824c0db35bb8d4f71f0be9cc79f2cc71eaf4c458074c288a0906c",
+	}
+	for _, policy := range []SyncPolicy{SyncNever, SyncInterval, SyncAlways} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			segmentOps(t, dir, policy)
+			for name, want := range golden {
+				b, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(b)
+				if got := fmt.Sprintf("%d %s", len(b), hex.EncodeToString(sum[:])); got != want {
+					t.Errorf("%s: %s, want %s", name, got, want)
+				}
+			}
+		})
+	}
+}
+
+// blockSyncer parks the syncer's next segment write until the returned
+// release is called, so a test can fill the pool behind it.
+func blockSyncer(p *Persister) (release func()) {
+	gate := make(chan struct{})
+	p.claim()
+	p.failNext = func(op string) error {
+		<-gate
+		return nil
+	}
+	p.release()
+	var once sync.Once
+	return func() { once.Do(func() { close(gate) }) }
+}
+
+// A burst of appends against a stalled syncer never holds more than
+// maxChunks pooled chunks: the appender waits for the syncer instead of
+// growing a buffer, and once the syncer moves every record reaches the
+// segment in order.
+func TestJournalChunksBounded(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewSharded(persistCfg(VariantBloom, ModeNaive, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := createPersister(dir, s.config(), SyncInterval, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close() //nolint:errcheck
+	release := blockSyncer(p)
+	defer release()
+
+	const records = 100_000
+	item := bytes.Repeat([]byte("x"), 40) // 49-byte records: ~75 chunks' worth
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < records; i++ {
+			p.JournalAdd(item)
+		}
+	}()
+	// The appender must stall with every pooled chunk in use.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		p.mu.Lock()
+		full := p.chunks == maxChunks && len(p.free) == 0 && p.cur == nil
+		p.mu.Unlock()
+		if full {
+			break
+		}
+		select {
+		case <-done:
+			t.Fatal("the burst finished against a stalled syncer: appends did not wait for a chunk")
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the pool never filled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-done:
+		t.Fatal("the appender went on with every chunk in use")
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	<-done
+	p.mu.Lock()
+	chunks, failed := p.chunks, p.err
+	p.mu.Unlock()
+	if chunks > maxChunks || failed != nil {
+		t.Fatalf("after the burst: %d chunks (bound %d), err %v", chunks, maxChunks, failed)
+	}
+	p.flush()
+	f, err := os.Open(filepath.Join(dir, walName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck // read-only
+	n := 0
+	valid, torn, err := readRecords(f, func(op byte, it []byte) error {
+		if op != walRecordAdd || !bytes.Equal(it, item) {
+			return fmt.Errorf("record %d: op %d item %q", n, op, it)
+		}
+		n++
+		return nil
+	})
+	if err != nil || torn || n != records || valid != records*int64(4+1+len(item)+4) {
+		t.Fatalf("segment: %d records, %d valid bytes, torn %v, err %v; want %d records", n, valid, torn, err, records)
+	}
+}
+
+// Once the pool is warm, an append allocates nothing: records go into
+// recycled chunks, whatever the policy.
+func TestAppendSteadyStateAllocs(t *testing.T) {
+	if underRace() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, policy := range []SyncPolicy{SyncNever, SyncInterval, SyncAlways} {
+		t.Run(policy.String(), func(t *testing.T) {
+			s, err := NewSharded(persistCfg(VariantBloom, ModeNaive, 0, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := createPersister(t.TempDir(), s.config(), policy, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close() //nolint:errcheck
+			item := []byte("steady-state-journal-record")
+			burst := func() {
+				for i := 0; i < 4096; i++ {
+					p.JournalAdd(item)
+				}
+			}
+			// Warm the pool to its bound behind a stalled syncer, so no
+			// measured append can be the one that allocates a chunk.
+			release := blockSyncer(p)
+			warm := make(chan struct{})
+			go func() {
+				defer close(warm)
+				for i := 0; i < 64; i++ {
+					burst()
+				}
+			}()
+			for {
+				p.mu.Lock()
+				n := p.chunks
+				p.mu.Unlock()
+				if n == maxChunks {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			release()
+			<-warm
+			if allocs := testing.AllocsPerRun(20, burst); allocs != 0 {
+				t.Fatalf("%v allocations per 4096 appends, want 0", allocs)
+			}
+		})
+	}
+}
+
+// Under SyncAlways, concurrent turns share fsyncs: every Commit returns
+// only once its own records are durable, and far fewer fsyncs run than
+// turns commit.
+func TestCommitSharesFsync(t *testing.T) {
+	s, err := NewSharded(persistCfg(VariantBloom, ModeNaive, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := createPersister(t.TempDir(), s.config(), SyncAlways, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close() //nolint:errcheck
+	var syncs int
+	p.claim()
+	p.failNext = func(op string) error {
+		if op == "sync" {
+			syncs++
+		}
+		return nil
+	}
+	p.release()
+
+	const writers, turns = 8, 40
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < turns; i++ {
+				seq := p.append(walRecordAdd, []byte(fmt.Sprintf("w%d-turn%d", w, i)))
+				if err := p.commit(); err != nil {
+					errs <- err
+					return
+				}
+				p.mu.Lock()
+				durable := p.durable
+				p.mu.Unlock()
+				if durable < seq {
+					errs <- fmt.Errorf("Commit returned with record %d framed but only %d durable", seq, durable)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	p.claim()
+	n := syncs
+	p.release()
+	if n == 0 || n >= writers*turns {
+		t.Fatalf("%d fsyncs for %d commits; want at least one and fewer than one per commit", n, writers*turns)
+	}
+	t.Logf("%d commits shared %d fsyncs", writers*turns, n)
+}
+
+// A failed write or fsync fails the turn waiting on it, sticks in Err, and
+// fails every later commit: nothing is acknowledged after the disk refused.
+func TestCommitAnswersJournalFailure(t *testing.T) {
+	for _, op := range []string{"write", "sync"} {
+		t.Run(op, func(t *testing.T) {
+			s, err := NewSharded(persistCfg(VariantBloom, ModeNaive, 0, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := createPersister(t.TempDir(), s.config(), SyncAlways, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close() //nolint:errcheck
+			s.SetJournal(p)
+			s.Add([]byte("before"))
+			if err := p.commit(); err != nil {
+				t.Fatal(err)
+			}
+			injected := errors.New("injected " + op + " failure")
+			p.failOnce(op, injected)
+			s.Add([]byte("lost"))
+			if err := p.commit(); !errors.Is(err, injected) {
+				t.Fatalf("Commit after a failed %s: %v, want the injected error", op, err)
+			}
+			if err := p.Err(); !errors.Is(err, injected) {
+				t.Fatalf("Err: %v, want the injected error", err)
+			}
+			s.Add([]byte("later"))
+			if err := p.commit(); !errors.Is(err, injected) {
+				t.Fatalf("a later turn's Commit: %v, want the injected error", err)
+			}
+			if err := p.commit(); !errors.Is(err, injected) {
+				t.Fatalf("a later turn that framed nothing: %v, want the injected error", err)
+			}
+		})
+	}
+}
+
+// Under SyncInterval and SyncNever a turn does not wait for the disk:
+// Commit returns with the records still in memory.
+func TestCommitWaitsOnlyUnderAlways(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncInterval, SyncNever} {
+		t.Run(policy.String(), func(t *testing.T) {
+			s, err := NewSharded(persistCfg(VariantBloom, ModeNaive, 0, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := createPersister(t.TempDir(), s.config(), policy, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close() //nolint:errcheck
+			release := blockSyncer(p)
+			defer release()
+			p.JournalAdd([]byte("buffered"))
+			if err := p.commit(); err != nil {
+				t.Fatal(err)
+			}
+			p.mu.Lock()
+			durable, queued := p.durable, p.queued
+			p.mu.Unlock()
+			if durable != 0 || queued == 0 {
+				t.Fatalf("durable %d, queued %d bytes: Commit waited for the disk", durable, queued)
+			}
+		})
+	}
+}
+
+// The shutdown weighing counts records still queued in memory, not only
+// the bytes already written.
+func TestLogOutweighsCountsQueuedRecords(t *testing.T) {
+	s, err := NewSharded(persistCfg(VariantBloom, ModeNaive, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := createPersister(t.TempDir(), s.config(), SyncInterval, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close() //nolint:errcheck
+	release := blockSyncer(p)
+	defer release()
+	item := bytes.Repeat([]byte("q"), 100)
+	for !p.logOutweighs(s) {
+		p.JournalAdd(item)
+	}
+	p.mu.Lock()
+	walLen, queued := p.walLen, p.queued
+	p.mu.Unlock()
+	if walLen != 0 || queued < s.snapshotLen() {
+		t.Fatalf("outweighs with %d written and %d queued bytes against a %d-byte snapshot", walLen, queued, s.snapshotLen())
+	}
+}

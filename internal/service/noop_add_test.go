@@ -16,8 +16,8 @@ import (
 func walSize(t *testing.T, f *Filter) int64 {
 	t.Helper()
 	p := f.persist
+	p.flush()
 	p.mu.Lock()
-	p.flushLocked(false)
 	gen, err := p.gen, p.err
 	p.mu.Unlock()
 	if err != nil {

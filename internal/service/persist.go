@@ -66,12 +66,16 @@ const (
 	walMaxRecord = 1 << 20
 	// walReadBuffer is the one buffer replay streams a segment through.
 	walReadBuffer = 64 << 10
-	// flushInterval paces the background writer under SyncInterval and
-	// SyncNever.
+	// flushInterval paces the syncer: at least this often it writes the
+	// partly filled chunk too, and under SyncInterval fsyncs.
 	flushInterval = 100 * time.Millisecond
-	// flushThreshold force-flushes the in-memory buffer mid-interval so an
-	// add-batch storm cannot grow it without bound.
-	flushThreshold = 1 << 20
+	// chunkSize is the journal's unit of buffering: appends frame records
+	// into a chunk of this size, and the syncer writes whole chunks.
+	chunkSize = 64 << 10
+	// maxChunks bounds the pooled chunks one journal holds at once
+	// (16 × 64 KiB = 1 MiB); an appender that finds them all in use waits
+	// for the syncer.
+	maxChunks = 16
 )
 
 // ErrNotDurable answers compaction requests against a filter with no
@@ -83,20 +87,23 @@ var ErrNotDurable = errors.New("service: filter has no durable store (start the 
 // directory — it is someone else's durable state, not theirs to clean up.
 var errDirInitialized = errors.New("service: filter dir already initialized")
 
-// SyncPolicy selects when the operation log reaches stable storage.
+// SyncPolicy selects when the operation log reaches stable storage. Under
+// every policy an append only frames its record into memory; the journal's
+// one syncer goroutine writes the records out (see Persister).
 type SyncPolicy int
 
 const (
-	// SyncInterval (the default) batches appends in memory and
-	// flushes+fsyncs every flushInterval: bounded data loss on power
-	// failure, negligible hot-path cost.
+	// SyncInterval (the default) writes full chunks as they fill and
+	// writes and fsyncs everything every flushInterval: a crash loses at
+	// most the last interval of acknowledged mutations, and nothing waits
+	// for the disk.
 	SyncInterval SyncPolicy = iota
-	// SyncAlways writes and fsyncs inside every mutation: no loss window,
-	// every operation pays a disk round-trip.
+	// SyncAlways makes every acknowledgement durable: a connection turn
+	// that mutated the filter waits in Filter.Commit until its records are
+	// written and fsynced, and concurrent turns share one fsync.
 	SyncAlways
-	// SyncNever writes on the flush interval but never fsyncs; the OS
-	// decides when data is durable. Graceful shutdown still flushes and
-	// syncs.
+	// SyncNever writes like SyncInterval but never fsyncs; the OS decides
+	// when data is durable. Compaction and graceful shutdown still sync.
 	SyncNever
 )
 
@@ -214,28 +221,76 @@ func (m persistedMeta) config() (Config, error) {
 	return cfg, nil
 }
 
-// Persister is one filter's durable store: the buffered, batched journal
-// writer plus the snapshot generation machinery. It implements Journal;
-// appends arrive from inside shard critical sections, so everything on that
-// path is a short in-memory copy under the persister's own mutex (lock
-// order is always shard → persister, shared with compaction, so the pair
-// cannot deadlock).
+// Persister is one filter's durable store: the group-commit journal plus
+// the snapshot generation machinery. It implements Journal.
+//
+// Appends arrive from inside shard critical sections (lock order is always
+// shard → p.mu), so an append only frames its record into the current
+// fixed-size chunk under p.mu and takes the next sequence number: it never
+// writes, never fsyncs and never grows a buffer. One syncer goroutine takes
+// the sealed chunks — and the partly filled one on its tick or when a turn
+// waits in commit — writes them in order with no lock held, fsyncs as the
+// policy says, publishes the durable sequence number and returns the
+// chunks to a pool of at most maxChunks. An appender that finds every
+// chunk in use waits for the syncer; a record longer than a chunk gets one
+// of its own, outside the pool.
+//
+// The segment belongs to whoever holds the writer role (claim/release):
+// the syncer for one pass, or Compact and Close, which drain the queue
+// through the same path (drain) before they rotate or close the segment.
 type Persister struct {
 	dir    string
 	policy SyncPolicy
 
 	mu     sync.Mutex
-	buf    []byte   // encoded records not yet written to wal
-	wal    *os.File // current segment, wal-<gen>
-	gen    uint64
-	walLen int64 // wal's length: its valid prefix at boot plus every flush since
+	signal sync.Cond // on mu: durable advanced, a chunk came back, the writer role was released, or the journal failed
+	cur    *chunk    // the chunk appends fill; nil after a seal
+	queue  []*chunk  // sealed chunks, in log order, waiting for the syncer
+	free   []*chunk  // the pool: empty chunks ready for reuse
+	chunks int       // pooled chunks in existence, at most maxChunks
+	big    bool      // a chunk holding one record longer than chunkSize is unwritten
+	queued int64     // bytes framed and not yet written
+	// seq numbers the records framed so far; durable is the number of the
+	// last one written and fsynced. Under SyncAlways they meet at every
+	// syncer pass; commit waits on them.
+	seq, durable uint64
+	waiting      int  // turns in commit waiting for the partly filled chunk
+	writing      bool // the writer role is held
+	closing      bool // Close has begun: appends are dropped
+	gen          uint64
+	walLen       int64 // the segment's length: its valid prefix at boot plus every write since
 	// err is sticky: after the first I/O failure (or Close) the journal
 	// drops appends — memory state stays correct, durability is degraded —
-	// and the error surfaces on the next Compact/Close.
+	// commit answers it to every turn still waiting, and it surfaces on
+	// the next Compact/Close.
 	err error
 
-	flusher chan struct{} // closed to stop the background flusher
-	done    chan struct{} // closed when the flusher exits
+	// Owned by the writer role.
+	wal      *os.File // current segment, wal-<gen>
+	unsynced bool     // wal holds writes not yet fsynced
+	written  uint64   // sequence number of the last record written
+	batch    []*chunk // the chunks one drain writes
+	// failNext, when a test sets it, runs before every segment write
+	// ("write") and fsync ("sync"), and its error fails that op.
+	failNext func(op string) error
+
+	kick chan struct{} // wakes the syncer early: a chunk sealed or a turn waits
+	stop chan struct{} // closed to stop the syncer
+	done chan struct{} // closed when the syncer exits
+}
+
+// chunk is one unit of journal buffering: framed records, whole, in log
+// order.
+type chunk struct {
+	b    []byte
+	last uint64 // sequence number of the last record in b
+}
+
+// newPersister returns a journal for dir with no segment open yet.
+func newPersister(dir string, policy SyncPolicy) *Persister {
+	p := &Persister{dir: dir, policy: policy, kick: make(chan struct{}, 1)}
+	p.signal.L = &p.mu
+	return p
 }
 
 var _ Journal = (*Persister)(nil)
@@ -260,11 +315,11 @@ func createPersister(dir string, cfg Config, policy SyncPolicy, initialSnap []by
 			return nil, err
 		}
 	}
-	p := &Persister{dir: dir, policy: policy}
+	p := newPersister(dir, policy)
 	if p.wal, err = os.OpenFile(filepath.Join(dir, walName(0)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600); err != nil {
 		return nil, err
 	}
-	p.startFlusher()
+	p.startSyncer()
 	return p, nil
 }
 
@@ -295,7 +350,7 @@ func openPersister(dir string, policy SyncPolicy) (*Persister, Config, error) {
 	if err != nil {
 		return nil, Config{}, err
 	}
-	return &Persister{dir: dir, policy: policy}, cfg, nil
+	return newPersister(dir, policy), cfg, nil
 }
 
 // Replay rebuilds s from the directory: restore the newest valid snapshot
@@ -371,7 +426,7 @@ func (p *Persister) Replay(s *Sharded) error {
 	if p.wal, err = os.OpenFile(filepath.Join(p.dir, walName(last)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600); err != nil {
 		return err
 	}
-	p.startFlusher()
+	p.startSyncer()
 	return nil
 }
 
@@ -495,81 +550,228 @@ func (p *Persister) JournalAdd(item []byte) { p.append(walRecordAdd, item) }
 // JournalRemove implements Journal.
 func (p *Persister) JournalRemove(item []byte) { p.append(walRecordRemove, item) }
 
-// append frames one record into the buffer; SyncAlways drains it to disk
-// immediately, the others leave it for the flusher (or the size threshold).
-func (p *Persister) append(op byte, item []byte) {
+// append frames one record into the current chunk and returns its sequence
+// number (0 when the journal is failed or closed and drops it).
+func (p *Persister) append(op byte, item []byte) uint64 {
+	n := 4 + 1 + len(item) + 4
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.err != nil {
+	c := p.room(n)
+	if c == nil {
+		return 0
+	}
+	b := binary.LittleEndian.AppendUint32(c.b, uint32(1+len(item)))
+	bodyAt := len(b)
+	b = append(b, op)
+	b = append(b, item...)
+	c.b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[bodyAt:]))
+	p.queued += int64(n)
+	p.seq++
+	c.last = p.seq
+	if len(c.b) == cap(c.b) {
+		p.seal()
+	}
+	return p.seq
+}
+
+// room returns the chunk an n-byte record goes into, sealing the current
+// one when the record does not fit, or nil when the journal drops appends.
+// With every pooled chunk in use — or, for a record longer than a chunk,
+// with another such record still unwritten — it waits for the syncer. The
+// caller holds p.mu.
+func (p *Persister) room(n int) *chunk {
+	for p.err == nil && !p.closing {
+		if c := p.cur; c != nil && cap(c.b)-len(c.b) >= n {
+			return c
+		}
+		p.seal()
+		switch {
+		case n > chunkSize && !p.big:
+			p.big = true
+			p.cur = &chunk{b: make([]byte, 0, n)}
+		case n > chunkSize:
+			p.signal.Wait()
+			continue
+		case len(p.free) > 0:
+			p.cur = p.free[len(p.free)-1]
+			p.free = p.free[:len(p.free)-1]
+		case p.chunks < maxChunks:
+			p.chunks++
+			p.cur = &chunk{b: make([]byte, 0, chunkSize)}
+		default:
+			p.signal.Wait()
+			continue
+		}
+		return p.cur
+	}
+	return nil
+}
+
+// seal queues the current chunk for the syncer, or returns it to the pool
+// when it holds no record. The caller holds p.mu.
+func (p *Persister) seal() {
+	c := p.cur
+	if c == nil {
 		return
 	}
-	p.buf = binary.LittleEndian.AppendUint32(p.buf, uint32(1+len(item)))
-	bodyAt := len(p.buf)
-	p.buf = append(p.buf, op)
-	p.buf = append(p.buf, item...)
-	p.buf = binary.LittleEndian.AppendUint32(p.buf, crc32.ChecksumIEEE(p.buf[bodyAt:]))
-	if p.policy == SyncAlways {
-		p.flushLocked(true)
-	} else if len(p.buf) >= flushThreshold {
-		p.flushLocked(false)
+	p.cur = nil
+	if len(c.b) == 0 {
+		p.free = append(p.free, c)
+		return
+	}
+	p.queue = append(p.queue, c)
+	p.wake()
+}
+
+// wake nudges the syncer without blocking; one pending nudge is enough.
+func (p *Persister) wake() {
+	select {
+	case p.kick <- struct{}{}:
+	default:
 	}
 }
 
-// flushLocked writes the buffer to the current segment (and fsyncs when
-// sync is set). I/O failures stick in p.err.
-//
-// The write happens inside the journal's critical section by design: the
-// durability ordering requires the record to be on disk (SyncAlways) or
-// at least framed into the segment before the mutation becomes visible,
-// and p.buf/p.wal have no other guard. evillint treats this function as
-// the sanctioned sink — every locked caller is covered by this one
-// annotation, while any NEW I/O under a lock still fails the build.
-//
-//lint:allow nolockednetio WAL durability ordering: the append must hit the segment inside the critical section
-func (p *Persister) flushLocked(sync bool) {
-	if p.err != nil || len(p.buf) == 0 {
-		if sync && p.err == nil && p.wal != nil {
-			if err := p.wal.Sync(); err != nil {
-				p.err = err
-			}
-		}
-		return
+// commit waits until every record framed before the call is written and
+// fsynced, and answers the journal's error if it failed first. Under
+// SyncInterval and SyncNever it returns at once: those policies acknowledge
+// before the disk. It is the one wait a connection turn makes, after its
+// mutations have released every lock and before it writes a reply.
+func (p *Persister) commit() error {
+	if p.policy != SyncAlways {
+		return nil
 	}
-	if _, err := p.wal.Write(p.buf); err != nil {
-		p.err = err
-		return
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	target := p.seq
+	if p.durable >= target {
+		return nil
 	}
-	p.walLen += int64(len(p.buf))
-	p.buf = p.buf[:0]
-	if sync {
-		if err := p.wal.Sync(); err != nil {
-			p.err = err
-		}
+	p.waiting++
+	p.wake()
+	for p.durable < target && p.err == nil {
+		p.signal.Wait()
 	}
+	p.waiting--
+	if p.durable >= target {
+		return nil
+	}
+	return p.err
 }
 
-// startFlusher launches the background writer for the buffered policies.
-func (p *Persister) startFlusher() {
-	if p.policy == SyncAlways {
-		return
-	}
-	p.flusher = make(chan struct{})
+// startSyncer launches the journal's one writer.
+func (p *Persister) startSyncer() {
+	p.stop = make(chan struct{})
 	p.done = make(chan struct{})
-	go func() {
-		defer close(p.done)
-		t := time.NewTicker(flushInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				p.mu.Lock()
-				p.flushLocked(p.policy == SyncInterval)
-				p.mu.Unlock()
-			case <-p.flusher:
-				return
-			}
+	go p.runSyncer()
+}
+
+// runSyncer writes sealed chunks as they are kicked in, and on every tick
+// the partly filled chunk too, fsyncing as the policy says, until stopped.
+func (p *Persister) runSyncer() {
+	defer close(p.done)
+	t := time.NewTicker(flushInterval)
+	defer t.Stop()
+	for {
+		tick := false
+		select {
+		case <-t.C:
+			tick = true
+		case <-p.kick:
+		case <-p.stop:
+			return
 		}
-	}()
+		p.claim()
+		p.drain(tick, p.policy == SyncAlways || tick && p.policy == SyncInterval)
+		p.release()
+	}
+}
+
+// claim takes the writer role, waiting out another holder.
+func (p *Persister) claim() {
+	p.mu.Lock()
+	for p.writing {
+		p.signal.Wait()
+	}
+	p.writing = true
+	p.mu.Unlock()
+}
+
+// release gives the writer role back.
+func (p *Persister) release() {
+	p.mu.Lock()
+	p.writing = false
+	p.signal.Broadcast()
+	p.mu.Unlock()
+}
+
+// drain is the one path from the queue to the segment; the caller holds
+// the writer role. It takes the sealed chunks — and the partly filled one
+// when seal is set or a turn is waiting — writes them in order with no lock
+// held, fsyncs when sync is set and anything is unsynced, then publishes:
+// the segment length, the durable sequence number (under SyncAlways, or
+// once fsynced) and the chunks back to the pool. An I/O failure becomes the
+// sticky p.err, and the queued records are dropped with it.
+func (p *Persister) drain(seal, sync bool) {
+	p.mu.Lock()
+	if seal || p.waiting > 0 {
+		p.seal()
+	}
+	batch := append(p.batch[:0], p.queue...)
+	clear(p.queue)
+	p.queue = p.queue[:0]
+	failed := p.err != nil
+	p.mu.Unlock()
+
+	var written int64
+	var err error
+	if !failed {
+		for _, c := range batch {
+			if err = p.fault("write"); err == nil {
+				_, err = p.wal.Write(c.b)
+			}
+			if err != nil {
+				break
+			}
+			written += int64(len(c.b))
+			p.written, p.unsynced = c.last, true
+		}
+		if err == nil && sync && p.unsynced {
+			if err = p.fault("sync"); err == nil {
+				err = p.wal.Sync()
+			}
+			p.unsynced = err != nil
+		}
+	}
+
+	p.mu.Lock()
+	p.walLen += written
+	for _, c := range batch {
+		p.queued -= int64(len(c.b))
+		if cap(c.b) == chunkSize {
+			c.b = c.b[:0]
+			p.free = append(p.free, c)
+		} else {
+			p.big = false
+		}
+	}
+	if err != nil && p.err == nil {
+		p.err = err
+	}
+	if !p.unsynced {
+		p.durable = p.written
+	}
+	p.signal.Broadcast()
+	p.mu.Unlock()
+	clear(batch)
+	p.batch = batch[:0]
+}
+
+// fault answers the injected failure for op, if a test set one.
+func (p *Persister) fault(op string) error {
+	if p.failNext == nil {
+		return nil
+	}
+	return p.failNext(op)
 }
 
 // Compact takes an atomic snapshot of s, installs it as the next
@@ -587,13 +789,14 @@ func (p *Persister) Compact(s *Sharded) error {
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	// Complete the old segment first — the fallback chain (previous
-	// snapshot + previous segment + new segment) must stay gapless.
-	p.flushLocked(true)
-	if p.err != nil {
-		return fmt.Errorf("service: journal is failed; refusing to compact: %w", p.err)
+	// snapshot + previous segment + new segment) must stay gapless. Every
+	// shard is locked, so nothing is framed behind the drain.
+	p.claim()
+	defer p.release()
+	p.drain(true, true)
+	if err := p.Err(); err != nil {
+		return fmt.Errorf("service: journal is failed; refusing to compact: %w", err)
 	}
 	newGen := p.gen + 1
 	// Order matters for crash- and failure-consistency: the new (empty) log
@@ -612,10 +815,12 @@ func (p *Persister) Compact(s *Sharded) error {
 		os.Remove(filepath.Join(p.dir, walName(newGen))) //nolint:errcheck
 		return err
 	}
-	p.wal.Close() //nolint:errcheck // already flushed and synced above
-	p.wal, p.walLen = wal, 0
+	p.wal.Close() //nolint:errcheck // already drained and synced above
+	p.wal = wal
 	oldGen := p.gen
-	p.gen = newGen
+	p.mu.Lock()
+	p.gen, p.walLen = newGen, 0
+	p.mu.Unlock()
 	// Retire generations older than the fallback pair.
 	if oldGen > 0 {
 		for gen := oldGen; gen > 0; gen-- {
@@ -629,14 +834,14 @@ func (p *Persister) Compact(s *Sharded) error {
 	return nil
 }
 
-// logOutweighs reports whether the live segment, buffered records included,
+// logOutweighs reports whether the live segment, queued records included,
 // holds at least as many bytes as a snapshot of s: a log byte costs more to
 // replay than a snapshot byte to restore, so compacting it never slows the
 // next boot. A failed or closed journal never outweighs.
 func (p *Persister) logOutweighs(s *Sharded) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.err == nil && p.walLen+int64(len(p.buf)) >= s.snapshotLen()
+	return p.err == nil && p.walLen+p.queued >= s.snapshotLen()
 }
 
 // Generation returns the current snapshot generation.
@@ -653,20 +858,26 @@ func (p *Persister) Err() error {
 	return p.err
 }
 
-// Close stops the flusher, drains and fsyncs the buffer, and closes the
-// segment. Further appends are dropped. It returns the first I/O error the
-// journal ever hit.
+// Close stops the syncer, drains and fsyncs every framed record through
+// the same path, and closes the segment. Further appends are dropped, and
+// a turn still waiting in commit is answered. It returns the first I/O
+// error the journal ever hit.
 //
-//lint:allow nolockednetio shutdown path: the final drain and segment close must exclude concurrent appends
+//lint:allow nolockednetio shutdown path: the segment closes under the journal lock so no drain or commit can see it half closed
 func (p *Persister) Close() error {
-	if p.flusher != nil {
-		close(p.flusher)
+	if p.stop != nil {
+		close(p.stop)
 		<-p.done
-		p.flusher = nil
+		p.stop = nil
 	}
 	p.mu.Lock()
+	p.closing = true
+	p.mu.Unlock()
+	p.claim()
+	defer p.release()
+	p.drain(true, true)
+	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.flushLocked(true)
 	err := p.err
 	if p.wal != nil {
 		if cerr := p.wal.Close(); err == nil {
@@ -677,6 +888,7 @@ func (p *Persister) Close() error {
 	if p.err == nil {
 		p.err = errors.New("service: journal closed")
 	}
+	p.signal.Broadcast()
 	return err
 }
 

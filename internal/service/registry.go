@@ -80,6 +80,19 @@ func (f *Filter) Store() *Sharded { return f.store }
 // Durable reports whether the filter journals to a durable store.
 func (f *Filter) Durable() bool { return f.persist != nil }
 
+// Commit waits, under SyncAlways, until every journal record the filter
+// framed before the call is written and fsynced, and answers the journal's
+// error if it failed first; concurrent callers share one fsync. It returns
+// at once under the other policies and on a memory-only filter. A codec
+// calls it once per connection turn that mutated the filter, after the
+// mutations and before any reply.
+func (f *Filter) Commit() error {
+	if f.persist == nil {
+		return nil
+	}
+	return f.persist.commit()
+}
+
 // Compact forces a snapshot of the filter's current state and starts a
 // fresh log segment, bounding recovery time. It fails with ErrNotDurable on
 // a memory-only filter.

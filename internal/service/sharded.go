@@ -291,7 +291,8 @@ type Sharded struct {
 // Journal receives the store's effective mutations — the append-only
 // operation log of the persistence layer. Calls arrive under a shard's write
 // lock and must not block on anything that could itself wait on a shard lock
-// (a buffered in-memory append is the intended implementation).
+// (Persister frames into memory, and with its chunk pool exhausted waits
+// only for its syncer, which takes no shard lock).
 type Journal interface {
 	// JournalAdd records an insertion. Item aliases caller memory; copy it.
 	JournalAdd(item []byte)
