@@ -36,5 +36,8 @@
 // with 128-bit output read as a §8.2 bit stream under one key; layout 3,
 // keyed only, draws them from one SipHash-2-4-128 digest by double hashing,
 // whatever k and m. A layout is a storage format; layout1_oracle_test.go
-// freezes layout 1.
+// freezes layout 1. RouteBatch routes a batch: under keyed layouts 2 and 3
+// on amd64 CPUs with AVX-512F it runs SipHash-2-4-128 over eight items per
+// call of an assembly kernel (sip128x8_amd64.s) with the same output words;
+// everything else routes item by item.
 package hashes

@@ -491,7 +491,9 @@ var placementSink uint64
 // over bench-shaped keys (URL-shaped, lengths uniform over 32–47 bytes).
 // The -k10 rows are k = 10 at the large filter's shard size
 // (m = 57 510 352, 26-bit indexes): three PRF calls under keyed v2, still
-// one under v3.
+// one under v3. The -batch rows place 64-key windows the way the store's
+// batches do — RouteBatch over the window, then Indexes key by key — and
+// report per key; b.N counts keys.
 func BenchmarkPlacement(b *testing.B) {
 	items := benchShapedItems(1024, 1)
 	for _, bc := range []struct {
@@ -500,20 +502,37 @@ func BenchmarkPlacement(b *testing.B) {
 		keyed  bool
 		k      int
 		m      uint64
+		batch  bool
 	}{
-		{"v1-naive", LayoutV1, false, 7, 1917012},
-		{"v1-hardened", LayoutV1, true, 7, 1917012},
-		{"v2-naive", LayoutV2, false, 7, 1917012},
-		{"v2-hardened", LayoutV2, true, 7, 1917012},
-		{"v2-hardened-k10", LayoutV2, true, 10, 57510352},
-		{"v3-hardened", LayoutV3, true, 7, 1917012},
-		{"v3-hardened-k10", LayoutV3, true, 10, 57510352},
+		{"v1-naive", LayoutV1, false, 7, 1917012, false},
+		{"v1-hardened", LayoutV1, true, 7, 1917012, false},
+		{"v2-naive", LayoutV2, false, 7, 1917012, false},
+		{"v2-hardened", LayoutV2, true, 7, 1917012, false},
+		{"v2-hardened-batch", LayoutV2, true, 7, 1917012, true},
+		{"v2-hardened-k10", LayoutV2, true, 10, 57510352, false},
+		{"v3-hardened", LayoutV3, true, 7, 1917012, false},
+		{"v3-hardened-batch", LayoutV3, true, 7, 1917012, true},
+		{"v3-hardened-k10", LayoutV3, true, 10, 57510352, false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			p := mustPlacement(b, PlacementSpec{Layout: bc.layout, Keyed: bc.keyed, Shards: 8, K: bc.k, M: bc.m, Seed: 3, Key: placementKey, RouteKey: placementRoute})
-			idx := make([]uint64, 0, bc.k)
+			idx := make([]uint64, 0, 64*bc.k)
+			var shards [64]uint16
+			var digests [64]PlacementDigest
 			b.ReportAllocs()
 			b.ResetTimer()
+			if bc.batch {
+				for i := 0; i < b.N; i += 64 {
+					window := items[i&1023 : i&1023+64]
+					p.RouteBatch(shards[:], digests[:], window)
+					idx = idx[:0]
+					for j, it := range window {
+						idx = p.Indexes(idx, it, int(shards[j]), digests[j])
+					}
+					placementSink += uint64(shards[63]) + idx[64*bc.k-1]
+				}
+				return
+			}
 			for i := 0; i < b.N; i++ {
 				var s int
 				s, idx = p.Place(idx[:0], items[i&1023])

@@ -62,8 +62,7 @@ func sipHash128(key SipKey, data []byte, both bool) (w0, w1 uint64) {
 // the state the finalization starts from. tweak is XORed into v1 — zero for
 // the 64-bit output, 0xee for the 128-bit one.
 func sipAbsorb(key SipKey, tweak uint64, data []byte) (v0, v1, v2, v3 uint64) {
-	v0, v1, v2, v3 = key.K0^0x736f6d6570736575, key.K1^0x646f72616e646f6d^tweak,
-		key.K0^0x6c7967656e657261, key.K1^0x7465646279746573
+	v0, v1, v2, v3 = sipInit(key, tweak)
 	for p := data; len(p) >= 8; p = p[8:] {
 		m := binary.LittleEndian.Uint64(p)
 		v3 ^= m
@@ -77,6 +76,12 @@ func sipAbsorb(key SipKey, tweak uint64, data []byte) (v0, v1, v2, v3 uint64) {
 	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
 	v0 ^= last
 	return v0, v1, v2, v3
+}
+
+// sipInit is SipHash-2-4's keyed initial state, tweak XORed into v1.
+func sipInit(key SipKey, tweak uint64) (v0, v1, v2, v3 uint64) {
+	return key.K0 ^ 0x736f6d6570736575, key.K1 ^ 0x646f72616e646f6d ^ tweak,
+		key.K0 ^ 0x6c7967656e657261, key.K1 ^ 0x7465646279746573
 }
 
 // sipLastBlock is the final message word: data's 0–7 bytes past its last

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -197,19 +198,31 @@ func BenchmarkParallelMixedMonitored(b *testing.B) {
 	})
 }
 
-// BenchmarkLoggedMixed prices the write-ahead log next to
-// BenchmarkParallelMixed: the identical parallel mixed load on a 16-shard
-// store with no journal (the baseline — must match sharded-16 above within
-// noise), and with the journal under each flush policy. Every add is a turn
-// of its own: it frames its record inside the shard critical section, then
-// commits (Persister.commit), which waits for the disk only under "always",
-// where concurrent adds share an fsync.
+// BenchmarkLoggedMixed prices the write-ahead log under
+// BenchmarkParallelMixed's parallel mixed load on a 16-shard store: with no
+// journal (the baseline), and with the journal under each flush policy.
+// Every add is of a key nobody added before, as in BenchmarkCommittedAddBatch
+// — a repeat add on a bloom store changes nothing and journals nothing — so
+// each one applies, frames its record inside the shard critical section,
+// then commits (Persister.commit) as a turn of its own, which waits for the
+// disk only under "always", where concurrent adds share an fsync.
 func BenchmarkLoggedMixed(b *testing.B) {
 	const totalBits, k = 1 << 24, 5
 	items := benchItems(1 << 16)
+	// freshAdd passes runMixed's pre-add of items[:len(items)/2] through,
+	// then gives every later add a fresh key.
+	freshAdd := func(add func([]byte)) func([]byte) {
+		var n atomic.Uint64
+		return func(it []byte) {
+			if i := n.Add(1); i > uint64(len(items)/2) {
+				it = strconv.AppendUint([]byte("fresh-"), i, 10)
+			}
+			add(it)
+		}
+	}
 	b.Run("unlogged", func(b *testing.B) {
 		s := newShardedBench(b, 16, totalBits, k, ModeNaive)
-		runMixed(b, s.Add, s.Test, nil, 0, items)
+		runMixed(b, freshAdd(s.Add), s.Test, nil, 0, items)
 	})
 	for _, policy := range []SyncPolicy{SyncNever, SyncInterval, SyncAlways} {
 		b.Run("wal-"+policy.String(), func(b *testing.B) {
@@ -226,7 +239,7 @@ func BenchmarkLoggedMixed(b *testing.B) {
 					b.Error(err)
 				}
 			}
-			runMixed(b, add, s.Test, nil, 0, items)
+			runMixed(b, freshAdd(add), s.Test, nil, 0, items)
 			if err := p.Err(); err != nil {
 				b.Fatalf("journal failed during bench: %v", err)
 			}

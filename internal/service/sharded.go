@@ -534,21 +534,22 @@ func (s *Sharded) addBatch(novel []bool, items [][]byte) {
 
 // TestBatch reports membership for every item, in input order; the result is
 // appended to dst. Reads take no lock, so there is nothing to group by
-// shard: the items are taken in windows as they come — place a window, then
-// probe it. Keeping a window's probes, independent loads, together is what
-// lets a filter larger than the cache overlap its misses.
+// shard: the items are taken in windows as they come — route a window,
+// derive its indexes, then probe it. Keeping a window's probes, independent
+// loads, together is what lets a filter larger than the cache overlap its
+// misses.
 func (s *Sharded) TestBatch(dst []bool, items [][]byte) []bool {
 	base := len(dst)
 	dst = append(dst, make([]bool, len(items))...)
 	g := s.checkout()
-	g.shard = resized(g.shard, min(len(items), deriveWindow))
+	n := min(len(items), deriveWindow)
+	g.shard, g.digest = resized(g.shard, n), resized(g.digest, n)
 	for lo := 0; lo < len(items); lo += deriveWindow {
 		window := items[lo:min(lo+deriveWindow, len(items))]
+		s.place.RouteBatch(g.shard, g.digest, window)
 		idx := resized(g.idx, len(window)*s.k)[:0]
 		for j, it := range window {
-			var si int
-			si, idx = s.place.Place(idx, it)
-			g.shard[j] = uint16(si)
+			idx = s.place.Indexes(idx, it, int(g.shard[j]), g.digest[j])
 		}
 		g.idx = idx
 		for j := range window {
@@ -619,10 +620,7 @@ func (s *Sharded) group(items [][]byte) *grouping {
 	g := s.checkout()
 	n := len(items)
 	g.shard, g.digest, g.order = resized(g.shard, n), resized(g.digest, n), resized(g.order, n)
-	for i, it := range items {
-		si, d := s.place.Route(it)
-		g.shard[i], g.digest[i] = uint16(si), d
-	}
+	s.place.RouteBatch(g.shard, g.digest, items)
 	buckets := min(len(s.shards), 256)
 	radixPass(g.order, nil, g.shard, 0, buckets)
 	if len(s.shards) > 256 {
