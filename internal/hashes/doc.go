@@ -36,8 +36,9 @@
 // with 128-bit output read as a §8.2 bit stream under one key; layout 3,
 // keyed only, draws them from one SipHash-2-4-128 digest by double hashing,
 // whatever k and m. A layout is a storage format; layout1_oracle_test.go
-// freezes layout 1. RouteBatch routes a batch: under keyed layouts 2 and 3
-// on amd64 CPUs with AVX-512F it runs SipHash-2-4-128 over eight items per
-// call of an assembly kernel (sip128x8_amd64.s) with the same output words;
-// everything else routes item by item.
+// freezes layout 1. RouteBatch routes a batch eight items per call of an
+// amd64 assembly kernel where the CPU has it, with the same output words:
+// SipHash-2-4-128 under keyed layouts 2 and 3 (sip128x8_amd64.s,
+// AVX-512F), Murmur3-x64-128 under unkeyed layout 2 (murmur128x8_amd64.s,
+// AVX-512F and AVX-512DQ); everything else routes item by item.
 package hashes

@@ -1,0 +1,35 @@
+package hashes
+
+import "testing"
+
+// TestKernelFeatures holds the CPU probe to the bits each kernel needs: no
+// kernel without OS-saved ZMM state, OSXSAVE or leaf 7, and murmur128x8
+// only with AVX-512DQ on top of AVX-512F.
+func TestKernelFeatures(t *testing.T) {
+	const (
+		osxsave = 1 << 27
+		zmm     = 0xe6
+		f       = 1 << 16
+		dq      = 1 << 17
+	)
+	for _, tc := range []struct {
+		name                      string
+		maxLeaf, ecx1, xcr0, ebx7 uint32
+		sip, murmur               bool
+	}{
+		{"F and DQ", 7, osxsave, zmm, f | dq, true, true},
+		{"F and DQ, more leaves and XCR0 bits", 0x20, osxsave | 1, 0x2ff, f | dq | 1, true, true},
+		{"F without DQ", 7, osxsave, zmm, f, true, false},
+		{"DQ without F", 7, osxsave, zmm, dq, false, false},
+		{"neither", 7, osxsave, zmm, 0, false, false},
+		{"ZMM state disabled by the OS", 7, osxsave, 0x07, f | dq, false, false},
+		{"upper ZMM halves disabled", 7, osxsave, zmm &^ 0x80, f | dq, false, false},
+		{"opmask state disabled", 7, osxsave, zmm &^ 0x20, f | dq, false, false},
+		{"no OSXSAVE", 7, 0, zmm, f | dq, false, false},
+		{"leaf < 7", 6, osxsave, zmm, f | dq, false, false},
+	} {
+		if sip, murmur := kernelFeatures(tc.maxLeaf, tc.ecx1, tc.xcr0, tc.ebx7); sip != tc.sip || murmur != tc.murmur {
+			t.Errorf("%s: kernelFeatures = (%v, %v), want (%v, %v)", tc.name, sip, murmur, tc.sip, tc.murmur)
+		}
+	}
+}

@@ -100,22 +100,9 @@ func Murmur128(data []byte, seed uint64) (uint64, uint64) {
 		h2 = h2*5 + 0x38495ab5
 	}
 
-	// The tail: the r = 0–15 bytes past the last whole block, the first
-	// eight little-endian in k1, the rest in k2. From eight bytes of input on
-	// each is one load of the word that ends at its last byte, shifted right
-	// past the bytes before it (a shift by 64 leaves zero). A zero k mixes to
-	// zero, so both are mixed unconditionally: the reference skips exactly
-	// those.
-	var k1, k2 uint64
-	if r := uint(n & 15); n >= 8 {
-		r1 := min(r, 8)
-		k1 = binary.LittleEndian.Uint64(data[n-int(r-r1)-8:]) >> (64 - 8*r1)
-		k2 = binary.LittleEndian.Uint64(data[n-8:]) >> (64 - 8*(r-r1))
-	} else {
-		for i, b := range data {
-			k1 |= uint64(b) << (8 * uint(i))
-		}
-	}
+	// A zero k mixes to zero, so both tail words are mixed unconditionally:
+	// the reference skips exactly those.
+	k1, k2 := murmurTail(data)
 	k2 *= murmur64C2
 	k2 = bits.RotateLeft64(k2, 33)
 	k2 *= murmur64C1
@@ -134,6 +121,29 @@ func Murmur128(data []byte, seed uint64) (uint64, uint64) {
 	h1 += h2
 	h2 += h1
 	return h1, h2
+}
+
+// murmurTail returns Murmur128's tail words: the r = 0–15 bytes of data past
+// its last whole 16-byte block, the first eight little-endian in k1, the rest
+// in k2. From eight bytes of data on, with s = 8r the tail's bits, k2 is the
+// word that ends at the last byte shifted right by 128 − s (zero until the
+// tail passes eight bytes: a shift of 64 or more leaves zero), and k1 the
+// word that starts at the tail (eight bytes or more) or ends at the last
+// byte shifted right by 64 − s (fewer), chosen by a mask, not a branch: r is
+// as random as the item lengths. murmur128x8 loads a lane's tail words by
+// this same arithmetic and takes a shorter item's from here. It stays within
+// the inliner's budget, so Murmur128 pays no call for it.
+func murmurTail(data []byte) (k1, k2 uint64) {
+	n := len(data)
+	if n < 8 {
+		for i, b := range data {
+			k1 |= uint64(b) << (8 * i)
+		}
+		return k1, 0
+	}
+	s := 8 * uint(n&15)
+	return binary.LittleEndian.Uint64(data[n-8-int((s-64)&-(s>>6)>>3):]) >> ((64 - s) &^ -(s >> 6)),
+		binary.LittleEndian.Uint64(data[n-8:]) >> (128 - s)
 }
 
 // Murmur64 returns the first 64-bit half of Murmur128; a convenient 64-bit

@@ -87,11 +87,21 @@ type Placement struct {
 	// a keyed item's first digest is read past its first 64 bits.
 	firstN, restN int
 	firstBoth     bool
+	// kernel is the eight-lane kernel RouteBatch runs on this CPU, if any;
 	// lanes is the keyed v2/v3 routing hash's initial SipHash state, for
-	// RouteBatch's eight-lane kernel; batched reports whether it is set.
-	lanes   [4]uint64
-	batched bool
+	// sip128x8.
+	kernel laneKernel
+	lanes  [4]uint64
 }
+
+// laneKernel names an eight-lane routing kernel.
+type laneKernel uint8
+
+const (
+	noKernel     laneKernel = iota
+	sipKernel               // sip128x8: keyed v2 and v3
+	murmurKernel            // murmur128x8: unkeyed v2
+)
 
 // NewPlacement validates spec and precomputes its keys.
 func NewPlacement(spec PlacementSpec) (*Placement, error) {
@@ -134,6 +144,9 @@ func NewPlacement(spec PlacementSpec) (*Placement, error) {
 		}
 	default: // v2, v3
 		if !spec.Keyed {
+			if haveMurmur128x8 {
+				p.kernel = murmurKernel
+			}
 			break
 		}
 		h := sha256.New()
@@ -142,7 +155,9 @@ func NewPlacement(spec PlacementSpec) (*Placement, error) {
 		h.Write(spec.RouteKey)                                 //nolint:errcheck
 		p.keys = []SipKey{sipKey(h.Sum(nil))}
 		p.lanes[0], p.lanes[1], p.lanes[2], p.lanes[3] = sipInit(p.keys[0], 0xee)
-		p.batched = true
+		if haveSip128x8 {
+			p.kernel = sipKernel
+		}
 		if spec.Layout == LayoutV3 {
 			p.firstBoth = true
 			p.stepM = max(spec.M-1, 1)
@@ -181,33 +196,43 @@ func (p *Placement) Route(item []byte) (int, PlacementDigest) {
 }
 
 // RouteBatch routes every item: shards[i] and digests[i] are what Route
-// returns for items[i]. Under keyed v2 and v3 it hashes eight items per
-// call where the CPU has AVX-512F, with the same bytes out; anything else,
-// and the last len(items) mod 8 items, goes item by item. shards and
-// digests must be at least as long as items, and the placement must have
-// at most 65 536 shards (service.MaxShards), so every shard number fits.
+// returns for items[i]. It hashes eight items per call of an assembly kernel
+// with the same bytes out where the CPU has one for the layout: keyed v2 and
+// v3 run SipHash-2-4-128 on AVX-512F, unkeyed v2 Murmur-128 on AVX-512F and
+// AVX-512DQ. Layout 1, other CPUs, and the last len(items) mod 8 items go
+// item by item. shards and digests must be at least as long as items, and
+// the placement must have at most 65 536 shards (service.MaxShards), so
+// every shard number fits.
 func (p *Placement) RouteBatch(shards []uint16, digests []PlacementDigest, items [][]byte) {
-	p.routeBatch(shards, digests, items, haveSip128x8)
+	p.routeBatch(shards, digests, items, true)
 }
 
 // routeBatch is RouteBatch with the kernel's use in the caller's hands, so a
 // test can hold both paths to Route on one machine.
 func (p *Placement) routeBatch(shards []uint16, digests []PlacementDigest, items [][]byte, kernel bool) {
 	shards, digests = shards[:len(items)], digests[:len(items)]
+	shift := uint64(64 - p.routeBits)
 	i := 0
-	if kernel && p.batched {
-		var last [8]uint64
-		for ; i+8 <= len(items); i += 8 {
-			lane := items[i : i+8]
+	var words [8]uint64 // per lane: its sipLastBlock, or a short item's murmurTail k1
+	for ; kernel && p.kernel != noKernel && i+8 <= len(items); i += 8 {
+		lane := items[i : i+8]
+		s, d := (*[8]uint16)(shards[i:]), (*[8]PlacementDigest)(digests[i:])
+		if p.kernel == murmurKernel {
 			for j, it := range lane {
-				last[j] = sipLastBlock(it)
-			}
-			d := (*[8]PlacementDigest)(digests[i:])
-			sip128x8(&p.lanes, lane, &last, uint64(64-p.routeBits), (*[8]uint16)(shards[i:]), d)
-			if !p.firstBoth {
-				for j := range d {
-					d[j].w1 = 0
+				if len(it) < 8 {
+					words[j], _ = murmurTail(it)
 				}
+			}
+			murmur128x8(p.spec.Seed, lane, &words, shift, s, d)
+			continue
+		}
+		for j, it := range lane {
+			words[j] = sipLastBlock(it)
+		}
+		sip128x8(&p.lanes, lane, &words, shift, s, d)
+		if !p.firstBoth {
+			for j := range d {
+				d[j].w1 = 0
 			}
 		}
 	}

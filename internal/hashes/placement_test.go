@@ -507,6 +507,7 @@ func BenchmarkPlacement(b *testing.B) {
 		{"v1-naive", LayoutV1, false, 7, 1917012, false},
 		{"v1-hardened", LayoutV1, true, 7, 1917012, false},
 		{"v2-naive", LayoutV2, false, 7, 1917012, false},
+		{"v2-naive-batch", LayoutV2, false, 7, 1917012, true},
 		{"v2-hardened", LayoutV2, true, 7, 1917012, false},
 		{"v2-hardened-batch", LayoutV2, true, 7, 1917012, true},
 		{"v2-hardened-k10", LayoutV2, true, 10, 57510352, false},

@@ -2,6 +2,7 @@ package hashes
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -21,15 +22,20 @@ func routeBatchItems(seed int64, n, maxLen int) [][]byte {
 // FuzzRouteBatchMatchesRoute holds RouteBatch to Route, shard and both
 // digest words, on batches of 1–100 items whose lengths are mixed over
 // 0–4096 within one batch, under every layout and mode that places, at
-// fuzzed shard counts and keys. It runs the scalar path always and the
-// AVX-512F kernel where the CPU has it, so a machine with the kernel still
-// covers the fallback and one without skips only the kernel half.
+// fuzzed shard counts, keys and Murmur seeds. It runs the scalar path always
+// and a placement's eight-lane kernel where the CPU has it (sip128x8 for
+// keyed v2 and v3, murmur128x8 for unkeyed v2), so a machine with the
+// kernels still covers the fallback and one without skips only the kernel
+// half.
 func FuzzRouteBatchMatchesRoute(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint16(47), uint8(3), uint64(1), uint64(2))
 	f.Add(int64(2), uint8(100), uint16(4096), uint8(16), uint64(3), uint64(4))
 	f.Add(int64(3), uint8(17), uint16(16), uint8(0), uint64(0), uint64(0))
 	f.Add(int64(4), uint8(64), uint16(300), uint8(8), uint64(1<<63), uint64(5))
 	f.Add(int64(5), uint8(1), uint16(9), uint8(1), uint64(6), uint64(7))
+	// key is the unkeyed layouts' Murmur seed too: its two extremes.
+	f.Add(int64(6), uint8(40), uint16(40), uint8(3), uint64(0), uint64(8))
+	f.Add(int64(7), uint8(40), uint16(40), uint8(3), uint64(math.MaxUint64), uint64(9))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint8, maxLen uint16, shardsLog uint8, key, route uint64) {
 		items := routeBatchItems(seed, int(nRaw)%100+1, int(maxLen)%4097)
 		shards := 1 << (shardsLog % 17)
@@ -50,7 +56,7 @@ func FuzzRouteBatchMatchesRoute(f *testing.F) {
 						Key: keyB, RouteKey: routeB,
 					})
 					for _, kernel := range []bool{false, true} {
-						if kernel && !haveSip128x8 {
+						if kernel && p.kernel == noKernel {
 							continue
 						}
 						p.routeBatch(gotShard, gotDigest, items, kernel)
@@ -65,46 +71,60 @@ func FuzzRouteBatchMatchesRoute(f *testing.F) {
 				}
 			}
 		}
-		if !haveSip128x8 {
-			t.Skip("no AVX-512F: the kernel half did not run")
+		if !haveSip128x8 || !haveMurmur128x8 {
+			t.Skip("no AVX-512F or AVX-512DQ: a kernel half did not run")
 		}
 	})
 }
 
-// TestRouteBatchKernelEdges runs the kernel over the lengths where its lane
-// masks change: every lane one length of 0–24 bytes apart, the eight lanes
-// sharing a batch with items far longer, and batches that end short of a
-// whole lane group. A call allocates nothing.
+// TestRouteBatchKernelEdges runs each kernel over the lengths where its lane
+// masks change, batched from every start to every end, so lanes share a call
+// with items far longer and batches end short of a whole lane group:
+// sip128x8 over every length of 0–24 bytes (each word count, each last-block
+// size), murmur128x8 over 0–40 (each 16-byte block count up to two, and both
+// tail branches, under 8 bytes and from 8 on), both also over 4095 and 4096.
+// A call allocates nothing.
 func TestRouteBatchKernelEdges(t *testing.T) {
-	if !haveSip128x8 {
-		t.Skip("no AVX-512F")
-	}
-	p := mustPlacement(t, PlacementSpec{Layout: LayoutV3, Keyed: true, Shards: 1 << 16, K: 7, M: 1917012, Key: placementKey, RouteKey: placementRoute})
-	var items [][]byte
-	for n := 0; n <= 24; n++ {
-		items = append(items, make([]byte, n))
-	}
-	items = append(items, make([]byte, 4096), make([]byte, 4095))
-	for i, it := range items {
-		for j := range it {
-			it[j] = byte(i*31 + j)
-		}
-	}
-	for start := 0; start < 8; start++ {
-		for end := start + 1; end <= len(items); end++ {
-			batch := items[start:end]
-			shards, digests := make([]uint16, len(batch)), make([]PlacementDigest, len(batch))
-			p.routeBatch(shards, digests, batch, true)
-			for i, it := range batch {
-				s, d := p.Route(it)
-				if int(shards[i]) != s || digests[i] != d {
-					t.Fatalf("items[%d:%d] item %d: batched (%d, %x), Route (%d, %x)", start, end, i, shards[i], digests[i], s, d)
+	for _, tc := range []struct {
+		name   string
+		spec   PlacementSpec
+		maxLen int
+	}{
+		{"sip128x8", PlacementSpec{Layout: LayoutV3, Keyed: true, Shards: 1 << 16, K: 7, M: 1917012, Key: placementKey, RouteKey: placementRoute}, 24},
+		{"murmur128x8", PlacementSpec{Layout: LayoutV2, Shards: 1 << 16, K: 7, M: 1917012, Seed: 3}, 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := mustPlacement(t, tc.spec)
+			if p.kernel == noKernel {
+				t.Skip("this CPU does not run the kernel")
+			}
+			var items [][]byte
+			for n := 0; n <= tc.maxLen; n++ {
+				items = append(items, make([]byte, n))
+			}
+			items = append(items, make([]byte, 4096), make([]byte, 4095))
+			for i, it := range items {
+				for j := range it {
+					it[j] = byte(i*31 + j)
 				}
 			}
-		}
-	}
-	shards, digests := make([]uint16, len(items)), make([]PlacementDigest, len(items))
-	if allocs := testing.AllocsPerRun(10, func() { p.RouteBatch(shards, digests, items) }); allocs != 0 {
-		t.Fatalf("RouteBatch allocates %v times a call", allocs)
+			for start := 0; start < len(items); start++ {
+				for end := start + 1; end <= len(items); end++ {
+					batch := items[start:end]
+					shards, digests := make([]uint16, len(batch)), make([]PlacementDigest, len(batch))
+					p.routeBatch(shards, digests, batch, true)
+					for i, it := range batch {
+						s, d := p.Route(it)
+						if int(shards[i]) != s || digests[i] != d {
+							t.Fatalf("items[%d:%d] item %d: batched (%d, %x), Route (%d, %x)", start, end, i, shards[i], digests[i], s, d)
+						}
+					}
+				}
+			}
+			shards, digests := make([]uint16, len(items)), make([]PlacementDigest, len(items))
+			if allocs := testing.AllocsPerRun(10, func() { p.RouteBatch(shards, digests, items) }); allocs != 0 {
+				t.Fatalf("RouteBatch allocates %v times a call", allocs)
+			}
+		})
 	}
 }

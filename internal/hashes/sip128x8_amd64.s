@@ -1,7 +1,8 @@
 #include "textflag.h"
+#include "lanes_amd64.h"
 
 // SipHash-2-4-128 over eight items at once, one item per 64-bit lane of a
-// ZMM register: Z0–Z3 hold v0–v3 of all eight. See sip128x8_amd64.go.
+// ZMM register: Z0–Z3 hold v0–v3 of all eight. See kernels_amd64.go.
 
 // SIPROUND is one SipRound on every lane.
 #define SIPROUND \
@@ -49,14 +50,9 @@ TEXT ·sip128x8(SB), NOSPLIT, $0-64
 	VPBROADCASTQ 16(AX), Z2
 	VPBROADCASTQ 24(AX), Z3
 
-	// Z4: each lane's data pointer, Z5: its count of whole words, both read
-	// from the eight slice headers (24 bytes apart).
-	VMOVDQU64 sipHeaderOffsets<>(SB), Z12
-	KXNORW    K2, K2, K2
-	VPGATHERQQ 0(BX)(Z12*1), K2, Z4
-	KXNORW    K2, K2, K2
-	VPGATHERQQ 8(BX)(Z12*1), K2, Z5
-	VPSRLQ    $3, Z5, Z5
+	// Z4: each lane's data pointer, Z5: its count of whole words.
+	LANE_HEADERS(Z4, Z5, Z12)
+	VPSRLQ $3, Z5, Z5
 
 	MOVQ         $8, DX
 	VPBROADCASTQ DX, Z7
@@ -106,21 +102,7 @@ final:
 	VPXORQ     Z0, Z1, Z11
 	VPTERNLOGQ $0x96, Z2, Z3, Z11
 
-	// Shards: the top bits of w0, narrowed to 16 bits.
-	MOVQ    shift+40(FP), DX
-	VMOVQ   DX, X13
-	VPSRLQ  X13, Z10, Z13
-	MOVQ    shards+48(FP), DI
-	VPMOVQW Z13, (DI)
-
-	// Digests: (w0, w1) pairs in lane order.
-	MOVQ      digests+56(FP), DI
-	VMOVDQU64 sipInterleave<>+0(SB), Z13
-	VMOVDQU64 sipInterleave<>+64(SB), Z14
-	VPERMI2Q  Z11, Z10, Z13
-	VPERMI2Q  Z11, Z10, Z14
-	VMOVDQU64 Z13, 0(DI)
-	VMOVDQU64 Z14, 64(DI)
+	LANES_OUT(Z10, Z11, Z13, Z14)
 
 	// Only Z0–Z14 were used, so this clears every upper half written.
 	VZEROUPPER
@@ -143,32 +125,3 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	XGETBV
 	MOVL AX, eax+0(FP)
 	RET
-
-DATA sipHeaderOffsets<>+0x00(SB)/8, $0
-DATA sipHeaderOffsets<>+0x08(SB)/8, $24
-DATA sipHeaderOffsets<>+0x10(SB)/8, $48
-DATA sipHeaderOffsets<>+0x18(SB)/8, $72
-DATA sipHeaderOffsets<>+0x20(SB)/8, $96
-DATA sipHeaderOffsets<>+0x28(SB)/8, $120
-DATA sipHeaderOffsets<>+0x30(SB)/8, $144
-DATA sipHeaderOffsets<>+0x38(SB)/8, $168
-GLOBL sipHeaderOffsets<>(SB), RODATA|NOPTR, $64
-
-// VPERMI2Q indexes: below 8 picks lane i of w0, from 8 lane i−8 of w1.
-DATA sipInterleave<>+0x00(SB)/8, $0
-DATA sipInterleave<>+0x08(SB)/8, $8
-DATA sipInterleave<>+0x10(SB)/8, $1
-DATA sipInterleave<>+0x18(SB)/8, $9
-DATA sipInterleave<>+0x20(SB)/8, $2
-DATA sipInterleave<>+0x28(SB)/8, $10
-DATA sipInterleave<>+0x30(SB)/8, $3
-DATA sipInterleave<>+0x38(SB)/8, $11
-DATA sipInterleave<>+0x40(SB)/8, $4
-DATA sipInterleave<>+0x48(SB)/8, $12
-DATA sipInterleave<>+0x50(SB)/8, $5
-DATA sipInterleave<>+0x58(SB)/8, $13
-DATA sipInterleave<>+0x60(SB)/8, $6
-DATA sipInterleave<>+0x68(SB)/8, $14
-DATA sipInterleave<>+0x70(SB)/8, $7
-DATA sipInterleave<>+0x78(SB)/8, $15
-GLOBL sipInterleave<>(SB), RODATA|NOPTR, $128
