@@ -12,4 +12,11 @@
 // attack layer account exactly how many fresh bits a forged item
 // contributes (condition 6 of the paper) and lets the service layer track
 // Hamming weight incrementally instead of re-scanning the vector.
+//
+// The set owns its words and the contract for reading them with no lock:
+// TestAtomic, and TestProgressions, which tests eight keys' k-index
+// progressions (hashes.Progression) at once — on amd64 with AVX-512F in
+// one assembly kernel (probe8_amd64.s) that gathers each round's eight
+// words under a full mask, elsewhere and in -race builds in a Go loop with
+// atomic loads. internal/cpufeat decides which.
 package bitset

@@ -1,10 +1,10 @@
-package hashes
+package cpufeat
 
 import "testing"
 
 // TestKernelFeatures holds the CPU probe to the bits each kernel needs: no
-// kernel without OS-saved ZMM state, OSXSAVE or leaf 7, and murmur128x8
-// only with AVX-512DQ on top of AVX-512F.
+// AVX-512 without OS-saved ZMM state, OSXSAVE or leaf 7, and AVX-512DQ
+// only on top of AVX-512F.
 func TestKernelFeatures(t *testing.T) {
 	const (
 		osxsave = 1 << 27
@@ -15,7 +15,7 @@ func TestKernelFeatures(t *testing.T) {
 	for _, tc := range []struct {
 		name                      string
 		maxLeaf, ecx1, xcr0, ebx7 uint32
-		sip, murmur               bool
+		f, dq                     bool
 	}{
 		{"F and DQ", 7, osxsave, zmm, f | dq, true, true},
 		{"F and DQ, more leaves and XCR0 bits", 0x20, osxsave | 1, 0x2ff, f | dq | 1, true, true},
@@ -28,8 +28,8 @@ func TestKernelFeatures(t *testing.T) {
 		{"no OSXSAVE", 7, 0, zmm, f | dq, false, false},
 		{"leaf < 7", 6, osxsave, zmm, f | dq, false, false},
 	} {
-		if sip, murmur := kernelFeatures(tc.maxLeaf, tc.ecx1, tc.xcr0, tc.ebx7); sip != tc.sip || murmur != tc.murmur {
-			t.Errorf("%s: kernelFeatures = (%v, %v), want (%v, %v)", tc.name, sip, murmur, tc.sip, tc.murmur)
+		if f, dq := kernelFeatures(tc.maxLeaf, tc.ecx1, tc.xcr0, tc.ebx7); f != tc.f || dq != tc.dq {
+			t.Errorf("%s: kernelFeatures = (%v, %v), want (%v, %v)", tc.name, f, dq, tc.f, tc.dq)
 		}
 	}
 }

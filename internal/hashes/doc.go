@@ -40,5 +40,10 @@
 // amd64 assembly kernel where the CPU has it, with the same output words:
 // SipHash-2-4-128 under keyed layouts 2 and 3 (sip128x8_amd64.s,
 // AVX-512F), Murmur3-x64-128 under unkeyed layout 2 (murmur128x8_amd64.s,
-// AVX-512F and AVX-512DQ); everything else routes item by item.
+// AVX-512F and AVX-512DQ); everything else routes item by item. Which
+// kernels the CPU runs is internal/cpufeat's one reading of CPUID. Under
+// unkeyed layout 2 and layout 3 an item's indexes are a progression of its
+// routing digest, and Start returns its first index and step, so a caller
+// can test them without materialising them (bitset.TestProgressions, eight
+// keys a call).
 package hashes

@@ -2,9 +2,8 @@
 
 package hashes
 
-// Only amd64 has the eight-lane kernels; every other architecture routes
-// item by item.
-const haveSip128x8, haveMurmur128x8 = false, false
+// Only amd64 has the eight-lane kernels: cpufeat reports no AVX-512 on any
+// other architecture, so these are never called and it routes item by item.
 
 func sip128x8(*[4]uint64, [][]byte, *[8]uint64, uint64, *[8]uint16, *[8]PlacementDigest) {
 	panic("hashes: sip128x8 without AVX-512F")

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"evilbloom/internal/cpufeat"
 )
 
 // Layout names a placement rule: how an item becomes a shard number and k
@@ -63,8 +65,8 @@ type PlacementSpec struct {
 }
 
 // PlacementDigest is what Route learned about an item beyond its shard, for
-// Indexes to finish from: under v2 and v3 the item's first digest (w0, w1),
-// under v1 nothing.
+// Indexes (or Start) to finish from: under v2 and v3 the item's first digest
+// (w0, w1), under v1 nothing.
 type PlacementDigest struct{ w0, w1 uint64 }
 
 // A Placement turns items into (shard, k indexes) under one spec. It is
@@ -74,9 +76,12 @@ type Placement struct {
 	spec      PlacementSpec
 	routeBits uint   // log₂(shards)
 	recip     uint64 // ⌊(2⁶⁴−1)/m⌋, for mod
-	// stepM is v3's step modulus max(m − 1, 1) and stepRecip its reciprocal.
-	stepM, stepRecip uint64
-	route            SipKey // v1
+	// starts reports whether Start answers (unkeyed v2, v3); a step is then
+	// stepMin + (w1 mod stepM), stepRecip being stepM's reciprocal: w1 mod m
+	// unkeyed, 1 + (w1 mod max(m − 1, 1)) under v3.
+	starts                    bool
+	stepMin, stepM, stepRecip uint64
+	route                     SipKey // v1
 	// keys holds the keyed rules' SipHash keys: one per shard under v1, a
 	// single one under v2 and v3.
 	keys    []SipKey
@@ -144,7 +149,8 @@ func NewPlacement(spec PlacementSpec) (*Placement, error) {
 		}
 	default: // v2, v3
 		if !spec.Keyed {
-			if haveMurmur128x8 {
+			p.starts, p.stepM, p.stepRecip = true, spec.M, p.recip
+			if cpufeat.AVX512DQ {
 				p.kernel = murmurKernel
 			}
 			break
@@ -155,12 +161,12 @@ func NewPlacement(spec PlacementSpec) (*Placement, error) {
 		h.Write(spec.RouteKey)                                 //nolint:errcheck
 		p.keys = []SipKey{sipKey(h.Sum(nil))}
 		p.lanes[0], p.lanes[1], p.lanes[2], p.lanes[3] = sipInit(p.keys[0], 0xee)
-		if haveSip128x8 {
+		if cpufeat.AVX512F {
 			p.kernel = sipKernel
 		}
 		if spec.Layout == LayoutV3 {
 			p.firstBoth = true
-			p.stepM = max(spec.M-1, 1)
+			p.starts, p.stepMin, p.stepM = true, 1, max(spec.M-1, 1)
 			p.stepRecip = math.MaxUint64 / p.stepM
 			break
 		}
@@ -213,7 +219,7 @@ func (p *Placement) routeBatch(shards []uint16, digests []PlacementDigest, items
 	shards, digests = shards[:len(items)], digests[:len(items)]
 	shift := uint64(64 - p.routeBits)
 	i := 0
-	var words [8]uint64 // per lane: its sipLastBlock, or a short item's murmurTail k1
+	var words [8]uint64 // per short lane: its sipLastBlock or murmurTail k1
 	for ; kernel && p.kernel != noKernel && i+8 <= len(items); i += 8 {
 		lane := items[i : i+8]
 		s, d := (*[8]uint16)(shards[i:]), (*[8]PlacementDigest)(digests[i:])
@@ -227,7 +233,9 @@ func (p *Placement) routeBatch(shards []uint16, digests []PlacementDigest, items
 			continue
 		}
 		for j, it := range lane {
-			words[j] = sipLastBlock(it)
+			if len(it) < 8 {
+				words[j] = sipLastBlock(it)
+			}
 		}
 		sip128x8(&p.lanes, lane, &words, shift, s, d)
 		if !p.firstBoth {
@@ -245,15 +253,16 @@ func (p *Placement) routeBatch(shards []uint16, digests []PlacementDigest, items
 // Indexes appends the k indexes of item, which Route sent to shard with
 // digest d.
 func (p *Placement) Indexes(dst []uint64, item []byte, shard int, d PlacementDigest) []uint64 {
-	var g, step uint64
-	switch {
-	case !p.spec.Keyed:
-		h1, h2 := d.w0, d.w1
-		if p.spec.Layout == LayoutV1 {
-			h1, h2 = Murmur128(item, p.spec.Seed)
+	if g, step, ok := p.Start(d); ok {
+		return Progression(dst, g, step, p.spec.M, p.spec.K)
+	}
+	if p.spec.Layout == LayoutV1 {
+		if !p.spec.Keyed {
+			// Layout 1 routes by its own hash; its indexes are the same
+			// progression as unkeyed v2's, from a Murmur-128 of the item.
+			h1, h2 := Murmur128(item, p.spec.Seed)
+			return Progression(dst, p.mod(h1), p.mod(h2), p.spec.M, p.spec.K)
 		}
-		g, step = p.mod(h1), p.mod(h2)
-	case p.spec.Layout == LayoutV1:
 		// Recycling over the 64-bit SipHash digests salt 0, 1, …: each
 		// yields ⌊64/b⌋ whole indexes, most significant bits first.
 		key := p.keys[shard]
@@ -263,30 +272,39 @@ func (p *Placement) Indexes(dst []uint64, item []byte, shard int, d PlacementDig
 			dst = p.cut(dst, SipHash24(SipKey{key.K0, key.K1 ^ salt}, item), 0, 0, n)
 		}
 		return dst
-	case p.spec.Layout == LayoutV3:
-		g, step = p.mod(d.w0), 1+modRecip(d.w1, p.stepM, p.stepRecip)
-	default:
-		// The v2 bit stream: digest 0 minus its routing bits, then digests
-		// 1, 2, … in full, each giving whole indexes only. A digest read no
-		// further than its first word is computed no further.
-		n := min(p.spec.K, p.firstN)
-		dst = p.cut(dst, d.w0, d.w1, p.routeBits, n)
-		key := p.keys[0]
-		for left, salt := p.spec.K-n, uint64(1); left > 0; salt++ {
-			n = min(left, p.restN)
-			left -= n
-			w0, w1 := sipHash128(SipKey{key.K0, key.K1 ^ salt}, item, uint(n)*p.bitsPer > 64)
-			dst = p.cut(dst, w0, w1, 0, n)
-		}
-		return dst
 	}
-	return Progression(dst, g, step, p.spec.M, p.spec.K)
+	// Keyed v2's bit stream: digest 0 minus its routing bits, then digests
+	// 1, 2, … in full, each giving whole indexes only. A digest read no
+	// further than its first word is computed no further.
+	n := min(p.spec.K, p.firstN)
+	dst = p.cut(dst, d.w0, d.w1, p.routeBits, n)
+	key := p.keys[0]
+	for left, salt := p.spec.K-n, uint64(1); left > 0; salt++ {
+		n = min(left, p.restN)
+		left -= n
+		w0, w1 := sipHash128(SipKey{key.K0, key.K1 ^ salt}, item, uint(n)*p.bitsPer > 64)
+		dst = p.cut(dst, w0, w1, 0, n)
+	}
+	return dst
+}
+
+// Start returns where the indexes of an item Route gave digest d begin and
+// how they advance: they are Progression(dst, g, step, m, k), with g < m
+// and step ≤ m. ok is true for unkeyed layout 2 and for layout 3, whose
+// indexes follow from the digest alone; under layout 1 and keyed layout 2,
+// whose indexes only Indexes derives, it is false and g and step mean
+// nothing. It is branch-free and small enough to inline.
+func (p *Placement) Start(d PlacementDigest) (g, step uint64, ok bool) {
+	return modRecip(d.w0, p.spec.M, p.recip), p.stepMin + modRecip(d.w1, p.stepM, p.stepRecip), p.starts
 }
 
 // Progression appends the k indexes g, g + step, … mod m, given g < m and
 // step ≤ m. It sums in reduced space, as double hashing needs (raw uint64
 // sums would wrap modulo 2⁶⁴), and takes g + step as g − (m − step) once it
-// would reach m, so no sum wraps even above m = 2⁶³.
+// would reach m, so no sum wraps even above m = 2⁶³. bitset's probe path
+// repeats this advance rule twice, in testProgressions and in the
+// probe8_amd64.s kernel, and TestProgressionsEdges holds both to this
+// function: a change here changes all three.
 func Progression(dst []uint64, g, step, m uint64, k int) []uint64 {
 	back := m - step
 	for i := 0; i < k; i++ {

@@ -9,6 +9,7 @@ import (
 	"math/big"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -231,6 +232,40 @@ func TestPlacementV3HardenedMatchesItsDefinition(t *testing.T) {
 					}
 					if again := p.Family(3%shards).Indexes(nil, item); fmt.Sprint(again) != fmt.Sprint(want) {
 						t.Fatalf("m=%d shards=%d k=%d: Family view gives %v, want %v", m, shards, k, again, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Start answers for exactly unkeyed v2 and v3, with a progression inside
+// the shard that is the item's indexes, at sizes down to m = 1 and 2 (v3's
+// step modulus floors at 1).
+func TestPlacementStart(t *testing.T) {
+	for _, layout := range []Layout{LayoutV1, LayoutV2, LayoutV3} {
+		for _, keyed := range []bool{false, true} {
+			if !layout.Places(keyed) {
+				continue
+			}
+			for _, m := range []uint64{1, 2, 1917012} {
+				p := mustPlacement(t, PlacementSpec{Layout: layout, Keyed: keyed, Shards: 8, K: 7, M: m, Seed: 3, Key: placementKey, RouteKey: placementRoute})
+				for i := 0; i < 200; i++ {
+					item := placementItem(i)
+					shard, d := p.Route(item)
+					g, step, ok := p.Start(d)
+					if want := layout == LayoutV3 || layout == LayoutV2 && !keyed; ok != want {
+						t.Fatalf("v%d keyed=%v: Start ok = %v, want %v", layout, keyed, ok, want)
+					}
+					if !ok {
+						break
+					}
+					if g >= m || step > m {
+						t.Fatalf("v%d keyed=%v m=%d: Start = (%d, %d), out of range", layout, keyed, m, g, step)
+					}
+					got := Progression(nil, g, step, m, 7)
+					if want := p.Indexes(nil, item, shard, d); !slices.Equal(got, want) {
+						t.Fatalf("v%d keyed=%v m=%d item %d: Start's progression %v, Indexes %v", layout, keyed, m, i, got, want)
 					}
 				}
 			}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"evilbloom/internal/cpufeat"
 )
 
 // routeBatchItems returns n items drawn from seed whose lengths are mixed
@@ -71,7 +73,7 @@ func FuzzRouteBatchMatchesRoute(f *testing.F) {
 				}
 			}
 		}
-		if !haveSip128x8 || !haveMurmur128x8 {
+		if !cpufeat.AVX512F || !cpufeat.AVX512DQ {
 			t.Skip("no AVX-512F or AVX-512DQ: a kernel half did not run")
 		}
 	})

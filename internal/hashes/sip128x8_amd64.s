@@ -50,15 +50,38 @@ TEXT ·sip128x8(SB), NOSPLIT, $0-64
 	VPBROADCASTQ 16(AX), Z2
 	VPBROADCASTQ 24(AX), Z3
 
-	// Z4: each lane's data pointer, Z5: its count of whole words.
-	LANE_HEADERS(Z4, Z5, Z12)
-	VPSRLQ $3, Z5, Z5
+	// Z4: each lane's data pointer, Z15: its length, Z5: its count of
+	// whole words.
+	LANE_HEADERS(Z4, Z15, Z12)
+	VPSRLQ $3, Z15, Z5
 
 	MOVQ         $8, DX
 	VPBROADCASTQ DX, Z7
 	MOVQ         $1, DX
 	VPBROADCASTQ DX, Z8
 	XORQ         SI, SI
+
+	// Z9: the length-tagged last block, ahead of the words, which it does
+	// not depend on. A lane of eight bytes or more (K3) loads it as
+	// sipLastBlock does: the word ending at the last byte, shifted right by
+	// 64 − 8·(len mod 8) (VPSRLVQ, like Go's >>, leaves zero at a count of
+	// 64), with len << 56 ORed in. A shorter lane takes it from last.
+	VMOVDQU64    (CX), Z9
+	VPCMPUQ      $5, Z7, Z15, K3
+	VPADDQ       Z4, Z15, Z12
+	VPSUBQ       Z7, Z12, Z12
+	KMOVW        K3, K2
+	VPGATHERQQ   0(SI)(Z12*1), K2, Z9
+	MOVQ         $7, DX
+	VPBROADCASTQ DX, Z12
+	VPANDQ       Z12, Z15, Z12
+	VPSLLQ       $3, Z12, Z12
+	MOVQ         $64, DX
+	VPBROADCASTQ DX, Z13
+	VPSUBQ       Z12, Z13, Z12
+	VPSRLVQ      Z12, Z9, K3, Z9
+	VPSLLQ       $56, Z15, Z12
+	VPORQ        Z12, Z9, K3, Z9
 
 	// Compression: while some lane has a whole word left, gather word j of
 	// every such lane (K1) and absorb it there.
@@ -77,8 +100,7 @@ words:
 	JMP      words
 
 final:
-	// The length-tagged last block, then finalization with 128-bit output.
-	VMOVDQU64 (CX), Z9
+	// The last block, then finalization with 128-bit output.
 	VPXORQ    Z9, Z3, Z3
 	SIPROUND
 	SIPROUND
@@ -104,24 +126,6 @@ final:
 
 	LANES_OUT(Z10, Z11, Z13, Z14)
 
-	// Only Z0–Z14 were used, so this clears every upper half written.
+	// Only Z0–Z15 were used, so this clears every upper half written.
 	VZEROUPPER
-	RET
-
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv0() (eax uint32)
-TEXT ·xgetbv0(SB), NOSPLIT, $0-4
-	XORL CX, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
 	RET

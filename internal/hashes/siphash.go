@@ -89,6 +89,8 @@ func sipInit(key SipKey, tweak uint64) (v0, v1, v2, v3 uint64) {
 // it is one load of the word that ends at the last byte, shifted right past
 // the bytes the whole words already took (all of them when the length is a
 // multiple of 8: a shift by 64 leaves zero); shorter data keeps the byte loop.
+// sip128x8 loads a lane's last block by this same rule and takes a shorter
+// item's from here.
 func sipLastBlock(data []byte) uint64 {
 	n := len(data)
 	m := uint64(n) << 56

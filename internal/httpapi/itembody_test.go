@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -645,4 +646,45 @@ func TestItemViewsNotRetained(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAppendBoolsMatchesJSON holds appendBools to encoding/json, after
+// existing bytes and at every length up to 70 (its word stores run past
+// the last verdict into the slack it grows), for every verdict mix.
+func TestAppendBoolsMatchesJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 1; n <= 70; n++ {
+		for trial := 0; trial < 20; trial++ {
+			vs := make([]bool, n)
+			for i := range vs {
+				vs[i] = rng.Intn(2) == 1
+			}
+			want, err := json.Marshal(vs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := appendBools([]byte(`{"present":`), vs)
+			if string(got) != `{"present":`+string(want) {
+				t.Fatalf("n=%d: %s, want %s", n, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkAppendBools renders 64-verdict test-batch answers whose verdicts
+// never repeat within the run, as BenchmarkWriteVerdicts does on the RESP
+// plane.
+func BenchmarkAppendBools(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	verdicts := make([]bool, 1<<20)
+	for i := range verdicts {
+		verdicts[i] = rng.Intn(2) == 1
+	}
+	out := make([]byte, 0, 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := i * 64 % len(verdicts)
+		out = appendBools(out[:0], verdicts[lo:lo+64])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/verdict")
 }

@@ -402,3 +402,66 @@ func BenchmarkRemove(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkTestBatch prices the lock-free read path per key: 64-key
+// TestBatch windows of URL-shaped keys (32–47 bytes, as the bench sends),
+// present and absent keys alternating, at the bench's three read
+// geometries: the 0.95 MiB naive filter at its design fill (fits L2), the
+// 55 MiB naive one filled as the bench fills it (1 M keys added, then a
+// random word ORed into every word, ≈ 50 % of bits set: every probe a
+// likely cache miss, an absent key's first clear bit about two probes in)
+// and the hardened layout-3 filter at capacity. Run it at -cpu 1.
+func BenchmarkTestBatch(b *testing.B) {
+	for _, tc := range []struct {
+		name     string
+		mode     Mode
+		capacity uint64
+		keys     int
+		noise    bool
+	}{
+		{"small-naive", ModeNaive, 800_000, 800_000, false},
+		{"large-naive", ModeNaive, 48_000_000, 1_000_000, true},
+		{"hardened-v3", ModeHardened, 1_600_000, 1_600_000, false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			s, err := NewSharded(Config{Shards: 8, Capacity: tc.capacity, TargetFPR: 0.01, Mode: tc.mode})
+			if err != nil {
+				b.Fatal(err)
+			}
+			key := func(i int) []byte {
+				item := fmt.Appendf(nil, "http://h%03x.ex.org/u/a%010x%016x", i%4096, i, uint64(i)*0x9e3779b97f4a7c15)
+				return item[:32+(i*7)%16]
+			}
+			window := make([][]byte, 0, 4096)
+			for lo := 0; lo < tc.keys; lo += cap(window) {
+				window = window[:0]
+				for i := lo; i < min(lo+cap(window), tc.keys); i++ {
+					window = append(window, key(i))
+				}
+				s.AddBatch(window)
+			}
+			if tc.noise {
+				state := uint64(1)
+				for i := range s.shards {
+					bits := s.shards[i].backend.(bloomBackend).Bits()
+					for w := 0; w+1 < bits.Words(); w++ {
+						state = state*6364136223846793005 + 1442695040888963407
+						bits.SetWord(w, bits.Word(w)|state^state>>29)
+					}
+				}
+			}
+			// Even positions hold present keys, odd ones keys never added.
+			queries := make([][]byte, 1<<14)
+			for i := range queries {
+				queries[i] = key(i/2*7919%tc.keys + (i&1)*tc.keys)
+			}
+			dst := make([]bool, 0, 64)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := i * 64 % len(queries)
+				dst = s.TestBatch(dst[:0], queries[lo:lo+64])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/key")
+		})
+	}
+}

@@ -34,24 +34,31 @@ func lockfreeCfg(variant Variant) Config {
 	return cfg
 }
 
-// TestLockFreeReadsNoTornState is the -race regression for the read path:
-// while writer goroutines add (and, on counting, add-then-remove) under the
-// shard write locks, reader goroutines run Test. Two things must hold
-// throughout: the race detector stays silent (every word the readers touch
-// is accessed atomically on both sides), and a set of permanently-inserted
-// items never once tests negative — a torn or stale read of a half-written
-// word would surface as exactly that.
+// TestLockFreeReadsNoTornState is the regression for the read path, run
+// with and without -race: while writer goroutines add (and, on counting,
+// add-then-remove) under the shard write locks, reader goroutines run Test
+// and 64-key TestBatch windows. Two things must hold throughout: the race
+// detector stays silent (every word the readers touch is accessed
+// atomically on both sides), and a set of permanently-inserted items never
+// once tests negative — a torn or stale read of a half-written word would
+// surface as exactly that. The bloom rows' windows go through the probe
+// kernel (bitset.TestProgressions), which a -race build swaps for its Go
+// loop, so only the run without -race puts the kernel itself among the
+// writers.
 //
 // Every row reads lock-free, which the test first pins directly: with every
 // shard write-locked, Test and TestBatch still answer. The counter widths
 // 3, 5 and 13 leave slack at the top of each word (21, 12 and 4 counters a
-// word), the packing that keeps any counter from straddling two.
+// word), the packing that keeps any counter from straddling two. The
+// hardened row is layout 3, the keyed layout the probe kernel serves.
 func TestLockFreeReadsNoTornState(t *testing.T) {
 	for _, row := range []struct {
 		variant Variant
 		width   int // counter width; 0 keeps lockfreeCfg's choice
+		mode    Mode
 	}{
 		{variant: VariantBloom},
+		{variant: VariantBloom, mode: ModeHardened},
 		{variant: VariantBlocked},
 		{variant: VariantCounting},
 		{variant: VariantCounting, width: 3},
@@ -65,6 +72,10 @@ func TestLockFreeReadsNoTornState(t *testing.T) {
 			// in-flight writer items at ~2.4% fill stay far below it.
 			cfg.CounterWidth = row.width
 			name = fmt.Sprintf("%v-w%d", row.variant, row.width)
+		}
+		if row.mode == ModeHardened {
+			cfg.Mode, cfg.Key = ModeHardened, []byte("0123456789abcdef")
+			name += "-hardened-v3"
 		}
 		t.Run(name+"/lockfree=true", func(t *testing.T) {
 			s, err := NewSharded(cfg)
@@ -117,11 +128,23 @@ func TestLockFreeReadsNoTornState(t *testing.T) {
 				wg.Add(1)
 				go func(id int) {
 					defer wg.Done()
+					var verdicts []bool
 					for i := 0; i < iters; i++ {
 						it := permanent[(i*7919+id)%len(permanent)]
 						if !s.Test(it) {
 							errs <- fmt.Errorf("reader %d: permanent item %q tested negative (torn read?)", id, it)
 							return
+						}
+						if i%8 != 0 {
+							continue
+						}
+						lo := (i*31 + id) % (len(permanent) - 64)
+						verdicts = s.TestBatch(verdicts[:0], permanent[lo:lo+64])
+						for j, ok := range verdicts {
+							if !ok {
+								errs <- fmt.Errorf("reader %d: permanent item %q tested negative in a window (torn read?)", id, permanent[lo+j])
+								return
+							}
 						}
 					}
 				}(r)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"evilbloom/internal/bitset"
 	"evilbloom/internal/core"
 	"evilbloom/internal/hashes"
 )
@@ -251,7 +252,13 @@ type shard struct {
 // counting under either overflow policy, or a future hardened construction)
 // reuses the same routing, locking, batching and incremental-stats code.
 type Sharded struct {
-	shards  []shard
+	shards []shard
+	// bits holds shard i's bit array at i when TestBatch probes the words
+	// itself, eight keys per bitset.TestProgressions call: bloom shards
+	// under a layout whose indexes Placement.Start gives. Nil otherwise.
+	// Backends and their bit arrays never move after NewSharded (Load and
+	// Reset rewrite the words in place), so the pointers stay good.
+	bits    []*bitset.BitSet
 	place   *hashes.Placement
 	variant Variant
 	mode    Mode
@@ -349,6 +356,12 @@ func NewSharded(cfg Config) (*Sharded, error) {
 			return nil, err
 		}
 		sh.remover, _ = sh.backend.(Remover)
+	}
+	if _, _, ok := place.Start(hashes.PlacementDigest{}); ok && cfg.Variant == VariantBloom {
+		s.bits = make([]*bitset.BitSet, len(s.shards))
+		for i := range s.shards {
+			s.bits[i] = s.shards[i].backend.(bloomBackend).Bits()
+		}
 	}
 	return s, nil
 }
@@ -537,7 +550,8 @@ func (s *Sharded) addBatch(novel []bool, items [][]byte) {
 // shard: the items are taken in windows as they come — route a window,
 // derive its indexes, then probe it. Keeping a window's probes, independent
 // loads, together is what lets a filter larger than the cache overlap its
-// misses.
+// misses. A store with bits skips the index slice: each key's progression
+// goes straight from its digest to the probe kernel, eight keys a call.
 func (s *Sharded) TestBatch(dst []bool, items [][]byte) []bool {
 	base := len(dst)
 	dst = append(dst, make([]bool, len(items))...)
@@ -547,6 +561,10 @@ func (s *Sharded) TestBatch(dst []bool, items [][]byte) []bool {
 	for lo := 0; lo < len(items); lo += deriveWindow {
 		window := items[lo:min(lo+deriveWindow, len(items))]
 		s.place.RouteBatch(g.shard, g.digest, window)
+		if s.bits != nil {
+			s.probe(dst[base+lo:base+lo+len(window)], g.shard, g.digest)
+			continue
+		}
 		idx := resized(g.idx, len(window)*s.k)[:0]
 		for j, it := range window {
 			idx = s.place.Indexes(idx, it, int(g.shard[j]), g.digest[j])
@@ -558,6 +576,27 @@ func (s *Sharded) TestBatch(dst []bool, items [][]byte) []bool {
 	}
 	s.ungroup(g)
 	return dst
+}
+
+// probe sets out[j] to whether the key routed to shards[j] with digests[j]
+// is present, for a store with bits: eight keys per TestProgressions call.
+// A short last group is padded with copies of the last key, whose verdicts
+// are dropped, so every key takes the one path.
+func (s *Sharded) probe(out []bool, shards []uint16, digests []hashes.PlacementDigest) {
+	var sets [8]*bitset.BitSet
+	var start, step [8]uint64
+	last := len(out) - 1
+	for lo := 0; lo < len(out); lo += 8 {
+		for l := range sets {
+			j := min(lo+l, last)
+			sets[l] = s.bits[shards[j]]
+			start[l], step[l], _ = s.place.Start(digests[j])
+		}
+		hit := bitset.TestProgressions(&sets, &start, &step, s.k)
+		for l := range out[lo:min(lo+8, len(out))] {
+			out[lo+l] = hit>>l&1 != 0
+		}
+	}
 }
 
 // derive fills g.idx with the indexes of items[run[0]], items[run[1]], …, k
