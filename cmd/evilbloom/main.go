@@ -11,7 +11,6 @@
 //	evilbloom squid     two-proxy cache-digest pollution experiment
 //	evilbloom params    average-case vs worst-case parameter designs (§8.1)
 //	evilbloom overflow  §6.2 counter-overflow attack demonstration
-//	evilbloom hll       adversarial probabilistic counting (§10 extension)
 //	evilbloom serve     multi-filter service over HTTP: named bloom/counting/
 //	                    blocked filters (§8 and §4.3 made live); -resp-addr
 //	                    adds the redis-protocol binary plane
@@ -32,8 +31,6 @@ import (
 	"evilbloom/internal/attack"
 	"evilbloom/internal/core"
 	"evilbloom/internal/hashes"
-	"evilbloom/internal/probcount"
-	"evilbloom/internal/urlgen"
 )
 
 func main() {
@@ -70,8 +67,6 @@ func run(args []string) error {
 		return cmdParams(rest)
 	case "overflow":
 		return cmdOverflow(rest)
-	case "hll":
-		return cmdHLL(rest)
 	case "serve":
 		return cmdServe(rest)
 	case "resp-cli":
@@ -99,7 +94,6 @@ subcommands:
   squid     sibling-proxy cache-digest pollution (paper §7)
   params    worst-case vs average-case design (paper §8.1)
   overflow  counter-overflow attack (paper §6.2)
-  hll       adversarial probabilistic counting (paper §10 extension)
   serve     multi-filter HTTP service: named bloom/counting/blocked filters,
             naive or hardened, with remove endpoints (§8 and §4.3 live);
             -resp-addr adds the redis-protocol binary plane
@@ -432,73 +426,4 @@ func cmdOverflow(args []string) error {
 	fmt.Println("\nthe stage reports itself full while storing nothing — \"a complete")
 	fmt.Println("waste of memory\"; crafted via constant-time MurmurHash3-128 inversion")
 	return nil
-}
-
-func cmdHLL(args []string) error {
-	fs := flag.NewFlagSet("hll", flag.ContinueOnError)
-	precision := fs.Uint("precision", 12, "HLL precision (registers = 2^p)")
-	honest := fs.Int("honest", 100000, "honest distinct items")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	p := uint8(*precision)
-	fmt.Printf("§10 extension — probabilistic counting under evil choices (HLL, 2^%d registers)\n\n", p)
-
-	sketch, err := probcount.NewHLL(p, probcount.MurmurHash64{})
-	if err != nil {
-		return err
-	}
-	gen := urlgen.New(1)
-	for i := 0; i < *honest; i++ {
-		sketch.Add(gen.Next())
-	}
-	honestEst := sketch.Estimate()
-
-	inflated, err := probcount.NewHLL(p, probcount.MurmurHash64{})
-	if err != nil {
-		return err
-	}
-	if _, err := probcount.InflationAttack(inflated, []byte("http://evil.com/"), inflated.M()); err != nil {
-		return err
-	}
-
-	suppressed, err := probcount.NewHLL(p, probcount.MurmurHash64{})
-	if err != nil {
-		return err
-	}
-	if _, err := probcount.SuppressionAttack(suppressed, []byte("http://evil.com/"), *honest); err != nil {
-		return err
-	}
-
-	keyed, err := probcount.NewHLL(p, probcount.SipHash64{Key: hashes.SipKey{K0: 0xdead, K1: 0xbeef}})
-	if err != nil {
-		return err
-	}
-	crafted, err := probcount.SuppressionAttack(sketchClone(p), []byte("http://evil.com/"), *honest)
-	if err != nil {
-		return err
-	}
-	for _, it := range crafted {
-		keyed.Add(it)
-	}
-
-	rows := [][]string{
-		{fmt.Sprintf("%d honest items", *honest), fmt.Sprintf("%.0f", honestEst), fmt.Sprintf("±%.1f%% expected", 100*sketch.RelativeError())},
-		{fmt.Sprintf("%d crafted items (inflation)", inflated.M()), fmt.Sprintf("%.3g", inflated.Estimate()), "maximum rank in every register"},
-		{fmt.Sprintf("%d crafted items (suppression)", *honest), fmt.Sprintf("%.0f", suppressed.Estimate()), "all collapse onto register 0"},
-		{fmt.Sprintf("%d crafted items, keyed sketch", *honest), fmt.Sprintf("%.0f", keyed.Estimate()), "SipHash key defeats steering"},
-	}
-	fmt.Print(analysis.FormatTable([]string{"Stream", "Estimate", "Note"}, rows))
-	fmt.Println("\nforging uses constant-time MurmurHash3 inversion; the keyed sketch (§8.2")
-	fmt.Println("applied to counting) sees the same stream as ~random and counts it correctly")
-	return nil
-}
-
-// sketchClone builds a throwaway unkeyed sketch for crafting attack streams.
-func sketchClone(p uint8) *probcount.HLL {
-	h, err := probcount.NewHLL(p, probcount.MurmurHash64{})
-	if err != nil {
-		panic(err) // precision was validated by the caller's sketch
-	}
-	return h
 }

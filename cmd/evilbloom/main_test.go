@@ -64,7 +64,6 @@ func TestSubcommandsSmoke(t *testing.T) {
 		{"squid", []string{"squid"}, []string{"762", "false hits"}},
 		{"params", []string{"params"}, []string{"1.88", "worst-case"}},
 		{"overflow", []string{"overflow", "-capacity", "500"}, []string{"non-zero counters", "overflow"}},
-		{"hll", []string{"hll", "-honest", "20000"}, []string{"inflation", "suppression", "keyed"}},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -38,9 +39,9 @@ func (p *Persister) failOnce(op string, err error) {
 }
 
 // segmentOps drives a counting store journaling into dir through a fixed
-// operation sequence — batches spanning several chunks, a record longer
-// than a chunk, accepted and refused removals, a compaction, single adds
-// and removes — and closes the journal.
+// operation sequence — batches spanning several chunks, a refused add of an
+// item over MaxItemLen, accepted and refused removals, a compaction, single
+// adds and removes — and closes the journal.
 func segmentOps(t *testing.T, dir string, policy SyncPolicy) {
 	t.Helper()
 	s, err := NewSharded(persistCfg(VariantCounting, ModeNaive, 4, core.Saturate))
@@ -58,7 +59,9 @@ func segmentOps(t *testing.T, dir string, policy SyncPolicy) {
 		items[i] = gen.Next()
 	}
 	s.AddBatch(items[:3000])
-	s.Add(bytes.Repeat([]byte("evil"), 25<<10))
+	if !panics(func() { s.Add(bytes.Repeat([]byte("evil"), 25<<10)) }) {
+		t.Fatal("a 100 KiB add was not refused")
+	}
 	if _, err := s.RemoveBatch(append(items[:500:500], []byte("absent-1"), []byte("absent-2"))); err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +80,21 @@ func segmentOps(t *testing.T, dir string, policy SyncPolicy) {
 	}
 }
 
+// panics reports whether f panicked.
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
+}
+
 // Group commit changes when records reach the segment, never which bytes:
 // under every policy, segmentOps writes exactly the segments the
 // write-through journal before it wrote (length and SHA-256 captured from
-// that journal).
+// that journal). The wal-0 golden is that journal's segment with the
+// refused 100 KiB add's record (102 409 bytes at offset 173 325) cut out.
 func TestSegmentBytesMatchGolden(t *testing.T) {
 	golden := map[string]string{
-		walName(0): "386435 3f22712823624a6a9296dcaa6d36093d875a3d75aacc060afa22ded2fc123870",
+		walName(0): "284026 1c7477a5e83d73e07332f4c0016b48cc4a61578528c88712dc656f74bdbe403c",
 		walName(1): "64324 6d57d20a56c824c0db35bb8d4f71f0be9cc79f2cc71eaf4c458074c288a0906c",
 	}
 	for _, policy := range []SyncPolicy{SyncNever, SyncInterval, SyncAlways} {
@@ -101,6 +112,112 @@ func TestSegmentBytesMatchGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// An item over MaxItemLen is refused before it is placed, locked or
+// journaled, on every mutating entry point. Replay reads a longer record
+// as a torn tail, so before the refusal an acknowledged add of one vanished
+// on the next boot together with every record after it: here "after" would
+// replay absent. An item of exactly MaxItemLen is accepted and replays.
+func TestOverlongItemRefusedBeforeJournal(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewSharded(persistCfg(VariantCounting, ModeNaive, 4, core.Saturate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := createPersister(dir, s.config(), SyncAlways, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close() //nolint:errcheck
+	s.SetJournal(p)
+	over := bytes.Repeat([]byte("o"), MaxItemLen+1)
+	longest := bytes.Repeat([]byte("m"), MaxItemLen)
+
+	s.Add([]byte("before"))
+	if !panics(func() { s.Add(over) }) {
+		t.Fatal("Add of an item over MaxItemLen was not refused")
+	}
+	s.Add(longest)
+	s.Add([]byte("after"))
+	if err := p.commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every mutating entry point refuses a batch holding one over-long item
+	// whole: no count, generation, weight or journal record moves.
+	batch := [][]byte{[]byte("before"), over, []byte("fresh")}
+	entries := []struct {
+		name string
+		call func()
+	}{
+		{"Add", func() { s.Add(over) }},
+		{"Remove", func() { s.Remove(over) }}, //nolint:errcheck // must panic
+		{"AddBatch", func() { s.AddBatch(batch) }},
+		{"TestAndAddBatch", func() { s.TestAndAddBatch(nil, batch) }},
+		{"RemoveBatch", func() { s.RemoveBatch(batch) }}, //nolint:errcheck // must panic
+	}
+	journal := func() (uint64, int64) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.seq, p.queued
+	}
+	for _, e := range entries {
+		count, gen, stats := s.Count(), s.Generation(), s.Stats()
+		seq, queued := journal()
+		if !panics(e.call) {
+			t.Fatalf("%s: an item over MaxItemLen was not refused", e.name)
+		}
+		seq2, queued2 := journal()
+		if s.Count() != count || s.Generation() != gen || !reflect.DeepEqual(s.Stats(), stats) || seq2 != seq || queued2 != queued {
+			t.Fatalf("%s: a refused call changed the store or the journal", e.name)
+		}
+	}
+	// No refusal left a shard locked: an add on every shard completes.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for si, i := 0, 0; si < s.Shards(); i++ {
+			item := []byte(fmt.Sprintf("probe-%d", i))
+			if shard, _ := s.place.Place(nil, item); shard == si {
+				s.Add(item)
+				si++
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("an add blocked on a shard lock a refusal left held")
+	}
+	if err := p.commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Boot from the directory as a crash would leave it, without Close.
+	q, cfg, err := openPersister(dir, SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewSharded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Replay(r); err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close() //nolint:errcheck
+	for _, tc := range []struct {
+		item []byte
+		want bool
+	}{{[]byte("before"), true}, {over, false}, {longest, true}, {[]byte("after"), true}} {
+		if got := r.Test(tc.item); got != tc.want {
+			t.Errorf("after replay, Test(%.12q…) = %v, want %v", tc.item, got, tc.want)
+		}
+	}
+	if r.Count() != s.Count() {
+		t.Errorf("replay recovered count %d, the live store had %d", r.Count(), s.Count())
 	}
 }
 

@@ -46,11 +46,12 @@ import (
 //
 //	[4-byte LE length of op+item] [1-byte op] [item bytes] [4-byte IEEE CRC of op+item]
 //
-// A record that is short, oversized, or fails its CRC marks the torn tail
-// of a crashed writer: replay truncates the newest segment at the record
-// boundary and recovers the longest valid prefix. Replay streams each
-// segment (readRecords), so a boot holds no more of the log than one
-// record and one read buffer.
+// The store refuses items over MaxItemLen, so no record is longer than
+// walMaxRecord. A record that is short, longer than that, or fails its CRC
+// marks the torn tail of a crashed writer: replay truncates the newest
+// segment at the record boundary and recovers the longest valid prefix.
+// Replay streams each segment (readRecords) through one read buffer that
+// holds any record, so a boot holds no more of the log than that buffer.
 const (
 	metaFileName    = "meta.json"
 	snapPrefix      = "snap-"
@@ -59,11 +60,9 @@ const (
 	walSuffix       = ".log"
 	walRecordAdd    = byte(1)
 	walRecordRemove = byte(2)
-	// walMaxRecord bounds a record's op+item length on replay. It is far
-	// above MaxItemLen so direct (non-HTTP) embedders with longer items
-	// still round-trip, while a corrupt length field cannot drive a
-	// gigabyte allocation.
-	walMaxRecord = 1 << 20
+	// walMaxRecord bounds a record's op+item length: the op and the
+	// longest item the store accepts. A longer length field is corrupt.
+	walMaxRecord = 1 + MaxItemLen
 	// walReadBuffer is the one buffer replay streams a segment through.
 	walReadBuffer = 64 << 10
 	// flushInterval paces the syncer: at least this often it writes the
@@ -77,6 +76,9 @@ const (
 	// for the syncer.
 	maxChunks = 16
 )
+
+// A whole record fits both one chunk and the replay buffer.
+const _ = uint(min(chunkSize, walReadBuffer) - (4 + walMaxRecord + 4))
 
 // ErrNotDurable answers compaction requests against a filter with no
 // durable store (the server was started without -data-dir).
@@ -232,8 +234,7 @@ func (m persistedMeta) config() (Config, error) {
 // waits in commit — writes them in order with no lock held, fsyncs as the
 // policy says, publishes the durable sequence number and returns the
 // chunks to a pool of at most maxChunks. An appender that finds every
-// chunk in use waits for the syncer; a record longer than a chunk gets one
-// of its own, outside the pool.
+// chunk in use waits for the syncer. No record is longer than a chunk.
 //
 // The segment belongs to whoever holds the writer role (claim/release):
 // the syncer for one pass, or Compact and Close, which drain the queue
@@ -248,7 +249,6 @@ type Persister struct {
 	queue  []*chunk  // sealed chunks, in log order, waiting for the syncer
 	free   []*chunk  // the pool: empty chunks ready for reuse
 	chunks int       // pooled chunks in existence, at most maxChunks
-	big    bool      // a chunk holding one record longer than chunkSize is unwritten
 	queued int64     // bytes framed and not yet written
 	// seq numbers the records framed so far; durable is the number of the
 	// last one written and fsynced. Under SyncAlways they meet at every
@@ -467,7 +467,6 @@ func (p *Persister) replaySegment(s *Sharded, gen uint64) (valid int64, torn boo
 // returned with torn unset, because a failing disk is not a crashed writer.
 func readRecords(r io.Reader, apply func(op byte, item []byte) error) (valid int64, torn bool, err error) {
 	br := bufio.NewReaderSize(r, walReadBuffer)
-	var large []byte // op, item and CRC of a record longer than the buffer
 	for {
 		hdr, err := br.Peek(4)
 		if err == io.EOF && len(hdr) == 0 {
@@ -480,59 +479,23 @@ func readRecords(r io.Reader, apply func(op byte, item []byte) error) (valid int
 		if n < 1 || n > walMaxRecord {
 			return valid, true, nil
 		}
-		total := 4 + n + 4
-		inPlace := total <= br.Size()
-		var rec []byte // op, item and CRC
-		if inPlace {
-			// A peeked record stays in the buffer until it is discarded,
-			// after apply returns.
-			if rec, err = br.Peek(total); err != nil {
-				return readStopped(valid, err)
-			}
-			rec = rec[4:]
-		} else {
-			br.Discard(4) //nolint:errcheck // peeked above
-			if large, err = readBody(br, large, n+4); err != nil {
-				return readStopped(valid, err)
-			}
-			rec = large
+		// Every record fits the buffer, so it is peeked in place and stays
+		// there until it is discarded, after apply returns.
+		rec, err := br.Peek(4 + n + 4) // length, op, item and CRC
+		if err != nil {
+			return readStopped(valid, err)
 		}
-		body := rec[:n]
-		if binary.LittleEndian.Uint32(rec[n:]) != crc32.ChecksumIEEE(body) ||
+		body := rec[4 : 4+n]
+		if binary.LittleEndian.Uint32(rec[4+n:]) != crc32.ChecksumIEEE(body) ||
 			(body[0] != walRecordAdd && body[0] != walRecordRemove) {
 			return valid, true, nil
 		}
 		if err := apply(body[0], body[1:]); err != nil {
 			return valid, false, err
 		}
-		if inPlace {
-			br.Discard(total) //nolint:errcheck // peeked above
-		}
-		valid += int64(total)
+		br.Discard(len(rec)) //nolint:errcheck // peeked above
+		valid += int64(len(rec))
 	}
-}
-
-// readBody reads a record of n bytes longer than the read buffer into
-// buf's storage and returns it. buf grows to the largest such record seen,
-// never past n and at most one buffer's worth ahead of the bytes that
-// arrived, so a corrupt length the file does not back costs only what was
-// read.
-func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
-	buf = buf[:0]
-	for len(buf) < n {
-		chunk := min(n-len(buf), walReadBuffer)
-		if cap(buf)-len(buf) < chunk {
-			grown := make([]byte, len(buf), min(n, max(2*cap(buf), len(buf)+chunk)))
-			copy(grown, buf)
-			buf = grown
-		}
-		m, err := io.ReadFull(r, buf[len(buf):len(buf)+chunk])
-		buf = buf[:len(buf)+m]
-		if err != nil {
-			return buf, err
-		}
-	}
-	return buf, nil
 }
 
 // readStopped ends readRecords at valid on a read error: the end-of-stream
@@ -551,7 +514,8 @@ func (p *Persister) JournalAdd(item []byte) { p.append(walRecordAdd, item) }
 func (p *Persister) JournalRemove(item []byte) { p.append(walRecordRemove, item) }
 
 // append frames one record into the current chunk and returns its sequence
-// number (0 when the journal is failed or closed and drops it).
+// number (0 when the journal is failed or closed and drops it). item is at
+// most MaxItemLen bytes: the store refuses a longer one before journaling.
 func (p *Persister) append(op byte, item []byte) uint64 {
 	n := 4 + 1 + len(item) + 4
 	p.mu.Lock()
@@ -576,9 +540,8 @@ func (p *Persister) append(op byte, item []byte) uint64 {
 
 // room returns the chunk an n-byte record goes into, sealing the current
 // one when the record does not fit, or nil when the journal drops appends.
-// With every pooled chunk in use — or, for a record longer than a chunk,
-// with another such record still unwritten — it waits for the syncer. The
-// caller holds p.mu.
+// n is at most 4+walMaxRecord+4, so any chunk holds the record. With every
+// pooled chunk in use it waits for the syncer. The caller holds p.mu.
 func (p *Persister) room(n int) *chunk {
 	for p.err == nil && !p.closing {
 		if c := p.cur; c != nil && cap(c.b)-len(c.b) >= n {
@@ -586,12 +549,6 @@ func (p *Persister) room(n int) *chunk {
 		}
 		p.seal()
 		switch {
-		case n > chunkSize && !p.big:
-			p.big = true
-			p.cur = &chunk{b: make([]byte, 0, n)}
-		case n > chunkSize:
-			p.signal.Wait()
-			continue
 		case len(p.free) > 0:
 			p.cur = p.free[len(p.free)-1]
 			p.free = p.free[:len(p.free)-1]
@@ -747,12 +704,8 @@ func (p *Persister) drain(seal, sync bool) {
 	p.walLen += written
 	for _, c := range batch {
 		p.queued -= int64(len(c.b))
-		if cap(c.b) == chunkSize {
-			c.b = c.b[:0]
-			p.free = append(p.free, c)
-		} else {
-			p.big = false
-		}
+		c.b = c.b[:0]
+		p.free = append(p.free, c)
 	}
 	if err != nil && p.err == nil {
 		p.err = err

@@ -121,11 +121,20 @@ func TestReadRecords(t *testing.T) {
 	badCRC := bytes.Clone(next)
 	badCRC[len(badCRC)-1] ^= 1
 
-	// The second record's header starts 2 bytes before the buffer's end,
-	// so its header and body straddle the first fill.
-	filler := bytes.Repeat([]byte{'f'}, walReadBuffer-2-9)
-	straddle := append(walRecord(walRecordAdd, filler), walRecord(walRecordAdd, []byte("straddler"))...)
-	straddleOps := []walOp{{walRecordAdd, string(filler)}, {walRecordAdd, "straddler"}}
+	// In-bound filler records end 2 bytes before the buffer's end, so the
+	// straddler's header and body straddle the first fill.
+	var straddle []byte
+	var straddleOps []walOp
+	for len(straddle) < walReadBuffer-2 {
+		filler := bytes.Repeat([]byte{'f'}, min(MaxItemLen, walReadBuffer-2-len(straddle)-9))
+		straddle = append(straddle, walRecord(walRecordAdd, filler)...)
+		straddleOps = append(straddleOps, walOp{walRecordAdd, string(filler)})
+	}
+	if len(straddle) != walReadBuffer-2 {
+		t.Fatalf("the straddler's header starts at %d, want %d", len(straddle), walReadBuffer-2)
+	}
+	straddle = append(straddle, walRecord(walRecordAdd, []byte("straddler"))...)
+	straddleOps = append(straddleOps, walOp{walRecordAdd, "straddler"})
 
 	maxItem := bytes.Repeat([]byte{'m'}, walMaxRecord-1)
 	maxRec := walRecord(walRecordAdd, maxItem)

@@ -375,11 +375,24 @@ func (s *Sharded) place1(item []byte) (*shard, *grouping) {
 	return &s.shards[si], g
 }
 
+// checkItem panics on an item longer than MaxItemLen, before anything is
+// placed, locked or journaled. Replay reads a longer log record as a torn
+// tail, so an acknowledged add of one would vanish with every record after
+// it. Every ingress validates items first (engine.ValidateItem): reaching
+// the panic is a programming error in this module.
+func checkItem(item []byte) {
+	if len(item) > MaxItemLen {
+		panic(fmt.Sprintf("service: item of %d bytes exceeds MaxItemLen %d", len(item), MaxItemLen))
+	}
+}
+
 // Add implements core.Filter. Placement happens outside the shard lock; only
 // the position writes are serialized. An add that changes nothing — on a
 // bloom or blocked shard, an item whose positions are all set already — is
-// not applied, counted or journaled (see addLocked).
+// not applied, counted or journaled (see addLocked). An item longer than
+// MaxItemLen panics (checkItem).
 func (s *Sharded) Add(item []byte) {
+	checkItem(item)
 	sh, g := s.place1(item)
 	sh.mu.Lock()
 	if _, applied := sh.addLocked(g.idx); applied && s.journal != nil {
@@ -427,7 +440,8 @@ func (s *Sharded) Removable() bool { return s.shards[0].remover != nil }
 // decrements run under one shard lock, so a concurrent storm of removals
 // can never drive a counter below zero — each removal only decrements
 // counters the check just saw non-zero. It returns ErrNotRemovable when the
-// backend has no Remover capability (plain bloom shards).
+// backend has no Remover capability (plain bloom shards). An item longer
+// than MaxItemLen panics (checkItem).
 //
 // The check guards the *filter's belief*, not the truth: a crafted item the
 // filter wrongly believes present (a §4.3 Bloom second pre-image) passes it
@@ -438,6 +452,7 @@ func (s *Sharded) Remove(item []byte) (bool, error) {
 	if !s.Removable() {
 		return false, ErrNotRemovable
 	}
+	checkItem(item)
 	sh, g := s.place1(item)
 	sh.mu.Lock()
 	removed, err := sh.removeLocked(g.idx)
@@ -472,7 +487,8 @@ func (sh *shard) removeLocked(idx []uint64) (bool, error) {
 // RemoveBatch deletes every item the filter believes present, reporting
 // per-item outcomes in input order. Like AddBatch it groups by shard and
 // takes each shard's lock once per window. It returns ErrNotRemovable for
-// backends without the capability.
+// backends without the capability, and panics, having removed nothing, when
+// any item is longer than MaxItemLen (checkItem).
 func (s *Sharded) RemoveBatch(items [][]byte) ([]bool, error) {
 	if !s.Removable() {
 		return nil, ErrNotRemovable
@@ -503,7 +519,9 @@ func (s *Sharded) RemoveBatch(items [][]byte) ([]bool, error) {
 }
 
 // AddBatch inserts every item, grouping by shard so each shard's lock is
-// taken once per window of the batch instead of once per item.
+// taken once per window of the batch instead of once per item. A batch
+// holding an item longer than MaxItemLen panics, having added nothing
+// (checkItem).
 func (s *Sharded) AddBatch(items [][]byte) { s.addBatch(nil, items) }
 
 // TestAndAddBatch inserts every item like AddBatch and appends to dst, in
@@ -513,6 +531,7 @@ func (s *Sharded) AddBatch(items [][]byte) { s.addBatch(nil, items) }
 // a duplicate later in the batch sees the earlier copy, and the answers are
 // exactly what Test then Add item by item would give (items of different
 // shards share no positions, so visiting shard by shard changes nothing).
+// It refuses an over-long item as AddBatch does.
 func (s *Sharded) TestAndAddBatch(dst []bool, items [][]byte) []bool {
 	base := len(dst)
 	dst = append(dst, make([]bool, len(items))...)
@@ -654,8 +673,12 @@ func (s *Sharded) checkout() *grouping {
 // sorts the positions by shard: a stable LSD
 // radix sort on the shard number, eight bits a pass — one pass up to 256
 // shards, two up to MaxShards — with its counters on the stack. The caller
-// walks the result with run and hands it back with ungroup.
+// walks the result with run and hands it back with ungroup. Every mutating
+// batch starts here, so checkItem runs on every item before the first lock.
 func (s *Sharded) group(items [][]byte) *grouping {
+	for _, it := range items {
+		checkItem(it)
+	}
 	g := s.checkout()
 	n := len(items)
 	g.shard, g.digest, g.order = resized(g.shard, n), resized(g.digest, n), resized(g.order, n)
