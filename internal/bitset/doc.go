@@ -18,5 +18,10 @@
 // progressions (hashes.Progression) at once — on amd64 with AVX-512F in
 // one assembly kernel (probe8_amd64.s) that gathers each round's eight
 // words under a full mask, elsewhere and in -race builds in a Go loop with
-// atomic loads. internal/cpufeat decides which.
+// atomic loads. internal/cpufeat decides which. Serialized writers publish
+// with SetAtomic and Reset, or set a whole progression with SetProgression,
+// which on amd64 outside -race builds is a scalar assembly kernel
+// (setprog_amd64.s) storing changed words with plain aligned MOVQs — its
+// doc gives why that publishes as SetAtomic's fenced stores do — and
+// elsewhere a Go loop over SetAtomic. Build tags alone choose it.
 package bitset

@@ -138,3 +138,95 @@ func TestProgressionsRefusesOutOfRange(t *testing.T) {
 		t.Fatalf("TestProgressions allocates %v times a call", allocs)
 	}
 }
+
+// TestSetProgressionEdges holds the set kernel and its Go loop to the
+// definition — every bit of hashes.Progression set with Set, the fresh count
+// the number of distinct bits that were clear — at the sizes where words end
+// (m = 1, 63, 64, 65, 4097), the step extremes 0 and m (a progression
+// standing still, so one bit set and counted once), k = 0 and the round
+// counts 1, 7 and 40, from empty, half-set and full words. Both must leave
+// every word, the ones past the progression included, as the definition
+// does.
+func TestSetProgressionEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, m := range []uint64{1, 63, 64, 65, 4097} {
+		for _, k := range []int{0, 1, 7, 40} {
+			for _, density := range []float64{0, 0.5, 1} {
+				for trial := 0; trial < 20; trial++ {
+					start := rng.Uint64() % m
+					var step uint64
+					switch trial % 4 {
+					case 0:
+						step = 0
+					case 1:
+						step = m
+					default:
+						step = rng.Uint64() % (m + 1)
+					}
+					base := New(m)
+					for bit := uint64(0); bit < m; bit++ {
+						if rng.Float64() < density {
+							base.Set(bit)
+						}
+					}
+					want := base.Clone()
+					wantFresh := 0
+					for _, i := range hashes.Progression(nil, start, step, m, k) {
+						if want.Set(i) {
+							wantFresh++
+						}
+					}
+					where := fmt.Sprintf("m=%d k=%d density=%v start=%d step=%d", m, k, density, start, step)
+					check := func(name string, set func(b *BitSet) int) {
+						b := base.Clone()
+						if fresh := set(b); fresh != wantFresh {
+							t.Fatalf("%s: %s fresh %d, want %d", where, name, fresh, wantFresh)
+						}
+						if !b.Equal(want) {
+							t.Fatalf("%s: %s leaves %v, want %v", where, name, b, want)
+						}
+					}
+					check("Go loop", func(b *BitSet) int { return b.setProgressionGo(start, step, k) })
+					if haveSetKernel && k > 0 {
+						check("kernel", func(b *BitSet) int { return setProgression(&b.words[0], start, step, m, k) })
+					}
+					check("SetProgression", func(b *BitSet) int { return b.SetProgression(start, step, k) })
+				}
+			}
+		}
+	}
+	if !haveSetKernel {
+		t.Skip("no set kernel in this build: only the Go loop ran")
+	}
+}
+
+// TestSetProgressionRefusesOutOfRange pins the checks the kernel relies on:
+// start ≥ m or step > m panics before any word is written, on an empty set
+// too. A call allocates nothing.
+func TestSetProgressionRefusesOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		m, start, step uint64
+	}{
+		{"start = m", 100, 100, 1},
+		{"step = m + 1", 100, 0, 101},
+		{"empty set", 0, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := New(tc.m)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+				if b.Weight() != 0 {
+					t.Fatal("a refused call wrote bits")
+				}
+			}()
+			b.SetProgression(tc.start, tc.step, 7)
+		})
+	}
+	b := New(100)
+	if allocs := testing.AllocsPerRun(100, func() { b.SetProgression(99, 100, 7) }); allocs != 0 {
+		t.Fatalf("SetProgression allocates %v times a call", allocs)
+	}
+}

@@ -163,6 +163,20 @@ func (b *Bloom) AddIndexesAtomic(idx []uint64) int {
 	return fresh
 }
 
+// AddProgressionAtomic is AddIndexesAtomic for the k indexes start, start +
+// step, … mod m of hashes.Progression, set by bitset.SetProgression without
+// materialising them; start < m and step ≤ m, or it panics. It returns the
+// number of previously-unset bits. Unlike AddIndexesAtomic it counts only an
+// add that set a bit: a store skips an add that would set none, so Count
+// stays the number of adds that changed the filter.
+func (b *Bloom) AddProgressionAtomic(start, step uint64) int {
+	fresh := b.bits.SetProgression(start, step, b.fam.K())
+	if fresh > 0 {
+		b.n++
+	}
+	return fresh
+}
+
 // Test implements Filter.
 func (b *Bloom) Test(item []byte) bool {
 	b.scratch = b.fam.Indexes(b.scratch[:0], item)

@@ -128,6 +128,27 @@ func TestBloomAddIndexesFreshCount(t *testing.T) {
 	}
 }
 
+// AddProgressionAtomic sets hashes.Progression's bits, answers how many
+// were clear, and counts only an add that set one.
+func TestBloomAddProgressionCountsFreshAdds(t *testing.T) {
+	b := newTestBloom(t, 4, 100)
+	if fresh := b.AddProgressionAtomic(98, 3); fresh != 4 { // 98, 1, 4, 7
+		t.Errorf("fresh = %d, want 4", fresh)
+	}
+	if fresh := b.AddProgressionAtomic(4, 3); fresh != 2 { // 4, 7, 10, 13
+		t.Errorf("fresh = %d, want 2", fresh)
+	}
+	if fresh := b.AddProgressionAtomic(1, 3); fresh != 0 { // 1, 4, 7, 10
+		t.Errorf("fresh = %d, want 0", fresh)
+	}
+	if !b.TestIndexesAtomic(hashes.Progression(nil, 98, 3, 100, 6)) || b.Weight() != 6 {
+		t.Errorf("bits %v, want 98, 1, 4, 7, 10, 13", b.Bits().Support())
+	}
+	if b.Count() != 2 {
+		t.Errorf("Count = %d, want 2: the add that set nothing counts nothing", b.Count())
+	}
+}
+
 func TestBloomCloneAndReset(t *testing.T) {
 	b := newTestBloom(t, 4, 3200)
 	b.Add([]byte("x"))

@@ -301,10 +301,11 @@ func (p *Placement) Start(d PlacementDigest) (g, step uint64, ok bool) {
 // Progression appends the k indexes g, g + step, … mod m, given g < m and
 // step ≤ m. It sums in reduced space, as double hashing needs (raw uint64
 // sums would wrap modulo 2⁶⁴), and takes g + step as g − (m − step) once it
-// would reach m, so no sum wraps even above m = 2⁶³. bitset's probe path
-// repeats this advance rule twice, in testProgressions and in the
-// probe8_amd64.s kernel, and TestProgressionsEdges holds both to this
-// function: a change here changes all three.
+// would reach m, so no sum wraps even above m = 2⁶³. bitset repeats this
+// advance rule four times: on its probe path in testProgressions and the
+// probe8_amd64.s kernel (held to this function by TestProgressionsEdges),
+// and on its set path in setProgressionGo and the setprog_amd64.s kernel
+// (TestSetProgressionEdges): a change here changes all five.
 func Progression(dst []uint64, g, step, m uint64, k int) []uint64 {
 	back := m - step
 	for i := 0; i < k; i++ {

@@ -12,7 +12,13 @@ import (
 // readers issue bare atomic.LoadUint64 on the backing word slices while
 // writers — still serialized under the shard write lock — must publish
 // every mutation with atomic stores (bitset.SetAtomic, bitset.Reset, the
-// core *Atomic index methods). Snapshot loads (bitset.Load, core's counter
+// core *Atomic index methods). The one exception is bitset.SetProgression's
+// amd64 kernel (setprog_amd64.s), which this analyzer cannot see: it
+// publishes with plain aligned MOVQ stores, sound under its rule — writers
+// serialized by the one lock over the set, single-copy atomic aligned
+// words, x86-64 TSO store order, and the writer's unlock draining the store
+// buffer before it acknowledges — and -race builds run its Go loop over
+// SetAtomic instead. Snapshot loads (bitset.Load, core's counter
 // load) store plainly: they run only on a store or digest nothing has
 // published yet. A single plain write to a word that a
 // lock-free reader loads is a data race the race detector only catches if

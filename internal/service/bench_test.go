@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"sync"
@@ -314,6 +315,71 @@ func BenchmarkBatchAdd(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.AddBatch(items)
 		}
+	})
+	// The durable workload's geometry (hardened layout 3, 8 shards, 1.6 M
+	// capacity at 1 %), journaled under interval. fresh adds 512-key
+	// batches of keys nobody added before — each key's first 8 bytes are a
+	// counter — and starts over on a new store every 800 000 keys, the
+	// workload's preload; repeat re-adds 64-key windows of keys already
+	// present, which set no bit and journal nothing. Run at -cpu 1.
+	durable := func(b *testing.B) (*Sharded, func()) {
+		s, err := NewSharded(Config{
+			Shards: 8, Capacity: 1_600_000, TargetFPR: 0.01, Mode: ModeHardened,
+			Key: []byte("0123456789abcdef"), RouteKey: []byte("fedcba9876543210"),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := createPersister(b.TempDir(), s.config(), SyncInterval, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.SetJournal(p)
+		return s, func() {
+			if err := p.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("hardened-v3/fresh-interval-512", func(b *testing.B) {
+		const preload = 800_000
+		batch := benchItems(512)
+		for i, it := range batch {
+			batch[i] = append(make([]byte, 8, 8+len(it)), it...)
+		}
+		s, done := durable(b)
+		n := uint64(0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if n+uint64(len(batch)) > preload {
+				b.StopTimer()
+				done()
+				s, done = durable(b)
+				n = 0
+				b.StartTimer()
+			}
+			for _, it := range batch {
+				binary.LittleEndian.PutUint64(it, n)
+				n++
+			}
+			s.AddBatch(batch)
+		}
+		b.StopTimer()
+		done()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/key")
+	})
+	b.Run("hardened-v3/repeat-64", func(b *testing.B) {
+		present := benchItems(1 << 16)
+		s, done := durable(b)
+		defer done()
+		s.AddBatch(present)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lo := i * 64 % len(present)
+			s.AddBatch(present[lo : lo+64])
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/key")
 	})
 }
 

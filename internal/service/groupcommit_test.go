@@ -38,13 +38,39 @@ func (p *Persister) failOnce(op string, err error) {
 	p.release()
 }
 
-// segmentOps drives a counting store journaling into dir through a fixed
-// operation sequence — batches spanning several chunks, a refused add of an
-// item over MaxItemLen, accepted and refused removals, a compaction, single
-// adds and removes — and closes the journal.
-func segmentOps(t *testing.T, dir string, policy SyncPolicy) {
+// segmentStores are the stores segmentOps journals, each with the segments
+// it must write: length and SHA-256 of wal-0 and wal-1. The counting row's
+// goldens were captured from the write-through journal before group commit;
+// its wal-0 is that journal's segment with the refused 100 KiB add's record
+// (102 409 bytes at offset 173 325) cut out. The bloom rows' goldens were
+// captured from the per-record journal and index-slice insert walk that
+// preceded the progression set kernel and per-window framing.
+var segmentStores = []struct {
+	name   string
+	cfg    Config
+	ops    func(t *testing.T, s *Sharded, p *Persister, items [][]byte)
+	golden map[string]string
+}{
+	{"counting", persistCfg(VariantCounting, ModeNaive, 4, core.Saturate), countingSegmentOps, map[string]string{
+		walName(0): "284026 1c7477a5e83d73e07332f4c0016b48cc4a61578528c88712dc656f74bdbe403c",
+		walName(1): "64324 6d57d20a56c824c0db35bb8d4f71f0be9cc79f2cc71eaf4c458074c288a0906c",
+	}},
+	{"bloom-naive-v2", persistCfg(VariantBloom, ModeNaive, 0, 0), bloomSegmentOps, map[string]string{
+		walName(0): "172568 d6fa1206b6425c8d45fc4211e746755ab29e9de42e4cf7d32becf49052e1afd1",
+		walName(1): "90072 cf35e21391e7955dc3eaa295d72cefcd52f2a378c0991b75ac335f0ea11658cb",
+	}},
+	{"bloom-hardened-v3", persistCfg(VariantBloom, ModeHardened, 0, 0), bloomSegmentOps, map[string]string{
+		walName(0): "173973 6662f9a029befd60d4f70b83d4e29468f20e76fa8e1599fa6d0a156d1419e72c",
+		walName(1): "90454 7d5a46604121b51443da4e879c62f0a4d2b55e248735a8376c568681efe898d6",
+	}},
+}
+
+// segmentOps drives a store built from cfg, journaling into dir, through
+// ops over 4000 fixed items, and closes the journal.
+func segmentOps(t *testing.T, dir string, policy SyncPolicy, cfg Config,
+	ops func(t *testing.T, s *Sharded, p *Persister, items [][]byte)) {
 	t.Helper()
-	s, err := NewSharded(persistCfg(VariantCounting, ModeNaive, 4, core.Saturate))
+	s, err := NewSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +84,17 @@ func segmentOps(t *testing.T, dir string, policy SyncPolicy) {
 	for i := range items {
 		items[i] = gen.Next()
 	}
+	ops(t, s, p, items)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// countingSegmentOps is a fixed operation sequence for a counting store:
+// batches spanning several chunks, a refused add of an item over
+// MaxItemLen, accepted and refused removals, a compaction, single adds and
+// removes.
+func countingSegmentOps(t *testing.T, s *Sharded, p *Persister, items [][]byte) {
 	s.AddBatch(items[:3000])
 	if !panics(func() { s.Add(bytes.Repeat([]byte("evil"), 25<<10)) }) {
 		t.Fatal("a 100 KiB add was not refused")
@@ -75,8 +112,31 @@ func segmentOps(t *testing.T, dir string, policy SyncPolicy) {
 	for _, it := range items[3000:3100] {
 		s.Remove(it) //nolint:errcheck // refusals are part of the sequence
 	}
-	if err := p.Close(); err != nil {
+}
+
+// bloomSegmentOps is a fixed operation sequence for a bloom store, whose
+// journal holds only the adds that set a bit: fresh batches spanning
+// several chunks, the same batch repeated (nothing journaled), a
+// TestAndAddBatch mixing fresh and repeat items with in-batch duplicates,
+// single adds of repeats then fresh items, a compaction, and a last batch
+// into a filter so full (8192 bits, k = 4) that distinct keys find their
+// bits already set by others.
+func bloomSegmentOps(t *testing.T, s *Sharded, p *Persister, items [][]byte) {
+	s.AddBatch(items[:1500])
+	s.AddBatch(items[:1500])
+	s.TestAndAddBatch(nil, append(items[1400:1600:1600], items[1500:1550]...))
+	for _, it := range items[1590:1700] {
+		s.Add(it)
+	}
+	for i := 0; i < 20; i++ {
+		s.Add(bytes.Repeat([]byte{byte('a' + i)}, 4096))
+	}
+	if err := p.Compact(s); err != nil {
 		t.Fatal(err)
+	}
+	s.AddBatch(items[1700:])
+	for _, it := range items[3900:] {
+		s.Add(it)
 	}
 }
 
@@ -88,28 +148,26 @@ func panics(f func()) (panicked bool) {
 }
 
 // Group commit changes when records reach the segment, never which bytes:
-// under every policy, segmentOps writes exactly the segments the
-// write-through journal before it wrote (length and SHA-256 captured from
-// that journal). The wal-0 golden is that journal's segment with the
-// refused 100 KiB add's record (102 409 bytes at offset 173 325) cut out.
+// under every policy, segmentOps writes exactly each store's golden
+// segments.
 func TestSegmentBytesMatchGolden(t *testing.T) {
-	golden := map[string]string{
-		walName(0): "284026 1c7477a5e83d73e07332f4c0016b48cc4a61578528c88712dc656f74bdbe403c",
-		walName(1): "64324 6d57d20a56c824c0db35bb8d4f71f0be9cc79f2cc71eaf4c458074c288a0906c",
-	}
 	for _, policy := range []SyncPolicy{SyncNever, SyncInterval, SyncAlways} {
 		t.Run(policy.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			segmentOps(t, dir, policy)
-			for name, want := range golden {
-				b, err := os.ReadFile(filepath.Join(dir, name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sum := sha256.Sum256(b)
-				if got := fmt.Sprintf("%d %s", len(b), hex.EncodeToString(sum[:])); got != want {
-					t.Errorf("%s: %s, want %s", name, got, want)
-				}
+			for _, store := range segmentStores {
+				t.Run(store.name, func(t *testing.T) {
+					dir := t.TempDir()
+					segmentOps(t, dir, policy, store.cfg, store.ops)
+					for name, want := range store.golden {
+						b, err := os.ReadFile(filepath.Join(dir, name))
+						if err != nil {
+							t.Fatal(err)
+						}
+						sum := sha256.Sum256(b)
+						if got := fmt.Sprintf("%d %s", len(b), hex.EncodeToString(sum[:])); got != want {
+							t.Errorf("%s: %s, want %s", name, got, want)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -259,7 +317,7 @@ func TestJournalChunksBounded(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < records; i++ {
-			p.JournalAdd(item)
+			p.append(walRecordAdd, item)
 		}
 	}()
 	// The appender must stall with every pooled chunk in use.
@@ -313,8 +371,9 @@ func TestJournalChunksBounded(t *testing.T) {
 	}
 }
 
-// Once the pool is warm, an append allocates nothing: records go into
-// recycled chunks, whatever the policy.
+// Once the pool is warm, an append allocates nothing — a window of adds
+// framed by one call, or a single removal: records go into recycled chunks,
+// whatever the policy.
 func TestAppendSteadyStateAllocs(t *testing.T) {
 	if underRace() {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -331,9 +390,16 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 			}
 			defer p.Close() //nolint:errcheck
 			item := []byte("steady-state-journal-record")
+			window := make([][]byte, deriveWindow)
+			for i := range window {
+				window[i] = item
+			}
 			burst := func() {
-				for i := 0; i < 4096; i++ {
-					p.JournalAdd(item)
+				for i := 0; i < 4096; i += 2 * deriveWindow {
+					p.JournalAdds(window)
+					for _, it := range window {
+						p.JournalRemove(it)
+					}
 				}
 			}
 			// Warm the pool to its bound behind a stalled syncer, so no
@@ -479,7 +545,7 @@ func TestCommitWaitsOnlyUnderAlways(t *testing.T) {
 			defer p.Close() //nolint:errcheck
 			release := blockSyncer(p)
 			defer release()
-			p.JournalAdd([]byte("buffered"))
+			p.append(walRecordAdd, []byte("buffered"))
 			if err := p.commit(); err != nil {
 				t.Fatal(err)
 			}
@@ -509,7 +575,7 @@ func TestLogOutweighsCountsQueuedRecords(t *testing.T) {
 	defer release()
 	item := bytes.Repeat([]byte("q"), 100)
 	for !p.logOutweighs(s) {
-		p.JournalAdd(item)
+		p.append(walRecordAdd, item)
 	}
 	p.mu.Lock()
 	walLen, queued := p.walLen, p.queued

@@ -35,16 +35,18 @@ func lockfreeCfg(variant Variant) Config {
 }
 
 // TestLockFreeReadsNoTornState is the regression for the read path, run
-// with and without -race: while writer goroutines add (and, on counting,
-// add-then-remove) under the shard write locks, reader goroutines run Test
+// with and without -race: while writer goroutines add — single items and
+// AddBatch windows of 8–64 fresh ones (and, on counting, add-then-remove) —
+// under the shard write locks, reader goroutines run Test
 // and 64-key TestBatch windows. Two things must hold throughout: the race
 // detector stays silent (every word the readers touch is accessed
 // atomically on both sides), and a set of permanently-inserted items never
 // once tests negative — a torn or stale read of a half-written word would
 // surface as exactly that. The bloom rows' windows go through the probe
 // kernel (bitset.TestProgressions), which a -race build swaps for its Go
-// loop, so only the run without -race puts the kernel itself among the
-// writers.
+// loop, and the bloom rows' adds go through the set kernel
+// (bitset.SetProgression), whose plain stores a -race build swaps for
+// SetAtomic: only the run without -race puts both kernels at work at once.
 //
 // Every row reads lock-free, which the test first pins directly: with every
 // shard write-locked, Test and TestBatch still answer. The counter widths
@@ -68,8 +70,9 @@ func TestLockFreeReadsNoTornState(t *testing.T) {
 		cfg := lockfreeCfg(row.variant)
 		name := row.variant.String()
 		if row.width != 0 {
-			// Max 7 per counter at the narrowest: the ≤200 permanents plus 4
-			// in-flight writer items at ~2.4% fill stay far below it.
+			// Max 7 per counter at the narrowest: the ≤200 permanents plus
+			// at most 4 × 65 in-flight writer items at ~5.6% fill stay far
+			// below it.
 			cfg.CounterWidth = row.width
 			name = fmt.Sprintf("%v-w%d", row.variant, row.width)
 		}
@@ -105,7 +108,31 @@ func TestLockFreeReadsNoTornState(t *testing.T) {
 					// Distinct serial ranges per writer keep the streams
 					// disjoint from each other and from the permanents.
 					g := urlgen.New(int64(100 + id))
+					var window [][]byte
 					for i := 0; i < iters; i++ {
+						if i%32 == 0 {
+							// A window of 8–64 fresh items: one lock hold
+							// per shard sets them, by SetProgression on
+							// the bloom rows.
+							window = window[:0]
+							for j := 0; j < 8+(i/32*7+id)%57; j++ {
+								window = append(window, g.Next())
+							}
+							s.AddBatch(window)
+							if s.Removable() {
+								removed, err := s.RemoveBatch(window)
+								if err != nil {
+									errs <- fmt.Errorf("writer %d: remove batch: %w", id, err)
+									return
+								}
+								for j, ok := range removed {
+									if !ok {
+										errs <- fmt.Errorf("writer %d: removal of just-added %q refused", id, window[j])
+										return
+									}
+								}
+							}
+						}
 						item := g.Next()
 						s.Add(item)
 						if s.Removable() {

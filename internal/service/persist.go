@@ -507,33 +507,65 @@ func readStopped(valid int64, err error) (int64, bool, error) {
 	return valid, false, err
 }
 
-// JournalAdd implements Journal.
-func (p *Persister) JournalAdd(item []byte) { p.append(walRecordAdd, item) }
+// JournalAdds implements Journal.
+func (p *Persister) JournalAdds(items [][]byte) { p.append(walRecordAdd, items...) }
 
 // JournalRemove implements Journal.
 func (p *Persister) JournalRemove(item []byte) { p.append(walRecordRemove, item) }
 
-// append frames one record into the current chunk and returns its sequence
-// number (0 when the journal is failed or closed and drops it). item is at
-// most MaxItemLen bytes: the store refuses a longer one before journaling.
-func (p *Persister) append(op byte, item []byte) uint64 {
-	n := 4 + 1 + len(item) + 4
+// walOpCRC is the CRC-32 IEEE of each record op byte alone, which a
+// record's CRC over op and item continues: a table, because a one-byte
+// slice handed to crc32 escapes to the heap on every call.
+var walOpCRC = [...]uint32{
+	walRecordAdd:    crc32.ChecksumIEEE([]byte{walRecordAdd}),
+	walRecordRemove: crc32.ChecksumIEEE([]byte{walRecordRemove}),
+}
+
+// appendBatch is how many records append frames per hold of p.mu: a batch
+// window's worth.
+const appendBatch = deriveWindow
+
+// append frames one op record per item into the journal's chunks, in order,
+// and returns the last one's sequence number (0 when the journal is failed
+// or closed and drops them). It is the one framer: the records' CRC-32s
+// are computed first with no lock held, then up to appendBatch records are
+// framed under one hold of p.mu. Each item is at most MaxItemLen bytes: the
+// store refuses a longer one before journaling.
+func (p *Persister) append(op byte, items ...[]byte) (seq uint64) {
+	var crcs [appendBatch]uint32
+	for len(items) > 0 {
+		batch := items[:min(len(items), appendBatch)]
+		items = items[len(batch):]
+		for i, it := range batch {
+			crcs[i] = crc32.Update(walOpCRC[op], crc32.IEEETable, it)
+		}
+		seq = p.frame(op, batch, &crcs)
+	}
+	return seq
+}
+
+// frame frames items' records, with their CRC-32s crcs, under one hold of
+// p.mu, and returns the last one's sequence number (0 when the journal
+// drops them).
+func (p *Persister) frame(op byte, items [][]byte, crcs *[appendBatch]uint32) uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	c := p.room(n)
-	if c == nil {
-		return 0
-	}
-	b := binary.LittleEndian.AppendUint32(c.b, uint32(1+len(item)))
-	bodyAt := len(b)
-	b = append(b, op)
-	b = append(b, item...)
-	c.b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[bodyAt:]))
-	p.queued += int64(n)
-	p.seq++
-	c.last = p.seq
-	if len(c.b) == cap(c.b) {
-		p.seal()
+	for i, it := range items {
+		n := 4 + 1 + len(it) + 4
+		c := p.room(n)
+		if c == nil {
+			return 0
+		}
+		b := binary.LittleEndian.AppendUint32(c.b, uint32(1+len(it)))
+		b = append(b, op)
+		b = append(b, it...)
+		c.b = binary.LittleEndian.AppendUint32(b, crcs[i])
+		p.queued += int64(n)
+		p.seq++
+		c.last = p.seq
+		if len(c.b) == cap(c.b) {
+			p.seal()
+		}
 	}
 	return p.seq
 }

@@ -230,6 +230,11 @@ type shard struct {
 	// remover caches the backend's Remover capability (nil when absent) so
 	// the remove hot path skips a per-call type assertion.
 	remover Remover
+	// bloom is the backend's filter when its store probes by progression
+	// (Sharded.bits): adds then set a key's progression straight from its
+	// digest (insertLocked) instead of going through addLocked. Nil
+	// otherwise.
+	bloom *core.Bloom
 	// weight tracks the backend's occupied-position count incrementally
 	// from the fresh/zeroed deltas AddIndexes and RemoveIndexes report, so
 	// Stats is O(shards) instead of an O(m) scan under the lock.
@@ -254,8 +259,9 @@ type shard struct {
 type Sharded struct {
 	shards []shard
 	// bits holds shard i's bit array at i when TestBatch probes the words
-	// itself, eight keys per bitset.TestProgressions call: bloom shards
-	// under a layout whose indexes Placement.Start gives. Nil otherwise.
+	// itself, eight keys per bitset.TestProgressions call, and adds set them
+	// by bitset.SetProgression: bloom shards under a layout whose indexes
+	// Placement.Start gives. Nil otherwise.
 	// Backends and their bit arrays never move after NewSharded (Load and
 	// Reset rewrite the words in place), so the pointers stay good.
 	bits    []*bitset.BitSet
@@ -301,8 +307,10 @@ type Sharded struct {
 // (Persister frames into memory, and with its chunk pool exhausted waits
 // only for its syncer, which takes no shard lock).
 type Journal interface {
-	// JournalAdd records an insertion. Item aliases caller memory; copy it.
-	JournalAdd(item []byte)
+	// JournalAdds records the insertions one shard applied under one hold
+	// of its lock — a batch window's, or a single add's — in the order they
+	// were applied. Items alias caller memory; copy them.
+	JournalAdds(items [][]byte)
 	// JournalRemove records an accepted removal (refused removals never
 	// mutate state and are not journaled). Item aliases caller memory.
 	JournalRemove(item []byte)
@@ -360,7 +368,9 @@ func NewSharded(cfg Config) (*Sharded, error) {
 	if _, _, ok := place.Start(hashes.PlacementDigest{}); ok && cfg.Variant == VariantBloom {
 		s.bits = make([]*bitset.BitSet, len(s.shards))
 		for i := range s.shards {
-			s.bits[i] = s.shards[i].backend.(bloomBackend).Bits()
+			sh := &s.shards[i]
+			sh.bloom = sh.backend.(bloomBackend).Bloom
+			s.bits[i] = sh.bloom.Bits()
 		}
 	}
 	return s, nil
@@ -389,17 +399,46 @@ func checkItem(item []byte) {
 // Add implements core.Filter. Placement happens outside the shard lock; only
 // the position writes are serialized. An add that changes nothing — on a
 // bloom or blocked shard, an item whose positions are all set already — is
-// not applied, counted or journaled (see addLocked). An item longer than
+// not applied, counted or journaled (see insertLocked). An item longer than
 // MaxItemLen panics (checkItem).
 func (s *Sharded) Add(item []byte) {
 	checkItem(item)
-	sh, g := s.place1(item)
+	g := s.checkout()
+	si, d := s.place.Route(item)
+	sh := &s.shards[si]
+	if sh.bloom == nil {
+		g.idx = s.place.Indexes(g.idx[:0], item, si, d)
+	}
 	sh.mu.Lock()
-	if _, applied := sh.addLocked(g.idx); applied && s.journal != nil {
-		s.journal.JournalAdd(item)
+	if _, applied := s.insertLocked(sh, d, g.idx, 0); applied && s.journal != nil {
+		g.applied = append(g.applied[:0], item)
+		s.journal.JournalAdds(g.applied)
+		g.applied[0] = nil
 	}
 	sh.mu.Unlock()
 	s.ungroup(g)
+}
+
+// insertLocked is the one insert step behind Add (and so log replay) and
+// addBatch: it test-and-adds the key routed to sh with digest d, whose write
+// lock the caller holds, and the caller journals the add when it was
+// applied. A shard with a bloom sets the key's progression from d by
+// bitset.SetProgression and applies the add iff a bit was clear: the walk's
+// own fresh count decides "already present", under the lock that orders the
+// journal. Any other shard runs addLocked on the key's indexes, the j-th k
+// of idx.
+func (s *Sharded) insertLocked(sh *shard, d hashes.PlacementDigest, idx []uint64, j int) (novel, applied bool) {
+	if sh.bloom == nil {
+		return sh.addLocked(idx[j*s.k : (j+1)*s.k])
+	}
+	start, step, _ := s.place.Start(d)
+	fresh := sh.bloom.AddProgressionAtomic(start, step)
+	if fresh == 0 {
+		return false, false
+	}
+	sh.weight += uint64(fresh)
+	sh.muts++
+	return true, true
 }
 
 // addLocked test-and-adds one index set; the caller holds the shard's write
@@ -540,26 +579,37 @@ func (s *Sharded) TestAndAddBatch(dst []bool, items [][]byte) []bool {
 }
 
 // addBatch is the one insert walk behind AddBatch and TestAndAddBatch: each
-// shard's lock once per window, indexes derived outside it. When novel is
-// non-nil, novel[i] records whether items[i] was new.
+// shard's lock once per window, indexes derived outside it (a shard with a
+// bloom needs none), and the window's applied adds journaled by one call
+// before the lock is released. When novel is non-nil, novel[i] records
+// whether items[i] was new.
 func (s *Sharded) addBatch(novel []bool, items [][]byte) {
 	g := s.group(items)
 	for lo := 0; lo < len(g.order); {
 		si, run := g.run(lo)
 		lo += len(run)
 		sh := &s.shards[si]
-		idx := s.derive(g, items, si, run)
+		var idx []uint64
+		if sh.bloom == nil {
+			idx = s.derive(g, items, si, run)
+		}
+		applied := g.applied[:0]
 		sh.mu.Lock()
 		for j, ii := range run {
-			isNew, applied := sh.addLocked(idx[j*s.k : (j+1)*s.k])
+			isNew, ok := s.insertLocked(sh, g.digest[ii], idx, j)
 			if novel != nil {
 				novel[ii] = isNew
 			}
-			if applied && s.journal != nil {
-				s.journal.JournalAdd(items[ii])
+			if ok && s.journal != nil {
+				applied = append(applied, items[ii])
 			}
 		}
+		if len(applied) > 0 {
+			s.journal.JournalAdds(applied)
+			clear(applied)
+		}
 		sh.mu.Unlock()
+		g.applied = applied
 	}
 	s.ungroup(g)
 }
@@ -644,6 +694,10 @@ type grouping struct {
 	// idx is one window's indexes (or a single-item call's): at most
 	// deriveWindow × k, never sized by the batch.
 	idx []uint64
+	// applied is one window's applied adds, as the journal is handed them:
+	// at most deriveWindow, cleared after each call so the pool pins no
+	// caller memory.
+	applied [][]byte
 }
 
 // MaxShards-1 must fit grouping.shard's element type.
@@ -745,7 +799,7 @@ func (s *Sharded) ungroup(g *grouping) {
 }
 
 // Generation returns the store's mutation counter: the sum of effective
-// adds (those addLocked applied), accepted removals and restores across
+// adds (those insertLocked applied), accepted removals and restores across
 // shards. It is monotone under serving traffic, so equal generations mean
 // an unchanged filter — the digest endpoint's ETag basis, letting peers skip
 // refetching an unchanged digest. It resets on restart (a recovered store

@@ -14,7 +14,11 @@ import (
 // recordingJournal keeps every journal record, in the order they arrive.
 type recordingJournal struct{ ops []string }
 
-func (j *recordingJournal) JournalAdd(item []byte)    { j.ops = append(j.ops, "+"+string(item)) }
+func (j *recordingJournal) JournalAdds(items [][]byte) {
+	for _, it := range items {
+		j.ops = append(j.ops, "+"+string(it))
+	}
+}
 func (j *recordingJournal) JournalRemove(item []byte) { j.ops = append(j.ops, "-"+string(item)) }
 
 // novelBatch draws a batch of 1–300 items, about a fifth of them repeats:
