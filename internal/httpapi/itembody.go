@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"slices"
 	"strconv"
@@ -99,11 +100,16 @@ func (sc *scratch) decodeItems(w http.ResponseWriter, r *http.Request, batch boo
 	return true
 }
 
-// readBody reads the request body into sc.body through MaxBytesReader,
-// sizing the buffer from a declared Content-Length (already checked against
-// MaxBodyBytes). It returns the error that ended the read, nil for EOF.
+// readBody reads the request body into sc.body, sizing the buffer from a
+// declared Content-Length. It returns the error that ended the read, nil for
+// EOF. Only a body of undeclared length (chunked) goes through
+// MaxBytesReader: a declared length was already checked against
+// MaxBodyBytes, and net/http's body ends at it.
 func (sc *scratch) readBody(w http.ResponseWriter, r *http.Request) error {
-	rd := http.MaxBytesReader(w, r.Body, service.MaxBodyBytes)
+	rd := r.Body
+	if r.ContentLength < 0 {
+		rd = http.MaxBytesReader(w, r.Body, service.MaxBodyBytes)
+	}
 	buf := sc.body[:0]
 	// One spare byte lets the read that reports EOF land without growing.
 	if need := max(r.ContentLength+1, 512); int64(cap(buf)) < need {
@@ -130,14 +136,20 @@ type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
-// reply sends sc.out as the 200 answer: explicit length, one Write.
+// reply sends sc.out as the 200 answer: explicit length, one Write. The
+// headers are assigned under their canonical keys, which skips Header.Set's
+// per-call canonicalisation.
 func (sc *scratch) reply(w http.ResponseWriter) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(sc.out)))
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(sc.out))}
 	w.WriteHeader(http.StatusOK)
 	w.Write(sc.out) //nolint:errcheck // client gone; nothing to do
 }
+
+// jsonContentType is shared by every reply, so nothing may write to it; its
+// capacity of one makes a Header.Add on it copy instead.
+var jsonContentType = []string{"application/json"}
 
 func writeBodyTooLarge(w http.ResponseWriter) {
 	writeError(w, http.StatusRequestEntityTooLarge,
@@ -327,17 +339,32 @@ var unescaped = [256]byte{
 // scanString validates the string whose opening quote is b[i] and returns
 // the index of its closing quote, -1 if it is not a string of the language,
 // and whether it holds an escape. It writes nothing.
+//
+// Plain runs are skipped a little-endian word at a time: special flags the
+// bytes that are not plain, a clean word advances 8, and otherwise the scan
+// lands on the lowest flagged byte, which is always a true one, and the byte
+// switch decides it. Under 8 bytes from the end the switch takes every byte.
 func scanString(b []byte, i int) (end int, escaped bool) {
 	if i >= len(b) || b[i] != '"' {
 		return -1, false
 	}
-	for i++; i < len(b); {
+	for i++; ; {
+		for i+8 <= len(b) {
+			if m := special(binary.LittleEndian.Uint64(b[i:])); m != 0 {
+				i += bits.TrailingZeros64(m) >> 3
+				break
+			}
+			i += 8
+		}
+		if i == len(b) {
+			return -1, false
+		}
 		c := b[i]
 		switch {
+		case c == '"': // where the word scan lands most often
+			return i, escaped
 		case plain[c]:
 			i++
-		case c == '"':
-			return i, escaped
 		case c == '\\' && i+1 < len(b) && b[i+1] == 'u':
 			if _, ok := hex4(b, i+2); !ok {
 				return -1, false
@@ -357,7 +384,27 @@ func scanString(b []byte, i int) (end int, escaped bool) {
 			return -1, false
 		}
 	}
-	return -1, false
+}
+
+// Byte-lane constants of special.
+const (
+	lanes01 = 0x0101010101010101
+	lanes80 = 0x8080808080808080
+)
+
+// special sets the top bit of each byte of the little-endian word w that is
+// not plain. A byte's top bit is set in w from 0x80 up, and after taking
+// 0x20 from each byte, below 0x20; xored with '"' or '\\', the quote and
+// the backslash become 0, and taking 1 sets their top bits. Bytes from 0x80
+// up may flag in the subtractions too, but w flags them anyway. A
+// subtraction's borrow can also flag a byte above a true one, never below
+// the lowest: so the lowest flag is exact, and it is the only one
+// scanString reads.
+func special(w uint64) uint64 {
+	ctl := w - lanes01*0x20
+	q := (w ^ lanes01*'"') - lanes01
+	bs := (w ^ lanes01*'\\') - lanes01
+	return (w | ctl | q | bs) & lanes80
 }
 
 // hex4 decodes the four hex digits at b[i:], refusing surrogates.

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"net/http"
+	"unicode/utf8"
 
 	"evilbloom/internal/engine"
 )
@@ -113,4 +114,40 @@ func oracleItemOp(s *Server, w http.ResponseWriter, r *http.Request, ref engine.
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
+}
+
+// scanStringByteLoop is scanString as it was before it skipped plain runs a
+// word at a time: one byte per turn of the switch. TestScanStringMatchesByteLoop
+// and FuzzScanString hold scanString to it.
+func scanStringByteLoop(b []byte, i int) (end int, escaped bool) {
+	if i >= len(b) || b[i] != '"' {
+		return -1, false
+	}
+	for i++; i < len(b); {
+		c := b[i]
+		switch {
+		case plain[c]:
+			i++
+		case c == '"':
+			return i, escaped
+		case c == '\\' && i+1 < len(b) && b[i+1] == 'u':
+			if _, ok := hex4(b, i+2); !ok {
+				return -1, false
+			}
+			escaped = true
+			i += 6
+		case c == '\\' && i+1 < len(b) && unescaped[b[i+1]] != 0:
+			escaped = true
+			i += 2
+		case c >= utf8.RuneSelf:
+			r, size := utf8.DecodeRune(b[i:])
+			if r == utf8.RuneError && size == 1 {
+				return -1, false
+			}
+			i += size
+		default: // control byte, unknown or truncated escape
+			return -1, false
+		}
+	}
+	return -1, false
 }
