@@ -100,16 +100,11 @@ func (sc *scratch) decodeItems(w http.ResponseWriter, r *http.Request, batch boo
 	return true
 }
 
-// readBody reads the request body into sc.body, sizing the buffer from a
-// declared Content-Length. It returns the error that ended the read, nil for
-// EOF. Only a body of undeclared length (chunked) goes through
-// MaxBytesReader: a declared length was already checked against
-// MaxBodyBytes, and net/http's body ends at it.
+// readBody reads the request body into sc.body through MaxBytesReader,
+// sizing the buffer from a declared Content-Length (already checked against
+// MaxBodyBytes). It returns the error that ended the read, nil for EOF.
 func (sc *scratch) readBody(w http.ResponseWriter, r *http.Request) error {
-	rd := r.Body
-	if r.ContentLength < 0 {
-		rd = http.MaxBytesReader(w, r.Body, service.MaxBodyBytes)
-	}
+	rd := http.MaxBytesReader(w, r.Body, service.MaxBodyBytes)
 	buf := sc.body[:0]
 	// One spare byte lets the read that reports EOF land without growing.
 	if need := max(r.ContentLength+1, 512); int64(cap(buf)) < need {
